@@ -10,11 +10,12 @@ import numpy as np
 
 from .errors import (BehindCameraError, ConvergenceError, DegenerateGeometryError,
                      InsufficientCorrespondencesError, InsufficientViewsError,
-                     NoOverlapError, ParameterError)
-from .geometry import (RigidTransform, compose, identity, invert, kabsch,
-                       matrix_to_quat, quat_to_matrix, transform_from_matrix)
+                     NoOverlapError, ParameterError, UnknownEntityError)
+from .geometry import (RigidTransform, invert, matrix_to_quat, quat_to_matrix,
+                       transform_from_matrix)
 
 CONFIDENCE_FLOOR = 0.1  # observations below this weight are discarded
+MIN_RAY_ANGLE_DEG = 0.25  # widest ray pair below this is a degenerate triangulation
 
 
 @dataclass(frozen=True)
@@ -28,6 +29,8 @@ class CameraIntrinsics:
     width: int
     height: int
     dist: tuple = (0.0, 0.0, 0.0, 0.0, 0.0)
+    focal: np.ndarray = field(init=False, repr=False, compare=False)  # (fx, fy)
+    center: np.ndarray = field(init=False, repr=False, compare=False)  # (cx, cy)
 
     def __post_init__(self):
         if self.fx <= 0 or self.fy <= 0:
@@ -37,6 +40,20 @@ class CameraIntrinsics:
         object.__setattr__(self, "dist", tuple(float(d) for d in self.dist))
         if len(self.dist) != 5:
             raise ParameterError("distortion must have 5 coefficients")
+        for name, pair in (("focal", (self.fx, self.fy)),
+                           ("center", (self.cx, self.cy))):
+            a = np.array(pair, dtype=float)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    @classmethod
+    def from_dict(cls, o: dict) -> "CameraIntrinsics":
+        """Intrinsics from the JSON keys fx, fy, cx, cy, width, height, dist."""
+        try:
+            return cls(fx=o["fx"], fy=o["fy"], cx=o["cx"], cy=o["cy"],
+                       width=o["width"], height=o["height"], dist=tuple(o["dist"]))
+        except KeyError as exc:
+            raise ParameterError(f"camera intrinsics missing key {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -61,9 +78,7 @@ class CameraModel:
     @classmethod
     def from_json(cls, text: str) -> "CameraModel":
         o = json.loads(text)
-        intr = CameraIntrinsics(fx=o["fx"], fy=o["fy"], cx=o["cx"], cy=o["cy"],
-                                width=o["width"], height=o["height"],
-                                dist=tuple(o["dist"]))
+        intr = CameraIntrinsics.from_dict(o)
         wfc = o["world_from_camera"]
         pose = RigidTransform(np.asarray(wfc["q_wxyz"], dtype=float),
                               np.asarray(wfc["t_m"], dtype=float),
@@ -89,7 +104,11 @@ class PixelObservation:
 # projection
 
 def _distort(xn: np.ndarray, dist) -> np.ndarray:
-    """Apply Brown-Conrady distortion to normalized coords (N, 2)."""
+    """Apply Brown-Conrady distortion to normalized coords (N, 2).
+
+    ``dist`` is one (k1, k2, p1, p2, k3) tuple, or a (5, N) array holding one
+    set of coefficients per point.
+    """
     k1, k2, p1, p2, k3 = dist
     x, y = xn[..., 0], xn[..., 1]
     r2 = x * x + y * y
@@ -110,6 +129,13 @@ def _undistort(xd: np.ndarray, dist, iterations: int = 30) -> np.ndarray:
     return xn
 
 
+def _pixels(pc: np.ndarray, focal, center, dist) -> np.ndarray:
+    """The projection kernel: camera-frame points (N, 3) in front of the
+    camera to pixels (N, 2). ``focal`` and ``center`` are (2,) or (N, 2)
+    arrays; ``dist`` is as for ``_distort``."""
+    return focal * _distort(pc[:, :2] / pc[:, 2:3], dist) + center
+
+
 def project_points(cam: CameraModel, points_world: np.ndarray) -> np.ndarray:
     """Project world points (N, 3) to pixels (N, 2)."""
     points_world = np.asarray(points_world, dtype=float).reshape(-1, 3)
@@ -117,11 +143,8 @@ def project_points(cam: CameraModel, points_world: np.ndarray) -> np.ndarray:
     pc = cam_from_world.apply_points(points_world)
     if np.any(pc[:, 2] <= 0):
         raise BehindCameraError("point(s) with non-positive depth")
-    xn = pc[:, :2] / pc[:, 2:3]
-    xd = _distort(xn, cam.intrinsics.dist)
     intr = cam.intrinsics
-    return np.column_stack([intr.fx * xd[:, 0] + intr.cx,
-                            intr.fy * xd[:, 1] + intr.cy])
+    return _pixels(pc, intr.focal, intr.center, intr.dist)
 
 
 def project(cam: CameraModel, point_world) -> np.ndarray:
@@ -134,8 +157,8 @@ def unproject(cam: CameraModel, pixel, depth_m: float) -> np.ndarray:
     if depth_m <= 0:
         raise BehindCameraError("depth must be positive")
     intr = cam.intrinsics
-    xd = np.array([(pixel[0] - intr.cx) / intr.fx, (pixel[1] - intr.cy) / intr.fy])
-    xn = _undistort(xd, intr.dist)
+    xn = _undistort((np.asarray(pixel, dtype=float) - intr.center) / intr.focal,
+                    intr.dist)
     pc = np.array([xn[0] * depth_m, xn[1] * depth_m, depth_m])
     return cam.world_from_camera.apply_points(pc.reshape(1, 3))[0]
 
@@ -143,9 +166,7 @@ def unproject(cam: CameraModel, pixel, depth_m: float) -> np.ndarray:
 def pixels_to_normalized(intr: CameraIntrinsics, pixels: np.ndarray) -> np.ndarray:
     """Undistorted normalized image coordinates for pixels (N, 2)."""
     pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
-    xd = np.column_stack([(pixels[:, 0] - intr.cx) / intr.fx,
-                          (pixels[:, 1] - intr.cy) / intr.fy])
-    return _undistort(xd, intr.dist)
+    return _undistort((pixels - intr.center) / intr.focal, intr.dist)
 
 
 # ---------------------------------------------------------------------------
@@ -200,38 +221,54 @@ def _dlt_pose(points: np.ndarray, xn: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return rot, t
 
 
-def _pose_residuals(rotvec, t, points, pixels, intr):
-    rot = _rotvec_to_matrix(rotvec)
-    pc = points @ rot.T + t
-    depth = pc[:, 2]
-    if np.any(depth <= 1e-9):
-        return None
-    xn = pc[:, :2] / depth[:, None]
-    xd = _distort(xn, intr.dist)
-    proj = np.column_stack([intr.fx * xd[:, 0] + intr.cx,
-                            intr.fy * xd[:, 1] + intr.cy])
-    return (proj - pixels).ravel()
+def _least_squares(residuals, x: np.ndarray, weights: np.ndarray):
+    """Levenberg-Marquardt minimization of ``sum(weights * residuals(x)**2)``.
 
-
-def _numeric_jacobian(fun, x, eps=1e-7):
-    f0 = fun(x)
-    jac = np.zeros((len(f0), len(x)))
-    for i in range(len(x)):
-        xp = x.copy()
-        xp[i] += eps
-        fp = fun(xp)
-        if fp is None:
-            xp[i] = x[i] - eps
-            fp = fun(xp)
-            jac[:, i] = (f0 - fp) / eps
+    Forward-difference Jacobian, Marquardt damping ``lam * diag(J^T W J)``.
+    ``residuals`` returns None where the model is undefined (a point behind
+    a camera): such trial steps are rejected, and the solve stops where a
+    Jacobian column would need one. Returns ``(x, r)``; ``r`` is None when
+    the start point itself is undefined.
+    """
+    r = residuals(x)
+    if r is None:
+        return x, None
+    cost = float(weights @ r ** 2)
+    lam = 1e-3
+    jac = np.empty((len(r), len(x)))
+    for _ in range(100):
+        for i in range(len(x)):
+            xp = x.copy()
+            xp[i] += 1e-8
+            rp = residuals(xp)
+            if rp is None:
+                return x, r
+            jac[:, i] = (rp - r) / 1e-8
+        jtw = jac.T * weights
+        jtj = jtw @ jac
+        jtr = jtw @ r
+        damping = np.diag(np.diag(jtj) + 1e-12)
+        for _ in range(12):
+            try:
+                step = np.linalg.solve(jtj + lam * damping, -jtr)
+            except np.linalg.LinAlgError:
+                step = np.zeros_like(x)  # no cost drop: rejected below
+            x_new = x + step
+            r_new = residuals(x_new)
+            cost_new = np.inf if r_new is None else float(weights @ r_new ** 2)
+            if cost_new < cost:
+                break
+            lam *= 10
         else:
-            jac[:, i] = (fp - f0) / eps
-    return jac
+            return x, r
+        x, r, drop, cost = x_new, r_new, cost - cost_new, cost_new
+        lam = max(lam / 10, 1e-12)
+        if drop < 1e-10:
+            break
+    return x, r
 
 
-def solve_pnp(points, pixels, intr: CameraIntrinsics,
-              max_iterations: int = 100,
-              improvement_tol: float = 1e-10) -> tuple[RigidTransform, float]:
+def solve_pnp(points, pixels, intr: CameraIntrinsics) -> tuple[RigidTransform, float]:
     """Camera pose from 3D-2D correspondences: DLT init + damped
     least-squares refinement of the pixel reprojection error.
 
@@ -247,73 +284,36 @@ def solve_pnp(points, pixels, intr: CameraIntrinsics,
 
     xn = pixels_to_normalized(intr, pixels)
     rot, t = _dlt_pose(points, xn)
-    x = np.concatenate([_matrix_to_rotvec(rot), t])
 
-    def residuals(params):
-        return _pose_residuals(params[:3], params[3:], points, pixels, intr)
+    def residuals(x):
+        pc = points @ _rotvec_to_matrix(x[:3]).T + x[3:]
+        if np.any(pc[:, 2] <= 1e-9):
+            return None
+        return (_pixels(pc, intr.focal, intr.center, intr.dist) - pixels).ravel()
 
-    r = residuals(x)
+    x, r = _least_squares(residuals, np.concatenate([_matrix_to_rotvec(rot), t]),
+                          np.ones(2 * len(points)))
     if r is None:
         raise DegenerateGeometryError("DLT initialization puts points behind camera")
-    cost = float(r @ r)
-    lam = 1e-3
-    for _ in range(max_iterations):
-        jac = _numeric_jacobian(lambda p: residuals(p) if residuals(p) is not None
-                                else np.full_like(r, 1e6), x)
-        jtj = jac.T @ jac
-        jtr = jac.T @ r
-        accepted = False
-        for _ in range(12):
-            try:
-                step = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj) + 1e-12), -jtr)
-            except np.linalg.LinAlgError:
-                lam *= 10
-                continue
-            x_new = x + step
-            r_new = residuals(x_new)
-            if r_new is not None:
-                cost_new = float(r_new @ r_new)
-                if cost_new < cost:
-                    x, r, cost_prev, cost = x_new, r_new, cost, cost_new
-                    lam = max(lam / 10, 1e-12)
-                    accepted = True
-                    break
-            lam *= 10
-        if not accepted:
-            break
-        if cost_prev - cost < improvement_tol:
-            break
     mean_px = float(np.mean(np.linalg.norm(r.reshape(-1, 2), axis=1)))
+    world_from_camera = invert(transform_from_matrix(
+        _rotvec_to_matrix(x[:3]), x[3:], from_frame="world", to_frame="camera"))
     if mean_px > 0.25 * max(intr.width, intr.height):
-        cam_from_world = transform_from_matrix(
-            _rotvec_to_matrix(x[:3]), x[3:], from_frame="world", to_frame="camera")
         raise ConvergenceError(
             f"PnP refinement did not converge (mean error {mean_px:.1f} px)",
-            last_iterate=invert(cam_from_world))
-    cam_from_world = transform_from_matrix(_rotvec_to_matrix(x[:3]), x[3:],
-                                           from_frame="world", to_frame="camera")
-    return invert(cam_from_world), mean_px
+            last_iterate=world_from_camera)
+    return world_from_camera, mean_px
 
 
 # ---------------------------------------------------------------------------
 # triangulation
 
-def _projection_matrix(cam: CameraModel) -> np.ndarray:
-    """Normalized-coordinate projection matrix [R|t] (camera from world)."""
-    cfw = invert(cam.world_from_camera)
-    m = np.zeros((3, 4))
-    m[:, :3] = quat_to_matrix(cfw.q)
-    m[:, 3] = cfw.t
-    return m
-
-
 def triangulate(observations: list[PixelObservation],
-                cameras: list[CameraModel],
-                min_ray_angle_deg: float = 0.25,
-                max_iterations: int = 50) -> tuple[np.ndarray, float]:
+                cameras: list[CameraModel]) -> tuple[np.ndarray, float]:
     """Confidence-weighted linear triangulation plus reprojection refinement.
 
-    Observations with confidence below ``CONFIDENCE_FLOOR`` are discarded.
+    Observations with confidence below ``CONFIDENCE_FLOOR`` are discarded;
+    a camera id missing from ``cameras`` raises ``UnknownEntityError``.
     Returns ``(point_xyz, mean weighted reprojection residual px)``.
     """
     by_id = {c.id: c for c in cameras}
@@ -322,93 +322,53 @@ def triangulate(observations: list[PixelObservation],
     if len(cam_ids) < 2:
         raise InsufficientViewsError(
             f"need observations from >= 2 cameras, got {len(cam_ids)}")
+    unknown = sorted(cam_ids - by_id.keys())
+    if unknown:
+        raise UnknownEntityError(f"unknown camera id {unknown[0]!r}")
 
-    rows = []
-    for o in used:
-        cam = by_id[o.camera_id]
-        xn = pixels_to_normalized(cam.intrinsics, [(o.u, o.v)])[0]
-        p = _projection_matrix(cam)
-        w = o.confidence
-        rows.append(w * (xn[0] * p[2] - p[0]))
-        rows.append(w * (xn[1] * p[2] - p[1]))
-    a = np.vstack(rows)
-    _, _, vt = np.linalg.svd(a)
+    # per-observation camera arrays, each camera inverted once per call
+    cam_from_world = {cid: invert(by_id[cid].world_from_camera) for cid in cam_ids}
+    rot = np.array([quat_to_matrix(cam_from_world[o.camera_id].q) for o in used])
+    t = np.array([cam_from_world[o.camera_id].t for o in used])
+    intrs = [by_id[o.camera_id].intrinsics for o in used]
+    focal = np.array([i.focal for i in intrs])
+    center = np.array([i.center for i in intrs])
+    dist = np.array([i.dist for i in intrs]).T
+    uv = np.array([(o.u, o.v) for o in used])
+    w = np.array([o.confidence for o in used])
+
+    # DLT rows w * (x * P[2] - P[0]), w * (y * P[2] - P[1]) with P = [R|t]
+    xn = _undistort((uv - center) / focal, dist)
+    p = np.concatenate([rot, t[:, :, None]], axis=2)
+    a = w[:, None, None] * (xn[:, :, None] * p[:, 2:3, :] - p[:, :2, :])
+    _, _, vt = np.linalg.svd(a.reshape(-1, 4))
     h = vt[-1]
     if abs(h[3]) < 1e-12:
         raise DegenerateGeometryError("triangulated point at infinity")
     point = h[:3] / h[3]
 
-    # ray-parallelism check
-    dirs = []
-    for cid in cam_ids:
-        c = by_id[cid].world_from_camera.t
-        d = point - c
-        nd = np.linalg.norm(d)
-        if nd > 1e-12:
-            dirs.append(d / nd)
-    max_angle = 0.0
-    for i in range(len(dirs)):
-        for j in range(i + 1, len(dirs)):
-            ang = np.degrees(np.arccos(np.clip(abs(dirs[i] @ dirs[j]), -1, 1)))
-            max_angle = max(max_angle, ang)
-    if max_angle < min_ray_angle_deg:
+    # widest angle between two cameras' viewing rays through the point
+    d = point - np.array([by_id[cid].world_from_camera.t for cid in cam_ids])
+    nd = np.linalg.norm(d, axis=1)
+    d = d[nd > 1e-12] / nd[nd > 1e-12, None]
+    cos = np.abs(d @ d.T)[np.triu_indices(len(d), 1)]
+    max_angle = np.degrees(np.arccos(np.clip(cos.min(), -1, 1))) if cos.size else 0.0
+    if max_angle < MIN_RAY_ANGLE_DEG:
         raise DegenerateGeometryError(
             f"near-parallel viewing rays (max angle {max_angle:.3f} deg)")
 
-    weights = np.array([o.confidence for o in used])
-    weights = weights / weights.sum()
+    weights = w / w.sum()
 
-    def residuals(p):
-        res = []
-        for o in used:
-            cam = by_id[o.camera_id]
-            try:
-                uv = project(cam, p)
-            except BehindCameraError:
-                return None
-            res.append(uv - (o.u, o.v))
-        return np.asarray(res)
+    def residuals(x):
+        pc = rot @ x + t
+        if np.any(pc[:, 2] <= 0):
+            return None
+        return (_pixels(pc, focal, center, dist) - uv).ravel()
 
-    r = residuals(point)
+    x, r = _least_squares(residuals, point, np.repeat(weights, 2))
     if r is None:
         raise DegenerateGeometryError("triangulated point behind a camera")
-    cost = float(np.sum(weights[:, None] * r ** 2))
-    lam = 1e-6
-    x = point.copy()
-    for _ in range(max_iterations):
-        jac = np.zeros((len(used) * 2, 3))
-        f0 = r.ravel()
-        for i in range(3):
-            xp = x.copy()
-            xp[i] += 1e-8
-            rp = residuals(xp)
-            if rp is None:
-                jac = None
-                break
-            jac[:, i] = (rp.ravel() - f0) / 1e-8
-        if jac is None:
-            break
-        wfull = np.repeat(weights, 2)
-        jtj = (jac * wfull[:, None]).T @ jac
-        jtr = (jac * wfull[:, None]).T @ f0
-        accepted = False
-        for _ in range(8):
-            step = np.linalg.solve(jtj + lam * np.eye(3), -jtr)
-            x_new = x + step
-            r_new = residuals(x_new)
-            if r_new is not None:
-                cost_new = float(np.sum(weights[:, None] * r_new ** 2))
-                if cost_new < cost:
-                    x, r, cost_prev, cost = x_new, r_new, cost, cost_new
-                    lam = max(lam / 10, 1e-12)
-                    accepted = True
-                    break
-            lam *= 10
-        if not accepted:
-            break
-        if cost_prev - cost < 1e-14:
-            break
-    residual_px = float(np.sum(weights * np.linalg.norm(r, axis=1)))
+    residual_px = float(np.sum(weights * np.linalg.norm(r.reshape(-1, 2), axis=1)))
     return x, residual_px
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import fusion, metrics, mocap, scene, synth
 from .cameras import CameraIntrinsics, CameraModel, solve_pnp
-from .errors import TwinfuseError
+from .errors import EmptySelectionError, TwinfuseError
 from .fusion import MarkerSet, ScanRecord
 from .geometry import RigidTransform
 from .metrics import render_reprojection_table
@@ -88,9 +88,7 @@ def cmd_register_cameras(args) -> int:
     for intr_path in intr_paths:
         o = json.loads(_read(intr_path))
         cam_id = o["id"]
-        intr = CameraIntrinsics(fx=o["fx"], fy=o["fy"], cx=o["cx"], cy=o["cy"],
-                                width=o["width"], height=o["height"],
-                                dist=tuple(o["dist"]))
+        intr = CameraIntrinsics.from_dict(o)
         pix_path = os.path.join(args.cameras_dir, f"{cam_id}_marker_pixels.json")
         pix = json.loads(_read(pix_path))["pixels"]
         points, pixels = [], []
@@ -147,7 +145,7 @@ def cmd_mocap(args) -> int:
         frames = by_time[t]
         try:
             selection = mocap.select_surgeon(frames, cameras, table_center)
-        except TwinfuseError:
+        except EmptySelectionError:
             continue
         frames3d.append(mocap.triangulate_skeleton(frames, selection, cameras))
     if not frames3d:

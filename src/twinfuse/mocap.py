@@ -16,7 +16,7 @@ from .cameras import (CONFIDENCE_FLOOR, CameraModel, PixelObservation,
                       triangulate, unproject)
 from .geometry import invert
 from .errors import (DegenerateGeometryError, EmptySelectionError,
-                     InsufficientViewsError, ParameterError)
+                     InsufficientViewsError, ParameterError, UnknownEntityError)
 
 N_BODY = 25
 N_HAND = 21
@@ -157,6 +157,8 @@ def select_surgeon(frames: list[Keypoint2DFrame], cameras: list[CameraModel],
     selection: dict[str, int | None] = {}
     any_person = False
     for fr in frames:
+        if fr.camera_id not in by_id:
+            raise UnknownEntityError(f"unknown camera id {fr.camera_id!r}")
         cam = by_id[fr.camera_id]
         if not fr.persons:
             selection[fr.camera_id] = None

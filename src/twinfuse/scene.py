@@ -61,6 +61,18 @@ class TwinScene:
                 + [n.name for n in self.skeleton_nodes])
 
 
+def _track_end_times(scene: TwinScene) -> list[float]:
+    """First and last timestamp of every non-empty dynamic track and skeleton."""
+    times = []
+    for node in scene.dynamic_nodes:
+        if len(node.track):
+            times += [node.track.times[0], node.track.times[-1]]
+    for node in scene.skeleton_nodes:
+        if node.frames:
+            times += [node.frames[0].t_s, node.frames[-1].t_s]
+    return times
+
+
 def assemble(static_nodes=(), dynamic_nodes=(), skeleton_nodes=(),
              reference_frame: str = "reference") -> TwinScene:
     """Build and validate a scene; rejects duplicate names and frame mixups."""
@@ -80,13 +92,7 @@ def assemble(static_nodes=(), dynamic_nodes=(), skeleton_nodes=(),
             raise TwinfuseError(
                 f"node {node.name!r}: pose maps into {node.pose.to_frame!r}, "
                 f"expected {reference_frame!r}")
-    times = []
-    for node in scene.dynamic_nodes:
-        if len(node.track):
-            times += [node.track.times[0], node.track.times[-1]]
-    for node in scene.skeleton_nodes:
-        if node.frames:
-            times += [node.frames[0].t_s, node.frames[-1].t_s]
+    times = _track_end_times(scene)
     time_range = (float(min(times)), float(max(times))) if times else None
     return TwinScene(reference_frame, scene.static_nodes, scene.dynamic_nodes,
                      scene.skeleton_nodes, time_range)
@@ -190,13 +196,7 @@ def validate(scene: TwinScene, base_dir=None) -> list[str]:
             violations.append(f"skeleton node {node.name!r}: non-monotonic timestamps")
     if scene.time_range is not None:
         lo, hi = scene.time_range
-        times = []
-        for node in scene.dynamic_nodes:
-            if len(node.track):
-                times += [node.track.times[0], node.track.times[-1]]
-        for node in scene.skeleton_nodes:
-            if node.frames:
-                times += [node.frames[0].t_s, node.frames[-1].t_s]
+        times = _track_end_times(scene)
         if times and (lo > min(times) or hi < max(times)):
             violations.append("time_range does not span all track timestamps")
     return violations

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .cameras import CameraIntrinsics, CameraModel, _distort
+from .cameras import CameraIntrinsics, CameraModel, _pixels
 from .errors import ParameterError, UnknownEntityError
 from .fusion import MarkerSet, ScanRecord
 from .geometry import (PointCloud, RigidTransform, compose, identity, invert,
@@ -227,11 +227,8 @@ def project_visible(cam: CameraModel, points: np.ndarray):
     mask = pc[:, 2] > 0.05
     uv = np.zeros((len(points), 2))
     if mask.any():
-        xn = pc[mask, :2] / pc[mask, 2:3]
-        xd = _distort(xn, cam.intrinsics.dist)
         intr = cam.intrinsics
-        uv[mask] = np.column_stack([intr.fx * xd[:, 0] + intr.cx,
-                                    intr.fy * xd[:, 1] + intr.cy])
+        uv[mask] = _pixels(pc[mask], intr.focal, intr.center, intr.dist)
         inside = ((uv[:, 0] >= 0) & (uv[:, 0] <= intr.width - 1)
                   & (uv[:, 1] >= 0) & (uv[:, 1] <= intr.height - 1))
         mask = mask & inside

@@ -9,10 +9,13 @@ from twinfuse.cameras import (CONFIDENCE_FLOOR, CameraIntrinsics, CameraModel,
                               PixelObservation, estimate_time_offset,
                               pixels_to_normalized, project, project_points,
                               solve_pnp, triangulate, unproject)
-from twinfuse.errors import (BehindCameraError, DegenerateGeometryError,
+from twinfuse.errors import (BehindCameraError, ConvergenceError,
+                             DegenerateGeometryError,
                              InsufficientCorrespondencesError,
                              InsufficientViewsError, NoOverlapError,
-                             ParameterError)
+                             ParameterError, UnknownEntityError)
+from twinfuse.geometry import RigidTransform
+from twinfuse.synth import _default_intrinsics, project_visible
 
 from conftest import look_at_camera_pose, quat_angle_deg, random_transform
 
@@ -52,6 +55,9 @@ def test_intrinsics_validation():
     with pytest.raises(ParameterError):
         CameraIntrinsics(fx=900, fy=900, cx=640, cy=360, width=1280, height=720,
                          dist=(0.0, 0.0))
+    with pytest.raises(ParameterError, match="'fx'"):
+        CameraIntrinsics.from_dict({"fy": 900, "cx": 640, "cy": 360,
+                                    "width": 1280, "height": 720, "dist": DIST})
 
 
 def test_observation_validation():
@@ -150,6 +156,14 @@ def test_project_points_batch_matches_single():
     assert np.array_equal(batch, singles)
 
 
+def test_synth_projection_matches_project_points():
+    cam = _cam(intr=INTR_DIST)
+    pts = _frustum_points(cam, np.random.default_rng(2), 25)
+    uv, mask = project_visible(cam, pts)
+    assert mask.all()
+    assert np.array_equal(uv, project_points(cam, pts))
+
+
 # ---------------------------------------------------------------------------
 # PnP
 
@@ -199,6 +213,18 @@ def test_pnp_degenerate_coplanar_line():
     pix = project_points(cam, pts)
     with pytest.raises((DegenerateGeometryError, Exception)):
         solve_pnp(pts, pix, cam.intrinsics)
+
+
+def test_pnp_nonconvergence_carries_last_iterate():
+    # random pixels that no pose explains
+    rng = np.random.default_rng(6)
+    pts = rng.uniform(-1, 1, (8, 3)) + [0, 0, 4]
+    pix = rng.uniform([0, 0], [1280, 720], (8, 2))
+    with pytest.raises(ConvergenceError) as exc_info:
+        solve_pnp(pts, pix, _default_intrinsics())
+    last = exc_info.value.last_iterate
+    assert isinstance(last, RigidTransform)
+    assert np.all(np.isfinite(last.q)) and np.all(np.isfinite(last.t))
 
 
 def test_pnp_refinement_reduces_error():
@@ -285,6 +311,15 @@ def test_triangulate_needs_two_cameras():
         triangulate(obs, cams)
     with pytest.raises(InsufficientViewsError):
         triangulate([obs[0]], cams)
+
+
+def test_triangulate_unknown_camera_id():
+    cams = _ring_cameras()
+    p = np.array([0.0, 0.0, 1.0])
+    obs = [PixelObservation(c.id, *project(c, p)) for c in cams]
+    obs.append(PixelObservation("camX", 640.0, 360.0))
+    with pytest.raises(UnknownEntityError, match="'camX'"):
+        triangulate(obs, cams)
 
 
 def test_triangulate_parallel_rays_degenerate():

@@ -105,6 +105,21 @@ def test_register_cameras_outputs(bundle_dir, tmp_path, capsys):
                               truth.world_from_camera.q) < 0.3
 
 
+def test_register_cameras_missing_intrinsics_key(bundle_dir, tmp_path, capsys):
+    cams_dir = tmp_path / "cameras"
+    cams_dir.mkdir()
+    for name in ("cam1_intrinsics.json", "cam1_marker_pixels.json"):
+        (cams_dir / name).write_text((bundle_dir / "cameras" / name).read_text())
+    intr = json.loads((cams_dir / "cam1_intrinsics.json").read_text())
+    del intr["fx"]
+    (cams_dir / "cam1_intrinsics.json").write_text(json.dumps(intr))
+    rc = main(["register-cameras",
+               "--markers", str(bundle_dir / "reference_markers.json"),
+               "--cameras-dir", str(cams_dir), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # mocap
 
@@ -124,6 +139,23 @@ def test_mocap_outputs(bundle_dir, tmp_path, capsys):
     text = out.read_text()
     assert text.startswith("t_s,joint_id")
     assert "wrote" in capsys.readouterr().out
+
+
+def test_mocap_unknown_camera_is_pipeline_error(bundle_dir, tmp_path, capsys):
+    cams = tmp_path / "cams"
+    assert main(["register-cameras",
+                 "--markers", str(bundle_dir / "reference_markers.json"),
+                 "--cameras-dir", str(bundle_dir / "cameras"),
+                 "--out", str(cams)]) == 0
+    (cams / "cam3_calibration.json").unlink()
+    capsys.readouterr()
+    rc = main(["mocap", "--keypoints-dir", str(bundle_dir / "keypoints"),
+               "--cameras-dir", str(cams), "--table-center", "0.5,0,0.9",
+               "--out", str(tmp_path / "skeleton.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "cam3" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

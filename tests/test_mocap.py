@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from twinfuse.cameras import CameraIntrinsics, CameraModel, project
-from twinfuse.errors import EmptySelectionError, ParameterError
+from twinfuse.errors import (EmptySelectionError, ParameterError,
+                             UnknownEntityError)
 from twinfuse.mocap import (N_BODY, N_HAND, N_JOINTS, Keypoint2DFrame,
                             PersonDetection, Skeleton3DFrame, select_surgeon,
                             skeleton_track_from_csv, skeleton_track_to_csv,
@@ -132,6 +133,14 @@ def test_select_no_person_anywhere():
     cams = _cameras()
     with pytest.raises(EmptySelectionError):
         select_surgeon(_frames(cams, {c.id: [] for c in cams}), cams, TABLE)
+
+
+def test_select_unknown_camera_id():
+    cams = _cameras()
+    near = _skeleton_points(np.random.default_rng(2), TABLE)
+    frames = _frames(cams, {c.id: [_person_from_points(c, near)] for c in cams})
+    with pytest.raises(UnknownEntityError, match="'cam0'"):
+        select_surgeon(frames, cams[1:], TABLE)
 
 
 # ---------------------------------------------------------------------------
