@@ -79,11 +79,14 @@ class CameraModel:
     def from_json(cls, text: str) -> "CameraModel":
         o = json.loads(text)
         intr = CameraIntrinsics.from_dict(o)
-        wfc = o["world_from_camera"]
-        pose = RigidTransform(np.asarray(wfc["q_wxyz"], dtype=float),
-                              np.asarray(wfc["t_m"], dtype=float),
-                              from_frame=f"camera:{o['id']}", to_frame="reference")
-        return cls(o["id"], intr, pose)
+        try:
+            cam_id, wfc = o["id"], o["world_from_camera"]
+            q, t = wfc["q_wxyz"], wfc["t_m"]
+        except KeyError as exc:
+            raise ParameterError(f"camera model missing key {exc}") from None
+        pose = RigidTransform(np.asarray(q, dtype=float), np.asarray(t, dtype=float),
+                              from_frame=f"camera:{cam_id}", to_frame="reference")
+        return cls(cam_id, intr, pose)
 
 
 @dataclass(frozen=True)
@@ -106,8 +109,8 @@ class PixelObservation:
 def _distort(xn: np.ndarray, dist) -> np.ndarray:
     """Apply Brown-Conrady distortion to normalized coords (N, 2).
 
-    ``dist`` is one (k1, k2, p1, p2, k3) tuple, or a (5, N) array holding one
-    set of coefficients per point.
+    ``dist`` is one (k1, k2, p1, p2, k3) tuple, or a (5, ...) array whose
+    coefficient rows broadcast against the points.
     """
     k1, k2, p1, p2, k3 = dist
     x, y = xn[..., 0], xn[..., 1]
@@ -119,21 +122,25 @@ def _distort(xn: np.ndarray, dist) -> np.ndarray:
 
 
 def _undistort(xd: np.ndarray, dist, iterations: int = 30) -> np.ndarray:
-    """Invert the distortion numerically (fixed point + Newton-style update)."""
+    """Invert the distortion numerically by fixed-point iteration on
+    normalized coords (..., 2). Each point stops once its update is below
+    1e-14, so its result does not depend on the other points."""
     xn = np.array(xd, dtype=float, copy=True)
+    moving = np.ones(xn.shape[:-1], dtype=bool)
     for _ in range(iterations):
-        err = _distort(xn, dist) - xd
+        err = np.where(moving[..., None], _distort(xn, dist) - xd, 0.0)
         xn -= err
-        if np.max(np.abs(err)) < 1e-14:
+        moving &= np.abs(err).max(axis=-1) >= 1e-14
+        if not moving.any():
             break
     return xn
 
 
 def _pixels(pc: np.ndarray, focal, center, dist) -> np.ndarray:
-    """The projection kernel: camera-frame points (N, 3) in front of the
-    camera to pixels (N, 2). ``focal`` and ``center`` are (2,) or (N, 2)
-    arrays; ``dist`` is as for ``_distort``."""
-    return focal * _distort(pc[:, :2] / pc[:, 2:3], dist) + center
+    """The projection kernel: camera-frame points (..., 3) in front of the
+    camera to pixels (..., 2). ``focal`` and ``center`` broadcast against
+    the pixels; ``dist`` is as for ``_distort``."""
+    return focal * _distort(pc[..., :2] / pc[..., 2:3], dist) + center
 
 
 def project_points(cam: CameraModel, points_world: np.ndarray) -> np.ndarray:
@@ -172,15 +179,19 @@ def pixels_to_normalized(intr: CameraIntrinsics, pixels: np.ndarray) -> np.ndarr
 # ---------------------------------------------------------------------------
 # PnP
 
+# _SKEW[l] is the cross-product matrix of the unit vector along axis l
+_SKEW = np.array([[0, 0, 0, 0, 0, -1, 0, 1, 0],
+                  [0, 0, 1, 0, 0, 0, -1, 0, 0],
+                  [0, -1, 0, 1, 0, 0, 0, 0, 0]], dtype=float)
+
+
 def _rotvec_to_matrix(r: np.ndarray) -> np.ndarray:
-    angle = np.linalg.norm(r)
-    if angle < 1e-12:
-        k = np.array([[0, -r[2], r[1]], [r[2], 0, -r[0]], [-r[1], r[0], 0]])
-        return np.eye(3) + k
-    axis = r / angle
-    k = np.array([[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]],
-                  [-axis[1], axis[0], 0]])
-    return np.eye(3) + np.sin(angle) * k + (1 - np.cos(angle)) * (k @ k)
+    """Rotation matrices (..., 3, 3) from rotation vectors (..., 3)."""
+    angle = np.linalg.norm(r, axis=-1)[..., None, None]
+    small = angle < 1e-12  # first order in r itself
+    k = (r @ _SKEW).reshape(r.shape + (3,)) / np.where(small, 1.0, angle)
+    return (np.eye(3) + np.where(small, 1.0, np.sin(angle)) * k
+            + np.where(small, 0.0, 1 - np.cos(angle)) * (k @ k))
 
 
 def _matrix_to_rotvec(m: np.ndarray) -> np.ndarray:
@@ -221,50 +232,74 @@ def _dlt_pose(points: np.ndarray, xn: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return rot, t
 
 
-def _least_squares(residuals, x: np.ndarray, weights: np.ndarray):
-    """Levenberg-Marquardt minimization of ``sum(weights * residuals(x)**2)``.
-
-    Forward-difference Jacobian, Marquardt damping ``lam * diag(J^T W J)``.
-    ``residuals`` returns None where the model is undefined (a point behind
-    a camera): such trial steps are rejected, and the solve stops where a
-    Jacobian column would need one. Returns ``(x, r)``; ``r`` is None when
-    the start point itself is undefined.
-    """
-    r = residuals(x)
-    if r is None:
-        return x, None
-    cost = float(weights @ r ** 2)
-    lam = 1e-3
-    jac = np.empty((len(r), len(x)))
-    for _ in range(100):
-        for i in range(len(x)):
-            xp = x.copy()
-            xp[i] += 1e-8
-            rp = residuals(xp)
-            if rp is None:
-                return x, r
-            jac[:, i] = (rp - r) / 1e-8
-        jtw = jac.T * weights
-        jtj = jtw @ jac
-        jtr = jtw @ r
-        damping = np.diag(np.diag(jtj) + 1e-12)
-        for _ in range(12):
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked ``solve(a[i], b[i])``; a singular system gets a zero step."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        step = np.zeros_like(b)
+        for i in range(len(a)):
             try:
-                step = np.linalg.solve(jtj + lam * damping, -jtr)
+                step[i] = np.linalg.solve(a[i], b[i])
             except np.linalg.LinAlgError:
-                step = np.zeros_like(x)  # no cost drop: rejected below
-            x_new = x + step
-            r_new = residuals(x_new)
-            cost_new = np.inf if r_new is None else float(weights @ r_new ** 2)
-            if cost_new < cost:
-                break
-            lam *= 10
-        else:
-            return x, r
-        x, r, drop, cost = x_new, r_new, cost - cost_new, cost_new
-        lam = max(lam / 10, 1e-12)
-        if drop < 1e-10:
+                pass  # no cost drop: rejected by the caller
+        return step
+
+
+def _least_squares(residuals, x: np.ndarray, weights: np.ndarray):
+    """Levenberg-Marquardt minimization of ``sum(weights * residuals(x)**2)``
+    for B independent problems at once.
+
+    ``x`` is (B, n) and ``weights`` (B, m). ``residuals`` maps candidate
+    parameters (B, c, n) to residuals (B, c, m), with a row of NaN where a
+    candidate's model is undefined (a point behind a camera); the
+    forward-difference Jacobian (step 1e-8) of all problems is one call with
+    c = n. Each problem keeps its own damping, step tries, acceptance and
+    stop test, so it takes the path it would take alone: Marquardt damping
+    ``lam * diag(J^T W J)`` from lam 1e-3, 12 step tries, stop at a cost drop
+    < 1e-10 or after 100 iterations. An undefined trial step is rejected,
+    and a problem stops where a Jacobian column would need an undefined
+    point. Returns ``(x, r)``; a problem whose start point is undefined
+    keeps a NaN row in ``r``.
+    """
+    x = np.array(x, dtype=float)
+    n = x.shape[1]
+    r = residuals(x[:, None])[:, 0]
+    cost = np.einsum("bm,bm->b", weights, r * r)
+    active = np.isfinite(cost)
+    lam = np.full(len(x), 1e-3)
+    eye = np.eye(n)
+    for _ in range(100):
+        if not active.any():
             break
+        jac_t = (residuals(x[:, None] + 1e-8 * eye) - r[:, None]) / 1e-8  # (B, n, m)
+        active &= np.isfinite(jac_t).all(axis=(1, 2))
+        act = np.flatnonzero(active)
+        jtw = jac_t[act] * weights[act, None, :]
+        jtj = jtw @ jac_t[act].transpose(0, 2, 1)
+        jtr = (jtw @ r[act, :, None])[..., 0]
+        damping = np.diagonal(jtj, axis1=1, axis2=2) + 1e-12
+        k = np.arange(len(act))  # rows of act still trying a step
+        for _ in range(12):
+            if not len(k):
+                break
+            trying = act[k]
+            step = np.zeros_like(x)
+            step[trying] = _solve(jtj[k] + (lam[trying, None] * damping[k])[..., None]
+                                  * eye, -jtr[k])
+            r_new = residuals((x + step)[:, None])[trying, 0]
+            cost_new = np.einsum("bm,bm->b", weights[trying], r_new * r_new)
+            better = cost_new < cost[trying]  # False where undefined (NaN)
+            done = trying[better]
+            drop = cost[done] - cost_new[better]
+            x[done] += step[done]
+            r[done] = r_new[better]
+            cost[done] = cost_new[better]
+            lam[done] = np.maximum(lam[done] / 10, 1e-12)
+            active[done[drop < 1e-10]] = False
+            k = k[~better]
+            lam[act[k]] *= 10
+        active[act[k]] = False
     return x, r
 
 
@@ -285,15 +320,18 @@ def solve_pnp(points, pixels, intr: CameraIntrinsics) -> tuple[RigidTransform, f
     xn = pixels_to_normalized(intr, pixels)
     rot, t = _dlt_pose(points, xn)
 
-    def residuals(x):
-        pc = points @ _rotvec_to_matrix(x[:3]).T + x[3:]
-        if np.any(pc[:, 2] <= 1e-9):
-            return None
-        return (_pixels(pc, intr.focal, intr.center, intr.dist) - pixels).ravel()
+    def residuals(x):  # x: (1, c, 6) candidate poses of the one problem
+        pc = points @ _rotvec_to_matrix(x[0, :, :3]).transpose(0, 2, 1) + x[0, :, None, 3:]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            r = _pixels(pc, intr.focal, intr.center, intr.dist) - pixels
+        r = r.reshape(len(pc), -1)
+        r[(pc[..., 2] <= 1e-9).any(axis=1)] = np.nan
+        return r[None]
 
-    x, r = _least_squares(residuals, np.concatenate([_matrix_to_rotvec(rot), t]),
-                          np.ones(2 * len(points)))
-    if r is None:
+    x, r = _least_squares(residuals, [np.concatenate([_matrix_to_rotvec(rot), t])],
+                          np.ones((1, pixels.size)))
+    x, r = x[0], r[0]
+    if np.isnan(r).any():
         raise DegenerateGeometryError("DLT initialization puts points behind camera")
     mean_px = float(np.mean(np.linalg.norm(r.reshape(-1, 2), axis=1)))
     world_from_camera = invert(transform_from_matrix(
@@ -308,9 +346,103 @@ def solve_pnp(points, pixels, intr: CameraIntrinsics) -> tuple[RigidTransform, f
 # ---------------------------------------------------------------------------
 # triangulation
 
+def triangulate_batch(pixels, confidences, cameras: list[CameraModel]
+                      ) -> tuple[np.ndarray, np.ndarray, list]:
+    """Triangulate P points at once, each seen through the same K camera slots.
+
+    ``pixels`` is (P, K, 2) and ``confidences`` (P, K); slot k of every point
+    is an observation by ``cameras[k]`` (one camera may fill several slots).
+    Observations with confidence below ``CONFIDENCE_FLOOR`` are discarded.
+    Each point gets a confidence-weighted linear (DLT) estimate, all from one
+    stacked SVD, a check on the widest angle between its viewing rays, and a
+    reprojection refinement, all points in one stacked LM solve.
+
+    Returns ``(points (P, 3), residual_px (P,), errors)``. ``errors[p]`` is
+    None, or the ``InsufficientViewsError`` / ``DegenerateGeometryError``
+    that ``triangulate`` raises for point p, whose rows are then zero.
+    ``residual_px`` is the confidence-weighted mean reprojection error.
+    """
+    conf = np.asarray(confidences, dtype=float)
+    conf = conf.reshape(len(conf), len(cameras))
+    uv = np.asarray(pixels, dtype=float).reshape(conf.shape + (2,))
+    used = conf >= CONFIDENCE_FLOOR
+    n_points = len(conf)
+    points = np.zeros((n_points, 3))
+    residual_px = np.zeros(n_points)
+    errors: list = [None] * n_points
+
+    # distinct cameras among each point's used slots
+    _, slot_camera = np.unique([c.id for c in cameras], return_inverse=True)
+    seen = used[:, :, None] & (slot_camera[:, None] == np.arange(len(cameras)))
+    n_views = seen.any(axis=1).sum(axis=1)
+    for i in np.flatnonzero(n_views < 2):
+        errors[i] = InsufficientViewsError(
+            f"need observations from >= 2 cameras, got {n_views[i]}")
+    sel = np.flatnonzero(n_views >= 2)
+    if not len(sel):
+        return points, residual_px, errors
+
+    # per-slot camera arrays, each camera inverted once
+    cam_from_world = [invert(c.world_from_camera) for c in cameras]
+    rot = np.array([quat_to_matrix(c.q) for c in cam_from_world])
+    t = np.array([c.t for c in cam_from_world])
+    focal = np.array([c.intrinsics.focal for c in cameras])
+    center = np.array([c.intrinsics.center for c in cameras])
+    dist = np.array([c.intrinsics.dist for c in cameras]).T
+    used, w = used[sel], np.where(used[sel], conf[sel], 0.0)
+    uv = np.where(used[..., None], uv[sel], center)  # discarded slots: on axis
+
+    # DLT rows w * (x * P[2] - P[0]), w * (y * P[2] - P[1]) with P = [R|t]
+    xn = _undistort((uv - center) / focal, dist)
+    p = np.concatenate([rot, t[:, :, None]], axis=2)
+    a = w[..., None, None] * (xn[..., None] * p[:, 2:3, :] - p[:, :2, :])
+    h = np.linalg.svd(a.reshape(len(sel), -1, 4))[2][:, -1]
+    finite = np.abs(h[:, 3]) >= 1e-12
+    for i in sel[~finite]:
+        errors[i] = DegenerateGeometryError("triangulated point at infinity")
+    sel, used, w, uv, h = sel[finite], used[finite], w[finite], uv[finite], h[finite]
+    start = h[:, :3] / h[:, 3:]
+
+    # widest angle between two used viewing rays through each point
+    d = start[:, None, :] - np.array([c.world_from_camera.t for c in cameras])
+    nd = np.linalg.norm(d, axis=2)
+    ray = used & (nd > 1e-12)
+    d = d / np.where(ray, nd, 1.0)[..., None]
+    pair = ray[:, :, None] & ray[:, None, :] & np.triu(np.ones(ray.shape[1:] * 2, bool), 1)
+    cos = np.where(pair, np.abs(d @ d.transpose(0, 2, 1)), np.inf).min(axis=(1, 2))
+    max_angle = np.where(np.isfinite(cos),
+                         np.degrees(np.arccos(np.clip(cos, -1, 1))), 0.0)
+    wide = max_angle >= MIN_RAY_ANGLE_DEG
+    for i, angle in zip(sel[~wide], max_angle[~wide]):
+        errors[i] = DegenerateGeometryError(
+            f"near-parallel viewing rays (max angle {angle:.3f} deg)")
+    sel, used, w, uv, start = sel[wide], used[wide], w[wide], uv[wide], start[wide]
+
+    weights = w / w.sum(axis=1, keepdims=True)
+
+    def residuals(x):  # x: (points, c, 3) candidate positions
+        pc = np.einsum("kij,pcj->pcki", rot, x) + t
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            r = _pixels(pc, focal, center, dist) - uv[:, None]
+        r = np.where(used[:, None, :, None], r, 0.0).reshape(x.shape[:2] + (2 * len(cameras),))
+        r[((pc[..., 2] <= 0) & used[:, None]).any(axis=2)] = np.nan
+        return r
+
+    x, r = _least_squares(residuals, start, np.repeat(weights, 2, axis=1))
+    behind = np.isnan(r).any(axis=1)
+    for i in sel[behind]:
+        errors[i] = DegenerateGeometryError("triangulated point behind a camera")
+    ok = sel[~behind]
+    points[ok] = x[~behind]
+    residual_px[ok] = np.sum(weights * np.linalg.norm(r.reshape(uv.shape), axis=2),
+                             axis=1)[~behind]
+    return points, residual_px, errors
+
+
 def triangulate(observations: list[PixelObservation],
                 cameras: list[CameraModel]) -> tuple[np.ndarray, float]:
-    """Confidence-weighted linear triangulation plus reprojection refinement.
+    """Confidence-weighted linear triangulation plus reprojection refinement
+    of one point: ``triangulate_batch`` with one observation per slot.
 
     Observations with confidence below ``CONFIDENCE_FLOOR`` are discarded;
     a camera id missing from ``cameras`` raises ``UnknownEntityError``.
@@ -318,58 +450,15 @@ def triangulate(observations: list[PixelObservation],
     """
     by_id = {c.id: c for c in cameras}
     used = [o for o in observations if o.confidence >= CONFIDENCE_FLOOR]
-    cam_ids = {o.camera_id for o in used}
-    if len(cam_ids) < 2:
-        raise InsufficientViewsError(
-            f"need observations from >= 2 cameras, got {len(cam_ids)}")
-    unknown = sorted(cam_ids - by_id.keys())
+    unknown = sorted({o.camera_id for o in used} - by_id.keys())
     if unknown:
         raise UnknownEntityError(f"unknown camera id {unknown[0]!r}")
-
-    # per-observation camera arrays, each camera inverted once per call
-    cam_from_world = {cid: invert(by_id[cid].world_from_camera) for cid in cam_ids}
-    rot = np.array([quat_to_matrix(cam_from_world[o.camera_id].q) for o in used])
-    t = np.array([cam_from_world[o.camera_id].t for o in used])
-    intrs = [by_id[o.camera_id].intrinsics for o in used]
-    focal = np.array([i.focal for i in intrs])
-    center = np.array([i.center for i in intrs])
-    dist = np.array([i.dist for i in intrs]).T
-    uv = np.array([(o.u, o.v) for o in used])
-    w = np.array([o.confidence for o in used])
-
-    # DLT rows w * (x * P[2] - P[0]), w * (y * P[2] - P[1]) with P = [R|t]
-    xn = _undistort((uv - center) / focal, dist)
-    p = np.concatenate([rot, t[:, :, None]], axis=2)
-    a = w[:, None, None] * (xn[:, :, None] * p[:, 2:3, :] - p[:, :2, :])
-    _, _, vt = np.linalg.svd(a.reshape(-1, 4))
-    h = vt[-1]
-    if abs(h[3]) < 1e-12:
-        raise DegenerateGeometryError("triangulated point at infinity")
-    point = h[:3] / h[3]
-
-    # widest angle between two cameras' viewing rays through the point
-    d = point - np.array([by_id[cid].world_from_camera.t for cid in cam_ids])
-    nd = np.linalg.norm(d, axis=1)
-    d = d[nd > 1e-12] / nd[nd > 1e-12, None]
-    cos = np.abs(d @ d.T)[np.triu_indices(len(d), 1)]
-    max_angle = np.degrees(np.arccos(np.clip(cos.min(), -1, 1))) if cos.size else 0.0
-    if max_angle < MIN_RAY_ANGLE_DEG:
-        raise DegenerateGeometryError(
-            f"near-parallel viewing rays (max angle {max_angle:.3f} deg)")
-
-    weights = w / w.sum()
-
-    def residuals(x):
-        pc = rot @ x + t
-        if np.any(pc[:, 2] <= 0):
-            return None
-        return (_pixels(pc, focal, center, dist) - uv).ravel()
-
-    x, r = _least_squares(residuals, point, np.repeat(weights, 2))
-    if r is None:
-        raise DegenerateGeometryError("triangulated point behind a camera")
-    residual_px = float(np.sum(weights * np.linalg.norm(r.reshape(-1, 2), axis=1)))
-    return x, residual_px
+    points, residual_px, errors = triangulate_batch(
+        [[(o.u, o.v) for o in used]], [[o.confidence for o in used]],
+        [by_id[o.camera_id] for o in used])
+    if errors[0] is not None:
+        raise errors[0]
+    return points[0], float(residual_px[0])
 
 
 # ---------------------------------------------------------------------------

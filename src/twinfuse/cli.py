@@ -15,7 +15,7 @@ import numpy as np
 
 from . import fusion, metrics, mocap, scene, synth
 from .cameras import CameraIntrinsics, CameraModel, solve_pnp
-from .errors import EmptySelectionError, TwinfuseError
+from .errors import EmptySelectionError, ParameterError, TwinfuseError
 from .fusion import MarkerSet, ScanRecord
 from .geometry import RigidTransform
 from .metrics import render_reprojection_table
@@ -33,6 +33,15 @@ def _read(path: str) -> str:
         raise TwinfuseError(f"missing file: {path}")
     with open(path) as f:
         return f.read()
+
+
+def _parsed(path: str, parse):
+    """``parse`` applied to the text of ``path``; a ParameterError it raises
+    is raised again naming the file."""
+    try:
+        return parse(_read(path))
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +85,13 @@ def cmd_fuse(args) -> int:
 # ---------------------------------------------------------------------------
 # register-cameras
 
+def _intrinsics_record(text: str) -> tuple[str, CameraIntrinsics]:
+    o = json.loads(text)
+    if "id" not in o:
+        raise ParameterError("camera intrinsics missing key 'id'")
+    return o["id"], CameraIntrinsics.from_dict(o)
+
+
 def cmd_register_cameras(args) -> int:
     reference = MarkerSet.from_json(_read(args.markers))
     intr_paths = sorted(glob.glob(os.path.join(args.cameras_dir,
@@ -86,9 +102,7 @@ def cmd_register_cameras(args) -> int:
     per_camera = {}
     failures = []
     for intr_path in intr_paths:
-        o = json.loads(_read(intr_path))
-        cam_id = o["id"]
-        intr = CameraIntrinsics.from_dict(o)
+        cam_id, intr = _parsed(intr_path, _intrinsics_record)
         pix_path = os.path.join(args.cameras_dir, f"{cam_id}_marker_pixels.json")
         pix = json.loads(_read(pix_path))["pixels"]
         points, pixels = [], []
@@ -131,7 +145,7 @@ def cmd_mocap(args) -> int:
                                               "*_calibration.json")))
     if not cal_paths:
         return _fail(f"no *_calibration.json in {args.cameras_dir}")
-    cameras = [CameraModel.from_json(_read(p)) for p in cal_paths]
+    cameras = [_parsed(p, CameraModel.from_json) for p in cal_paths]
     kp_paths = sorted(glob.glob(os.path.join(args.keypoints_dir, "*.json")))
     if not kp_paths:
         return _fail(f"no keypoint frames in {args.keypoints_dir}")

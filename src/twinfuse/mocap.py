@@ -12,11 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cameras import (CONFIDENCE_FLOOR, CameraModel, PixelObservation,
-                      triangulate, unproject)
+# ``triangulate`` is not called here; it stays bound in this module because
+# perfbench/spans.py wraps ``mocap.triangulate`` and ``mocap.unproject``.
+from .cameras import CameraModel, triangulate, triangulate_batch, unproject  # noqa: F401
 from .geometry import invert
-from .errors import (DegenerateGeometryError, EmptySelectionError,
-                     InsufficientViewsError, ParameterError, UnknownEntityError)
+from .errors import EmptySelectionError, ParameterError, UnknownEntityError
 
 N_BODY = 25
 N_HAND = 21
@@ -189,47 +189,42 @@ def select_surgeon(frames: list[Keypoint2DFrame], cameras: list[CameraModel],
 def triangulate_skeleton(frames: list[Keypoint2DFrame],
                          selection: dict[str, int | None],
                          cameras: list[CameraModel]) -> Skeleton3DFrame:
-    """Triangulate each of the 67 keypoints of the selected person.
+    """Triangulate all 67 keypoints of the selected person in one batched
+    solve (``cameras.triangulate_batch``).
 
     A joint is valid when observed with confidence >= 0.1 in at least two
-    cameras and triangulation succeeds; failures become invalid flags.
+    cameras and triangulation succeeds; failures become invalid flags. A
+    selected person seen by a camera missing from ``cameras`` raises
+    ``UnknownEntityError``.
     """
     if not frames:
         raise ParameterError("no keypoint frames given")
     t_s = frames[0].t_s
     if any(abs(f.t_s - t_s) > 1e-9 for f in frames):
         raise ParameterError("keypoint frames must share one timestamp")
-    positions = np.zeros((N_JOINTS, 3))
-    residuals = np.zeros(N_JOINTS)
-    valid = np.zeros(N_JOINTS, dtype=bool)
+    by_id = {c.id: c for c in cameras}
     persons = {}
     for fr in frames:
         idx = selection.get(fr.camera_id)
         if idx is not None and idx < len(fr.persons):
+            if fr.camera_id not in by_id:
+                raise UnknownEntityError(f"unknown camera id {fr.camera_id!r}")
             persons[fr.camera_id] = fr.persons[idx]
-    for j in range(N_JOINTS):
-        obs = []
-        for cam_id, person in persons.items():
-            u, v, c = person.joint(j)
-            if c >= CONFIDENCE_FLOOR:
-                obs.append(PixelObservation(cam_id, float(u), float(v), float(c)))
-        if len({o.camera_id for o in obs}) < 2:
-            continue
-        try:
-            p, res = triangulate(obs, cameras)
-        except (DegenerateGeometryError, InsufficientViewsError):
-            continue
-        positions[j] = p
-        residuals[j] = res
-        valid[j] = True
-    return Skeleton3DFrame(t_s, positions, residuals, valid)
+    kp = np.zeros((N_JOINTS, len(persons), 3))
+    for k, person in enumerate(persons.values()):
+        kp[:, k] = person.all_joints()
+    positions, residuals, errors = triangulate_batch(
+        kp[..., :2], kp[..., 2], [by_id[cam_id] for cam_id in persons])
+    return Skeleton3DFrame(t_s, positions, residuals, [e is None for e in errors])
 
 
 def smooth_skeleton(track: list[Skeleton3DFrame], window: int) -> list[Skeleton3DFrame]:
     """Per-joint centered moving average over valid samples only.
 
-    A joint invalid in more than half of its (truncated) window stays invalid.
-    Timestamps are preserved exactly.
+    A joint invalid in more than half of its (truncated) window stays invalid
+    and keeps its input values. Timestamps are preserved exactly. Window
+    sums run over the frames in order, as ``np.mean`` does for a window of
+    up to 7, so such windows give bit-identical means.
     """
     if window < 1 or window % 2 == 0:
         raise ParameterError("window must be an odd integer >= 1")
@@ -237,20 +232,23 @@ def smooth_skeleton(track: list[Skeleton3DFrame], window: int) -> list[Skeleton3
         return list(track)
     half = window // 2
     n = len(track)
+    pos = np.zeros((n, N_JOINTS, 3))
+    res = np.zeros((n, N_JOINTS))
+    count = np.zeros((n, N_JOINTS))
+    for d in range(-half, half + 1):
+        for i in range(max(0, -d), min(n, n - d)):
+            f = track[i + d]
+            pos[i] += np.where(f.valid[:, None], f.positions, 0.0)
+            res[i] += np.where(f.valid, f.residuals_px, 0.0)
+            count[i] += f.valid
+    size = np.minimum(np.arange(n) + half + 1, n) - np.maximum(np.arange(n) - half, 0)
+    valid = count > size[:, None] / 2
+    np.divide(pos, count[..., None], out=pos, where=valid[..., None])
+    np.divide(res, count, out=res, where=valid)
     out = []
-    for i in range(n):
-        lo = max(0, i - half)
-        hi = min(n, i + half + 1)
-        size = hi - lo
-        pos = np.array(track[i].positions)
-        res = np.array(track[i].residuals_px)
-        val = np.zeros(N_JOINTS, dtype=bool)
-        for j in range(N_JOINTS):
-            vals = [track[k] for k in range(lo, hi) if track[k].valid[j]]
-            if len(vals) <= size / 2:
-                continue
-            pos[j] = np.mean([f.positions[j] for f in vals], axis=0)
-            res[j] = np.mean([f.residuals_px[j] for f in vals])
-            val[j] = True
-        out.append(Skeleton3DFrame(track[i].t_s, pos, res, val))
+    for i, f in enumerate(track):
+        keep = ~valid[i]
+        pos[i][keep] = f.positions[keep]
+        res[i][keep] = f.residuals_px[keep]
+        out.append(Skeleton3DFrame(f.t_s, pos[i], res[i], valid[i]))
     return out

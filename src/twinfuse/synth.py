@@ -221,9 +221,14 @@ def _camera_rig(count: int) -> list[CameraModel]:
 
 def project_visible(cam: CameraModel, points: np.ndarray):
     """Project points, returning (pixels, mask of in-front & in-image)."""
+    return _project_visible(cam, invert(cam.world_from_camera), points)
+
+
+def _project_visible(cam: CameraModel, cam_from_world: RigidTransform,
+                     points: np.ndarray):
+    """``project_visible`` with the camera's inverted pose given."""
     points = np.asarray(points, dtype=float).reshape(-1, 3)
-    cfw = invert(cam.world_from_camera)
-    pc = cfw.apply_points(points)
+    pc = cam_from_world.apply_points(points)
     mask = pc[:, 2] > 0.05
     uv = np.zeros((len(points), 2))
     if mask.any():
@@ -334,10 +339,11 @@ def generate(config: SynthConfig) -> GroundTruthBundle:
 
     # cameras + marker pixel observations
     cameras = _camera_rig(config.camera_count)
+    cam_from_world = [invert(cam.world_from_camera) for cam in cameras]
     marker_pixels = {}
-    for cam in cameras:
+    for cam, cfw in zip(cameras, cam_from_world):
         rng = _rng(config.seed, f"campix:{cam.id}")
-        uv, mask = project_visible(cam, marker_arr)
+        uv, mask = _project_visible(cam, cfw, marker_arr)
         noisy = uv + rng.normal(0.0, config.pixel_sigma_px, size=uv.shape)
         marker_pixels[cam.id] = [(marker_ids[j], float(noisy[j, 0]), float(noisy[j, 1]))
                                  for j in range(len(marker_ids)) if mask[j]]
@@ -385,10 +391,10 @@ def generate(config: SynthConfig) -> GroundTruthBundle:
             persons_3d.append(_skeleton_at(t, bystander_root,
                                            config.skeleton_motion_amp_m))
         per_cam = []
-        for cam in cameras:
+        for cam, cfw in zip(cameras, cam_from_world):
             detections = []
             for p3d in persons_3d:
-                uv, mask = project_visible(cam, p3d)
+                uv, mask = _project_visible(cam, cfw, p3d)
                 uv = uv + skel_rng.normal(0.0, config.pixel_sigma_px, size=uv.shape)
                 conf = np.where(mask, 0.9, 0.0)
                 kp = np.column_stack([uv, conf])

@@ -120,6 +120,22 @@ def test_register_cameras_missing_intrinsics_key(bundle_dir, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_register_cameras_missing_camera_id(bundle_dir, tmp_path, capsys):
+    cams_dir = tmp_path / "cameras"
+    cams_dir.mkdir()
+    for name in ("cam1_intrinsics.json", "cam1_marker_pixels.json"):
+        (cams_dir / name).write_text((bundle_dir / "cameras" / name).read_text())
+    intr = json.loads((cams_dir / "cam1_intrinsics.json").read_text())
+    del intr["id"]
+    (cams_dir / "cam1_intrinsics.json").write_text(json.dumps(intr))
+    rc = main(["register-cameras",
+               "--markers", str(bundle_dir / "reference_markers.json"),
+               "--cameras-dir", str(cams_dir), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "'id'" in err and "cam1_intrinsics.json" in err
+
+
 # ---------------------------------------------------------------------------
 # mocap
 
@@ -156,6 +172,25 @@ def test_mocap_unknown_camera_is_pipeline_error(bundle_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error:" in err and "cam3" in err
     assert "Traceback" not in err
+
+
+def test_mocap_missing_camera_pose(bundle_dir, tmp_path, capsys):
+    cams = tmp_path / "cams"
+    assert main(["register-cameras",
+                 "--markers", str(bundle_dir / "reference_markers.json"),
+                 "--cameras-dir", str(bundle_dir / "cameras"),
+                 "--out", str(cams)]) == 0
+    cal = json.loads((cams / "cam2_calibration.json").read_text())
+    del cal["world_from_camera"]
+    (cams / "cam2_calibration.json").write_text(json.dumps(cal))
+    capsys.readouterr()
+    rc = main(["mocap", "--keypoints-dir", str(bundle_dir / "keypoints"),
+               "--cameras-dir", str(cams), "--table-center", "0.5,0,0.9",
+               "--out", str(tmp_path / "skeleton.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "'world_from_camera'" in err
+    assert "cam2_calibration.json" in err
 
 
 # ---------------------------------------------------------------------------

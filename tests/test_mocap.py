@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from twinfuse.cameras import CameraIntrinsics, CameraModel, project
-from twinfuse.errors import (EmptySelectionError, ParameterError,
+from twinfuse.cameras import (CONFIDENCE_FLOOR, CameraIntrinsics, CameraModel,
+                              PixelObservation, project, triangulate)
+from twinfuse.errors import (DegenerateGeometryError, EmptySelectionError,
+                             InsufficientViewsError, ParameterError,
                              UnknownEntityError)
+from twinfuse.geometry import RigidTransform
 from twinfuse.mocap import (N_BODY, N_HAND, N_JOINTS, Keypoint2DFrame,
                             PersonDetection, Skeleton3DFrame, select_surgeon,
                             skeleton_track_from_csv, skeleton_track_to_csv,
@@ -215,6 +218,61 @@ def test_skeleton_bundle_ground_truth(default_bundle):
     assert np.median(err) < 0.02
 
 
+def test_skeleton_batch_matches_per_joint_triangulate(default_bundle):
+    cams = default_bundle.cameras
+    per_cam = default_bundle.keypoint_frames[3]
+    sel = select_surgeon(per_cam, cams, default_bundle.table_center)
+    out = triangulate_skeleton(per_cam, sel, cams)
+    persons = {fr.camera_id: fr.persons[sel[fr.camera_id]] for fr in per_cam
+               if sel[fr.camera_id] is not None}
+    for j in range(N_JOINTS):
+        obs = [PixelObservation(cid, *p.joint(j)) for cid, p in persons.items()
+               if p.joint(j)[2] >= CONFIDENCE_FLOOR]
+        try:
+            point, res = triangulate(obs, cams)
+        except (DegenerateGeometryError, InsufficientViewsError):
+            assert not out.valid[j]
+            continue
+        assert out.valid[j]
+        assert np.linalg.norm(out.positions[j] - point) < 1e-9
+        assert abs(out.residuals_px[j] - res) < 1e-9
+
+
+def test_skeleton_near_parallel_joint_invalid_others_unchanged():
+    cams = _cameras()
+    pose = cams[0].world_from_camera
+    cams.append(CameraModel("near", INTR, RigidTransform(
+        pose.q, pose.t + [0, 1e-6, 0], from_frame="camera:near", to_frame="world")))
+    rng = np.random.default_rng(4)
+    points = _skeleton_points(rng, TABLE)
+    persons = {c.id: [_person_from_points(c, points, noise=0.5, rng=rng)]
+               for c in cams}
+    frames = _frames(cams, persons)
+    sel = {c.id: 0 for c in cams}
+    base = triangulate_skeleton(frames, sel, cams)
+    for c in cams[1:-1]:  # joint 5 keeps only cam0 and its near twin
+        p = persons[c.id][0]
+        body = np.array(p.body)
+        body[5, 2] = 0.0
+        persons[c.id] = [PersonDetection(body, p.hand_left, p.hand_right)]
+    out = triangulate_skeleton(_frames(cams, persons), sel, cams)
+    assert base.valid.all()
+    assert not out.valid[5]
+    others = np.arange(N_JOINTS) != 5
+    assert out.valid[others].all()
+    assert np.array_equal(out.positions[others], base.positions[others])
+    assert np.array_equal(out.residuals_px[others], base.residuals_px[others])
+
+
+def test_skeleton_unknown_camera_id():
+    cams = _cameras()
+    points = _skeleton_points(np.random.default_rng(5), TABLE)
+    frames = _frames(cams, {c.id: [_person_from_points(c, points)] for c in cams})
+    with pytest.raises(UnknownEntityError, match="'cam2'"):
+        triangulate_skeleton(frames, {c.id: 0 for c in cams},
+                             [c for c in cams if c.id != "cam2"])
+
+
 # ---------------------------------------------------------------------------
 # smooth_skeleton
 
@@ -267,6 +325,48 @@ def test_smooth_preserves_timestamps():
     track = _jitter_track(rng, n=7)
     out = smooth_skeleton(track, 3)
     assert [f.t_s for f in out] == [f.t_s for f in track]
+
+
+def _smooth_reference(track, window):
+    """The per-joint loop that smooth_skeleton replaced."""
+    if window == 1 or not track:
+        return list(track)
+    half = window // 2
+    n = len(track)
+    out = []
+    for i in range(n):
+        lo = max(0, i - half)
+        hi = min(n, i + half + 1)
+        size = hi - lo
+        pos = np.array(track[i].positions)
+        res = np.array(track[i].residuals_px)
+        val = np.zeros(N_JOINTS, dtype=bool)
+        for j in range(N_JOINTS):
+            vals = [track[k] for k in range(lo, hi) if track[k].valid[j]]
+            if len(vals) <= size / 2:
+                continue
+            pos[j] = np.mean([f.positions[j] for f in vals], axis=0)
+            res[j] = np.mean([f.residuals_px[j] for f in vals])
+            val[j] = True
+        out.append(Skeleton3DFrame(track[i].t_s, pos, res, val))
+    return out
+
+
+@pytest.mark.parametrize("window", [1, 3, 5, 7])
+def test_smooth_matches_reference_loop(window):
+    rng = np.random.default_rng(window)
+    track = [Skeleton3DFrame(k / 30.0, rng.normal(0, 2.0, size=(N_JOINTS, 3)),
+                             rng.gamma(2.0, 0.7, size=N_JOINTS),
+                             rng.random(N_JOINTS) > 0.3)
+             for k in range(23)]
+    out = smooth_skeleton(track, window)
+    ref = _smooth_reference(track, window)
+    assert len(out) == len(ref)
+    for a, b in zip(out, ref):
+        assert a.t_s == b.t_s
+        assert np.array_equal(a.valid, b.valid)
+        assert np.array_equal(a.positions, b.positions)
+        assert np.array_equal(a.residuals_px, b.residuals_px)
 
 
 def test_smooth_invalid_window():
