@@ -346,6 +346,19 @@ def solve_pnp(points, pixels, intr: CameraIntrinsics) -> tuple[RigidTransform, f
 # ---------------------------------------------------------------------------
 # triangulation
 
+def _camera_arrays(cameras: list[CameraModel]):
+    """Stacked arrays of K cameras, each inverted once: camera-from-world
+    rotations (K, 3, 3) and translations (K, 3), focal lengths (K, 2),
+    principal points (K, 2) and distortion coefficients (5, K)."""
+    cam_from_world = [invert(c.world_from_camera) for c in cameras]
+    rot = np.array([quat_to_matrix(c.q) for c in cam_from_world])
+    t = np.array([c.t for c in cam_from_world])
+    focal = np.array([c.intrinsics.focal for c in cameras])
+    center = np.array([c.intrinsics.center for c in cameras])
+    dist = np.array([c.intrinsics.dist for c in cameras]).T
+    return rot, t, focal, center, dist
+
+
 def triangulate_batch(pixels, confidences, cameras: list[CameraModel]
                       ) -> tuple[np.ndarray, np.ndarray, list]:
     """Triangulate P points at once, each seen through the same K camera slots.
@@ -382,13 +395,7 @@ def triangulate_batch(pixels, confidences, cameras: list[CameraModel]
     if not len(sel):
         return points, residual_px, errors
 
-    # per-slot camera arrays, each camera inverted once
-    cam_from_world = [invert(c.world_from_camera) for c in cameras]
-    rot = np.array([quat_to_matrix(c.q) for c in cam_from_world])
-    t = np.array([c.t for c in cam_from_world])
-    focal = np.array([c.intrinsics.focal for c in cameras])
-    center = np.array([c.intrinsics.center for c in cameras])
-    dist = np.array([c.intrinsics.dist for c in cameras]).T
+    rot, t, focal, center, dist = _camera_arrays(cameras)
     used, w = used[sel], np.where(used[sel], conf[sel], 0.0)
     uv = np.where(used[..., None], uv[sel], center)  # discarded slots: on axis
 

@@ -28,20 +28,20 @@ def _fail(message: str) -> int:
     return 1
 
 
-def _read(path: str) -> str:
+def _parsed(path: str, parse):
+    """``parse`` applied to the text of ``path``; a ParameterError it raises
+    and malformed JSON are raised as ParameterError naming the file."""
     if not os.path.exists(path):
         raise TwinfuseError(f"missing file: {path}")
     with open(path) as f:
-        return f.read()
-
-
-def _parsed(path: str, parse):
-    """``parse`` applied to the text of ``path``; a ParameterError it raises
-    is raised again naming the file."""
+        text = f.read()
     try:
-        return parse(_read(path))
+        return parse(text)
     except ParameterError as exc:
         raise ParameterError(f"{path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ParameterError(f"{path}: malformed JSON at line {exc.lineno}, "
+                             f"column {exc.colno}: {exc.msg}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +55,7 @@ def cmd_fuse(args) -> int:
     for ply_path in ply_paths:
         name = os.path.splitext(os.path.basename(ply_path))[0]
         marker_path = os.path.join(args.scans_dir, f"{name}_markers.json")
-        markers = MarkerSet.from_json(_read(marker_path))
+        markers = _parsed(marker_path, MarkerSet.from_json)
         cloud = load_ply(ply_path, frame=markers.frame)
         scans.append(ScanRecord(name, cloud, markers))
 
@@ -93,7 +93,7 @@ def _intrinsics_record(text: str) -> tuple[str, CameraIntrinsics]:
 
 
 def cmd_register_cameras(args) -> int:
-    reference = MarkerSet.from_json(_read(args.markers))
+    reference = _parsed(args.markers, MarkerSet.from_json)
     intr_paths = sorted(glob.glob(os.path.join(args.cameras_dir,
                                                "*_intrinsics.json")))
     if not intr_paths:
@@ -104,7 +104,7 @@ def cmd_register_cameras(args) -> int:
     for intr_path in intr_paths:
         cam_id, intr = _parsed(intr_path, _intrinsics_record)
         pix_path = os.path.join(args.cameras_dir, f"{cam_id}_marker_pixels.json")
-        pix = json.loads(_read(pix_path))["pixels"]
+        pix = _parsed(pix_path, json.loads)["pixels"]
         points, pixels = [], []
         for entry in pix:
             mid = entry["id"]
@@ -151,7 +151,7 @@ def cmd_mocap(args) -> int:
         return _fail(f"no keypoint frames in {args.keypoints_dir}")
     by_time: dict[float, list] = {}
     for p in kp_paths:
-        frame = mocap.Keypoint2DFrame.from_json(_read(p))
+        frame = _parsed(p, mocap.Keypoint2DFrame.from_json)
         by_time.setdefault(frame.t_s, []).append(frame)
     table_center = np.array([float(v) for v in args.table_center.split(",")])
     frames3d = []
@@ -176,7 +176,7 @@ def cmd_mocap(args) -> int:
 # track
 
 def cmd_track(args) -> int:
-    track = PoseTrack.from_csv(_read(args.input))
+    track = _parsed(args.input, PoseTrack.from_csv)
     smoothed = smooth_track(track, args.window)
     with open(args.out, "w", newline="") as f:
         f.write(smoothed.to_csv())
@@ -200,8 +200,8 @@ def cmd_metrics(args) -> int:
             result.update(cd_mm=cd_mm, samples_used=used,
                           samples_filtered=filtered)
     if args.markers_a and args.markers_b:
-        ma = MarkerSet.from_json(_read(args.markers_a))
-        mb = MarkerSet.from_json(_read(args.markers_b))
+        ma = _parsed(args.markers_a, MarkerSet.from_json)
+        mb = _parsed(args.markers_b, MarkerSet.from_json)
         result["rmse_mm"] = metrics.marker_rmse(ma, mb)
     if not result:
         return _fail("nothing to compute: give --cloud-a/--cloud-b "
@@ -237,7 +237,7 @@ def cmd_scene(args) -> int:
 
 def cmd_synth(args) -> int:
     if args.config:
-        config = synth.SynthConfig.from_json(_read(args.config))
+        config = _parsed(args.config, synth.SynthConfig.from_json)
         if args.seed is not None:
             config = synth.SynthConfig(**{**json.loads(config.to_json()),
                                           "seed": args.seed,

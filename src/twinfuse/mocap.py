@@ -12,11 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# ``triangulate`` is not called here; it stays bound in this module because
-# perfbench/spans.py wraps ``mocap.triangulate`` and ``mocap.unproject``.
-from .cameras import CameraModel, triangulate, triangulate_batch, unproject  # noqa: F401
-from .geometry import invert
-from .errors import EmptySelectionError, ParameterError, UnknownEntityError
+# ``triangulate`` and ``unproject`` are not called here; they stay bound in
+# this module because perfbench/spans.py wraps ``mocap.triangulate`` and
+# ``mocap.unproject``.
+from .cameras import (CameraModel, _camera_arrays, _undistort, triangulate,  # noqa: F401
+                      triangulate_batch, unproject)
+from .errors import (BehindCameraError, EmptySelectionError, ParameterError,
+                     UnknownEntityError)
+from .tracking import _window_slices
 
 N_BODY = 25
 N_HAND = 21
@@ -77,9 +80,12 @@ class Keypoint2DFrame:
     @classmethod
     def from_json(cls, text: str) -> "Keypoint2DFrame":
         o = json.loads(text)
-        persons = [PersonDetection(np.array(p["body"]), np.array(p["hand_l"]),
-                                   np.array(p["hand_r"])) for p in o["persons"]]
-        return cls(o["camera"], float(o["t_s"]), tuple(persons))
+        try:
+            persons = [PersonDetection(np.array(p["body"]), np.array(p["hand_l"]),
+                                       np.array(p["hand_r"])) for p in o["persons"]]
+            return cls(o["camera"], float(o["t_s"]), tuple(persons))
+        except KeyError as exc:
+            raise ParameterError(f"keypoint frame missing key {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -150,39 +156,37 @@ def select_surgeon(frames: list[Keypoint2DFrame], cameras: list[CameraModel],
 
     The confidence-weighted mean pixel of each person is lifted along the
     camera ray to the table center's camera-frame depth; the person whose
-    lifted point is nearest ``table_center`` wins.
+    lifted point is nearest ``table_center`` wins. The mean pixels of all
+    cameras are undistorted in one call, and distances are measured in each
+    camera's frame, where they equal the world distances.
     """
-    table_center = np.asarray(table_center, dtype=float).reshape(3)
     by_id = {c.id: c for c in cameras}
-    selection: dict[str, int | None] = {}
-    any_person = False
     for fr in frames:
         if fr.camera_id not in by_id:
             raise UnknownEntityError(f"unknown camera id {fr.camera_id!r}")
-        cam = by_id[fr.camera_id]
-        if not fr.persons:
-            selection[fr.camera_id] = None
-            continue
-        cam_from_world = invert(cam.world_from_camera)
-        table_depth = cam_from_world.apply_points(table_center.reshape(1, 3))[0, 2]
-        best = None
-        best_dist = np.inf
-        for idx, person in enumerate(fr.persons):
-            kp = person.all_joints()
+    slot, person, mean_px = [], [], []  # per person with nonzero confidence
+    for k, fr in enumerate(frames):
+        for idx, p in enumerate(fr.persons):
+            kp = p.all_joints()
             w = kp[:, 2]
-            if w.sum() <= 0:
-                continue
-            mean_px = (kp[:, :2] * w[:, None]).sum(axis=0) / w.sum()
-            lifted = unproject(cam, mean_px, table_depth)
-            dist = float(np.linalg.norm(lifted - table_center))
-            if dist < best_dist:
-                best_dist = dist
-                best = idx
-        selection[fr.camera_id] = best
-        if best is not None:
-            any_person = True
-    if not any_person:
+            if w.sum() > 0:
+                slot.append(k)
+                person.append(idx)
+                mean_px.append((kp[:, :2] * w[:, None]).sum(axis=0) / w.sum())
+    if not slot:
         raise EmptySelectionError("no person detected in any camera")
+    slot = np.array(slot)
+    rot, t, focal, center, dist = _camera_arrays([by_id[fr.camera_id] for fr in frames])
+    table = (rot @ np.asarray(table_center, dtype=float).reshape(3) + t)[slot]
+    if np.any(table[:, 2] <= 0):
+        raise BehindCameraError("table center is behind a camera")
+    xn = _undistort((np.array(mean_px) - center[slot]) / focal[slot], dist[:, slot])
+    lifted = np.column_stack([xn * table[:, 2:], table[:, 2]])
+    gap = np.linalg.norm(lifted - table, axis=1)
+    selection: dict[str, int | None] = {}
+    for k, fr in enumerate(frames):
+        rows = np.flatnonzero(slot == k)
+        selection[fr.camera_id] = person[rows[np.argmin(gap[rows])]] if len(rows) else None
     return selection
 
 
@@ -226,29 +230,21 @@ def smooth_skeleton(track: list[Skeleton3DFrame], window: int) -> list[Skeleton3
     sums run over the frames in order, as ``np.mean`` does for a window of
     up to 7, so such windows give bit-identical means.
     """
-    if window < 1 or window % 2 == 0:
-        raise ParameterError("window must be an odd integer >= 1")
+    offsets = _window_slices(len(track), window)
     if window == 1 or not track:
         return list(track)
-    half = window // 2
-    n = len(track)
-    pos = np.zeros((n, N_JOINTS, 3))
-    res = np.zeros((n, N_JOINTS))
-    count = np.zeros((n, N_JOINTS))
-    for d in range(-half, half + 1):
-        for i in range(max(0, -d), min(n, n - d)):
-            f = track[i + d]
-            pos[i] += np.where(f.valid[:, None], f.positions, 0.0)
-            res[i] += np.where(f.valid, f.residuals_px, 0.0)
-            count[i] += f.valid
-    size = np.minimum(np.arange(n) + half + 1, n) - np.maximum(np.arange(n) - half, 0)
-    valid = count > size[:, None] / 2
-    np.divide(pos, count[..., None], out=pos, where=valid[..., None])
-    np.divide(res, count, out=res, where=valid)
-    out = []
-    for i, f in enumerate(track):
-        keep = ~valid[i]
-        pos[i][keep] = f.positions[keep]
-        res[i][keep] = f.residuals_px[keep]
-        out.append(Skeleton3DFrame(f.t_s, pos[i], res[i], valid[i]))
-    return out
+    pos = np.array([f.positions for f in track])
+    res = np.array([f.residuals_px for f in track])
+    valid_in = np.array([f.valid for f in track])
+    pos_sum, res_sum = np.zeros_like(pos), np.zeros_like(res)
+    count, size = np.zeros_like(res), np.zeros((len(track), 1))
+    for centre, near in offsets:
+        pos_sum[centre] += np.where(valid_in[near, :, None], pos[near], 0.0)
+        res_sum[centre] += np.where(valid_in[near], res[near], 0.0)
+        count[centre] += valid_in[near]
+        size[centre] += 1
+    valid = count > size / 2
+    # pos and res keep the input values of joints left invalid
+    np.divide(pos_sum, count[..., None], out=pos, where=valid[..., None])
+    np.divide(res_sum, count, out=res, where=valid)
+    return [Skeleton3DFrame(f.t_s, p, r, v) for f, p, r, v in zip(track, pos, res, valid)]

@@ -106,35 +106,35 @@ class SceneSnapshot:
     skeletons: dict      # name -> Skeleton3DFrame
 
 
+def _bracket(times, t: float) -> tuple[int, int, float]:
+    """Samples ``i0 <= i1`` around time t and the weight ``alpha`` of i1;
+    ``i0 == i1`` at a sample time and before the first or after the last."""
+    i = int(np.searchsorted(times, t))
+    if i < len(times) and times[i] == t:
+        return i, i, 0.0
+    i0, i1 = max(0, i - 1), min(len(times) - 1, i)
+    if i0 == i1:
+        return i0, i1, 0.0
+    return i0, i1, (t - times[i0]) / (times[i1] - times[i0])
+
+
 def _interp_pose(track: PoseTrack, t: float) -> RigidTransform:
-    i = int(np.searchsorted(track.times, t))
-    if i < len(track) and track.times[i] == t:
-        return track.pose_at_index(i)
-    i0 = max(0, i - 1)
-    i1 = min(len(track) - 1, i)
+    i0, i1, alpha = _bracket(track.times, t)
     if i0 == i1:
         return track.pose_at_index(i0)
-    alpha = (t - track.times[i0]) / (track.times[i1] - track.times[i0])
     trans = (1 - alpha) * track.translations[i0] + alpha * track.translations[i1]
     q = quat_slerp(track.quats[i0], track.quats[i1], alpha)
     return RigidTransform(q, trans, from_frame="body", to_frame=track.frame)
 
 
 def _interp_skeleton(frames, t: float) -> Skeleton3DFrame:
-    ts = np.array([f.t_s for f in frames])
-    i = int(np.searchsorted(ts, t))
-    if i < len(ts) and ts[i] == t:
-        return frames[i]
-    i0 = max(0, i - 1)
-    i1 = min(len(ts) - 1, i)
-    if i0 == i1:
-        return frames[i0]
+    i0, i1, alpha = _bracket([f.t_s for f in frames], t)
     a, b = frames[i0], frames[i1]
-    alpha = (t - ts[i0]) / (ts[i1] - ts[i0])
-    valid = a.valid & b.valid
+    if i0 == i1:
+        return a
     pos = (1 - alpha) * a.positions + alpha * b.positions
     res = (1 - alpha) * a.residuals_px + alpha * b.residuals_px
-    return Skeleton3DFrame(t, pos, res, valid)
+    return Skeleton3DFrame(t, pos, res, a.valid & b.valid)
 
 
 def sample_at(scene: TwinScene, t: float) -> SceneSnapshot:

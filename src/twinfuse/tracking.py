@@ -14,8 +14,7 @@ from scipy.spatial import cKDTree
 from .errors import (AmbiguityError, ConvergenceError, CorrespondenceError,
                      InsufficientCorrespondencesError, NoOverlapError,
                      ParameterError)
-from .geometry import (PointCloud, RigidTransform, apply, compose, kabsch,
-                       quat_normalize)
+from .geometry import PointCloud, RigidTransform, apply, compose, kabsch
 
 DEFAULT_MARKER_RADIUS_M = 0.0015  # 3 mm hemisphere diameter
 
@@ -69,6 +68,9 @@ class PoseTrack:
         tr = np.asarray(self.translations, dtype=float).reshape(-1, 3)
         if not (len(t) == len(q) == len(tr)):
             raise ParameterError("track arrays have mismatched lengths")
+        for name, arr in (("times", t), ("quaternions", q), ("translations", tr)):
+            if not np.isfinite(arr).all():
+                raise ParameterError(f"track {name} must be finite")
         if len(t) > 1 and np.any(np.diff(t) <= 0):
             raise ParameterError("timestamps must be strictly increasing")
         norms = np.linalg.norm(q, axis=1)
@@ -97,12 +99,20 @@ class PoseTrack:
 
     @classmethod
     def from_csv(cls, text: str, frame: str = "reference") -> "PoseTrack":
-        lines = [l for l in text.splitlines() if l.strip()]
-        if not lines or lines[0].split(",")[0] != "t_s":
+        lines = [(n, l.split(",")) for n, l in enumerate(text.splitlines(), 1)
+                 if l.strip()]
+        if not lines or lines[0][1][0] != "t_s":
             raise ParameterError("pose track CSV missing t_s header")
-        data = np.array([[float(v) for v in l.split(",")] for l in lines[1:]])
-        if data.size == 0:
-            data = data.reshape(0, 8)
+        data = np.zeros((len(lines) - 1, 8))
+        for row, (n, values) in zip(data, lines[1:]):
+            if len(values) != 8:
+                raise ParameterError(
+                    f"pose track CSV line {n}: expected 8 columns, got {len(values)}")
+            try:
+                row[:] = [float(v) for v in values]
+            except ValueError:
+                raise ParameterError(f"pose track CSV line {n}: "
+                                     f"non-numeric value") from None
         return cls(frame, data[:, 0], data[:, 4:8], data[:, 1:4])
 
 
@@ -261,12 +271,15 @@ def icp(src: PointCloud, dst: PointCloud, init: RigidTransform,
 # ---------------------------------------------------------------------------
 # smoothing
 
-def mean_quaternion(quats: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-    """Normalized quaternion mean with hemisphere alignment to ``anchor``."""
-    q = np.array(quats, dtype=float)
-    flip = (q @ anchor) < 0
-    q[flip] = -q[flip]
-    return quat_normalize(q.mean(axis=0))
+def _window_slices(n: int, window: int) -> list[tuple[slice, slice]]:
+    """Centred moving window of odd size over n samples, truncated at the
+    ends: for each offset d from -window // 2 to window // 2, the slice of
+    centre samples that have a sample d away, and the slice of those samples."""
+    if window < 1 or window % 2 == 0:
+        raise ParameterError("window must be an odd integer >= 1")
+    half = window // 2
+    return [(slice(max(0, -d), min(n, n - d)), slice(max(0, d), min(n, n + d)))
+            for d in range(-half, half + 1)]
 
 
 def smooth_track(track: PoseTrack, window: int) -> PoseTrack:
@@ -275,17 +288,19 @@ def smooth_track(track: PoseTrack, window: int) -> PoseTrack:
     Translations averaged arithmetically, rotations by the normalized
     quaternion mean aligned to the window's center sample.
     """
-    if window < 1 or window % 2 == 0:
-        raise ParameterError("window must be an odd integer >= 1")
+    offsets = _window_slices(len(track), window)
     if window == 1 or len(track) == 0:
         return track
-    half = window // 2
-    n = len(track)
-    new_t = np.empty_like(track.translations)
-    new_q = np.empty_like(track.quats)
-    for i in range(n):
-        lo = max(0, i - half)
-        hi = min(n, i + half + 1)
-        new_t[i] = track.translations[lo:hi].mean(axis=0)
-        new_q[i] = mean_quaternion(track.quats[lo:hi], track.quats[i])
+    q = track.quats
+    size = np.zeros((len(track), 1))
+    new_t = np.zeros_like(track.translations)
+    new_q = np.zeros_like(q)
+    for centre, near in offsets:
+        size[centre] += 1
+        new_t[centre] += track.translations[near]
+        dot = np.einsum("ij,ij->i", q[near], q[centre])
+        new_q[centre] += np.where(dot[:, None] < 0, -q[near], q[near])
+    new_t /= size
+    new_q /= size
+    new_q /= np.linalg.norm(new_q, axis=1, keepdims=True)
     return PoseTrack(track.frame, track.times, new_q, new_t)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -193,6 +194,41 @@ def test_mocap_missing_camera_pose(bundle_dir, tmp_path, capsys):
     assert "cam2_calibration.json" in err
 
 
+def _true_calibrations(bundle_dir, out):
+    """The bundle's true camera models, written as *_calibration.json."""
+    out.mkdir()
+    for p in (bundle_dir / "cameras").glob("*_truth.json"):
+        (out / p.name.replace("_truth", "_calibration")).write_text(p.read_text())
+    return out
+
+
+def test_mocap_keypoint_missing_key(bundle_dir, tmp_path, capsys):
+    cams = _true_calibrations(bundle_dir, tmp_path / "cams")
+    keypoints = tmp_path / "keypoints"
+    shutil.copytree(bundle_dir / "keypoints", keypoints)
+    bad = sorted(keypoints.glob("*.json"))[0]
+    frame = json.loads(bad.read_text())
+    del frame["t_s"]
+    bad.write_text(json.dumps(frame))
+    rc = main(["mocap", "--keypoints-dir", str(keypoints),
+               "--cameras-dir", str(cams), "--table-center", "0.5,0,0.9",
+               "--out", str(tmp_path / "skeleton.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{bad.name}: keypoint frame missing key 't_s'" in err
+
+
+def test_mocap_malformed_calibration_json(bundle_dir, tmp_path, capsys):
+    cams = _true_calibrations(bundle_dir, tmp_path / "cams")
+    (cams / "cam2_calibration.json").write_text("{not json")
+    rc = main(["mocap", "--keypoints-dir", str(bundle_dir / "keypoints"),
+               "--cameras-dir", str(cams), "--table-center", "0.5,0,0.9",
+               "--out", str(tmp_path / "skeleton.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "cam2_calibration.json: malformed JSON at line 1, column 2" in err
+
+
 # ---------------------------------------------------------------------------
 # track
 
@@ -216,6 +252,29 @@ def test_track_bad_window(bundle_dir, tmp_path, capsys):
                "--window", "4", "--out", str(tmp_path / "x.csv")])
     assert rc == 1
     capsys.readouterr()
+
+
+def _nan_qw(text):
+    lines = text.splitlines()
+    row = lines[3].split(",")
+    row[4] = "nan"
+    lines[3] = ",".join(row)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_nan_qw, "track quaternions must be finite"),
+    (lambda text: "t_s,tx_m\n0.0,1.0\n",
+     "pose track CSV line 2: expected 8 columns, got 2"),
+])
+def test_track_bad_csv(bundle_dir, tmp_path, capsys, corrupt, message):
+    bad = tmp_path / "track.csv"
+    bad.write_text(corrupt((bundle_dir / "instrument_track.csv").read_text()))
+    rc = main(["track", "--input", str(bad), "--window", "5",
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    assert f"track.csv: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from twinfuse.cameras import (CONFIDENCE_FLOOR, CameraIntrinsics, CameraModel,
-                              PixelObservation, project, triangulate)
+                              PixelObservation, project, triangulate, unproject)
 from twinfuse.errors import (DegenerateGeometryError, EmptySelectionError,
                              InsufficientViewsError, ParameterError,
                              UnknownEntityError)
-from twinfuse.geometry import RigidTransform
+from twinfuse.geometry import RigidTransform, invert
 from twinfuse.mocap import (N_BODY, N_HAND, N_JOINTS, Keypoint2DFrame,
                             PersonDetection, Skeleton3DFrame, select_surgeon,
                             skeleton_track_from_csv, skeleton_track_to_csv,
                             smooth_skeleton, triangulate_skeleton)
+from twinfuse.synth import SynthConfig, generate
 
 from conftest import look_at_camera_pose
 
@@ -144,6 +145,40 @@ def test_select_unknown_camera_id():
     frames = _frames(cams, {c.id: [_person_from_points(c, near)] for c in cams})
     with pytest.raises(UnknownEntityError, match="'cam0'"):
         select_surgeon(frames, cams[1:], TABLE)
+
+
+def _select_reference(frames, cameras, table_center):
+    """The per-person ``unproject`` loop that select_surgeon replaced."""
+    by_id = {c.id: c for c in cameras}
+    selection = {}
+    for fr in frames:
+        cam = by_id[fr.camera_id]
+        if not fr.persons:
+            selection[fr.camera_id] = None
+            continue
+        table_depth = invert(cam.world_from_camera).apply_points(
+            table_center.reshape(1, 3))[0, 2]
+        best, best_dist = None, np.inf
+        for idx, person in enumerate(fr.persons):
+            kp = person.all_joints()
+            w = kp[:, 2]
+            if w.sum() <= 0:
+                continue
+            mean_px = (kp[:, :2] * w[:, None]).sum(axis=0) / w.sum()
+            dist = np.linalg.norm(unproject(cam, mean_px, table_depth) - table_center)
+            if dist < best_dist:
+                best, best_dist = idx, dist
+        selection[fr.camera_id] = best
+    return selection
+
+
+def test_select_matches_per_person_unproject():
+    bundle = generate(SynthConfig(seed=0, duration_s=1.0, include_bystander=True))
+    table = np.asarray(bundle.table_center, dtype=float)
+    for per_cam in bundle.keypoint_frames:
+        assert max(len(fr.persons) for fr in per_cam) == 2
+        assert (select_surgeon(per_cam, bundle.cameras, table)
+                == _select_reference(per_cam, bundle.cameras, table))
 
 
 # ---------------------------------------------------------------------------

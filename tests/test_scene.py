@@ -177,6 +177,21 @@ def test_sample_skeleton_interpolation():
     assert np.allclose(sk.positions[both], mid[both])
 
 
+def test_sample_returns_stored_samples_at_and_past_node_ends():
+    scene = _scene()
+    track = scene.dynamic_nodes[0].track
+    frames = scene.skeleton_nodes[0].frames
+    assert sample_at(scene, frames[2].t_s).skeletons["surgeon"] is frames[2]
+    # inside the scene's time range, each node clamps to its own end samples
+    late = sample_at(scene, frames[-1].t_s)
+    assert track.times[-1] < late.t_s and not late.clamped
+    assert np.array_equal(late.poses["drill"].t, track.translations[-1])
+    assert np.array_equal(late.poses["drill"].q, track.quats[-1])
+    early = sample_at(scene, float(track.times[0]))
+    assert early.t_s < frames[0].t_s and not early.clamped
+    assert early.skeletons["surgeon"] is frames[0]
+
+
 # ---------------------------------------------------------------------------
 # save / load round trips
 

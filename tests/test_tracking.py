@@ -10,9 +10,10 @@ from twinfuse.errors import (AmbiguityError, CorrespondenceError,
                              ParameterError)
 from twinfuse.geometry import PointCloud, RigidTransform, invert, kabsch
 from twinfuse.tracking import (IcpParams, MarkerArrayGeometry, PoseTrack,
-                               fit_sphere_fixed_radius, icp, mean_quaternion,
+                               fit_sphere_fixed_radius, icp,
                                register_marker_array, smooth_track)
-from twinfuse.synth import pose_error
+from twinfuse.geometry import quat_normalize
+from twinfuse.synth import SynthConfig, generate, pose_error
 
 from conftest import quat_angle_deg, random_transform
 
@@ -246,9 +247,11 @@ def _track(times, quats, trans):
 
 
 def test_mean_quaternion_hemisphere_alignment():
-    q = np.array([[1.0, 0, 0, 0], [-1.0, 0, 0, 0]])
-    m = mean_quaternion(q, np.array([1.0, 0, 0, 0]))
-    assert quat_angle_deg(m, [1, 0, 0, 0]) < 1e-9
+    # q and -q are one rotation: each window mean is its centre sample
+    q = quat_normalize(np.array([0.9, 0.1, -0.3, 0.2]))
+    quats = np.array([q if i % 2 == 0 else -q for i in range(9)])
+    out = smooth_track(_track(np.arange(9.0), quats, np.zeros((9, 3))), 5)
+    assert np.allclose(out.quats, quats, rtol=0, atol=1e-15)
 
 
 def test_smooth_window_one_is_identity():
@@ -307,6 +310,49 @@ def test_smooth_output_quats_unit():
     assert np.allclose(np.linalg.norm(out.quats, axis=1), 1.0, atol=1e-12)
 
 
+def _smooth_track_reference(track, window):
+    """The per-sample loop and quaternion mean that smooth_track replaced."""
+    def mean_quaternion(quats, anchor):
+        q = np.array(quats, dtype=float)
+        flip = (q @ anchor) < 0
+        q[flip] = -q[flip]
+        return quat_normalize(q.mean(axis=0))
+
+    if window == 1 or len(track) == 0:
+        return track
+    half = window // 2
+    n = len(track)
+    new_t = np.empty_like(track.translations)
+    new_q = np.empty_like(track.quats)
+    for i in range(n):
+        lo = max(0, i - half)
+        hi = min(n, i + half + 1)
+        new_t[i] = track.translations[lo:hi].mean(axis=0)
+        new_q[i] = mean_quaternion(track.quats[lo:hi], track.quats[i])
+    return PoseTrack(track.frame, track.times, new_q, new_t)
+
+
+@pytest.fixture(scope="module")
+def smoothing_tracks():
+    rng = np.random.default_rng(11)
+    n = 40
+    quats = np.array([random_transform(rng).q for _ in range(n)])
+    random_track = _track(np.arange(n, dtype=float), quats, rng.normal(size=(n, 3)))
+    instrument = generate(SynthConfig(seed=1, duration_s=1.0)).instrument_track_noisy
+    return {"random": random_track, "instrument": instrument}
+
+
+@pytest.mark.parametrize("name", ["random", "instrument"])
+@pytest.mark.parametrize("window", [1, 3, 5, 7, 9, 11])
+def test_smooth_track_matches_reference_loop(smoothing_tracks, name, window):
+    track = smoothing_tracks[name]
+    out = smooth_track(track, window)
+    ref = _smooth_track_reference(track, window)
+    assert np.array_equal(out.times, ref.times)
+    assert np.array_equal(out.translations, ref.translations)
+    assert np.max(np.abs(out.quats - ref.quats)) <= 4.5e-16
+
+
 # ---------------------------------------------------------------------------
 # PoseTrack CSV
 
@@ -329,3 +375,22 @@ def test_pose_track_validation():
         _track([0.0], [[2.0, 0, 0, 0]], [[0.0, 0, 0]])
     with pytest.raises(ParameterError):
         PoseTrack.from_csv("bogus,header\n1,2\n")
+
+
+@pytest.mark.parametrize("field", ["times", "quats", "translations"])
+def test_pose_track_rejects_non_finite(field):
+    arrays = {"times": np.arange(3.0), "quats": np.tile([1.0, 0, 0, 0], (3, 1)),
+              "translations": np.zeros((3, 3))}
+    arrays[field][1, ...] = np.nan
+    with pytest.raises(ParameterError, match="finite"):
+        PoseTrack("reference", **arrays)
+
+
+def test_pose_track_csv_rejects_bad_rows():
+    header = "t_s,tx_m,ty_m,tz_m,qw,qx,qy,qz\n"
+    with pytest.raises(ParameterError, match="line 4: expected 8 columns, got 2"):
+        PoseTrack.from_csv(header + "0,0,0,0,1,0,0,0\n\n1,2\n")
+    with pytest.raises(ParameterError, match="line 2: non-numeric"):
+        PoseTrack.from_csv(header + "0,0,0,0,one,0,0,0\n")
+    with pytest.raises(ParameterError, match="finite"):
+        PoseTrack.from_csv(header + "0,0,0,0,nan,0,0,0\n")
