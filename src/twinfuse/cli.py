@@ -17,7 +17,6 @@ from . import fusion, metrics, mocap, scene, synth
 from .cameras import CameraIntrinsics, CameraModel, solve_pnp
 from .errors import EmptySelectionError, ParameterError, TwinfuseError
 from .fusion import MarkerSet, ScanRecord
-from .geometry import RigidTransform
 from .metrics import render_reprojection_table
 from .ply import load_ply, save_ply
 from .tracking import PoseTrack, smooth_track
@@ -92,6 +91,14 @@ def _intrinsics_record(text: str) -> tuple[str, CameraIntrinsics]:
     return o["id"], CameraIntrinsics.from_dict(o)
 
 
+def _marker_pixels(text: str) -> list[tuple[str, list]]:
+    o = json.loads(text)
+    try:
+        return [(entry["id"], entry["uv"]) for entry in o["pixels"]]
+    except KeyError as exc:
+        raise ParameterError(f"marker pixels missing key {exc}") from None
+
+
 def cmd_register_cameras(args) -> int:
     reference = _parsed(args.markers, MarkerSet.from_json)
     intr_paths = sorted(glob.glob(os.path.join(args.cameras_dir,
@@ -104,13 +111,11 @@ def cmd_register_cameras(args) -> int:
     for intr_path in intr_paths:
         cam_id, intr = _parsed(intr_path, _intrinsics_record)
         pix_path = os.path.join(args.cameras_dir, f"{cam_id}_marker_pixels.json")
-        pix = _parsed(pix_path, json.loads)["pixels"]
         points, pixels = [], []
-        for entry in pix:
-            mid = entry["id"]
+        for mid, uv in _parsed(pix_path, _marker_pixels):
             if mid in reference.positions:
                 points.append(reference.positions[mid])
-                pixels.append(entry["uv"])
+                pixels.append(uv)
         try:
             pose, mean_px = solve_pnp(np.array(points), np.array(pixels), intr)
         except TwinfuseError as exc:

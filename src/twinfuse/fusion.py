@@ -12,7 +12,7 @@ from scipy.spatial import cKDTree
 from .errors import (DegenerateGeometryError, InsufficientCorrespondencesError,
                      ParameterError, TwinfuseError)
 from .geometry import (PointCloud, RigidTransform, apply, build_floor_frame,
-                       identity, kabsch, ransac_plane_inliers)
+                       kabsch, ransac_plane_inliers)
 from .metrics import _render_table, chamfer
 
 
@@ -53,7 +53,11 @@ class MarkerSet:
     @classmethod
     def from_json(cls, text: str) -> "MarkerSet":
         obj = json.loads(text)
-        return cls(obj["frame"], {m["id"]: m["position_m"] for m in obj["markers"]})
+        try:
+            return cls(obj["frame"],
+                       {m["id"]: m["position_m"] for m in obj["markers"]})
+        except KeyError as exc:
+            raise ParameterError(f"marker set missing key {exc}") from None
 
 
 @dataclass(frozen=True)

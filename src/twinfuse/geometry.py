@@ -9,13 +9,15 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DegenerateGeometryError, FrameMismatchError, InsufficientCorrespondencesError
 
 _UNIT_TOL = 1e-9
+RANSAC_CONFIDENCE = 0.99999
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +357,28 @@ def _sign_key(v: np.ndarray) -> float:
     return 1.0
 
 
+def _ransac_draws_needed(inlier_ratio: float) -> float:
+    """Draws after which, at this inlier ratio, an all-inlier sample of three
+    has been drawn with probability RANSAC_CONFIDENCE (Fischler & Bolles,
+    CACM 1981; Hartley & Zisserman, section 4.7); inf where it never is."""
+    w3 = inlier_ratio ** 3
+    if w3 >= 1.0:
+        return 1
+    per_draw = math.log1p(-w3)
+    if per_draw == 0.0:
+        return math.inf
+    return math.ceil(math.log(1.0 - RANSAC_CONFIDENCE) / per_draw)
+
+
 def ransac_plane_inliers(points, threshold_m: float = 0.01,
                          iterations: int = 1000, seed: int = 0) -> np.ndarray:
-    """Boolean inlier mask of the dominant plane (largest RANSAC consensus)."""
+    """Boolean inlier mask of the dominant plane (largest RANSAC consensus).
+
+    Draws stop once enough have been made for the best consensus so far
+    (see ``_ransac_draws_needed``), and at ``iterations`` at the latest; the
+    sample stream is fixed by ``seed``, so the result is the best of a prefix
+    of the ``iterations`` draws.
+    """
     pts = _as_points(points)
     n = len(pts)
     if n < 3:
@@ -365,7 +386,10 @@ def ransac_plane_inliers(points, threshold_m: float = 0.01,
     rng = np.random.default_rng(seed)
     best_mask = None
     best_count = -1
-    for _ in range(iterations):
+    needed = iterations
+    draws = 0
+    while draws < needed:
+        draws += 1
         idx = rng.choice(n, size=3, replace=False)
         p0, p1, p2 = pts[idx]
         normal = np.cross(p1 - p0, p2 - p0)
@@ -379,6 +403,7 @@ def ransac_plane_inliers(points, threshold_m: float = 0.01,
         if count > best_count:
             best_count = count
             best_mask = mask
+            needed = min(iterations, _ransac_draws_needed(count / n))
     if best_mask is None or best_count < 3:
         raise DegenerateGeometryError("no plane found by RANSAC")
     # refit on the consensus set; a tilted sample plane clips the true plane

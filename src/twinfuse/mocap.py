@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,28 +121,34 @@ def skeleton_track_to_csv(frames: list[Skeleton3DFrame]) -> str:
 
 
 def skeleton_track_from_csv(text: str) -> list[Skeleton3DFrame]:
-    lines = [l for l in text.splitlines() if l.strip()]
-    if not lines or not lines[0].startswith("t_s,joint_id"):
+    lines = [(n, l) for n, l in enumerate(text.splitlines(), 1) if l.strip()]
+    if not lines or not lines[0][1].startswith("t_s,joint_id"):
         raise ParameterError("skeleton CSV missing header")
-    rows = [l.split(",") for l in lines[1:]]
+    by_t: dict[float, list] = {}  # rows per timestamp, in first-seen order
+    for n, line in lines[1:]:
+        r = line.split(",")
+        if len(r) != 7:
+            raise ParameterError(
+                f"skeleton CSV line {n}: expected 7 columns, got {len(r)}")
+        try:
+            t, j = float(r[0]), int(r[1])
+            row = (j, [float(v) for v in r[2:5]], float(r[5]), bool(int(r[6])))
+        except ValueError:
+            raise ParameterError(f"skeleton CSV line {n}: "
+                                 f"non-numeric value") from None
+        if not 0 <= j < N_JOINTS:
+            raise ParameterError(f"skeleton CSV line {n}: joint id {j} "
+                                 f"outside 0..{N_JOINTS - 1}")
+        by_t.setdefault(t, []).append(row)
     frames = []
-    by_t: dict[float, list] = {}
-    order = []
-    for r in rows:
-        t = float(r[0])
-        if t not in by_t:
-            by_t[t] = []
-            order.append(t)
-        by_t[t].append(r)
-    for t in order:
+    for t, rows in by_t.items():
         pos = np.zeros((N_JOINTS, 3))
         res = np.zeros(N_JOINTS)
         val = np.zeros(N_JOINTS, dtype=bool)
-        for r in by_t[t]:
-            j = int(r[1])
-            pos[j] = [float(r[2]), float(r[3]), float(r[4])]
-            res[j] = float(r[5])
-            val[j] = bool(int(r[6]))
+        for j, p, residual, valid in rows:
+            pos[j] = p
+            res[j] = residual
+            val[j] = valid
         frames.append(Skeleton3DFrame(t, pos, res, val))
     return frames
 

@@ -93,10 +93,19 @@ def load_ply(path, frame: str = "world") -> PointCloud:
             dtype = np.dtype([(name, type_map[t]) for t, name in props])
         except KeyError as exc:
             raise ManifestError(f"{path}: unsupported property type {exc}") from exc
+        expected = n_vertex * dtype.itemsize
+        if len(body) < expected:
+            raise ManifestError(f"{path}: truncated binary body: {n_vertex} "
+                                f"vertices need {expected} bytes, "
+                                f"{len(body)} present")
         rec = np.frombuffer(body, dtype=dtype, count=n_vertex)
     else:
         rows = body.decode("ascii").split()
         ncol = len(props)
+        if len(rows) < n_vertex * ncol:
+            raise ManifestError(f"{path}: truncated ASCII body: {n_vertex} "
+                                f"vertices need {n_vertex * ncol} values, "
+                                f"{len(rows)} present")
         arr = np.array(rows[:n_vertex * ncol], dtype=float).reshape(n_vertex, ncol)
         rec = {name: arr[:, i] for i, (_, name) in enumerate(props)}
     pts = np.column_stack([np.asarray(rec["x"], dtype=float),

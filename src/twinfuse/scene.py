@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -284,6 +284,18 @@ def load(directory) -> TwinScene:
             return load_ply(ply_path, frame=ref)
         return entry["asset"]
 
+    def read_track(entry, kind, parse):
+        track_path = os.path.join(directory, entry["track"])
+        if not os.path.exists(track_path):
+            raise ManifestError(f"{path}: {kind} {entry['name']!r} references "
+                                f"missing track {track_path}")
+        with open(track_path) as f:
+            text = f.read()
+        try:
+            return parse(text)
+        except ParameterError as exc:
+            raise ParameterError(f"{track_path}: {exc}") from None
+
     static = []
     for entry in manifest.get("static", []):
         try:
@@ -294,21 +306,13 @@ def load(directory) -> TwinScene:
         static.append(StaticNode(entry["name"], read_asset(entry), pose))
     dynamic = []
     for entry in manifest.get("dynamic", []):
-        track_path = os.path.join(directory, entry["track"])
-        if not os.path.exists(track_path):
-            raise ManifestError(f"{path}: node {entry['name']!r} references "
-                                f"missing track {track_path}")
-        with open(track_path) as f:
-            track = PoseTrack.from_csv(f.read(), frame=entry.get("track_frame", ref))
+        frame = entry.get("track_frame", ref)
+        track = read_track(entry, "node",
+                           lambda text: PoseTrack.from_csv(text, frame=frame))
         dynamic.append(DynamicNode(entry["name"], read_asset(entry), track))
     skeletons = []
     for entry in manifest.get("skeletons", []):
-        track_path = os.path.join(directory, entry["track"])
-        if not os.path.exists(track_path):
-            raise ManifestError(f"{path}: skeleton {entry['name']!r} references "
-                                f"missing track {track_path}")
-        with open(track_path) as f:
-            frames = skeleton_track_from_csv(f.read())
+        frames = read_track(entry, "skeleton", skeleton_track_from_csv)
         skeletons.append(SkeletonNode(entry["name"], tuple(frames)))
     return assemble(static, dynamic, skeletons, reference_frame=ref)
 

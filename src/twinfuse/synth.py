@@ -12,14 +12,14 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
 from .cameras import CameraIntrinsics, CameraModel, _pixels
 from .errors import ParameterError, UnknownEntityError
 from .fusion import MarkerSet, ScanRecord
-from .geometry import (PointCloud, RigidTransform, compose, identity, invert,
+from .geometry import (PointCloud, RigidTransform, compose, invert,
                        quat_from_axis_angle, quat_multiply, quat_normalize,
                        rotation_angle_deg, transform_from_matrix)
 from .mocap import (N_BODY, N_HAND, N_JOINTS, Keypoint2DFrame, PersonDetection,
@@ -65,6 +65,10 @@ class SynthConfig:
     @classmethod
     def from_json(cls, text: str) -> "SynthConfig":
         obj = json.loads(text)
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ParameterError("unknown synth config key(s): "
+                                 + ", ".join(repr(k) for k in unknown))
         if "room_extent_m" in obj:
             obj["room_extent_m"] = tuple(obj["room_extent_m"])
         return cls(**obj)

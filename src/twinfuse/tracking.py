@@ -4,9 +4,8 @@ hemispheres, marker-array registration, point-to-point ICP, pose smoothing."""
 from __future__ import annotations
 
 import io
-import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -14,7 +13,7 @@ from scipy.spatial import cKDTree
 from .errors import (AmbiguityError, ConvergenceError, CorrespondenceError,
                      InsufficientCorrespondencesError, NoOverlapError,
                      ParameterError)
-from .geometry import PointCloud, RigidTransform, apply, compose, kabsch
+from .geometry import PointCloud, RigidTransform, compose, kabsch
 
 DEFAULT_MARKER_RADIUS_M = 0.0015  # 3 mm hemisphere diameter
 
@@ -49,8 +48,11 @@ class MarkerArrayGeometry:
     @classmethod
     def from_json(cls, text: str) -> "MarkerArrayGeometry":
         o = json.loads(text)
-        return cls(np.array([m["position_m"] for m in o["markers"]]),
-                   radius_m=o["radius_m"])
+        try:
+            return cls(np.array([m["position_m"] for m in o["markers"]]),
+                       radius_m=o["radius_m"])
+        except KeyError as exc:
+            raise ParameterError(f"marker array missing key {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -172,14 +174,36 @@ def fit_sphere_fixed_radius(points, radius_m: float,
 
 def _consistent_permutations(scan_centers: np.ndarray, array_markers: np.ndarray,
                              tol_m: float) -> list[tuple[int, ...]]:
+    """Every assignment ``perm`` (scan centre i is array marker perm[i]) whose
+    pairwise distances all agree within ``tol_m``, in lexicographic order.
+
+    Depth-first interpretation tree (Grimson & Lozano-Perez, PAMI 1987):
+    centres take markers one at a time, each trying the unused markers in
+    ascending order, and a branch is cut at the first distance to an earlier
+    centre that disagrees.
+    """
     n = len(scan_centers)
     d_scan = np.linalg.norm(scan_centers[:, None] - scan_centers[None, :], axis=2)
     d_arr = np.linalg.norm(array_markers[:, None] - array_markers[None, :], axis=2)
+    # ok[i][j][a][b]: centres i and j may be markers a and b
+    ok = (np.abs(d_scan[:, :, None, None] - d_arr[None, None]) <= tol_m).tolist()
     out = []
-    for perm in itertools.permutations(range(n)):
-        p = np.asarray(perm)
-        if np.all(np.abs(d_scan - d_arr[np.ix_(p, p)]) <= tol_m):
-            out.append(perm)
+    perm = []
+    used = [False] * n
+
+    def extend(i):
+        if i == n:
+            out.append(tuple(perm))
+            return
+        for a in range(n):
+            if not used[a] and all(ok[i][j][a][b] for j, b in enumerate(perm)):
+                used[a] = True
+                perm.append(a)
+                extend(i + 1)
+                perm.pop()
+                used[a] = False
+
+    extend(0)
     return out
 
 

@@ -137,6 +137,49 @@ def test_register_cameras_missing_camera_id(bundle_dir, tmp_path, capsys):
     assert "error:" in err and "'id'" in err and "cam1_intrinsics.json" in err
 
 
+def _without_key(obj, key):
+    """Copy of a JSON object with ``key`` deleted from it, or from the first
+    entry of its first list value that has the key."""
+    obj = json.loads(json.dumps(obj))
+    if key in obj:
+        del obj[key]
+        return obj
+    for value in obj.values():
+        if isinstance(value, list) and value and key in value[0]:
+            del value[0][key]
+            return obj
+    raise KeyError(key)
+
+
+@pytest.mark.parametrize("key", ["pixels", "id", "uv"])
+def test_register_cameras_marker_pixels_missing_key(bundle_dir, tmp_path,
+                                                    capsys, key):
+    cams_dir = tmp_path / "cameras"
+    shutil.copytree(bundle_dir / "cameras", cams_dir)
+    bad = cams_dir / "cam1_marker_pixels.json"
+    bad.write_text(json.dumps(_without_key(json.loads(bad.read_text()), key)))
+    rc = main(["register-cameras",
+               "--markers", str(bundle_dir / "reference_markers.json"),
+               "--cameras-dir", str(cams_dir), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: {bad}: marker pixels missing key '{key}'" in err
+
+
+@pytest.mark.parametrize("key", ["frame", "markers", "id", "position_m"])
+def test_register_cameras_reference_markers_missing_key(bundle_dir, tmp_path,
+                                                        capsys, key):
+    bad = tmp_path / "reference_markers.json"
+    obj = json.loads((bundle_dir / "reference_markers.json").read_text())
+    bad.write_text(json.dumps(_without_key(obj, key)))
+    rc = main(["register-cameras", "--markers", str(bad),
+               "--cameras-dir", str(bundle_dir / "cameras"),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: {bad}: marker set missing key '{key}'" in err
+
+
 # ---------------------------------------------------------------------------
 # mocap
 
@@ -303,6 +346,16 @@ def test_metrics_clouds_and_markers(bundle_dir, tmp_path, capsys):
     assert saved["cd_mm"] == pytest.approx(2.0, abs=1e-3)
 
 
+def test_metrics_markers_missing_frame(bundle_dir, tmp_path, capsys):
+    ref = bundle_dir / "reference_markers.json"
+    bad = tmp_path / "markers.json"
+    bad.write_text(json.dumps(_without_key(json.loads(ref.read_text()), "frame")))
+    rc = main(["metrics", "--markers-a", str(bad), "--markers-b", str(ref)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: {bad}: marker set missing key 'frame'" in err
+
+
 def test_metrics_nothing_to_compute(capsys):
     assert main(["metrics"]) == 1
     assert "nothing to compute" in capsys.readouterr().err
@@ -323,6 +376,25 @@ def test_scene_validates_saved_scene(tmp_path, capsys):
     scene_mod.save(s, d)
     assert main(["scene", str(d)]) == 0
     assert "scene OK" in capsys.readouterr().out
+
+
+def test_scene_rejects_short_skeleton_row(tmp_path, capsys):
+    from twinfuse import scene as scene_mod
+    from twinfuse.mocap import N_JOINTS, Skeleton3DFrame
+    rng = np.random.default_rng(0)
+    frames = tuple(Skeleton3DFrame(0.1 * (k + 1), rng.normal(size=(N_JOINTS, 3)),
+                                   np.zeros(N_JOINTS), np.ones(N_JOINTS, bool))
+                   for k in range(2))
+    d = tmp_path / "scene"
+    scene_mod.save(scene_mod.assemble(
+        skeleton_nodes=[scene_mod.SkeletonNode("surgeon", frames)]), d)
+    csv = d / "surgeon_skeleton.csv"
+    n_lines = len(csv.read_text().splitlines())
+    csv.write_text(csv.read_text() + "0.0,1\n")
+    assert main(["scene", str(d)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {csv}: skeleton CSV line {n_lines + 1}: "
+                   f"expected 7 columns, got 2\n")
 
 
 def test_scene_rejects_corrupt_manifest(tmp_path, capsys):
@@ -348,3 +420,13 @@ def test_synth_export_and_seed_flag(tmp_path, capsys):
     exported = synth.SynthConfig.from_json((out / "config.json").read_text())
     assert exported.seed == 7 and exported.duration_s == 0.2
     assert (out / "scans" / "scan0.ply").exists()
+
+
+def test_synth_rejects_unknown_config_key(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"seed": 0, "bogus": 1}))
+    rc = main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "gen")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {cfg_path}: unknown synth config key(s): 'bogus'\n"
+    assert not (tmp_path / "gen").exists()

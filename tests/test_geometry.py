@@ -1,5 +1,7 @@
 """Rigid-transform algebra, Kabsch alignment, and plane/floor fitting."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +9,11 @@ from hypothesis import strategies as st
 
 from twinfuse.errors import (DegenerateGeometryError, FrameMismatchError,
                              InsufficientCorrespondencesError)
-from twinfuse.geometry import (PlaneFrame, PointCloud, RigidTransform, apply,
-                               build_floor_frame, compose, fit_plane_pca,
-                               identity, invert, kabsch, quat_from_axis_angle,
-                               quat_normalize, ransac_plane_inliers,
-                               rotation_angle_deg)
+from twinfuse.geometry import (PlaneFrame, PointCloud, RigidTransform,
+                               _ransac_draws_needed, apply, build_floor_frame,
+                               compose, fit_plane_pca, identity, invert, kabsch,
+                               quat_from_axis_angle, quat_normalize,
+                               ransac_plane_inliers, rotation_angle_deg)
 
 from conftest import quat_angle_deg, random_transform, transforms_close
 
@@ -284,16 +286,78 @@ def test_build_floor_frame_z_points_toward_body():
 # ---------------------------------------------------------------------------
 # plane RANSAC
 
-def test_ransac_plane_finds_dominant_plane():
+def _floor_with_clutter():
     rng = np.random.default_rng(0)
     floor = _plane_grid(nx=25, ny=25, sx=5.0, sy=5.0)
     floor = floor + rng.normal(0, 0.002, size=floor.shape)
     clutter = rng.uniform([-2, -2, 0.3], [2, 2, 2.5], size=(150, 3))
-    pts = np.concatenate([floor, clutter])
+    return np.concatenate([floor, clutter]), len(floor)
+
+
+def _ransac_reference(pts, threshold_m, iterations, seed):
+    """RANSAC that always makes ``iterations`` draws, then refits."""
+    n = len(pts)
+    rng = np.random.default_rng(seed)
+    best_mask = None
+    best_count = -1
+    for _ in range(iterations):
+        idx = rng.choice(n, size=3, replace=False)
+        p0, p1, p2 = pts[idx]
+        normal = np.cross(p1 - p0, p2 - p0)
+        nn = np.linalg.norm(normal)
+        if nn < 1e-12:
+            continue
+        normal /= nn
+        mask = np.abs((pts - p0) @ normal) <= threshold_m
+        count = int(mask.sum())
+        if count > best_count:
+            best_count = count
+            best_mask = mask
+    for _ in range(5):
+        plane = fit_plane_pca(pts[best_mask])
+        mask = np.abs((pts - plane.origin) @ plane.axes[2]) <= threshold_m
+        if np.array_equal(mask, best_mask):
+            break
+        best_mask = mask
+    return best_mask
+
+
+def test_ransac_plane_finds_dominant_plane():
+    pts, n_floor = _floor_with_clutter()
     mask = ransac_plane_inliers(pts, threshold_m=0.01, iterations=500, seed=0)
-    n_floor = len(floor)
     assert mask[:n_floor].mean() > 0.99
     assert mask[n_floor:].mean() < 0.05
+
+
+@pytest.mark.parametrize("iterations", [1, 500, 1000])
+def test_ransac_plane_matches_all_draws(iterations):
+    pts, _ = _floor_with_clutter()
+    for seed in range(3):
+        expected = _ransac_reference(pts, 0.01, iterations, seed)
+        mask = ransac_plane_inliers(pts, threshold_m=0.01,
+                                    iterations=iterations, seed=seed)
+        assert np.array_equal(mask, expected)
+
+
+def test_ransac_plane_matches_all_draws_on_fused_scans(default_bundle):
+    from twinfuse.fusion import fuse_scans
+    fused, _ = fuse_scans(default_bundle.scans)
+    mask = ransac_plane_inliers(fused.points, threshold_m=0.01,
+                                iterations=1000, seed=0)
+    assert np.array_equal(mask, _ransac_reference(fused.points, 0.01, 1000, 0))
+
+
+def test_ransac_plane_all_coplanar():
+    pts = _plane_grid(nx=30, ny=20, sx=3.0, sy=2.0)
+    assert ransac_plane_inliers(pts, threshold_m=0.01, iterations=1000).all()
+
+
+def test_ransac_draws_needed():
+    assert _ransac_draws_needed(1.0) == 1
+    assert _ransac_draws_needed(0.0) == math.inf
+    # 0.5 ** 3 = 1/8 inliers per draw: ceil(log(1e-5) / log(7/8)) draws
+    assert _ransac_draws_needed(0.5) == 87
+    assert _ransac_draws_needed(0.9) == 9
 
 
 def test_ransac_plane_too_few_points():

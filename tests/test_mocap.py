@@ -108,6 +108,20 @@ def test_skeleton_csv_round_trip():
         assert np.array_equal(a.valid, b.valid)
 
 
+@pytest.mark.parametrize("row, message", [
+    ("0.0,1", "expected 7 columns, got 2"),
+    ("0.0,1,0.1,0.2,0.3,0.5,1,9", "expected 7 columns, got 8"),
+    ("0.0,1,0.1,abc,0.3,0.5,1", "non-numeric value"),
+    ("0.0,1.5,0.1,0.2,0.3,0.5,1", "non-numeric value"),
+    ("0.0,67,0.1,0.2,0.3,0.5,1", "joint id 67 outside 0..66"),
+    ("0.0,-1,0.1,0.2,0.3,0.5,1", "joint id -1 outside 0..66"),
+])
+def test_skeleton_csv_rejects_bad_rows(row, message):
+    text = "t_s,joint_id,x_m,y_m,z_m,residual_px,valid\n0.0,0,1,2,3,0.5,1\n\n"
+    with pytest.raises(ParameterError, match=f"^skeleton CSV line 4: {message}$"):
+        skeleton_track_from_csv(text + row + "\n")
+
+
 # ---------------------------------------------------------------------------
 # select_surgeon
 

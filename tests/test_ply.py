@@ -100,3 +100,30 @@ def test_load_double_precision_ply(tmp_path):
     path.write_bytes(header + pts.astype("<f8").tobytes())
     back = load_ply(path)
     assert np.array_equal(back.points, pts)
+
+
+@pytest.mark.parametrize("color", [False, True])
+def test_load_rejects_truncated_binary_body(tmp_path, color):
+    rng = np.random.default_rng(0)
+    colors = rng.integers(0, 256, size=(10, 3)) if color else None
+    path = tmp_path / "cloud.ply"
+    save_ply(path, PointCloud(rng.normal(size=(10, 3)), colors=colors))
+    record = 15 if color else 12
+    data = path.read_bytes()
+    path.write_bytes(data[:-5])
+    with pytest.raises(ManifestError) as exc_info:
+        load_ply(path)
+    assert str(exc_info.value) == (
+        f"{path}: truncated binary body: 10 vertices need {10 * record} "
+        f"bytes, {10 * record - 5} present")
+
+
+def test_load_rejects_truncated_ascii_body(tmp_path):
+    path = tmp_path / "cloud.ply"
+    save_ply(path, PointCloud(np.random.default_rng(0).normal(size=(10, 3))),
+             binary=False)
+    path.write_bytes(path.read_bytes().rsplit(b" ", 1)[0])
+    with pytest.raises(ManifestError) as exc_info:
+        load_ply(path)
+    assert str(exc_info.value) == (
+        f"{path}: truncated ASCII body: 10 vertices need 30 values, 29 present")

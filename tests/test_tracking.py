@@ -1,5 +1,8 @@
 """Sphere fits, marker-array registration, ICP, and pose-track smoothing."""
 
+import itertools
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from twinfuse.errors import (AmbiguityError, CorrespondenceError,
                              ParameterError)
 from twinfuse.geometry import PointCloud, RigidTransform, invert, kabsch
 from twinfuse.tracking import (IcpParams, MarkerArrayGeometry, PoseTrack,
+                               _consistent_permutations,
                                fit_sphere_fixed_radius, icp,
                                register_marker_array, smooth_track)
 from twinfuse.geometry import quat_normalize
@@ -146,6 +150,72 @@ def test_array_registration_count_mismatch():
         register_marker_array(ARRAY.markers[:3], ARRAY)
 
 
+def _reference_permutations(scan_centers, array_markers, tol_m):
+    """The full enumeration the tree search replaces: every permutation in
+    itertools order, kept where all pairwise distances agree within tol_m."""
+    n = len(scan_centers)
+    d_scan = np.linalg.norm(scan_centers[:, None] - scan_centers[None, :], axis=2)
+    d_arr = np.linalg.norm(array_markers[:, None] - array_markers[None, :], axis=2)
+    perms = np.array(list(itertools.permutations(range(n))))
+    ok = np.all(np.abs(d_scan - d_arr[perms[:, :, None], perms[:, None, :]])
+                <= tol_m, axis=(1, 2))
+    return [tuple(int(i) for i in p) for p in perms[ok]]
+
+
+def _square_with_apex():
+    return np.array([[0.04, 0.0, 0.0], [0.0, 0.04, 0.0], [-0.04, 0.0, 0.0],
+                     [0.0, -0.04, 0.0], [0.0, 0.0, 0.05]])
+
+
+def _regular_hexagon():
+    a = np.arange(6) * np.pi / 3
+    return np.column_stack([0.05 * np.cos(a), 0.05 * np.sin(a), np.zeros(6)])
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("tol_m", [1e-4, 5e-4, 5e-3, 3e-2])
+def test_tree_search_matches_enumeration_random(n, tol_m):
+    for seed in range(3):
+        rng = np.random.default_rng(1000 * n + seed)
+        markers = rng.uniform(-0.06, 0.06, size=(n, 3))
+        truth = random_transform(rng, "array", "model", t_scale=0.3)
+        centers = truth.apply_points(markers)[rng.permutation(n)]
+        centers = centers + rng.normal(0, 1e-4, size=centers.shape)
+        expected = _reference_permutations(centers, markers, tol_m)
+        assert _consistent_permutations(centers, markers, tol_m) == expected
+
+
+@pytest.mark.parametrize("markers, n_candidates", [
+    (_square_with_apex(), 8), (_regular_hexagon(), 12)])
+def test_tree_search_matches_enumeration_symmetric(markers, n_candidates):
+    rng = np.random.default_rng(4)
+    array = MarkerArrayGeometry(markers, radius_m=RADIUS)
+    truth = random_transform(rng, "array", "model", t_scale=0.3)
+    centers = truth.apply_points(markers)[rng.permutation(len(markers))]
+    centers = centers + rng.normal(0, 5e-5, size=centers.shape)
+    expected = _reference_permutations(centers, markers, 0.0005)
+    assert len(expected) == n_candidates
+    with pytest.raises(AmbiguityError) as exc_info:
+        register_marker_array(centers, array)
+    assert exc_info.value.candidates == expected
+
+
+def test_array_registration_twelve_markers():
+    # 12! = 479,001,600 permutations: only a pruned search finishes
+    rng = np.random.default_rng(12)
+    array = MarkerArrayGeometry(rng.uniform(-0.08, 0.08, size=(12, 3)),
+                                radius_m=RADIUS)
+    truth = random_transform(rng, "array", "model", t_scale=0.3)
+    shuffle = rng.permutation(12)
+    centers = truth.apply_points(array.markers)[shuffle]
+    centers = centers + rng.normal(0, 5e-5, size=centers.shape)
+    assert _consistent_permutations(centers, array.markers, 0.0005) == [
+        tuple(int(i) for i in shuffle)]
+    t, rmse = register_marker_array(centers, array)
+    t_mm, r_deg = pose_error(t, truth)
+    assert rmse < 0.2 and t_mm < 0.2 and r_deg < 0.2
+
+
 def test_array_geometry_validation():
     with pytest.raises(ParameterError):
         MarkerArrayGeometry(np.zeros((2, 3)))
@@ -159,6 +229,17 @@ def test_array_geometry_json_round_trip():
     back = MarkerArrayGeometry.from_json(ARRAY.to_json())
     assert back.radius_m == ARRAY.radius_m
     assert np.array_equal(back.markers, ARRAY.markers)
+
+
+@pytest.mark.parametrize("key", ["radius_m", "markers", "position_m"])
+def test_array_geometry_json_missing_key(key):
+    obj = json.loads(ARRAY.to_json())
+    if key == "position_m":
+        del obj["markers"][1][key]
+    else:
+        del obj[key]
+    with pytest.raises(ParameterError, match=f"marker array missing key '{key}'"):
+        MarkerArrayGeometry.from_json(json.dumps(obj))
 
 
 # ---------------------------------------------------------------------------
