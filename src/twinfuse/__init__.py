@@ -8,7 +8,7 @@ from .fusion import (FusionReport, MarkerSet, ScanRecord, crop_aabb,
                      finalize_reference, fuse_scans, match_markers,
                      register_scan, remove_statistical_outliers,
                      voxel_downsample)
-from .metrics import (MetricsReport, chamfer, chamfer_one_sided, marker_rmse,
+from .metrics import (chamfer, chamfer_one_sided, marker_rmse,
                       reprojection_stats)
 from .cameras import (CameraIntrinsics, CameraModel, PixelObservation,
                       estimate_time_offset, project, solve_pnp, triangulate,

@@ -6,8 +6,10 @@ Exit codes: 0 success, 1 pipeline failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import glob
 import json
+import math
 import os
 import sys
 
@@ -17,6 +19,7 @@ from . import fusion, metrics, mocap, scene, synth
 from .cameras import CameraIntrinsics, CameraModel, solve_pnp
 from .errors import EmptySelectionError, ParameterError, TwinfuseError
 from .fusion import MarkerSet, ScanRecord
+from .geometry import PointCloud
 from .metrics import render_reprojection_table
 from .ply import load_ply, save_ply
 from .tracking import PoseTrack, smooth_track
@@ -30,8 +33,6 @@ def _fail(message: str) -> int:
 def _parsed(path: str, parse):
     """``parse`` applied to the text of ``path``; a ParameterError it raises
     and malformed JSON are raised as ParameterError naming the file."""
-    if not os.path.exists(path):
-        raise TwinfuseError(f"missing file: {path}")
     with open(path) as f:
         text = f.read()
     try:
@@ -94,9 +95,31 @@ def _intrinsics_record(text: str) -> tuple[str, CameraIntrinsics]:
 def _marker_pixels(text: str) -> list[tuple[str, list]]:
     o = json.loads(text)
     try:
-        return [(entry["id"], entry["uv"]) for entry in o["pixels"]]
+        pixels = [(entry["id"], entry["uv"]) for entry in o["pixels"]]
     except KeyError as exc:
         raise ParameterError(f"marker pixels missing key {exc}") from None
+    for mid, uv in pixels:
+        if not (isinstance(uv, list) and len(uv) == 2
+                and all(type(x) in (int, float) and math.isfinite(x)
+                        for x in uv)):
+            raise ParameterError(f"marker pixels: 'uv' of {mid!r} must be two "
+                                 f"finite numbers, got {uv!r}")
+    return pixels
+
+
+def _register_camera(cam_id: str, intr: CameraIntrinsics, marker_uv,
+                     reference: MarkerSet) -> tuple[CameraModel, tuple]:
+    """PnP-registered camera from ``(marker id, uv)`` pairs (ids missing from
+    ``reference`` skipped) and its (mean, std) reprojection error in px."""
+    pairs = [(reference.positions[mid], uv) for mid, uv in marker_uv
+             if mid in reference.positions]
+    points = np.array([p for p, _ in pairs])
+    pixels = np.array([uv for _, uv in pairs])
+    pose, _ = solve_pnp(points, pixels, intr)
+    cam = CameraModel(cam_id, intr,
+                      pose.with_frames(f"camera:{cam_id}", reference.frame))
+    observations = [(cam_id, pixels[i], points[i]) for i in range(len(points))]
+    return cam, metrics.reprojection_stats(observations, [cam])
 
 
 def cmd_register_cameras(args) -> int:
@@ -111,22 +134,15 @@ def cmd_register_cameras(args) -> int:
     for intr_path in intr_paths:
         cam_id, intr = _parsed(intr_path, _intrinsics_record)
         pix_path = os.path.join(args.cameras_dir, f"{cam_id}_marker_pixels.json")
-        points, pixels = [], []
-        for mid, uv in _parsed(pix_path, _marker_pixels):
-            if mid in reference.positions:
-                points.append(reference.positions[mid])
-                pixels.append(uv)
+        marker_uv = _parsed(pix_path, _marker_pixels)
         try:
-            pose, mean_px = solve_pnp(np.array(points), np.array(pixels), intr)
+            cam, per_camera[cam_id] = _register_camera(cam_id, intr, marker_uv,
+                                                       reference)
         except TwinfuseError as exc:
             failures.append(f"{cam_id}: {exc}")
             continue
-        pose = pose.with_frames(f"camera:{cam_id}", reference.frame)
-        cam = CameraModel(cam_id, intr, pose)
         with open(os.path.join(args.out, f"{cam_id}_calibration.json"), "w") as f:
             f.write(cam.to_json())
-        observations = [(cam_id, pixels[i], points[i]) for i in range(len(points))]
-        per_camera[cam_id] = metrics.reprojection_stats(observations, [cam])
     table = render_reprojection_table(per_camera) if per_camera else ""
     with open(os.path.join(args.out, "reprojection_stats.json"), "w") as f:
         json.dump({cid: {"mean_px": m, "std_px": s}
@@ -145,6 +161,21 @@ def cmd_register_cameras(args) -> int:
 # ---------------------------------------------------------------------------
 # mocap
 
+def _triangulate_frames(frame_groups, cameras, table_center) -> list:
+    """The surgeon's Skeleton3DFrame for each group of same-time keypoint
+    frames; a group with no person detections is skipped."""
+    frames3d = []
+    for frames in frame_groups:
+        try:
+            selection = mocap.select_surgeon(frames, cameras, table_center)
+        except EmptySelectionError:
+            continue
+        frames3d.append(mocap.triangulate_skeleton(frames, selection, cameras))
+    if not frames3d:
+        raise TwinfuseError("no timestamps could be triangulated")
+    return frames3d
+
+
 def cmd_mocap(args) -> int:
     cal_paths = sorted(glob.glob(os.path.join(args.cameras_dir,
                                               "*_calibration.json")))
@@ -159,16 +190,8 @@ def cmd_mocap(args) -> int:
         frame = _parsed(p, mocap.Keypoint2DFrame.from_json)
         by_time.setdefault(frame.t_s, []).append(frame)
     table_center = np.array([float(v) for v in args.table_center.split(",")])
-    frames3d = []
-    for t in sorted(by_time):
-        frames = by_time[t]
-        try:
-            selection = mocap.select_surgeon(frames, cameras, table_center)
-        except EmptySelectionError:
-            continue
-        frames3d.append(mocap.triangulate_skeleton(frames, selection, cameras))
-    if not frames3d:
-        return _fail("no timestamps could be triangulated")
+    frames3d = _triangulate_frames([by_time[t] for t in sorted(by_time)],
+                                   cameras, table_center)
     if args.window > 1:
         frames3d = mocap.smooth_skeleton(frames3d, args.window)
     with open(args.out, "w", newline="") as f:
@@ -241,18 +264,63 @@ def cmd_scene(args) -> int:
 # synth
 
 def cmd_synth(args) -> int:
-    if args.config:
-        config = _parsed(args.config, synth.SynthConfig.from_json)
-        if args.seed is not None:
-            config = synth.SynthConfig(**{**json.loads(config.to_json()),
-                                          "seed": args.seed,
-                                          "room_extent_m": config.room_extent_m})
-    else:
-        config = synth.SynthConfig(seed=args.seed if args.seed is not None else 0)
-    bundle = synth.generate(config)
-    synth.export_bundle(bundle, args.out)
+    config = (_parsed(args.config, synth.SynthConfig.from_json) if args.config
+              else synth.SynthConfig())
+    if args.seed is not None:
+        config = dataclasses.replace(config, seed=args.seed)
+    synth.export_bundle(synth.generate(config), args.out)
     print(f"wrote synthetic bundle (seed {config.seed}) to {args.out}")
     return 0
+
+
+# ---------------------------------------------------------------------------
+# pipeline
+
+def cmd_pipeline(args) -> int:
+    config = synth.SynthConfig(seed=args.seed, duration_s=args.duration)
+    bundle = synth.generate(config)
+    print(f"generated bundle: seed {config.seed}, {config.scan_count} scans, "
+          f"{config.camera_count} cameras, {len(bundle.skeleton_true)} frames")
+
+    fused, report = fusion.fuse_scans(bundle.scans)
+    print(f"\n{report.render_table()}")
+    for row in report.rows:
+        truth = synth.true_relative_scan_pose(bundle, row.name,
+                                              report.reference_name)
+        t_mm, r_deg = synth.pose_error(row.transform, truth)
+        print(f"  {row.name}: pose error {t_mm:.2f} mm / {r_deg:.3f} deg")
+    final, floor_t = fusion.finalize_reference(fused)
+
+    print()
+    per_camera = {}
+    for cam in bundle.cameras:
+        entries = bundle.marker_pixels[cam.id]
+        est, per_camera[cam.id] = _register_camera(
+            cam.id, cam.intrinsics, [(mid, (u, v)) for mid, u, v in entries],
+            bundle.markers)
+        name = f"camera:{cam.id}"
+        err = synth.compare_to_truth(bundle, {name: est.world_from_camera})[name]
+        print(f"  {cam.id}: PnP from {len(entries)} markers, error "
+              f"{err['translation_error_mm']:.2f} mm / "
+              f"{err['rotation_error_deg']:.3f} deg")
+    print(f"\n{render_reprojection_table(per_camera)}")
+
+    frames3d = _triangulate_frames(bundle.keypoint_frames, bundle.cameras,
+                                   bundle.table_center)
+    truth = {f.t_s: f for f in bundle.skeleton_true}
+    errs = np.concatenate([
+        np.linalg.norm(f.positions - truth[f.t_s].positions, axis=1)
+        [f.valid & truth[f.t_s].valid] for f in frames3d]) * 1000.0
+    print(f"skeleton: median joint error {np.median(errs):.2f} mm "
+          f"over {len(errs)} joint samples")
+
+    room = scene.StaticNode("room", final, floor_t.with_frames("room", "reference"))
+    # one point at the body origin stands in for the instrument's shape
+    shape = PointCloud(np.zeros((1, 3)), frame="body")
+    drill = scene.DynamicNode("instrument", shape, bundle.instrument_track_noisy)
+    surgeon = scene.SkeletonNode("surgeon", tuple(frames3d))
+    scene.save(scene.assemble([room], [drill], [surgeon]), args.out)
+    return cmd_scene(argparse.Namespace(scene_dir=args.out))
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +386,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="SynthConfig JSON (flags win over file)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
+
+    p = sub.add_parser("pipeline", help="run synth to scene in memory and "
+                                        "report errors against the truth")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--duration", type=float, default=2.0, help="capture seconds")
+    p.add_argument("--out", default="pipeline_out", help="scene directory")
+    p.set_defaults(func=cmd_pipeline)
     return parser
 
 

@@ -26,22 +26,19 @@ class MarkerSet:
     def __post_init__(self):
         pos = {}
         for mid, p in self.positions.items():
-            arr = np.asarray(p, dtype=float).reshape(3)
+            try:
+                arr = np.asarray(p, dtype=float).reshape(3)
+            except (TypeError, ValueError):
+                arr = np.full(3, np.nan)
             if not np.all(np.isfinite(arr)):
-                raise ValueError(f"marker {mid!r} has non-finite position")
+                raise ParameterError(f"marker {mid!r} position must be 3 "
+                                     f"finite numbers, got {p!r}")
             arr.setflags(write=False)
             pos[str(mid)] = arr
         object.__setattr__(self, "positions", pos)
 
     def __len__(self) -> int:
         return len(self.positions)
-
-    def transformed(self, t: RigidTransform) -> "MarkerSet":
-        if self.frame != t.from_frame:
-            raise TwinfuseError(
-                f"marker set in frame {self.frame!r}, transform from {t.from_frame!r}")
-        return MarkerSet(t.to_frame,
-                         {k: t.apply_points(v) for k, v in self.positions.items()})
 
     def to_json(self) -> str:
         return json.dumps({
@@ -58,6 +55,9 @@ class MarkerSet:
                        {m["id"]: m["position_m"] for m in obj["markers"]})
         except KeyError as exc:
             raise ParameterError(f"marker set missing key {exc}") from None
+        except TypeError:
+            raise ParameterError("marker set is not an object with a list of "
+                                 "marker objects under 'markers'") from None
 
 
 @dataclass(frozen=True)

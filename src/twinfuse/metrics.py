@@ -2,35 +2,12 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict
-
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import (InsufficientCorrespondencesError, NoOverlapError,
                      ParameterError, UnknownEntityError)
 from .geometry import PointCloud
-
-
-@dataclass
-class MetricsReport:
-    """Scalar summary of a pipeline evaluation. All distances mm, errors px."""
-
-    rmse_mm: float = 0.0
-    cd_mm: float = 0.0
-    cd_one_sided_mm: float = 0.0
-    reproj_mean_px: float = 0.0
-    reproj_std_px: float = 0.0
-    samples_used: int = 0
-    samples_filtered: int = 0
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MetricsReport":
-        return cls(**json.loads(text))
 
 
 def marker_rmse(a, b) -> float:

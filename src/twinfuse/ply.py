@@ -71,6 +71,9 @@ def load_ply(path, frame: str = "world") -> PointCloud:
         elif tok[0] == "element":
             in_vertex = tok[1] == "vertex"
             if in_vertex:
+                if len(tok) < 3 or not tok[2].isdigit():
+                    raise ManifestError(f"{path}: vertex count is not a "
+                                        f"non-negative integer: {line!r}")
                 n_vertex = int(tok[2])
         elif tok[0] == "property" and in_vertex:
             props.append((tok[1], tok[2]))
@@ -100,14 +103,17 @@ def load_ply(path, frame: str = "world") -> PointCloud:
                                 f"{len(body)} present")
         rec = np.frombuffer(body, dtype=dtype, count=n_vertex)
     else:
-        rows = body.decode("ascii").split()
+        rows = body.decode("ascii", errors="replace").split()
         ncol = len(props)
         if len(rows) < n_vertex * ncol:
             raise ManifestError(f"{path}: truncated ASCII body: {n_vertex} "
                                 f"vertices need {n_vertex * ncol} values, "
                                 f"{len(rows)} present")
-        arr = np.array(rows[:n_vertex * ncol], dtype=float).reshape(n_vertex, ncol)
-        rec = {name: arr[:, i] for i, (_, name) in enumerate(props)}
+        try:
+            arr = np.array(rows[:n_vertex * ncol], dtype=float)
+        except ValueError as exc:
+            raise ManifestError(f"{path}: ASCII body: {exc}") from None
+        rec = {name: arr[i::ncol] for i, (_, name) in enumerate(props)}
     pts = np.column_stack([np.asarray(rec["x"], dtype=float),
                            np.asarray(rec["y"], dtype=float),
                            np.asarray(rec["z"], dtype=float)])

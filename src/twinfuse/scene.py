@@ -269,25 +269,35 @@ def load(directory) -> TwinScene:
     except json.JSONDecodeError as exc:
         raise ManifestError(f"{path}: malformed JSON at line {exc.lineno}, "
                             f"column {exc.colno}: {exc.msg}")
+    if not isinstance(manifest, dict):
+        raise ManifestError(f"{path}: manifest is not a JSON object")
     version = manifest.get("version")
     if version != MANIFEST_VERSION:
         raise ManifestError(f"{path}: unknown manifest version {version!r} "
                             f"(supported: {MANIFEST_VERSION!r})")
-    ref = manifest["reference_frame"]
 
-    def read_asset(entry):
+    def field(obj, key, owner):
+        if not isinstance(obj, dict) or key not in obj:
+            raise ManifestError(f"{path}: {owner} missing field {key!r}")
+        return obj[key]
+
+    ref = field(manifest, "reference_frame", "manifest")
+
+    def read_asset(entry, name):
+        asset = field(entry, "asset", f"node {name!r}")
         if entry.get("cloud"):
-            ply_path = os.path.join(directory, entry["asset"])
+            ply_path = os.path.join(directory, asset)
             if not os.path.exists(ply_path):
-                raise ManifestError(f"{path}: node {entry['name']!r} references "
+                raise ManifestError(f"{path}: node {name!r} references "
                                     f"missing asset {ply_path}")
             return load_ply(ply_path, frame=ref)
-        return entry["asset"]
+        return asset
 
-    def read_track(entry, kind, parse):
-        track_path = os.path.join(directory, entry["track"])
+    def read_track(entry, name, kind, parse):
+        track_path = os.path.join(directory,
+                                  field(entry, "track", f"{kind} {name!r}"))
         if not os.path.exists(track_path):
-            raise ManifestError(f"{path}: {kind} {entry['name']!r} references "
+            raise ManifestError(f"{path}: {kind} {name!r} references "
                                 f"missing track {track_path}")
         with open(track_path) as f:
             text = f.read()
@@ -298,22 +308,27 @@ def load(directory) -> TwinScene:
 
     static = []
     for entry in manifest.get("static", []):
+        name = field(entry, "name", "static node")
         try:
-            pose = _pose_from_obj(entry["pose"])
+            pose = _pose_from_obj(field(entry, "pose", f"static node {name!r}"))
         except KeyError as exc:
-            raise ManifestError(f"{path}: static node {entry.get('name')!r} "
+            raise ManifestError(f"{path}: static node {name!r} "
                                 f"missing field {exc}")
-        static.append(StaticNode(entry["name"], read_asset(entry), pose))
+        except (TypeError, ValueError) as exc:
+            raise ManifestError(f"{path}: static node {name!r} pose: {exc}")
+        static.append(StaticNode(name, read_asset(entry, name), pose))
     dynamic = []
     for entry in manifest.get("dynamic", []):
+        name = field(entry, "name", "dynamic node")
         frame = entry.get("track_frame", ref)
-        track = read_track(entry, "node",
+        track = read_track(entry, name, "node",
                            lambda text: PoseTrack.from_csv(text, frame=frame))
-        dynamic.append(DynamicNode(entry["name"], read_asset(entry), track))
+        dynamic.append(DynamicNode(name, read_asset(entry, name), track))
     skeletons = []
     for entry in manifest.get("skeletons", []):
-        frames = read_track(entry, "skeleton", skeleton_track_from_csv)
-        skeletons.append(SkeletonNode(entry["name"], tuple(frames)))
+        name = field(entry, "name", "skeleton")
+        frames = read_track(entry, name, "skeleton", skeleton_track_from_csv)
+        skeletons.append(SkeletonNode(name, tuple(frames)))
     return assemble(static, dynamic, skeletons, reference_frame=ref)
 
 

@@ -28,6 +28,20 @@ from .ply import save_ply
 from .tracking import PoseTrack
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_FIELD_TYPES = {  # SynthConfig annotation -> (what it must be, check)
+    "int": ("an int", lambda v: _is_number(v) and isinstance(v, int)),
+    "float": ("a number", _is_number),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "tuple": ("3 positive numbers",
+              lambda v: isinstance(v, (tuple, list)) and len(v) == 3
+              and all(_is_number(x) and x > 0 for x in v)),
+}
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     seed: int = 0
@@ -48,6 +62,11 @@ class SynthConfig:
     include_bystander: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            want, check = _FIELD_TYPES[f.type]
+            if not check(getattr(self, f.name)):
+                raise ParameterError(f"{f.name} must be {want}, "
+                                     f"got {getattr(self, f.name)!r}")
         if self.marker_count < 1 or self.scan_count < 1 or self.camera_count < 1:
             raise ParameterError("counts must be >= 1")
         if not (1 <= self.visibility_min <= self.visibility_max <= self.marker_count):
@@ -65,6 +84,8 @@ class SynthConfig:
     @classmethod
     def from_json(cls, text: str) -> "SynthConfig":
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ParameterError("synth config is not a JSON object")
         unknown = sorted(set(obj) - {f.name for f in fields(cls)})
         if unknown:
             raise ParameterError("unknown synth config key(s): "

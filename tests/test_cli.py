@@ -1,5 +1,6 @@
 """End-to-end command-line interface tests (run in process)."""
 
+import functools
 import json
 import os
 import shutil
@@ -137,47 +138,84 @@ def test_register_cameras_missing_camera_id(bundle_dir, tmp_path, capsys):
     assert "error:" in err and "'id'" in err and "cam1_intrinsics.json" in err
 
 
-def _without_key(obj, key):
-    """Copy of a JSON object with ``key`` deleted from it, or from the first
-    entry of its first list value that has the key."""
-    obj = json.loads(json.dumps(obj))
+def _holder(obj, key):
+    """``obj`` if it has ``key``, else the first entry of its first list
+    value that has the key."""
     if key in obj:
-        del obj[key]
         return obj
     for value in obj.values():
         if isinstance(value, list) and value and key in value[0]:
-            del value[0][key]
-            return obj
+            return value[0]
     raise KeyError(key)
 
 
-@pytest.mark.parametrize("key", ["pixels", "id", "uv"])
+def _without_key(obj, key):
+    """Copy of a JSON object with ``key`` deleted from ``_holder``."""
+    obj = json.loads(json.dumps(obj))
+    del _holder(obj, key)[key]
+    return obj
+
+
+def _with_value(obj, key, value):
+    """Copy of a JSON object with ``key`` set to ``value`` in ``_holder``."""
+    obj = json.loads(json.dumps(obj))
+    _holder(obj, key)[key] = value
+    return obj
+
+
+def _missing(key, what):
+    return pytest.param(functools.partial(_without_key, key=key),
+                        f"{what} missing key '{key}'", id=key)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    *(_missing(key, "marker pixels") for key in ("pixels", "id", "uv")),
+    pytest.param(lambda o: _with_value(o, "uv", [1.0]),
+                 "marker pixels: 'uv' of 'M", id="uv-one-number"),
+    pytest.param(lambda o: _with_value(o, "uv", ["1", 2.0]),
+                 "marker pixels: 'uv' of 'M", id="uv-not-numbers"),
+])
 def test_register_cameras_marker_pixels_missing_key(bundle_dir, tmp_path,
-                                                    capsys, key):
+                                                    capsys, corrupt, message):
     cams_dir = tmp_path / "cameras"
     shutil.copytree(bundle_dir / "cameras", cams_dir)
     bad = cams_dir / "cam1_marker_pixels.json"
-    bad.write_text(json.dumps(_without_key(json.loads(bad.read_text()), key)))
+    bad.write_text(json.dumps(corrupt(json.loads(bad.read_text()))))
     rc = main(["register-cameras",
                "--markers", str(bundle_dir / "reference_markers.json"),
                "--cameras-dir", str(cams_dir), "--out", str(tmp_path / "out")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert f"error: {bad}: marker pixels missing key '{key}'" in err
+    assert err.startswith(f"error: {bad}: {message}")
+    assert len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("key", ["frame", "markers", "id", "position_m"])
+@pytest.mark.parametrize("corrupt, message", [
+    *(_missing(key, "marker set")
+      for key in ("frame", "markers", "id", "position_m")),
+    pytest.param(lambda o: _with_value(o, "position_m", [1.0, 2.0]),
+                 "marker 'M01' position must be 3 finite numbers, "
+                 "got [1.0, 2.0]", id="position_m-length"),
+    pytest.param(lambda o: _with_value(o, "position_m", [1.0, float("nan"), 0]),
+                 "marker 'M01' position must be 3 finite numbers, "
+                 "got [1.0, nan, 0]", id="position_m-nan"),
+    pytest.param(lambda o: _with_value(o, "markers", {"id": "M01"}),
+                 "marker set is not an object with a list of marker objects "
+                 "under 'markers'",
+                 id="markers-not-list"),
+])
 def test_register_cameras_reference_markers_missing_key(bundle_dir, tmp_path,
-                                                        capsys, key):
+                                                        capsys, corrupt,
+                                                        message):
     bad = tmp_path / "reference_markers.json"
     obj = json.loads((bundle_dir / "reference_markers.json").read_text())
-    bad.write_text(json.dumps(_without_key(obj, key)))
+    bad.write_text(json.dumps(corrupt(obj)))
     rc = main(["register-cameras", "--markers", str(bad),
                "--cameras-dir", str(bundle_dir / "cameras"),
                "--out", str(tmp_path / "out")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert f"error: {bad}: marker set missing key '{key}'" in err
+    assert err == f"error: {bad}: {message}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -430,3 +468,38 @@ def test_synth_rejects_unknown_config_key(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"error: {cfg_path}: unknown synth config key(s): 'bogus'\n"
     assert not (tmp_path / "gen").exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"seed": "zero"}, "seed must be an int, got 'zero'"),
+    ({"marker_count": "5"}, "marker_count must be an int, got '5'"),
+])
+def test_synth_rejects_wrong_config_type(tmp_path, capsys, config, message):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    rc = main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "gen")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {cfg_path}: {message}\n"
+    assert not (tmp_path / "gen").exists()
+
+
+# ---------------------------------------------------------------------------
+# pipeline
+
+def _tree_bytes(directory):
+    return {p.relative_to(directory): p.read_bytes()
+            for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+def test_pipeline_writes_a_valid_deterministic_scene(tmp_path, capsys):
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["pipeline", "--duration", "0.1", "--out", str(out)]) == 0
+        assert main(["scene", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert "skeleton: median joint error" in text
+    assert "cam5: PnP from" in text
+    assert _tree_bytes(outs[0]) == _tree_bytes(outs[1])
+    assert sorted(str(p) for p in _tree_bytes(outs[0])) == [
+        "instrument.ply", "instrument_track.csv", "room.ply", "scene.json",
+        "surgeon_skeleton.csv"]

@@ -10,9 +10,8 @@ from twinfuse.errors import (InsufficientCorrespondencesError, NoOverlapError,
                              ParameterError, UnknownEntityError)
 from twinfuse.fusion import MarkerSet
 from twinfuse.geometry import PointCloud
-from twinfuse.metrics import (MetricsReport, chamfer, chamfer_one_sided,
-                              marker_rmse, render_reprojection_table,
-                              reprojection_stats)
+from twinfuse.metrics import (chamfer, chamfer_one_sided, marker_rmse,
+                              render_reprojection_table, reprojection_stats)
 
 from conftest import look_at_camera_pose, random_transform
 
@@ -199,12 +198,3 @@ def test_reprojection_table_layout():
     assert lines[0].split() == ["Camera", "cam0", "cam1", "Mean"]
     assert "0.60" in lines[2]  # mean of the per-camera means
     assert "0.20" in lines[3]
-
-
-# ---------------------------------------------------------------------------
-# MetricsReport
-
-def test_report_json_round_trip():
-    report = MetricsReport(rmse_mm=5.5, cd_mm=11.2, reproj_mean_px=0.6,
-                           samples_used=120, samples_filtered=3)
-    assert MetricsReport.from_json(report.to_json()) == report

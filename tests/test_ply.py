@@ -127,3 +127,19 @@ def test_load_rejects_truncated_ascii_body(tmp_path):
         load_ply(path)
     assert str(exc_info.value) == (
         f"{path}: truncated ASCII body: 10 vertices need 30 values, 29 present")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\n"
+     "property float y\nproperty float z\nend_header\n1 x 1\n",
+     "ASCII body: could not convert string to float: 'x'"),
+    ("ply\nformat ascii 1.0\nelement vertex two\nproperty float x\n"
+     "property float y\nproperty float z\nend_header\n1 2 3\n",
+     "vertex count is not a non-negative integer: 'element vertex two'"),
+], ids=["non-numeric-value", "non-integer-count"])
+def test_load_rejects_malformed_ascii(tmp_path, text, message):
+    path = tmp_path / "cloud.ply"
+    path.write_text(text)
+    with pytest.raises(ManifestError) as exc_info:
+        load_ply(path)
+    assert str(exc_info.value) == f"{path}: {message}"

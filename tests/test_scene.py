@@ -278,6 +278,45 @@ def test_load_rejects_missing_pose_field(tmp_path):
         load(tmp_path)
 
 
+def _set_quat(q):
+    def set_quat(m):
+        m["static"][0]["pose"]["q_wxyz"] = q
+    return set_quat
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda m: m.pop("reference_frame"),
+     "manifest missing field 'reference_frame'"),
+    (lambda m: m["dynamic"][0].pop("name"),
+     "dynamic node missing field 'name'"),
+    (lambda m: m["dynamic"][0].pop("asset"),
+     "node 'drill' missing field 'asset'"),
+    (lambda m: m["dynamic"][0].pop("track"),
+     "node 'drill' missing field 'track'"),
+    (lambda m: m["skeletons"][0].pop("track"),
+     "skeleton 'surgeon' missing field 'track'"),
+    (_set_quat([0, 0, 0, 0]),
+     "static node 'room' pose: cannot normalize zero/non-finite quaternion"),
+    (_set_quat([float("nan"), 0, 0, 0]),
+     "static node 'room' pose: cannot normalize zero/non-finite quaternion"),
+], ids=["no-reference-frame", "node-no-name", "node-no-asset",
+        "node-no-track", "skeleton-no-track", "zero-quat", "nan-quat"])
+def test_load_rejects_malformed_manifest(tmp_path, mutate, message):
+    save(_scene(), tmp_path)
+    _mutate_manifest(tmp_path, mutate)
+    with pytest.raises(ManifestError) as exc_info:
+        load(tmp_path)
+    assert str(exc_info.value) == f"{tmp_path / 'scene.json'}: {message}"
+
+
+def test_load_rejects_non_object_manifest(tmp_path):
+    (tmp_path / "scene.json").write_text("[]")
+    with pytest.raises(ManifestError) as exc_info:
+        load(tmp_path)
+    assert str(exc_info.value) == (f"{tmp_path / 'scene.json'}: "
+                                   f"manifest is not a JSON object")
+
+
 def test_scenes_equal_detects_point_change(tmp_path):
     a = _scene(11)
     save(a, tmp_path)

@@ -29,6 +29,29 @@ def test_config_validation():
         SynthConfig(duration_s=0.0)
 
 
+@pytest.mark.parametrize("field, value, want", [
+    ("seed", "zero", "an int"),
+    ("seed", True, "an int"),
+    ("marker_count", "5", "an int"),
+    ("camera_count", 5.0, "an int"),
+    ("duration_s", "2", "a number"),
+    ("pixel_sigma_px", False, "a number"),
+    ("room_extent_m", (7.0, 5.0), "3 positive numbers"),
+    ("room_extent_m", (7.0, 5.0, 0.0), "3 positive numbers"),
+    ("room_extent_m", (7.0, "5", 3.0), "3 positive numbers"),
+    ("include_bystander", 1, "true or false"),
+])
+def test_config_rejects_wrong_type(field, value, want):
+    with pytest.raises(ParameterError) as exc_info:
+        SynthConfig(**{field: value})
+    assert str(exc_info.value) == f"{field} must be {want}, got {value!r}"
+
+
+def test_config_accepts_int_for_float_fields():
+    cfg = SynthConfig(duration_s=2, room_extent_m=[7, 5, 3])
+    assert cfg.duration_s == 2 and tuple(cfg.room_extent_m) == (7, 5, 3)
+
+
 def test_config_json_round_trip():
     cfg = SynthConfig(seed=9, scan_count=3, skeleton_jitter_m=0.004)
     assert SynthConfig.from_json(cfg.to_json()) == cfg
