@@ -13,7 +13,7 @@ from .metrics import (chamfer, chamfer_one_sided, marker_rmse,
 from .cameras import (CameraIntrinsics, CameraModel, PixelObservation,
                       estimate_time_offset, project, solve_pnp, triangulate,
                       unproject)
-from .tracking import (IcpParams, IcpResult, MarkerArrayGeometry, PoseTrack,
+from .tracking import (IcpResult, MarkerArrayGeometry, PoseTrack,
                        fit_sphere_fixed_radius, icp, register_marker_array,
                        smooth_track)
 from .mocap import (Keypoint2DFrame, PersonDetection, Skeleton3DFrame,

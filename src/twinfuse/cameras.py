@@ -4,6 +4,7 @@ temporal-offset estimation between tracks."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,12 @@ from .geometry import (RigidTransform, invert, matrix_to_quat, quat_to_matrix,
 
 CONFIDENCE_FLOOR = 0.1  # observations below this weight are discarded
 MIN_RAY_ANGLE_DEG = 0.25  # widest ray pair below this is a degenerate triangulation
+
+
+def _is_number(value) -> bool:
+    """A finite int or float, as JSON numbers parse (not a bool)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -33,13 +40,19 @@ class CameraIntrinsics:
     center: np.ndarray = field(init=False, repr=False, compare=False)  # (cx, cy)
 
     def __post_init__(self):
+        for name in ("fx", "fy", "cx", "cy", "width", "height"):
+            if not _is_number(getattr(self, name)):
+                raise ParameterError(f"{name} must be a finite number, "
+                                     f"got {getattr(self, name)!r}")
         if self.fx <= 0 or self.fy <= 0:
             raise ParameterError("focal lengths must be positive")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ParameterError("principal point must lie inside the image")
-        object.__setattr__(self, "dist", tuple(float(d) for d in self.dist))
-        if len(self.dist) != 5:
-            raise ParameterError("distortion must have 5 coefficients")
+        dist = tuple(self.dist) if isinstance(self.dist, (tuple, list)) else ()
+        if len(dist) != 5 or not all(map(_is_number, dist)):
+            raise ParameterError(f"distortion must be 5 finite numbers, "
+                                 f"got {self.dist!r}")
+        object.__setattr__(self, "dist", tuple(map(float, dist)))
         for name, pair in (("focal", (self.fx, self.fy)),
                            ("center", (self.cx, self.cy))):
             a = np.array(pair, dtype=float)
@@ -51,9 +64,11 @@ class CameraIntrinsics:
         """Intrinsics from the JSON keys fx, fy, cx, cy, width, height, dist."""
         try:
             return cls(fx=o["fx"], fy=o["fy"], cx=o["cx"], cy=o["cy"],
-                       width=o["width"], height=o["height"], dist=tuple(o["dist"]))
+                       width=o["width"], height=o["height"], dist=o["dist"])
         except KeyError as exc:
             raise ParameterError(f"camera intrinsics missing key {exc}") from None
+        except TypeError:
+            raise ParameterError("camera intrinsics is not a JSON object") from None
 
 
 @dataclass(frozen=True)
@@ -61,6 +76,10 @@ class CameraModel:
     id: str
     intrinsics: CameraIntrinsics
     world_from_camera: RigidTransform
+    cam_from_world: RigidTransform = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "cam_from_world", invert(self.world_from_camera))
 
     def to_json(self) -> str:
         intr = self.intrinsics
@@ -81,11 +100,13 @@ class CameraModel:
         intr = CameraIntrinsics.from_dict(o)
         try:
             cam_id, wfc = o["id"], o["world_from_camera"]
-            q, t = wfc["q_wxyz"], wfc["t_m"]
+            pose = RigidTransform(np.asarray(wfc["q_wxyz"], dtype=float),
+                                  np.asarray(wfc["t_m"], dtype=float),
+                                  from_frame=f"camera:{cam_id}", to_frame="reference")
         except KeyError as exc:
             raise ParameterError(f"camera model missing key {exc}") from None
-        pose = RigidTransform(np.asarray(q, dtype=float), np.asarray(t, dtype=float),
-                              from_frame=f"camera:{cam_id}", to_frame="reference")
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"camera model 'world_from_camera': {exc}") from None
         return cls(cam_id, intr, pose)
 
 
@@ -121,13 +142,13 @@ def _distort(xn: np.ndarray, dist) -> np.ndarray:
     return np.stack([xd, yd], axis=-1)
 
 
-def _undistort(xd: np.ndarray, dist, iterations: int = 30) -> np.ndarray:
-    """Invert the distortion numerically by fixed-point iteration on
-    normalized coords (..., 2). Each point stops once its update is below
+def _undistort(xd: np.ndarray, dist) -> np.ndarray:
+    """Invert the distortion numerically by at most 30 fixed-point iterations
+    on normalized coords (..., 2). Each point stops once its update is below
     1e-14, so its result does not depend on the other points."""
     xn = np.array(xd, dtype=float, copy=True)
     moving = np.ones(xn.shape[:-1], dtype=bool)
-    for _ in range(iterations):
+    for _ in range(30):
         err = np.where(moving[..., None], _distort(xn, dist) - xd, 0.0)
         xn -= err
         moving &= np.abs(err).max(axis=-1) >= 1e-14
@@ -146,8 +167,7 @@ def _pixels(pc: np.ndarray, focal, center, dist) -> np.ndarray:
 def project_points(cam: CameraModel, points_world: np.ndarray) -> np.ndarray:
     """Project world points (N, 3) to pixels (N, 2)."""
     points_world = np.asarray(points_world, dtype=float).reshape(-1, 3)
-    cam_from_world = invert(cam.world_from_camera)
-    pc = cam_from_world.apply_points(points_world)
+    pc = cam.cam_from_world.apply_points(points_world)
     if np.any(pc[:, 2] <= 0):
         raise BehindCameraError("point(s) with non-positive depth")
     intr = cam.intrinsics
@@ -347,12 +367,11 @@ def solve_pnp(points, pixels, intr: CameraIntrinsics) -> tuple[RigidTransform, f
 # triangulation
 
 def _camera_arrays(cameras: list[CameraModel]):
-    """Stacked arrays of K cameras, each inverted once: camera-from-world
-    rotations (K, 3, 3) and translations (K, 3), focal lengths (K, 2),
-    principal points (K, 2) and distortion coefficients (5, K)."""
-    cam_from_world = [invert(c.world_from_camera) for c in cameras]
-    rot = np.array([quat_to_matrix(c.q) for c in cam_from_world])
-    t = np.array([c.t for c in cam_from_world])
+    """Stacked arrays of K cameras: camera-from-world rotations (K, 3, 3) and
+    translations (K, 3), focal lengths (K, 2), principal points (K, 2) and
+    distortion coefficients (5, K)."""
+    rot = np.array([quat_to_matrix(c.cam_from_world.q) for c in cameras])
+    t = np.array([c.cam_from_world.t for c in cameras])
     focal = np.array([c.intrinsics.focal for c in cameras])
     center = np.array([c.intrinsics.center for c in cameras])
     dist = np.array([c.intrinsics.dist for c in cameras]).T

@@ -9,14 +9,13 @@ import argparse
 import dataclasses
 import glob
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
 from . import fusion, metrics, mocap, scene, synth
-from .cameras import CameraIntrinsics, CameraModel, solve_pnp
+from .cameras import CameraIntrinsics, CameraModel, _is_number, solve_pnp
 from .errors import EmptySelectionError, ParameterError, TwinfuseError
 from .fusion import MarkerSet, ScanRecord
 from .geometry import PointCloud
@@ -87,21 +86,24 @@ def cmd_fuse(args) -> int:
 
 def _intrinsics_record(text: str) -> tuple[str, CameraIntrinsics]:
     o = json.loads(text)
+    intr = CameraIntrinsics.from_dict(o)
     if "id" not in o:
         raise ParameterError("camera intrinsics missing key 'id'")
-    return o["id"], CameraIntrinsics.from_dict(o)
+    return o["id"], intr
 
 
 def _marker_pixels(text: str) -> list[tuple[str, list]]:
     o = json.loads(text)
     try:
-        pixels = [(entry["id"], entry["uv"]) for entry in o["pixels"]]
+        pixels = [(str(entry["id"]), entry["uv"]) for entry in o["pixels"]]
     except KeyError as exc:
         raise ParameterError(f"marker pixels missing key {exc}") from None
+    except TypeError:
+        raise ParameterError("marker pixels is not an object with a list of "
+                             "pixel objects under 'pixels'") from None
     for mid, uv in pixels:
         if not (isinstance(uv, list) and len(uv) == 2
-                and all(type(x) in (int, float) and math.isfinite(x)
-                        for x in uv)):
+                and all(map(_is_number, uv))):
             raise ParameterError(f"marker pixels: 'uv' of {mid!r} must be two "
                                  f"finite numbers, got {uv!r}")
     return pixels
@@ -189,9 +191,8 @@ def cmd_mocap(args) -> int:
     for p in kp_paths:
         frame = _parsed(p, mocap.Keypoint2DFrame.from_json)
         by_time.setdefault(frame.t_s, []).append(frame)
-    table_center = np.array([float(v) for v in args.table_center.split(",")])
     frames3d = _triangulate_frames([by_time[t] for t in sorted(by_time)],
-                                   cameras, table_center)
+                                   cameras, args.table_center)
     if args.window > 1:
         frames3d = mocap.smooth_skeleton(frames3d, args.window)
     with open(args.out, "w", newline="") as f:
@@ -293,11 +294,13 @@ def cmd_pipeline(args) -> int:
 
     print()
     per_camera = {}
+    registered = []
     for cam in bundle.cameras:
         entries = bundle.marker_pixels[cam.id]
         est, per_camera[cam.id] = _register_camera(
             cam.id, cam.intrinsics, [(mid, (u, v)) for mid, u, v in entries],
             bundle.markers)
+        registered.append(est)
         name = f"camera:{cam.id}"
         err = synth.compare_to_truth(bundle, {name: est.world_from_camera})[name]
         print(f"  {cam.id}: PnP from {len(entries)} markers, error "
@@ -305,7 +308,7 @@ def cmd_pipeline(args) -> int:
               f"{err['rotation_error_deg']:.3f} deg")
     print(f"\n{render_reprojection_table(per_camera)}")
 
-    frames3d = _triangulate_frames(bundle.keypoint_frames, bundle.cameras,
+    frames3d = _triangulate_frames(bundle.keypoint_frames, registered,
                                    bundle.table_center)
     truth = {f.t_s: f for f in bundle.skeleton_true}
     errs = np.concatenate([
@@ -324,6 +327,18 @@ def cmd_pipeline(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+
+def _point(text: str) -> np.ndarray:
+    """argparse type: a point given as three finite numbers x,y,z."""
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != 3 or not np.isfinite(values).all():
+        raise argparse.ArgumentTypeError(
+            f"expected x,y,z as three finite numbers, got {text!r}")
+    return np.array(values)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -354,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--keypoints-dir", required=True)
     p.add_argument("--cameras-dir", required=True,
                    help="directory with <id>_calibration.json files")
-    p.add_argument("--table-center", required=True, help="x,y,z in meters")
+    p.add_argument("--table-center", required=True, type=_point,
+                   help="x,y,z in meters")
     p.add_argument("--window", type=int, default=1, help="odd smoothing window")
     p.add_argument("--out", required=True, help="output skeleton CSV")
     p.set_defaults(func=cmd_mocap)

@@ -175,15 +175,11 @@ def fuse_scans(scans: list[ScanRecord],
     return fused, report
 
 
-def finalize_reference(fused: PointCloud,
-                       ransac_threshold_m: float = 0.01,
-                       ransac_iterations: int = 1000,
-                       seed: int = 0) -> tuple[PointCloud, RigidTransform]:
+def finalize_reference(fused: PointCloud) -> tuple[PointCloud, RigidTransform]:
     """Re-express the fused cloud in the floor-centered reference frame."""
     if len(fused) < 3:
         raise DegenerateGeometryError("fused cloud too small for floor detection")
-    inliers = ransac_plane_inliers(fused.points, threshold_m=ransac_threshold_m,
-                                   iterations=ransac_iterations, seed=seed)
+    inliers = ransac_plane_inliers(fused.points)
     floor_pts = fused.points[inliers]
     body_pts = fused.points[~inliers]
     t = build_floor_frame(floor_pts, body_pts if len(body_pts) else None,

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import DegenerateGeometryError, FrameMismatchError, InsufficientCorrespondencesError
 
-_UNIT_TOL = 1e-9
 RANSAC_CONFIDENCE = 0.99999
 
 
@@ -143,7 +142,7 @@ class RigidTransform:
     to_frame: str = "dst"
 
     def __post_init__(self):
-        q = quat_normalize(np.asarray(self.q, dtype=float))
+        q = quat_normalize(np.asarray(self.q, dtype=float).reshape(4))
         t = np.asarray(self.t, dtype=float).reshape(3)
         if not np.all(np.isfinite(t)):
             raise ValueError("non-finite translation")

@@ -276,15 +276,21 @@ def load(directory) -> TwinScene:
         raise ManifestError(f"{path}: unknown manifest version {version!r} "
                             f"(supported: {MANIFEST_VERSION!r})")
 
-    def field(obj, key, owner):
+    def field(obj, key, owner, expected=object):
         if not isinstance(obj, dict) or key not in obj:
             raise ManifestError(f"{path}: {owner} missing field {key!r}")
+        if not isinstance(obj[key], expected):
+            raise ManifestError(f"{path}: {owner} field {key!r} is not a "
+                                f"{expected.__name__}")
         return obj[key]
 
     ref = field(manifest, "reference_frame", "manifest")
+    for key in ("static", "dynamic", "skeletons"):
+        if not isinstance(manifest.get(key, []), list):
+            raise ManifestError(f"{path}: manifest field {key!r} is not a list")
 
     def read_asset(entry, name):
-        asset = field(entry, "asset", f"node {name!r}")
+        asset = field(entry, "asset", f"node {name!r}", str)
         if entry.get("cloud"):
             ply_path = os.path.join(directory, asset)
             if not os.path.exists(ply_path):
@@ -295,7 +301,7 @@ def load(directory) -> TwinScene:
 
     def read_track(entry, name, kind, parse):
         track_path = os.path.join(directory,
-                                  field(entry, "track", f"{kind} {name!r}"))
+                                  field(entry, "track", f"{kind} {name!r}", str))
         if not os.path.exists(track_path):
             raise ManifestError(f"{path}: {kind} {name!r} references "
                                 f"missing track {track_path}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
-from .cameras import CameraIntrinsics, CameraModel, _pixels
+from .cameras import CameraIntrinsics, CameraModel, _is_number, _pixels
 from .errors import ParameterError, UnknownEntityError
 from .fusion import MarkerSet, ScanRecord
 from .geometry import (PointCloud, RigidTransform, compose, invert,
@@ -26,10 +26,6 @@ from .mocap import (N_BODY, N_HAND, N_JOINTS, Keypoint2DFrame, PersonDetection,
                     Skeleton3DFrame)
 from .ply import save_ply
 from .tracking import PoseTrack
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 _FIELD_TYPES = {  # SynthConfig annotation -> (what it must be, check)
@@ -67,6 +63,8 @@ class SynthConfig:
             if not check(getattr(self, f.name)):
                 raise ParameterError(f"{f.name} must be {want}, "
                                      f"got {getattr(self, f.name)!r}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.marker_count < 1 or self.scan_count < 1 or self.camera_count < 1:
             raise ParameterError("counts must be >= 1")
         if not (1 <= self.visibility_min <= self.visibility_max <= self.marker_count):
@@ -246,14 +244,8 @@ def _camera_rig(count: int) -> list[CameraModel]:
 
 def project_visible(cam: CameraModel, points: np.ndarray):
     """Project points, returning (pixels, mask of in-front & in-image)."""
-    return _project_visible(cam, invert(cam.world_from_camera), points)
-
-
-def _project_visible(cam: CameraModel, cam_from_world: RigidTransform,
-                     points: np.ndarray):
-    """``project_visible`` with the camera's inverted pose given."""
     points = np.asarray(points, dtype=float).reshape(-1, 3)
-    pc = cam_from_world.apply_points(points)
+    pc = cam.cam_from_world.apply_points(points)
     mask = pc[:, 2] > 0.05
     uv = np.zeros((len(points), 2))
     if mask.any():
@@ -364,11 +356,10 @@ def generate(config: SynthConfig) -> GroundTruthBundle:
 
     # cameras + marker pixel observations
     cameras = _camera_rig(config.camera_count)
-    cam_from_world = [invert(cam.world_from_camera) for cam in cameras]
     marker_pixels = {}
-    for cam, cfw in zip(cameras, cam_from_world):
+    for cam in cameras:
         rng = _rng(config.seed, f"campix:{cam.id}")
-        uv, mask = _project_visible(cam, cfw, marker_arr)
+        uv, mask = project_visible(cam, marker_arr)
         noisy = uv + rng.normal(0.0, config.pixel_sigma_px, size=uv.shape)
         marker_pixels[cam.id] = [(marker_ids[j], float(noisy[j, 0]), float(noisy[j, 1]))
                                  for j in range(len(marker_ids)) if mask[j]]
@@ -416,10 +407,10 @@ def generate(config: SynthConfig) -> GroundTruthBundle:
             persons_3d.append(_skeleton_at(t, bystander_root,
                                            config.skeleton_motion_amp_m))
         per_cam = []
-        for cam, cfw in zip(cameras, cam_from_world):
+        for cam in cameras:
             detections = []
             for p3d in persons_3d:
-                uv, mask = _project_visible(cam, cfw, p3d)
+                uv, mask = project_visible(cam, p3d)
                 uv = uv + skel_rng.normal(0.0, config.pixel_sigma_px, size=uv.shape)
                 conf = np.where(mask, 0.9, 0.0)
                 kp = np.column_stack([uv, conf])

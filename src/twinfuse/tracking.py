@@ -16,6 +16,10 @@ from .errors import (AmbiguityError, ConvergenceError, CorrespondenceError,
 from .geometry import PointCloud, RigidTransform, compose, kabsch
 
 DEFAULT_MARKER_RADIUS_M = 0.0015  # 3 mm hemisphere diameter
+SIGNATURE_TOL_M = 0.0005  # pairwise-distance agreement for a marker match
+ICP_MAX_ITERATIONS = 50
+ICP_MAX_CORRESPONDENCE_M = 0.01  # nearest neighbours farther away are outliers
+ICP_CONVERGENCE_RMS_M = 1e-7  # stop once an iteration lowers the RMS by less
 
 
 @dataclass(frozen=True)
@@ -121,13 +125,12 @@ class PoseTrack:
 # ---------------------------------------------------------------------------
 # sphere fitting
 
-def fit_sphere_fixed_radius(points, radius_m: float,
-                            max_iterations: int = 100,
-                            tol: float = 1e-14) -> tuple[np.ndarray, float]:
+def fit_sphere_fixed_radius(points, radius_m: float) -> tuple[np.ndarray, float]:
     """Center of a sphere of known radius best fitting the points.
 
-    Gauss-Newton on sum(|p - c| - r)^2 from the centroid initialization;
-    hemisphere-only sampling is the expected use case.
+    Gauss-Newton on sum(|p - c| - r)^2 from the centroid initialization (at
+    most 100 steps, until the cost drops by < 1e-14); hemisphere-only
+    sampling is the expected use case.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(pts) < 4:
@@ -136,7 +139,7 @@ def fit_sphere_fixed_radius(points, radius_m: float,
         raise ParameterError("radius must be positive")
     c = pts.mean(axis=0)
     prev_cost = np.inf
-    for _ in range(max_iterations):
+    for _ in range(100):
         diff = pts - c
         dist = np.linalg.norm(diff, axis=1)
         dist = np.maximum(dist, 1e-12)
@@ -161,7 +164,7 @@ def fit_sphere_fixed_radius(points, radius_m: float,
                 improved = True
                 break
             alpha *= 0.5
-        if not improved or prev_cost - cost < tol:
+        if not improved or prev_cost - cost < 1e-14:
             break
         prev_cost = cost
     r = np.linalg.norm(pts - c, axis=1) - radius_m
@@ -207,8 +210,7 @@ def _consistent_permutations(scan_centers: np.ndarray, array_markers: np.ndarray
     return out
 
 
-def register_marker_array(scan_centers, array: MarkerArrayGeometry,
-                          signature_tol_m: float = 0.0005
+def register_marker_array(scan_centers, array: MarkerArrayGeometry
                           ) -> tuple[RigidTransform, float]:
     """Match scanned sphere centers to the array geometry by pairwise-distance
     signature and align. Returns (model_from_array, marker RMSE mm)."""
@@ -218,7 +220,7 @@ def register_marker_array(scan_centers, array: MarkerArrayGeometry,
             f"{len(centers)} scan centers vs {len(array.markers)} array markers")
     if len(centers) < 3:
         raise InsufficientCorrespondencesError("need at least 3 markers")
-    perms = _consistent_permutations(centers, array.markers, signature_tol_m)
+    perms = _consistent_permutations(centers, array.markers, SIGNATURE_TOL_M)
     if not perms:
         raise CorrespondenceError(
             "no marker correspondence consistent with pairwise distances")
@@ -237,21 +239,13 @@ def register_marker_array(scan_centers, array: MarkerArrayGeometry,
 # ICP
 
 @dataclass(frozen=True)
-class IcpParams:
-    max_iterations: int = 50
-    max_correspondence_m: float = 0.01
-    convergence_rms_m: float = 1e-7
-
-
-@dataclass(frozen=True)
 class IcpResult:
     transform: RigidTransform
     rms_m: float
     rms_history: tuple
 
 
-def icp(src: PointCloud, dst: PointCloud, init: RigidTransform,
-        params: IcpParams = IcpParams()) -> IcpResult:
+def icp(src: PointCloud, dst: PointCloud, init: RigidTransform) -> IcpResult:
     """Point-to-point ICP with a fixed correspondence cutoff.
 
     Steps are accepted only if the inlier RMS decreases, so the reported
@@ -266,7 +260,7 @@ def icp(src: PointCloud, dst: PointCloud, init: RigidTransform,
     def inlier_rms(transform):
         moved = transform.apply_points(src.points)
         d, idx = tree.query(moved, k=1)
-        mask = d <= params.max_correspondence_m
+        mask = d <= ICP_MAX_CORRESPONDENCE_M
         if not mask.any():
             return None, None, None
         return float(np.sqrt(np.mean(d[mask] ** 2))), mask, idx
@@ -275,7 +269,7 @@ def icp(src: PointCloud, dst: PointCloud, init: RigidTransform,
     if rms is None:
         raise NoOverlapError("no correspondences within cutoff at initialization")
     history.append(rms)
-    for _ in range(params.max_iterations):
+    for _ in range(ICP_MAX_ITERATIONS):
         if mask.sum() < 3:
             break
         delta = kabsch(t.apply_points(src.points[mask]), dst.points[idx[mask]],
@@ -284,7 +278,7 @@ def icp(src: PointCloud, dst: PointCloud, init: RigidTransform,
         rms_new, mask_new, idx_new = inlier_rms(t_new)
         if rms_new is None or rms_new > rms:
             break
-        converged = rms - rms_new < params.convergence_rms_m
+        converged = rms - rms_new < ICP_CONVERGENCE_RMS_M
         t, rms, mask, idx = t_new, rms_new, mask_new, idx_new
         history.append(rms)
         if converged:

@@ -107,21 +107,6 @@ def test_register_cameras_outputs(bundle_dir, tmp_path, capsys):
                               truth.world_from_camera.q) < 0.3
 
 
-def test_register_cameras_missing_intrinsics_key(bundle_dir, tmp_path, capsys):
-    cams_dir = tmp_path / "cameras"
-    cams_dir.mkdir()
-    for name in ("cam1_intrinsics.json", "cam1_marker_pixels.json"):
-        (cams_dir / name).write_text((bundle_dir / "cameras" / name).read_text())
-    intr = json.loads((cams_dir / "cam1_intrinsics.json").read_text())
-    del intr["fx"]
-    (cams_dir / "cam1_intrinsics.json").write_text(json.dumps(intr))
-    rc = main(["register-cameras",
-               "--markers", str(bundle_dir / "reference_markers.json"),
-               "--cameras-dir", str(cams_dir), "--out", str(tmp_path / "out")])
-    assert rc == 1
-    assert "error:" in capsys.readouterr().err
-
-
 def test_register_cameras_missing_camera_id(bundle_dir, tmp_path, capsys):
     cams_dir = tmp_path / "cameras"
     cams_dir.mkdir()
@@ -169,7 +154,37 @@ def _missing(key, what):
 
 
 @pytest.mark.parametrize("corrupt, message", [
+    _missing("fx", "camera intrinsics"),
+    pytest.param(lambda o: _with_value(o, "fx", "900"),
+                 "fx must be a finite number, got '900'", id="fx-string"),
+    pytest.param(lambda o: _with_value(o, "dist", 5),
+                 "distortion must be 5 finite numbers, got 5", id="dist-number"),
+    pytest.param(lambda o: [o], "camera intrinsics is not a JSON object",
+                 id="not-object"),
+])
+def test_register_cameras_missing_intrinsics_key(bundle_dir, tmp_path, capsys,
+                                                 corrupt, message):
+    cams_dir = tmp_path / "cameras"
+    cams_dir.mkdir()
+    for name in ("cam1_intrinsics.json", "cam1_marker_pixels.json"):
+        (cams_dir / name).write_text((bundle_dir / "cameras" / name).read_text())
+    bad = cams_dir / "cam1_intrinsics.json"
+    bad.write_text(json.dumps(corrupt(json.loads(bad.read_text()))))
+    rc = main(["register-cameras",
+               "--markers", str(bundle_dir / "reference_markers.json"),
+               "--cameras-dir", str(cams_dir), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
+@pytest.mark.parametrize("corrupt, message", [
     *(_missing(key, "marker pixels") for key in ("pixels", "id", "uv")),
+    pytest.param(lambda o: {**o, "pixels": 5},
+                 "marker pixels is not an object with a list of pixel objects "
+                 "under 'pixels'", id="pixels-number"),
+    pytest.param(lambda o: {**o, "pixels": [5]},
+                 "marker pixels is not an object with a list of pixel objects "
+                 "under 'pixels'", id="pixel-number"),
     pytest.param(lambda o: _with_value(o, "uv", [1.0]),
                  "marker pixels: 'uv' of 'M", id="uv-one-number"),
     pytest.param(lambda o: _with_value(o, "uv", ["1", 2.0]),
@@ -256,23 +271,43 @@ def test_mocap_unknown_camera_is_pipeline_error(bundle_dir, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_mocap_missing_camera_pose(bundle_dir, tmp_path, capsys):
+def _with_pose(key, value):
+    def corrupt(cal):
+        cal["world_from_camera"][key] = value
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    pytest.param(lambda cal: cal.pop("world_from_camera"),
+                 "camera model missing key 'world_from_camera'",
+                 id="world_from_camera"),
+    pytest.param(lambda cal: cal.update(world_from_camera=5),
+                 "camera model 'world_from_camera': 'int' object is not "
+                 "subscriptable", id="pose-number"),
+    pytest.param(_with_pose("q_wxyz", [0, 0, 0, 0]),
+                 "camera model 'world_from_camera': cannot normalize "
+                 "zero/non-finite quaternion", id="zero-quat"),
+    pytest.param(_with_pose("t_m", [0.5, 0]),
+                 "camera model 'world_from_camera': cannot reshape array of "
+                 "size 2 into shape (3,)", id="short-translation"),
+])
+def test_mocap_missing_camera_pose(bundle_dir, tmp_path, capsys, corrupt,
+                                   message):
     cams = tmp_path / "cams"
     assert main(["register-cameras",
                  "--markers", str(bundle_dir / "reference_markers.json"),
                  "--cameras-dir", str(bundle_dir / "cameras"),
                  "--out", str(cams)]) == 0
-    cal = json.loads((cams / "cam2_calibration.json").read_text())
-    del cal["world_from_camera"]
-    (cams / "cam2_calibration.json").write_text(json.dumps(cal))
+    bad = cams / "cam2_calibration.json"
+    cal = json.loads(bad.read_text())
+    corrupt(cal)
+    bad.write_text(json.dumps(cal))
     capsys.readouterr()
     rc = main(["mocap", "--keypoints-dir", str(bundle_dir / "keypoints"),
                "--cameras-dir", str(cams), "--table-center", "0.5,0,0.9",
                "--out", str(tmp_path / "skeleton.csv")])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert "error:" in err and "'world_from_camera'" in err
-    assert "cam2_calibration.json" in err
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
 
 def _true_calibrations(bundle_dir, out):
@@ -308,6 +343,21 @@ def test_mocap_malformed_calibration_json(bundle_dir, tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "cam2_calibration.json: malformed JSON at line 1, column 2" in err
+
+
+@pytest.mark.parametrize("value", ["a,b,c", "0.5,0", "0.5,0,nan", "0.5,0,0.9,1"])
+def test_mocap_bad_table_center_is_usage_error(bundle_dir, tmp_path, capsys,
+                                               value):
+    cams = _true_calibrations(bundle_dir, tmp_path / "cams")
+    with pytest.raises(SystemExit) as exc_info:
+        main(["mocap", "--keypoints-dir", str(bundle_dir / "keypoints"),
+              "--cameras-dir", str(cams), "--table-center", value,
+              "--out", str(tmp_path / "skeleton.csv")])
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --table-center: expected x,y,z as three finite numbers, " \
+           f"got {value!r}" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +523,7 @@ def test_synth_rejects_unknown_config_key(tmp_path, capsys):
 @pytest.mark.parametrize("config, message", [
     ({"seed": "zero"}, "seed must be an int, got 'zero'"),
     ({"marker_count": "5"}, "marker_count must be an int, got '5'"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
 ])
 def test_synth_rejects_wrong_config_type(tmp_path, capsys, config, message):
     cfg_path = tmp_path / "config.json"

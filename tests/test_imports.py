@@ -1,4 +1,5 @@
-"""Every name a twinfuse module imports is used in that module."""
+"""AST checks of the twinfuse modules: every name a module imports is used
+in that module, and the public API has no solver settings beyond a fixed set."""
 
 import ast
 import pathlib
@@ -38,3 +39,60 @@ def test_no_unused_imports(path):
     unused = [name for name in _unused_imports(path.read_text())
               if (path.name, name) not in ALLOWED]
     assert unused == [], f"{path.name} imports names it never uses: {unused}"
+
+
+# The only solver settings a caller may change: keyword parameters of public
+# functions whose default is a number, a bool or a call. Any other setting is
+# a module constant where it is used.
+SETTINGS = {
+    ("estimate_time_offset", "min_overlap_s"),
+    ("fuse_scans", "chamfer_cutoff_m"),
+    ("remove_statistical_outliers", "k"),
+    ("remove_statistical_outliers", "std_ratio"),
+    ("ransac_plane_inliers", "threshold_m"),
+    ("ransac_plane_inliers", "iterations"),
+    ("ransac_plane_inliers", "seed"),
+    ("save_ply", "binary"),
+}
+
+
+def _is_setting(default: ast.expr) -> bool:
+    if isinstance(default, ast.UnaryOp):
+        default = default.operand
+    return isinstance(default, ast.Call) or (
+        isinstance(default, ast.Constant)
+        and isinstance(default.value, (bool, int, float)))
+
+
+def _settings(source: str) -> set[tuple[str, str]]:
+    """(function, parameter) pairs of public functions and public methods of
+    public classes whose default is a number, a bool or a call."""
+    found = set()
+    tree = ast.parse(source)
+    scopes = [tree.body] + [c.body for c in tree.body
+                            if isinstance(c, ast.ClassDef) and not c.name.startswith("_")]
+    for body in scopes:
+        for f in body:
+            if not isinstance(f, ast.FunctionDef) or f.name.startswith("_"):
+                continue
+            args = f.args.posonlyargs + f.args.args
+            pairs = list(zip(args[len(args) - len(f.args.defaults):],
+                             f.args.defaults))
+            pairs += [(a, d) for a, d in zip(f.args.kwonlyargs, f.args.kw_defaults)
+                      if d is not None]
+            found.update((f.name, a.arg) for a, d in pairs if _is_setting(d))
+    return found
+
+
+def test_settings_detector():
+    source = ("def f(a, b=1, c=-0.5, d=None, e='x', *, g=True, h=P()):\n    pass\n"
+              "def _private(a=1):\n    pass\n"
+              "class C:\n    def m(self, n=2):\n        pass\n"
+              "    def _p(self, n=2):\n        pass\n")
+    assert _settings(source) == {("f", "b"), ("f", "c"), ("f", "g"), ("f", "h"),
+                                 ("m", "n")}
+
+
+def test_no_new_settings():
+    found = set().union(*(_settings(p.read_text()) for p in MODULES))
+    assert found == SETTINGS

@@ -299,8 +299,19 @@ def _set_quat(q):
      "static node 'room' pose: cannot normalize zero/non-finite quaternion"),
     (_set_quat([float("nan"), 0, 0, 0]),
      "static node 'room' pose: cannot normalize zero/non-finite quaternion"),
+    (_set_quat([1, 0, 0]),
+     "static node 'room' pose: cannot reshape array of size 3 into shape (4,)"),
+    (lambda m: m.update(static=5), "manifest field 'static' is not a list"),
+    (lambda m: m.update(skeletons={}),
+     "manifest field 'skeletons' is not a list"),
+    (lambda m: m["dynamic"][0].update(asset=5),
+     "node 'drill' field 'asset' is not a str"),
+    (lambda m: m["skeletons"][0].update(track=["a.csv"]),
+     "skeleton 'surgeon' field 'track' is not a str"),
 ], ids=["no-reference-frame", "node-no-name", "node-no-asset",
-        "node-no-track", "skeleton-no-track", "zero-quat", "nan-quat"])
+        "node-no-track", "skeleton-no-track", "zero-quat", "nan-quat",
+        "short-quat", "static-not-list", "skeletons-not-list",
+        "asset-not-string", "track-not-string"])
 def test_load_rejects_malformed_manifest(tmp_path, mutate, message):
     save(_scene(), tmp_path)
     _mutate_manifest(tmp_path, mutate)

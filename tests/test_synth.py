@@ -27,6 +27,8 @@ def test_config_validation():
         SynthConfig(scan_sigma_m=-1.0)
     with pytest.raises(ParameterError):
         SynthConfig(duration_s=0.0)
+    with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
+        SynthConfig(seed=-1)
 
 
 @pytest.mark.parametrize("field, value, want", [

@@ -12,7 +12,7 @@ from twinfuse.errors import (AmbiguityError, CorrespondenceError,
                              InsufficientCorrespondencesError, NoOverlapError,
                              ParameterError)
 from twinfuse.geometry import PointCloud, RigidTransform, invert, kabsch
-from twinfuse.tracking import (IcpParams, MarkerArrayGeometry, PoseTrack,
+from twinfuse.tracking import (MarkerArrayGeometry, PoseTrack,
                                _consistent_permutations,
                                fit_sphere_fixed_radius, icp,
                                register_marker_array, smooth_track)
@@ -308,7 +308,7 @@ def test_icp_cutoff_respected():
     src = PointCloud(pts + [1.0, 0, 0], frame="model")  # 1 m away
     init = RigidTransform([1, 0, 0, 0], np.zeros(3), "model", "model")
     with pytest.raises(NoOverlapError):
-        icp(src, dst, init, IcpParams(max_correspondence_m=0.01))
+        icp(src, dst, init)
 
 
 def test_icp_empty_cloud():
