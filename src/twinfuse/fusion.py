@@ -7,13 +7,12 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (DegenerateGeometryError, InsufficientCorrespondencesError,
                      ParameterError, TwinfuseError)
 from .geometry import (PointCloud, RigidTransform, apply, build_floor_frame,
                        kabsch, ransac_plane_inliers)
-from .metrics import _render_table, chamfer
+from .metrics import _nn_distances, _render_table, chamfer
 
 
 @dataclass(frozen=True)
@@ -207,12 +206,29 @@ def voxel_downsample(cloud: PointCloud, voxel_m: float) -> PointCloud:
 
     Output voxels are ordered by first occurrence in the input.
     """
-    if voxel_m <= 0:
-        raise ParameterError("voxel size must be positive")
+    if not (voxel_m > 0 and np.isfinite(voxel_m)):
+        raise ParameterError(f"voxel size must be a finite positive number, "
+                             f"got {voxel_m!r}")
     if len(cloud) == 0:
         return cloud
-    keys = np.floor(cloud.points / voxel_m).astype(np.int64)
-    _, first_idx, inverse = np.unique(keys, axis=0, return_index=True,
+    with np.errstate(over="ignore"):  # an infinite key is refused below
+        keys = np.floor(cloud.points / voxel_m)
+    lo, hi = keys.min(axis=0), keys.max(axis=0)
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ParameterError(f"voxel size {voxel_m!r} is too small for int64 "
+                             f"voxel keys of this cloud")
+    # One int64 per point, (x * ey + y) * ez + z over the keys offset by their
+    # minimum: its order is the row-lexicographic order of the keys, so the
+    # 1-D unique finds the same first occurrences as a unique over rows.
+    # The bounds are checked with Python ints, which cannot wrap.
+    lo_i, hi_i = [int(v) for v in lo], [int(v) for v in hi]
+    ex, ey, ez = (h - l + 1 for l, h in zip(lo_i, hi_i))
+    if min(lo_i) < -2 ** 63 or max(hi_i) >= 2 ** 63 or ex * ey * ez > 2 ** 63:
+        raise ParameterError(f"voxel size {voxel_m!r} gives a {ex} x {ey} x "
+                             f"{ez} grid, too large for int64 voxel keys")
+    keys = keys.astype(np.int64) - np.array(lo_i, dtype=np.int64)
+    packed = (keys[:, 0] * ey + keys[:, 1]) * ez + keys[:, 2]
+    _, first_idx, inverse = np.unique(packed, return_index=True,
                                       return_inverse=True)
     order = np.argsort(first_idx, kind="stable")
     rank = np.empty(len(first_idx), dtype=np.int64)
@@ -238,13 +254,13 @@ def voxel_downsample(cloud: PointCloud, voxel_m: float) -> PointCloud:
 def remove_statistical_outliers(cloud: PointCloud, k: int = 16,
                                 std_ratio: float = 2.0) -> PointCloud:
     """Drop points whose mean k-NN distance exceeds mean + std_ratio * std."""
-    if k < 1 or std_ratio <= 0:
-        raise ParameterError("need k >= 1 and std_ratio > 0")
+    if k < 1 or not (std_ratio > 0 and np.isfinite(std_ratio)):
+        raise ParameterError(f"need k >= 1 and a finite std_ratio > 0, got "
+                             f"k={k!r}, std_ratio={std_ratio!r}")
     if len(cloud) <= k:
         raise ParameterError(f"cloud of {len(cloud)} points too small for k={k}")
-    tree = cKDTree(cloud.points)
-    d, _ = tree.query(cloud.points, k=k + 1)  # first column is self (dist 0)
-    mean_d = d[:, 1:].mean(axis=1)
+    # the first column is each point itself, at distance 0
+    mean_d = _nn_distances(cloud.points, cloud.points, k + 1)[:, 1:].mean(axis=1)
     threshold = mean_d.mean() + std_ratio * mean_d.std()
     keep = mean_d <= threshold
     colors = cloud.colors[keep] if cloud.colors is not None else None

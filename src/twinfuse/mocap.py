@@ -81,11 +81,15 @@ class Keypoint2DFrame:
     def from_json(cls, text: str) -> "Keypoint2DFrame":
         o = json.loads(text)
         try:
-            persons = [PersonDetection(np.array(p["body"]), np.array(p["hand_l"]),
-                                       np.array(p["hand_r"])) for p in o["persons"]]
+            persons = [PersonDetection(np.array(p["body"], dtype=float),
+                                       np.array(p["hand_l"], dtype=float),
+                                       np.array(p["hand_r"], dtype=float))
+                       for p in o["persons"]]
             return cls(o["camera"], float(o["t_s"]), tuple(persons))
         except KeyError as exc:
             raise ParameterError(f"keypoint frame missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"keypoint frame: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -334,6 +334,30 @@ def test_mocap_keypoint_missing_key(bundle_dir, tmp_path, capsys):
     assert f"{bad.name}: keypoint frame missing key 't_s'" in err
 
 
+@pytest.mark.parametrize("corrupt, message", [
+    pytest.param(lambda fr: fr.update(persons=5),
+                 "'int' object is not iterable", id="persons-number"),
+    pytest.param(lambda fr: fr.update(t_s="a"),
+                 "could not convert string to float: 'a'", id="t_s-string"),
+    pytest.param(lambda fr: fr["persons"][0].update(body="x"),
+                 "could not convert string to float: 'x'", id="body-string"),
+])
+def test_mocap_keypoint_wrong_type(bundle_dir, tmp_path, capsys, corrupt,
+                                   message):
+    cams = _true_calibrations(bundle_dir, tmp_path / "cams")
+    keypoints = tmp_path / "keypoints"
+    shutil.copytree(bundle_dir / "keypoints", keypoints)
+    bad = sorted(keypoints.glob("*.json"))[0]
+    frame = json.loads(bad.read_text())
+    corrupt(frame)
+    bad.write_text(json.dumps(frame))
+    rc = main(["mocap", "--keypoints-dir", str(keypoints),
+               "--cameras-dir", str(cams), "--table-center", "0.5,0,0.9",
+               "--out", str(tmp_path / "skeleton.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {bad}: keypoint frame: {message}\n"
+
+
 def test_mocap_malformed_calibration_json(bundle_dir, tmp_path, capsys):
     cams = _true_calibrations(bundle_dir, tmp_path / "cams")
     (cams / "cam2_calibration.json").write_text("{not json")

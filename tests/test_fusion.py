@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from twinfuse.errors import InsufficientCorrespondencesError, ParameterError
 from twinfuse.fusion import (MarkerSet, ScanRecord, crop_aabb,
@@ -11,6 +12,7 @@ from twinfuse.fusion import (MarkerSet, ScanRecord, crop_aabb,
                              register_scan, remove_statistical_outliers,
                              voxel_downsample)
 from twinfuse.geometry import PointCloud, RigidTransform, apply, invert, ransac_plane_inliers
+from twinfuse.metrics import _PARALLEL_MIN_PAIRS, chamfer
 from twinfuse.synth import (SynthConfig, generate, pose_error,
                             true_relative_scan_pose)
 
@@ -286,6 +288,80 @@ def test_voxel_averages_colors():
     assert np.array_equal(out.colors[0], [100, 50, 25])
 
 
+def _voxel_reference(cloud, voxel_m):
+    """Voxel centroids grouped by np.unique over (N, 3) key rows."""
+    keys = np.floor(cloud.points / voxel_m).astype(np.int64)
+    _, first_idx, inverse = np.unique(keys, axis=0, return_index=True,
+                                      return_inverse=True)
+    rank = np.empty(len(first_idx), dtype=np.int64)
+    rank[np.argsort(first_idx, kind="stable")] = np.arange(len(first_idx))
+    groups = rank[np.ravel(inverse)]
+    n_vox = len(first_idx)
+    counts = np.bincount(groups, minlength=n_vox).astype(float)
+
+    def means(values):
+        return np.column_stack([np.bincount(groups, weights=values[:, axis],
+                                            minlength=n_vox) / counts
+                                for axis in range(3)])
+
+    colors = None
+    if cloud.colors is not None:
+        colors = np.clip(np.round(means(cloud.colors.astype(float))),
+                         0, 255).astype(np.uint8)
+    return means(cloud.points), colors
+
+
+def _assert_voxel_exact(cloud, voxel_m):
+    out = voxel_downsample(cloud, voxel_m)
+    points, colors = _voxel_reference(cloud, voxel_m)
+    assert out.points.tobytes() == points.tobytes()
+    if colors is None:
+        assert out.colors is None
+    else:
+        assert out.colors.tobytes() == colors.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, n=st.integers(1, 300),
+       voxel_m=st.floats(1e-3, 2.0), scale=st.floats(1e-3, 10.0),
+       with_colors=st.booleans())
+def test_voxel_matches_row_unique_bit_for_bit(seed, n, voxel_m, scale,
+                                              with_colors):
+    # points centered on the origin (negative coordinates), about half of
+    # them repeats of earlier points
+    rng = np.random.default_rng(seed)
+    base = rng.normal(scale=scale, size=(n, 3))
+    pts = base[rng.integers(0, max(1, n // 2), size=n)]
+    colors = rng.integers(0, 256, size=(n, 3)) if with_colors else None
+    _assert_voxel_exact(PointCloud(pts, colors=colors), voxel_m)
+
+
+def test_voxel_far_from_origin_matches_row_unique():
+    # keys near 2**60 fit in int64; packed, they fit only after the offset
+    rng = np.random.default_rng(5)
+    pts = 2.0 ** 60 + rng.integers(-3, 3, size=(200, 3)) * 256.0
+    _assert_voxel_exact(PointCloud(pts), 1.0)
+    _assert_voxel_exact(PointCloud([[-2.0 ** 63, 0, 0]]), 1.0)
+
+
+@pytest.mark.parametrize("voxel_m", [float("nan"), float("inf"), -1.0])
+def test_voxel_non_finite_or_negative_size(voxel_m):
+    with pytest.raises(ParameterError, match="finite positive"):
+        voxel_downsample(PointCloud(np.zeros((50, 3))), voxel_m)
+
+
+@pytest.mark.parametrize("points, voxel_m", [
+    pytest.param(np.random.default_rng(6).uniform(0, 1, size=(50, 3)), 1e-300,
+                 id="keys-overflow"),
+    pytest.param([[1e300, 0, 0]], 1e-300, id="keys-infinite"),
+    pytest.param([[2.0 ** 63, 0, 0]], 1.0, id="key-at-2**63"),
+    pytest.param([[0, 0, 0], [1e6, 1e6, 1e6]], 0.1, id="packed-overflow"),
+])
+def test_voxel_keys_beyond_int64(points, voxel_m):
+    with pytest.raises(ParameterError, match="int64 voxel keys"):
+        voxel_downsample(PointCloud(points), voxel_m)
+
+
 def test_outlier_removal_drops_lone_point():
     grid = np.array([[x, y, 0.0] for x in np.arange(0, 0.5, 0.05)
                      for y in np.arange(0, 0.5, 0.05)])
@@ -312,6 +388,56 @@ def test_outlier_removal_subset_and_params():
         remove_statistical_outliers(PointCloud(pts), k=0, std_ratio=1.0)
     with pytest.raises(ParameterError):
         remove_statistical_outliers(PointCloud(pts[:5]), k=10, std_ratio=1.0)
+
+
+@pytest.mark.parametrize("std_ratio", [float("nan"), float("inf")])
+def test_outlier_removal_non_finite_std_ratio(std_ratio):
+    pts = np.random.default_rng(3).normal(size=(60, 3))
+    with pytest.raises(ParameterError, match="finite std_ratio"):
+        remove_statistical_outliers(PointCloud(pts), std_ratio=std_ratio)
+
+
+@pytest.fixture(scope="module")
+def dense_room(default_bundle):
+    """The fused synth room, each scan with two extra copies of its points
+    jittered by the scan noise."""
+    rng = np.random.default_rng(7)
+    scans = []
+    for scan in default_bundle.scans:
+        pts = scan.cloud.points
+        jittered = [pts + rng.normal(0.0, default_bundle.config.scan_sigma_m,
+                                     size=pts.shape) for _ in range(2)]
+        scans.append(ScanRecord(scan.name, PointCloud(
+            np.concatenate([pts] + jittered), frame=scan.cloud.frame),
+            scan.markers))
+    fused, _ = fuse_scans(scans)
+    return fused
+
+
+def test_outlier_removal_matches_serial_query(dense_room):
+    pts = dense_room.points
+    assert len(pts) * 17 >= _PARALLEL_MIN_PAIRS  # the threaded query
+    d, _ = cKDTree(pts).query(pts, k=17, workers=1)
+    mean_d = d[:, 1:].mean(axis=1)
+    keep = mean_d <= mean_d.mean() + 2.0 * mean_d.std()
+    assert 0 < keep.sum() < len(pts)
+    out = remove_statistical_outliers(dense_room)
+    assert out.points.tobytes() == pts[keep].tobytes()
+
+
+def test_chamfer_matches_serial_query(dense_room):
+    a = dense_room.points[::2]
+    b = dense_room.points[1::3] + 0.004
+    assert min(len(a), len(b)) >= _PARALLEL_MIN_PAIRS  # threaded queries
+    d_ab, _ = cKDTree(b).query(a, k=1, workers=1)
+    d_ba, _ = cKDTree(a).query(b, k=1, workers=1)
+    cutoff = 0.005
+    assert (d_ab > cutoff).any() and (d_ba > cutoff).any()
+    near_ab, near_ba = d_ab[d_ab <= cutoff], d_ba[d_ba <= cutoff]
+    expected = (0.5 * (float(near_ab.mean()) + float(near_ba.mean())) * 1000.0,
+                len(near_ab) + len(near_ba),
+                len(a) + len(b) - len(near_ab) - len(near_ba))
+    assert chamfer(PointCloud(a), PointCloud(b), cutoff) == expected
 
 
 # ---------------------------------------------------------------------------

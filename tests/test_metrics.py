@@ -109,6 +109,15 @@ def test_chamfer_parameter_checks():
         chamfer(PointCloud(np.zeros((0, 3))), cloud, 0.1)
 
 
+@pytest.mark.parametrize("max_dist_m", [float("nan"), float("inf")])
+def test_chamfer_non_finite_cutoff(max_dist_m):
+    cloud = PointCloud([[0.0, 0, 0]])
+    with pytest.raises(ParameterError, match="finite positive"):
+        chamfer(cloud, cloud, max_dist_m)
+    with pytest.raises(ParameterError, match="finite positive"):
+        chamfer_one_sided(cloud, cloud, max_dist_m)
+
+
 @given(seeds)
 @settings(max_examples=20, deadline=None)
 def test_chamfer_rigid_invariance(seed):
