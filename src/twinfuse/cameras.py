@@ -12,8 +12,8 @@ import numpy as np
 from .errors import (BehindCameraError, ConvergenceError, DegenerateGeometryError,
                      InsufficientCorrespondencesError, InsufficientViewsError,
                      NoOverlapError, ParameterError, UnknownEntityError)
-from .geometry import (RigidTransform, invert, matrix_to_quat, quat_to_matrix,
-                       transform_from_matrix)
+from .geometry import (RigidTransform, _least_squares, invert, matrix_to_quat,
+                       quat_to_matrix, transform_from_matrix)
 
 CONFIDENCE_FLOOR = 0.1  # observations below this weight are discarded
 MIN_RAY_ANGLE_DEG = 0.25  # widest ray pair below this is a degenerate triangulation
@@ -250,77 +250,6 @@ def _dlt_pose(points: np.ndarray, xn: np.ndarray) -> tuple[np.ndarray, np.ndarra
         scale = -scale
     t = p[:, 3] / scale
     return rot, t
-
-
-def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stacked ``solve(a[i], b[i])``; a singular system gets a zero step."""
-    try:
-        return np.linalg.solve(a, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        step = np.zeros_like(b)
-        for i in range(len(a)):
-            try:
-                step[i] = np.linalg.solve(a[i], b[i])
-            except np.linalg.LinAlgError:
-                pass  # no cost drop: rejected by the caller
-        return step
-
-
-def _least_squares(residuals, x: np.ndarray, weights: np.ndarray):
-    """Levenberg-Marquardt minimization of ``sum(weights * residuals(x)**2)``
-    for B independent problems at once.
-
-    ``x`` is (B, n) and ``weights`` (B, m). ``residuals`` maps candidate
-    parameters (B, c, n) to residuals (B, c, m), with a row of NaN where a
-    candidate's model is undefined (a point behind a camera); the
-    forward-difference Jacobian (step 1e-8) of all problems is one call with
-    c = n. Each problem keeps its own damping, step tries, acceptance and
-    stop test, so it takes the path it would take alone: Marquardt damping
-    ``lam * diag(J^T W J)`` from lam 1e-3, 12 step tries, stop at a cost drop
-    < 1e-10 or after 100 iterations. An undefined trial step is rejected,
-    and a problem stops where a Jacobian column would need an undefined
-    point. Returns ``(x, r)``; a problem whose start point is undefined
-    keeps a NaN row in ``r``.
-    """
-    x = np.array(x, dtype=float)
-    n = x.shape[1]
-    r = residuals(x[:, None])[:, 0]
-    cost = np.einsum("bm,bm->b", weights, r * r)
-    active = np.isfinite(cost)
-    lam = np.full(len(x), 1e-3)
-    eye = np.eye(n)
-    for _ in range(100):
-        if not active.any():
-            break
-        jac_t = (residuals(x[:, None] + 1e-8 * eye) - r[:, None]) / 1e-8  # (B, n, m)
-        active &= np.isfinite(jac_t).all(axis=(1, 2))
-        act = np.flatnonzero(active)
-        jtw = jac_t[act] * weights[act, None, :]
-        jtj = jtw @ jac_t[act].transpose(0, 2, 1)
-        jtr = (jtw @ r[act, :, None])[..., 0]
-        damping = np.diagonal(jtj, axis1=1, axis2=2) + 1e-12
-        k = np.arange(len(act))  # rows of act still trying a step
-        for _ in range(12):
-            if not len(k):
-                break
-            trying = act[k]
-            step = np.zeros_like(x)
-            step[trying] = _solve(jtj[k] + (lam[trying, None] * damping[k])[..., None]
-                                  * eye, -jtr[k])
-            r_new = residuals((x + step)[:, None])[trying, 0]
-            cost_new = np.einsum("bm,bm->b", weights[trying], r_new * r_new)
-            better = cost_new < cost[trying]  # False where undefined (NaN)
-            done = trying[better]
-            drop = cost[done] - cost_new[better]
-            x[done] += step[done]
-            r[done] = r_new[better]
-            cost[done] = cost_new[better]
-            lam[done] = np.maximum(lam[done] / 10, 1e-12)
-            active[done[drop < 1e-10]] = False
-            k = k[~better]
-            lam[act[k]] *= 10
-        active[act[k]] = False
-    return x, r
 
 
 def solve_pnp(points, pixels, intr: CameraIntrinsics) -> tuple[RigidTransform, float]:

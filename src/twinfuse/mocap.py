@@ -46,13 +46,6 @@ class PersonDetection:
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
-    def joint(self, j: int) -> np.ndarray:
-        if j < N_BODY:
-            return self.body[j]
-        if j < N_BODY + N_HAND:
-            return self.hand_left[j - N_BODY]
-        return self.hand_right[j - N_BODY - N_HAND]
-
     def all_joints(self) -> np.ndarray:
         return np.vstack([self.body, self.hand_left, self.hand_right])
 

@@ -1,4 +1,5 @@
-"""Minimal PLY point-cloud reader/writer (ASCII and binary little-endian).
+"""Minimal PLY point-cloud writer (binary little-endian) and reader (binary
+little-endian and ASCII).
 
 Vertices carry float32 x, y, z in meters and optional uchar red, green, blue.
 """
@@ -11,40 +12,26 @@ from .errors import ManifestError
 from .geometry import PointCloud
 
 
-def save_ply(path, cloud: PointCloud, binary: bool = True) -> None:
-    n = len(cloud)
-    has_color = cloud.colors is not None
+def save_ply(path, cloud: PointCloud) -> None:
+    """Write ``cloud`` as binary little-endian PLY."""
+    fields = [("x", "<f4"), ("y", "<f4"), ("z", "<f4")]
     header = ["ply",
-              "format binary_little_endian 1.0" if binary else "format ascii 1.0",
-              f"element vertex {n}",
+              "format binary_little_endian 1.0",
+              f"element vertex {len(cloud)}",
               "property float x",
               "property float y",
               "property float z"]
-    if has_color:
+    if cloud.colors is not None:
+        fields += [("red", "u1"), ("green", "u1"), ("blue", "u1")]
         header += ["property uchar red", "property uchar green", "property uchar blue"]
     header.append("end_header")
-    pts = cloud.points.astype("<f4")
+    rec = np.empty(len(cloud), dtype=fields)
+    rec["x"], rec["y"], rec["z"] = cloud.points.T
+    if cloud.colors is not None:
+        rec["red"], rec["green"], rec["blue"] = cloud.colors.T
     with open(path, "wb") as f:
         f.write(("\n".join(header) + "\n").encode("ascii"))
-        if binary:
-            if has_color:
-                rec = np.empty(n, dtype=[("x", "<f4"), ("y", "<f4"), ("z", "<f4"),
-                                         ("r", "u1"), ("g", "u1"), ("b", "u1")])
-                rec["x"], rec["y"], rec["z"] = pts[:, 0], pts[:, 1], pts[:, 2]
-                rec["r"], rec["g"], rec["b"] = (cloud.colors[:, 0], cloud.colors[:, 1],
-                                                cloud.colors[:, 2])
-                f.write(rec.tobytes())
-            else:
-                f.write(pts.tobytes())
-        else:
-            lines = []
-            for i in range(n):
-                line = f"{pts[i, 0]:.9g} {pts[i, 1]:.9g} {pts[i, 2]:.9g}"
-                if has_color:
-                    c = cloud.colors[i]
-                    line += f" {c[0]} {c[1]} {c[2]}"
-                lines.append(line)
-            f.write(("\n".join(lines) + ("\n" if lines else "")).encode("ascii"))
+        f.write(rec.tobytes())
 
 
 def load_ply(path, frame: str = "world") -> PointCloud:

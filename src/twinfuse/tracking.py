@@ -5,15 +5,17 @@ from __future__ import annotations
 
 import io
 import json
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import (AmbiguityError, ConvergenceError, CorrespondenceError,
+from .errors import (AmbiguityError, CorrespondenceError,
                      InsufficientCorrespondencesError, NoOverlapError,
                      ParameterError)
-from .geometry import PointCloud, RigidTransform, compose, kabsch
+from .geometry import PointCloud, RigidTransform, _least_squares, compose, kabsch
 
 DEFAULT_MARKER_RADIUS_M = 0.0015  # 3 mm hemisphere diameter
 SIGNATURE_TOL_M = 0.0005  # pairwise-distance agreement for a marker match
@@ -30,11 +32,18 @@ class MarkerArrayGeometry:
     radius_m: float = DEFAULT_MARKER_RADIUS_M
 
     def __post_init__(self):
-        m = np.asarray(self.markers, dtype=float).reshape(-1, 3)
+        m = np.asarray(self.markers, dtype=float)
+        if m.ndim != 2 or m.shape[1] != 3:
+            raise ParameterError(f"markers must be an (N, 3) array, got shape {m.shape}")
         if len(m) < 3:
             raise ParameterError("marker array needs at least 3 markers")
-        if self.radius_m <= 0:
-            raise ParameterError("marker radius must be positive")
+        if not np.isfinite(m).all():
+            raise ParameterError("marker coordinates must be finite")
+        r = self.radius_m
+        if (isinstance(r, bool) or not isinstance(r, numbers.Real)
+                or not math.isfinite(r) or r <= 0):
+            raise ParameterError(
+                f"marker radius must be a finite positive number, got {r!r}")
         d = np.linalg.norm(m[:, None] - m[None, :], axis=2)
         np.fill_diagonal(d, np.inf)
         if d.min() <= 2 * self.radius_m:
@@ -57,6 +66,8 @@ class MarkerArrayGeometry:
                        radius_m=o["radius_m"])
         except KeyError as exc:
             raise ParameterError(f"marker array missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"marker array: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -126,50 +137,28 @@ class PoseTrack:
 # sphere fitting
 
 def fit_sphere_fixed_radius(points, radius_m: float) -> tuple[np.ndarray, float]:
-    """Center of a sphere of known radius best fitting the points.
+    """Center of a sphere of known radius best fitting the points, and the
+    RMS of the radial residuals in metres.
 
-    Gauss-Newton on sum(|p - c| - r)^2 from the centroid initialization (at
-    most 100 steps, until the cost drops by < 1e-14); hemisphere-only
-    sampling is the expected use case.
+    Minimizes sum(|p - c| - r)^2 with the shared Levenberg-Marquardt loop
+    (``geometry._least_squares``) from the centroid; hemisphere-only sampling
+    is the expected use case.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(pts) < 4:
         raise ParameterError("sphere fit needs at least 4 points")
     if radius_m <= 0:
         raise ParameterError("radius must be positive")
-    c = pts.mean(axis=0)
-    prev_cost = np.inf
-    for _ in range(100):
-        diff = pts - c
-        dist = np.linalg.norm(diff, axis=1)
-        dist = np.maximum(dist, 1e-12)
-        r = dist - radius_m
-        cost = float(r @ r)
-        jac = -diff / dist[:, None]
-        jtj = jac.T @ jac
-        jtr = jac.T @ r
-        try:
-            step = np.linalg.solve(jtj + 1e-12 * np.eye(3), -jtr)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError("singular normal equations in sphere fit",
-                                   last_iterate=c) from exc
-        # backtracking line search keeps the iteration monotone
-        alpha = 1.0
-        improved = False
-        for _ in range(20):
-            c_new = c + alpha * step
-            r_new = np.linalg.norm(pts - c_new, axis=1) - radius_m
-            if float(r_new @ r_new) < cost:
-                c = c_new
-                improved = True
-                break
-            alpha *= 0.5
-        if not improved or prev_cost - cost < 1e-14:
-            break
-        prev_cost = cost
-    r = np.linalg.norm(pts - c, axis=1) - radius_m
-    rms = float(np.sqrt(np.mean(r ** 2)))
-    return c, rms
+
+    # Residuals in millimetres: the loop stops at an absolute cost drop of
+    # 1e-10, sized for pixel residuals of order 1. In metres the cost of a
+    # marker fit is near 1e-7 and the loop would stop up to 2e-8 m short of
+    # the optimum; in millimetres it lands within about 4e-10 m of it.
+    def residuals(x):  # x: (1, c, 3) candidate centres of the one problem
+        return (np.linalg.norm(pts - x[0, :, None], axis=2) - radius_m)[None] * 1000.0
+
+    c, r = _least_squares(residuals, pts.mean(axis=0)[None], np.ones((1, len(pts))))
+    return c[0], float(np.sqrt(np.mean(r ** 2))) / 1000.0
 
 
 # ---------------------------------------------------------------------------

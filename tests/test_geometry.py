@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from twinfuse.errors import (DegenerateGeometryError, FrameMismatchError,
                              InsufficientCorrespondencesError)
 from twinfuse.geometry import (PlaneFrame, PointCloud, RigidTransform,
-                               _ransac_draws_needed, apply, build_floor_frame,
-                               compose, fit_plane_pca, identity, invert, kabsch,
-                               quat_from_axis_angle, quat_normalize,
-                               ransac_plane_inliers, rotation_angle_deg)
+                               _least_squares, _ransac_draws_needed, apply,
+                               build_floor_frame, compose, fit_plane_pca,
+                               identity, invert, kabsch, quat_from_axis_angle,
+                               quat_normalize, ransac_plane_inliers,
+                               rotation_angle_deg)
 
 from conftest import quat_angle_deg, random_transform, transforms_close
 
@@ -281,6 +282,56 @@ def test_build_floor_frame_z_points_toward_body():
     t = build_floor_frame(floor, body, from_frame="fused")
     # the body centroid must land at positive z in the floor frame
     assert t.apply_points(body.mean(axis=0).reshape(1, 3))[0, 2] > 0
+
+
+# ---------------------------------------------------------------------------
+# shared Levenberg-Marquardt loop
+
+def _sphere_points(n_problems, rng, noise_m):
+    """(B, 60, 3) points near spheres of radius 1.5 mm, and the B centres."""
+    centers = rng.uniform(-0.2, 0.2, size=(n_problems, 3))
+    v = rng.normal(size=(n_problems, 60, 3))
+    v[..., 2] = np.abs(v[..., 2])
+    pts = (centers[:, None] + 0.0015 * v / np.linalg.norm(v, axis=2, keepdims=True)
+           + rng.normal(0, noise_m, size=v.shape))
+    return pts, centers
+
+
+def _sphere_residuals(pts):
+    """Fixed-radius sphere residuals (mm) of B point sets for candidate
+    centres (B, c, 3)."""
+    return lambda x: (np.linalg.norm(pts[:, None] - x[:, :, None], axis=3)
+                      - 0.0015) * 1000.0
+
+
+def test_least_squares_stacked_equals_alone():
+    rng = np.random.default_rng(0)
+    pts, _ = _sphere_points(6, rng, noise_m=5e-5)
+    start = pts.mean(axis=1) + rng.normal(0, 5e-4, size=(6, 3))
+    x, r = _least_squares(_sphere_residuals(pts), start, np.ones((6, 60)))
+    for b in range(6):
+        xb, rb = _least_squares(_sphere_residuals(pts[b:b + 1]), start[b:b + 1],
+                                np.ones((1, 60)))
+        assert np.array_equal(x[b], xb[0]) and np.array_equal(r[b], rb[0])
+
+
+def test_least_squares_undefined_start_keeps_start():
+    rng = np.random.default_rng(1)
+    pts, centers = _sphere_points(4, rng, noise_m=0.0)
+    sphere = _sphere_residuals(pts)
+
+    def residuals(x):  # undefined where a candidate centre has z < -0.5 m
+        r = sphere(x)
+        r[x[..., 2] < -0.5] = np.nan
+        return r
+
+    start = pts.mean(axis=1)
+    start[2] = [0.0, 0.0, -1.0]
+    x, r = _least_squares(residuals, start, np.ones((4, 60)))
+    assert np.array_equal(x[2], start[2]) and np.isnan(r[2]).all()
+    for b in (0, 1, 3):
+        assert np.linalg.norm(x[b] - centers[b]) < 1e-10
+        assert np.isfinite(r[b]).all()
 
 
 # ---------------------------------------------------------------------------

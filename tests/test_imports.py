@@ -52,7 +52,6 @@ SETTINGS = {
     ("ransac_plane_inliers", "threshold_m"),
     ("ransac_plane_inliers", "iterations"),
     ("ransac_plane_inliers", "seed"),
-    ("save_ply", "binary"),
 }
 
 

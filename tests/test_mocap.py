@@ -75,10 +75,11 @@ def test_person_joint_indexing():
     hl = rng.uniform(0, 1, (N_HAND, 3))
     hr = rng.uniform(0, 1, (N_HAND, 3))
     p = PersonDetection(body, hl, hr)
-    assert np.array_equal(p.joint(0), body[0])
-    assert np.array_equal(p.joint(N_BODY), hl[0])
-    assert np.array_equal(p.joint(N_BODY + N_HAND + 5), hr[5])
-    assert p.all_joints().shape == (N_JOINTS, 3)
+    joints = p.all_joints()
+    assert joints.shape == (N_JOINTS, 3)
+    assert np.array_equal(joints[0], body[0])
+    assert np.array_equal(joints[N_BODY], hl[0])
+    assert np.array_equal(joints[N_BODY + N_HAND + 5], hr[5])
 
 
 def test_keypoint_frame_json_round_trip():
@@ -275,8 +276,8 @@ def test_skeleton_batch_matches_per_joint_triangulate(default_bundle):
     persons = {fr.camera_id: fr.persons[sel[fr.camera_id]] for fr in per_cam
                if sel[fr.camera_id] is not None}
     for j in range(N_JOINTS):
-        obs = [PixelObservation(cid, *p.joint(j)) for cid, p in persons.items()
-               if p.joint(j)[2] >= CONFIDENCE_FLOOR]
+        obs = [PixelObservation(cid, *p.all_joints()[j]) for cid, p in persons.items()
+               if p.all_joints()[j, 2] >= CONFIDENCE_FLOOR]
         try:
             point, res = triangulate(obs, cams)
         except (DegenerateGeometryError, InsufficientViewsError):

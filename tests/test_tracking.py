@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import least_squares
 
 from twinfuse.errors import (AmbiguityError, CorrespondenceError,
                              InsufficientCorrespondencesError, NoOverlapError,
@@ -73,8 +74,21 @@ def test_sphere_fit_noise_accuracy():
     assert max(errs) < 0.1  # mm
 
 
+def test_sphere_fit_matches_scipy():
+    # within 1e-9 m of an independent LM solve run to machine precision from
+    # the true centre; residuals in metres would stop the fit up to 2e-8 m short
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        center = rng.uniform(-0.2, 0.2, size=3)
+        pts = _hemisphere_points(center, RADIUS, rng, n=80, noise=5e-5)
+        c, _ = fit_sphere_fixed_radius(pts, RADIUS)
+        ref = least_squares(lambda x: np.linalg.norm(pts - x, axis=1) - RADIUS,
+                            center, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        assert np.linalg.norm(c - ref.x) < 1e-9
+
+
 def test_sphere_fit_monotone_cost():
-    # the line search only ever accepts decreasing cost; verify the fit
+    # the solver only ever accepts steps that lower the cost; verify the fit
     # from a biased start still lands on the center
     rng = np.random.default_rng(3)
     center = np.zeros(3)
@@ -225,6 +239,19 @@ def test_array_geometry_validation():
                                       [0.05, 0.05, 0.0]]), radius_m=RADIUS)
 
 
+@pytest.mark.parametrize("markers, radius_m, message", [
+    (ARRAY.markers, float("nan"), "marker radius must be a finite positive number"),
+    (ARRAY.markers, True, "marker radius must be a finite positive number"),
+    (ARRAY.markers, "x", "marker radius must be a finite positive number"),
+    (np.where(np.eye(4, 3, dtype=bool), np.nan, ARRAY.markers), RADIUS,
+     "marker coordinates must be finite"),
+    (np.arange(12.0).reshape(6, 2) * 0.05, RADIUS, r"markers must be an \(N, 3\) array"),
+], ids=["nan-radius", "bool-radius", "str-radius", "nan-coordinate", "two-coordinates"])
+def test_array_geometry_rejects_bad_values(markers, radius_m, message):
+    with pytest.raises(ParameterError, match=message):
+        MarkerArrayGeometry(markers, radius_m=radius_m)
+
+
 def test_array_geometry_json_round_trip():
     back = MarkerArrayGeometry.from_json(ARRAY.to_json())
     assert back.radius_m == ARRAY.radius_m
@@ -239,6 +266,19 @@ def test_array_geometry_json_missing_key(key):
     else:
         del obj[key]
     with pytest.raises(ParameterError, match=f"marker array missing key '{key}'"):
+        MarkerArrayGeometry.from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda o: {**o, "markers": 5},
+    lambda o: {**o, "radius_m": "x"},
+    lambda o: [1],
+    lambda o: {**o, "markers": [{"position_m": ["a", 0, 0]}] + o["markers"][1:]},
+], ids=["markers-not-list", "radius-not-number", "top-level-list",
+        "non-numeric-position"])
+def test_array_geometry_json_malformed(edit):
+    obj = edit(json.loads(ARRAY.to_json()))
+    with pytest.raises(ParameterError):
         MarkerArrayGeometry.from_json(json.dumps(obj))
 
 
