@@ -30,12 +30,14 @@ def _fail(message: str) -> int:
 
 
 def _parsed(path: str, parse):
-    """``parse`` applied to the text of ``path``; a ParameterError it raises
-    and malformed JSON are raised as ParameterError naming the file."""
-    with open(path) as f:
-        text = f.read()
+    """``parse`` applied to the text of ``path``; text that is not UTF-8, a
+    ParameterError it raises and malformed JSON are raised as ParameterError
+    naming the file."""
     try:
-        return parse(text)
+        with open(path) as f:
+            return parse(f.read())
+    except UnicodeDecodeError:
+        raise ParameterError(f"{path}: not UTF-8 text") from None
     except ParameterError as exc:
         raise ParameterError(f"{path}: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -421,6 +423,8 @@ def main(argv=None) -> int:
         return _fail(str(exc))
     except FileNotFoundError as exc:
         return _fail(f"missing file: {exc.filename}")
+    except OSError as exc:
+        return _fail(f"{exc.filename}: {exc.strerror}")
 
 
 if __name__ == "__main__":

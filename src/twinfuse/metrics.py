@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .cameras import project
 from .errors import (InsufficientCorrespondencesError, NoOverlapError,
                      ParameterError, UnknownEntityError)
 from .geometry import PointCloud
@@ -96,8 +97,6 @@ def reprojection_stats(observations, cameras) -> tuple[float, float]:
     ``cameras`` a sequence of CameraModel. Each 3D point is projected into
     its camera and compared against the observed pixel.
     """
-    from .cameras import project  # local import to avoid a module cycle
-
     by_id = {c.id: c for c in cameras}
     residuals = []
     for cam_id, pixel, point in observations:

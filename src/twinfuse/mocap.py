@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,14 +129,23 @@ def skeleton_track_from_csv(text: str) -> list[Skeleton3DFrame]:
             raise ParameterError(
                 f"skeleton CSV line {n}: expected 7 columns, got {len(r)}")
         try:
-            t, j = float(r[0]), int(r[1])
-            row = (j, [float(v) for v in r[2:5]], float(r[5]), bool(int(r[6])))
+            t, j, valid = float(r[0]), int(r[1]), int(r[6])
+            row = (j, [float(v) for v in r[2:5]], float(r[5]), valid == 1)
         except ValueError:
             raise ParameterError(f"skeleton CSV line {n}: "
                                  f"non-numeric value") from None
         if not 0 <= j < N_JOINTS:
             raise ParameterError(f"skeleton CSV line {n}: joint id {j} "
                                  f"outside 0..{N_JOINTS - 1}")
+        if not math.isfinite(t):
+            raise ParameterError(f"skeleton CSV line {n}: t_s must be finite")
+        if valid not in (0, 1):
+            raise ParameterError(f"skeleton CSV line {n}: valid must be 0 or 1, "
+                                 f"got {valid}")
+        # an invalid joint's position and residual are undefined
+        if valid and not all(map(math.isfinite, [*row[1], row[2]])):
+            raise ParameterError(f"skeleton CSV line {n}: a valid joint's "
+                                 f"position and residual must be finite")
         by_t.setdefault(t, []).append(row)
     frames = []
     for t, rows in by_t.items():

@@ -13,7 +13,7 @@ from .errors import ManifestError, ParameterError, TwinfuseError
 from .geometry import PointCloud, RigidTransform, quat_slerp
 from .mocap import Skeleton3DFrame, skeleton_track_from_csv, skeleton_track_to_csv
 from .ply import load_ply, save_ply
-from .tracking import PoseTrack
+from .tracking import UNIT_QUATERNION_TOL, PoseTrack
 
 MANIFEST_VERSION = "1"
 MANIFEST_NAME = "scene.json"
@@ -61,13 +61,13 @@ class TwinScene:
                 + [n.name for n in self.skeleton_nodes])
 
 
-def _track_end_times(scene: TwinScene) -> list[float]:
+def _track_end_times(dynamic_nodes, skeleton_nodes) -> list[float]:
     """First and last timestamp of every non-empty dynamic track and skeleton."""
     times = []
-    for node in scene.dynamic_nodes:
+    for node in dynamic_nodes:
         if len(node.track):
             times += [node.track.times[0], node.track.times[-1]]
-    for node in scene.skeleton_nodes:
+    for node in skeleton_nodes:
         if node.frames:
             times += [node.frames[0].t_s, node.frames[-1].t_s]
     return times
@@ -75,27 +75,17 @@ def _track_end_times(scene: TwinScene) -> list[float]:
 
 def assemble(static_nodes=(), dynamic_nodes=(), skeleton_nodes=(),
              reference_frame: str = "reference") -> TwinScene:
-    """Build and validate a scene; rejects duplicate names and frame mixups."""
-    scene = TwinScene(reference_frame, tuple(static_nodes), tuple(dynamic_nodes),
-                      tuple(skeleton_nodes), time_range=None)
-    names = scene.node_names()
-    dupes = {n for n in names if names.count(n) > 1}
-    if dupes:
-        raise TwinfuseError(f"duplicate node names: {sorted(dupes)}")
-    for node in scene.dynamic_nodes:
-        if node.track.frame != reference_frame:
-            raise TwinfuseError(
-                f"node {node.name!r}: track frame {node.track.frame!r} "
-                f"!= reference frame {reference_frame!r}")
-    for node in scene.static_nodes:
-        if node.pose.to_frame != reference_frame:
-            raise TwinfuseError(
-                f"node {node.name!r}: pose maps into {node.pose.to_frame!r}, "
-                f"expected {reference_frame!r}")
-    times = _track_end_times(scene)
+    """Scene of the nodes, its time range spanning every track; raises
+    TwinfuseError with the first violation ``validate`` finds."""
+    dynamic_nodes, skeleton_nodes = tuple(dynamic_nodes), tuple(skeleton_nodes)
+    times = _track_end_times(dynamic_nodes, skeleton_nodes)
     time_range = (float(min(times)), float(max(times))) if times else None
-    return TwinScene(reference_frame, scene.static_nodes, scene.dynamic_nodes,
-                     scene.skeleton_nodes, time_range)
+    scene = TwinScene(reference_frame, static_nodes, dynamic_nodes,
+                      skeleton_nodes, time_range)
+    violations = validate(scene)
+    if violations:
+        raise TwinfuseError(violations[0])
+    return scene
 
 
 @dataclass(frozen=True)
@@ -170,7 +160,7 @@ def validate(scene: TwinScene, base_dir=None) -> list[str]:
             violations.append(
                 f"static node {node.name!r}: pose frame {node.pose.to_frame!r} "
                 f"!= {scene.reference_frame!r}")
-        if abs(np.linalg.norm(node.pose.q) - 1.0) > 1e-9:
+        if abs(np.linalg.norm(node.pose.q) - 1.0) > UNIT_QUATERNION_TOL:
             violations.append(f"static node {node.name!r}: non-unit quaternion")
         if isinstance(node.asset, str) and base_dir is not None:
             if not os.path.exists(os.path.join(base_dir, node.asset)):
@@ -184,7 +174,7 @@ def validate(scene: TwinScene, base_dir=None) -> list[str]:
         if len(node.track) > 1 and np.any(np.diff(node.track.times) <= 0):
             violations.append(f"dynamic node {node.name!r}: non-monotonic timestamps")
         norms = np.linalg.norm(node.track.quats, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
+        if np.any(np.abs(norms - 1.0) > UNIT_QUATERNION_TOL):
             violations.append(f"dynamic node {node.name!r}: non-unit quaternion(s)")
         if isinstance(node.asset, str) and base_dir is not None:
             if not os.path.exists(os.path.join(base_dir, node.asset)):
@@ -196,7 +186,7 @@ def validate(scene: TwinScene, base_dir=None) -> list[str]:
             violations.append(f"skeleton node {node.name!r}: non-monotonic timestamps")
     if scene.time_range is not None:
         lo, hi = scene.time_range
-        times = _track_end_times(scene)
+        times = _track_end_times(scene.dynamic_nodes, scene.skeleton_nodes)
         if times and (lo > min(times) or hi < max(times)):
             violations.append("time_range does not span all track timestamps")
     return violations
@@ -266,6 +256,8 @@ def load(directory) -> TwinScene:
             manifest = json.load(f)
     except FileNotFoundError:
         raise ManifestError(f"no manifest at {path}")
+    except UnicodeDecodeError:
+        raise ManifestError(f"{path}: not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise ManifestError(f"{path}: malformed JSON at line {exc.lineno}, "
                             f"column {exc.colno}: {exc.msg}")
@@ -305,16 +297,17 @@ def load(directory) -> TwinScene:
         if not os.path.exists(track_path):
             raise ManifestError(f"{path}: {kind} {name!r} references "
                                 f"missing track {track_path}")
-        with open(track_path) as f:
-            text = f.read()
         try:
-            return parse(text)
+            with open(track_path) as f:
+                return parse(f.read())
+        except UnicodeDecodeError:
+            raise ParameterError(f"{track_path}: not UTF-8 text") from None
         except ParameterError as exc:
             raise ParameterError(f"{track_path}: {exc}") from None
 
     static = []
     for entry in manifest.get("static", []):
-        name = field(entry, "name", "static node")
+        name = field(entry, "name", "static node", str)
         try:
             pose = _pose_from_obj(field(entry, "pose", f"static node {name!r}"))
         except KeyError as exc:
@@ -325,17 +318,20 @@ def load(directory) -> TwinScene:
         static.append(StaticNode(name, read_asset(entry, name), pose))
     dynamic = []
     for entry in manifest.get("dynamic", []):
-        name = field(entry, "name", "dynamic node")
+        name = field(entry, "name", "dynamic node", str)
         frame = entry.get("track_frame", ref)
         track = read_track(entry, name, "node",
                            lambda text: PoseTrack.from_csv(text, frame=frame))
         dynamic.append(DynamicNode(name, read_asset(entry, name), track))
     skeletons = []
     for entry in manifest.get("skeletons", []):
-        name = field(entry, "name", "skeleton")
+        name = field(entry, "name", "skeleton", str)
         frames = read_track(entry, name, "skeleton", skeleton_track_from_csv)
         skeletons.append(SkeletonNode(name, tuple(frames)))
-    return assemble(static, dynamic, skeletons, reference_frame=ref)
+    try:
+        return assemble(static, dynamic, skeletons, reference_frame=ref)
+    except TwinfuseError as exc:
+        raise ManifestError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

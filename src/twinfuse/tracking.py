@@ -22,6 +22,16 @@ SIGNATURE_TOL_M = 0.0005  # pairwise-distance agreement for a marker match
 ICP_MAX_ITERATIONS = 50
 ICP_MAX_CORRESPONDENCE_M = 0.01  # nearest neighbours farther away are outliers
 ICP_CONVERGENCE_RMS_M = 1e-7  # stop once an iteration lowers the RMS by less
+UNIT_QUATERNION_TOL = 1e-6  # largest |norm - 1| of a quaternion taken as unit
+
+
+def _radius(r) -> float:
+    """``r`` as a float; it must be a finite positive real and not a bool."""
+    if (isinstance(r, bool) or not isinstance(r, numbers.Real)
+            or not math.isfinite(r) or r <= 0):
+        raise ParameterError(
+            f"marker radius must be a finite positive number, got {r!r}")
+    return float(r)
 
 
 @dataclass(frozen=True)
@@ -39,17 +49,14 @@ class MarkerArrayGeometry:
             raise ParameterError("marker array needs at least 3 markers")
         if not np.isfinite(m).all():
             raise ParameterError("marker coordinates must be finite")
-        r = self.radius_m
-        if (isinstance(r, bool) or not isinstance(r, numbers.Real)
-                or not math.isfinite(r) or r <= 0):
-            raise ParameterError(
-                f"marker radius must be a finite positive number, got {r!r}")
+        r = _radius(self.radius_m)
         d = np.linalg.norm(m[:, None] - m[None, :], axis=2)
         np.fill_diagonal(d, np.inf)
-        if d.min() <= 2 * self.radius_m:
+        if d.min() <= 2 * r:
             raise ParameterError("markers closer than one marker diameter")
         m.setflags(write=False)
         object.__setattr__(self, "markers", m)
+        object.__setattr__(self, "radius_m", r)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -91,7 +98,7 @@ class PoseTrack:
         if len(t) > 1 and np.any(np.diff(t) <= 0):
             raise ParameterError("timestamps must be strictly increasing")
         norms = np.linalg.norm(q, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-6):
+        if np.any(np.abs(norms - 1.0) > UNIT_QUATERNION_TOL):
             raise ParameterError("track quaternions must be unit norm")
         for arr in (t, q, tr):
             arr.setflags(write=False)
@@ -147,8 +154,9 @@ def fit_sphere_fixed_radius(points, radius_m: float) -> tuple[np.ndarray, float]
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(pts) < 4:
         raise ParameterError("sphere fit needs at least 4 points")
-    if radius_m <= 0:
-        raise ParameterError("radius must be positive")
+    if not np.isfinite(pts).all():
+        raise ParameterError("sphere fit points must be finite")
+    radius_m = _radius(radius_m)
 
     # Residuals in millimetres: the loop stops at an absolute cost drop of
     # 1e-10, sized for pixel residuals of order 1. In metres the cost of a

@@ -518,6 +518,92 @@ def test_scene_rejects_corrupt_manifest(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# unreadable files
+
+def _saved_scene(d):
+    """A saved scene with a room cloud, a drill with a track and its cloud."""
+    from twinfuse import scene as scene_mod
+    from twinfuse.geometry import RigidTransform
+    cloud = PointCloud(np.zeros((3, 3)), frame="reference")
+    pose = RigidTransform([1.0, 0, 0, 0], [0.0, 0, 0], "room", "reference")
+    track = PoseTrack("reference", [0.0, 1.0], np.tile([1.0, 0, 0, 0], (2, 1)),
+                      np.zeros((2, 3)))
+    scene_mod.save(scene_mod.assemble([scene_mod.StaticNode("room", cloud, pose)],
+                                      [scene_mod.DynamicNode("drill", cloud, track)]),
+                   d)
+    return d
+
+
+def _edited_scene(tmp_path, edit):
+    d = _saved_scene(tmp_path / "scene")
+    manifest = json.loads((d / "scene.json").read_text())
+    edit(d, manifest)
+    (d / "scene.json").write_text(json.dumps(manifest))
+    return d
+
+
+def _track_dir(bundle_dir, tmp_path):
+    return (["track", "--input", str(tmp_path), "--window", "5",
+             "--out", str(tmp_path / "x.csv")], f"{tmp_path}: Is a directory")
+
+
+def _markers_dir(bundle_dir, tmp_path):
+    return (["metrics", "--markers-a", str(tmp_path), "--markers-b",
+             str(tmp_path)], f"{tmp_path}: Is a directory")
+
+
+def _scene_asset_dir(bundle_dir, tmp_path):
+    def edit(d, m):
+        (d / "sub").mkdir()
+        m["static"][0]["asset"] = "sub"
+    d = _edited_scene(tmp_path, edit)
+    return ["scene", str(d)], f"{d / 'sub'}: Is a directory"
+
+
+def _scene_track_dir(bundle_dir, tmp_path):
+    def edit(d, m):
+        (d / "sub").mkdir()
+        m["dynamic"][0]["track"] = "sub"
+    d = _edited_scene(tmp_path, edit)
+    return ["scene", str(d)], f"{d / 'sub'}: Is a directory"
+
+
+def _track_latin1(bundle_dir, tmp_path):
+    bad = tmp_path / "track.csv"
+    bad.write_bytes((bundle_dir / "instrument_track.csv").read_bytes() + b"\xff\n")
+    return (["track", "--input", str(bad), "--window", "5",
+             "--out", str(tmp_path / "x.csv")], f"{bad}: not UTF-8 text")
+
+
+def _scene_manifest_latin1(bundle_dir, tmp_path):
+    d = _saved_scene(tmp_path / "scene")
+    (d / "scene.json").write_bytes(b'{"version": "\xff"}')
+    return ["scene", str(d)], f"{d / 'scene.json'}: not UTF-8 text"
+
+
+def _scene_track_latin1(bundle_dir, tmp_path):
+    d = _saved_scene(tmp_path / "scene")
+    (d / "drill_track.csv").write_bytes(b"t_s,\xff\n")
+    return ["scene", str(d)], f"{d / 'drill_track.csv'}: not UTF-8 text"
+
+
+def _scene_int_name(bundle_dir, tmp_path):
+    d = _edited_scene(tmp_path, lambda d, m: m["dynamic"][0].update(name=5))
+    return (["scene", str(d)],
+            f"{d / 'scene.json'}: dynamic node field 'name' is not a str")
+
+
+@pytest.mark.parametrize("case", [
+    _track_dir, _markers_dir, _scene_asset_dir, _scene_track_dir,
+    _track_latin1, _scene_manifest_latin1, _scene_track_latin1, _scene_int_name,
+], ids=lambda case: case.__name__[1:])
+def test_unreadable_input_is_one_error_line(bundle_dir, tmp_path, capsys, case):
+    argv, message = case(bundle_dir, tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# ---------------------------------------------------------------------------
 # synth
 
 def test_synth_export_and_seed_flag(tmp_path, capsys):

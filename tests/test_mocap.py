@@ -116,11 +116,27 @@ def test_skeleton_csv_round_trip():
     ("0.0,1.5,0.1,0.2,0.3,0.5,1", "non-numeric value"),
     ("0.0,67,0.1,0.2,0.3,0.5,1", "joint id 67 outside 0..66"),
     ("0.0,-1,0.1,0.2,0.3,0.5,1", "joint id -1 outside 0..66"),
+    ("nan,1,0.1,0.2,0.3,0.5,1", "t_s must be finite"),
+    ("inf,1,0.1,0.2,0.3,0.5,0", "t_s must be finite"),
+    ("0.0,1,0.1,0.2,0.3,0.5,2", "valid must be 0 or 1, got 2"),
+    ("0.0,1,0.1,0.2,0.3,0.5,-1", "valid must be 0 or 1, got -1"),
+    ("0.0,1,nan,0.2,0.3,0.5,1",
+     "a valid joint's position and residual must be finite"),
+    ("0.0,1,0.1,0.2,0.3,inf,1",
+     "a valid joint's position and residual must be finite"),
 ])
 def test_skeleton_csv_rejects_bad_rows(row, message):
     text = "t_s,joint_id,x_m,y_m,z_m,residual_px,valid\n0.0,0,1,2,3,0.5,1\n\n"
     with pytest.raises(ParameterError, match=f"^skeleton CSV line 4: {message}$"):
         skeleton_track_from_csv(text + row + "\n")
+
+
+def test_skeleton_csv_invalid_joint_is_undefined():
+    text = ("t_s,joint_id,x_m,y_m,z_m,residual_px,valid\n"
+            "0.0,0,1,2,3,0.5,1\n0.0,1,nan,nan,nan,inf,0\n")
+    (frame,) = skeleton_track_from_csv(text)
+    assert frame.valid[:2].tolist() == [True, False]
+    assert np.isnan(frame.positions[1]).all()
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,26 @@ def test_assemble_rejects_frame_mismatch():
         assemble([], [bad])
 
 
+def test_assemble_rejects_unordered_skeleton_frames():
+    rng = np.random.default_rng(4)
+    node = _skeleton(rng)
+    frames = node.frames
+    unordered = SkeletonNode(node.name, (frames[1], frames[0]) + frames[2:])
+    with pytest.raises(TwinfuseError, match="^skeleton node 'surgeon': "
+                                           "non-monotonic timestamps$"):
+        assemble([], [], [unordered])
+
+
+def test_unit_quaternion_tolerance_is_the_track_tolerance():
+    # PoseTrack accepts a norm within UNIT_QUATERNION_TOL of 1, so the scene
+    # checks must accept it too
+    quats = np.array([[1.0 + 1e-7, 0, 0, 0], [1.0, 0, 0, 0]])
+    node = DynamicNode("d", "asset.ply",
+                       PoseTrack(REF, [0.0, 1.0], quats, np.zeros((2, 3))))
+    scene = assemble([], [node])
+    assert validate(scene) == []
+
+
 def test_validate_clean_scene_empty():
     assert validate(_scene()) == []
 
@@ -308,16 +328,31 @@ def _set_quat(q):
      "node 'drill' field 'asset' is not a str"),
     (lambda m: m["skeletons"][0].update(track=["a.csv"]),
      "skeleton 'surgeon' field 'track' is not a str"),
+    (lambda m: m["static"][0].update(name=5),
+     "static node field 'name' is not a str"),
 ], ids=["no-reference-frame", "node-no-name", "node-no-asset",
         "node-no-track", "skeleton-no-track", "zero-quat", "nan-quat",
         "short-quat", "static-not-list", "skeletons-not-list",
-        "asset-not-string", "track-not-string"])
+        "asset-not-string", "track-not-string", "name-not-string"])
 def test_load_rejects_malformed_manifest(tmp_path, mutate, message):
     save(_scene(), tmp_path)
     _mutate_manifest(tmp_path, mutate)
     with pytest.raises(ManifestError) as exc_info:
         load(tmp_path)
     assert str(exc_info.value) == f"{tmp_path / 'scene.json'}: {message}"
+
+
+def test_load_rejects_unordered_skeleton_csv(tmp_path):
+    save(_scene(), tmp_path)
+    csv = tmp_path / "surgeon_skeleton.csv"
+    header, *rows = csv.read_text().splitlines()
+    # the first frame's rows moved after the second frame's
+    rows = rows[N_JOINTS:2 * N_JOINTS] + rows[:N_JOINTS] + rows[2 * N_JOINTS:]
+    csv.write_text("\n".join([header] + rows) + "\n")
+    with pytest.raises(ManifestError) as exc_info:
+        load(tmp_path)
+    assert str(exc_info.value) == (f"{tmp_path / 'scene.json'}: skeleton node "
+                                   f"'surgeon': non-monotonic timestamps")
 
 
 def test_load_rejects_non_object_manifest(tmp_path):

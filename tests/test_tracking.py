@@ -102,6 +102,13 @@ def test_sphere_fit_parameter_checks():
         fit_sphere_fixed_radius(np.zeros((3, 3)), RADIUS)
     with pytest.raises(ParameterError):
         fit_sphere_fixed_radius(np.zeros((10, 3)), 0.0)
+    pts = _hemisphere_points(np.zeros(3), RADIUS, np.random.default_rng(0))
+    for radius_m in (float("nan"), float("inf"), True):
+        with pytest.raises(ParameterError, match="radius must be a finite positive"):
+            fit_sphere_fixed_radius(pts, radius_m)
+    pts[7, 1] = np.nan
+    with pytest.raises(ParameterError, match="points must be finite"):
+        fit_sphere_fixed_radius(pts, RADIUS)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +263,13 @@ def test_array_geometry_json_round_trip():
     back = MarkerArrayGeometry.from_json(ARRAY.to_json())
     assert back.radius_m == ARRAY.radius_m
     assert np.array_equal(back.markers, ARRAY.markers)
+
+
+def test_array_geometry_numpy_scalar_radius_json_round_trip():
+    geom = MarkerArrayGeometry(ARRAY.markers, np.float32(RADIUS))
+    assert type(geom.radius_m) is float
+    back = MarkerArrayGeometry.from_json(geom.to_json())
+    assert back.radius_m == geom.radius_m
 
 
 @pytest.mark.parametrize("key", ["radius_m", "markers", "position_m"])
