@@ -142,16 +142,36 @@ def _distort(xn: np.ndarray, dist) -> np.ndarray:
     return np.stack([xd, yd], axis=-1)
 
 
+def _distort_jacobian(xn: np.ndarray, dist) -> np.ndarray:
+    """Derivative (..., 2, 2) of ``_distort`` at normalized coords (..., 2);
+    ``dist`` is as for ``_distort``. It is symmetric."""
+    k1, k2, p1, p2, k3 = dist
+    x, y = xn[..., 0], xn[..., 1]
+    r2 = x * x + y * y
+    radial = 1 + r2 * (k1 + r2 * (k2 + r2 * k3))
+    g = 2 * k1 + r2 * (4 * k2 + 6 * k3 * r2)  # twice d radial / d r2
+    jac = np.empty(x.shape + (2, 2))
+    jac[..., 0, 0] = radial + g * x * x + 2 * p1 * y + 6 * p2 * x
+    jac[..., 0, 1] = jac[..., 1, 0] = g * x * y + 2 * p1 * x + 2 * p2 * y
+    jac[..., 1, 1] = radial + g * y * y + 6 * p1 * y + 2 * p2 * x
+    return jac
+
+
 def _undistort(xd: np.ndarray, dist) -> np.ndarray:
-    """Invert the distortion numerically by at most 30 fixed-point iterations
-    on normalized coords (..., 2). Each point stops once its update is below
-    1e-14, so its result does not depend on the other points."""
+    """Invert the distortion by at most 30 Newton steps on normalized coords
+    (..., 2), starting from the distorted coords. Each point stops once its
+    step is below 1e-14, so its result does not depend on the other points."""
     xn = np.array(xd, dtype=float, copy=True)
     moving = np.ones(xn.shape[:-1], dtype=bool)
     for _ in range(30):
-        err = np.where(moving[..., None], _distort(xn, dist) - xd, 0.0)
-        xn -= err
-        moving &= np.abs(err).max(axis=-1) >= 1e-14
+        err = _distort(xn, dist) - xd
+        jac = _distort_jacobian(xn, dist)
+        a, b, d = jac[..., 0, 0], jac[..., 0, 1], jac[..., 1, 1]
+        ex, ey = err[..., 0], err[..., 1]
+        step = np.stack([d * ex - b * ey, a * ey - b * ex], axis=-1) / (a * d - b * b)[..., None]
+        step[~moving] = 0.0
+        xn -= step
+        moving &= np.abs(step).max(axis=-1) >= 1e-14
         if not moving.any():
             break
     return xn
@@ -162,6 +182,16 @@ def _pixels(pc: np.ndarray, focal, center, dist) -> np.ndarray:
     camera to pixels (..., 2). ``focal`` and ``center`` broadcast against
     the pixels; ``dist`` is as for ``_distort``."""
     return focal * _distort(pc[..., :2] / pc[..., 2:3], dist) + center
+
+
+def _pixels_jacobian(pc: np.ndarray, focal, dist) -> np.ndarray:
+    """Derivative (..., 2, 3) of ``_pixels`` with respect to the camera-frame
+    points: ``diag(focal) . D . d(x/z, y/z)/d(x, y, z)``, with D the
+    distortion's Jacobian."""
+    z = pc[..., 2:3]
+    xn = pc[..., :2] / z
+    fd = focal[..., :, None] * _distort_jacobian(xn, dist) / z[..., None]
+    return np.concatenate([fd, -(fd @ xn[..., None])], axis=-1)
 
 
 def project_points(cam: CameraModel, points_world: np.ndarray) -> np.ndarray:
@@ -212,6 +242,19 @@ def _rotvec_to_matrix(r: np.ndarray) -> np.ndarray:
     k = (r @ _SKEW).reshape(r.shape + (3,)) / np.where(small, 1.0, angle)
     return (np.eye(3) + np.where(small, 1.0, np.sin(angle)) * k
             + np.where(small, 0.0, 1 - np.cos(angle)) * (k @ k))
+
+
+def _right_jacobian(r: np.ndarray) -> np.ndarray:
+    """Right Jacobian (3, 3) of SO(3) at the rotation vector ``r``: the
+    rotation of ``r + dr`` is that of ``r`` times the one of
+    ``_right_jacobian(r) @ dr``, to first order in dr."""
+    angle = np.linalg.norm(r)
+    k = (r @ _SKEW).reshape(3, 3)
+    if angle < 1e-12:  # first order in r itself
+        return np.eye(3) - 0.5 * k
+    half = np.sin(0.5 * angle) / angle
+    return (np.eye(3) - 2 * half * half * k
+            + (angle - np.sin(angle)) / angle ** 3 * (k @ k))
 
 
 def _matrix_to_rotvec(m: np.ndarray) -> np.ndarray:
@@ -269,15 +312,20 @@ def solve_pnp(points, pixels, intr: CameraIntrinsics) -> tuple[RigidTransform, f
     xn = pixels_to_normalized(intr, pixels)
     rot, t = _dlt_pose(points, xn)
 
-    def residuals(x):  # x: (1, c, 6) candidate poses of the one problem
-        pc = points @ _rotvec_to_matrix(x[0, :, :3]).transpose(0, 2, 1) + x[0, :, None, 3:]
+    def model(x, rows):  # x: (1, 6) rotation vector and translation of the one problem
+        cam_rot = _rotvec_to_matrix(x[0, :3])
+        pc = points @ cam_rot.T + x[0, 3:]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            r = _pixels(pc, intr.focal, intr.center, intr.dist) - pixels
-        r = r.reshape(len(pc), -1)
-        r[(pc[..., 2] <= 1e-9).any(axis=1)] = np.nan
-        return r[None]
+            r = (_pixels(pc, intr.focal, intr.center, intr.dist) - pixels).reshape(1, -1)
+            d_pc = _pixels_jacobian(pc, intr.focal, intr.dist)  # (N, 2, 3)
+        if (pc[:, 2] <= 1e-9).any():
+            r[:] = np.nan
+        # d pc / d rotvec = -R [X]x J_r(rotvec); d pc / d t = I
+        d_rot = -(cam_rot @ (points @ _SKEW).reshape(-1, 3, 3)) @ _right_jacobian(x[0, :3])
+        jac = np.concatenate([d_pc @ d_rot, d_pc], axis=-1).reshape(1, -1, 6)
+        return r, jac
 
-    x, r = _least_squares(residuals, [np.concatenate([_matrix_to_rotvec(rot), t])],
+    x, r = _least_squares(model, [np.concatenate([_matrix_to_rotvec(rot), t])],
                           np.ones((1, pixels.size)))
     x, r = x[0], r[0]
     if np.isnan(r).any():
@@ -375,15 +423,17 @@ def triangulate_batch(pixels, confidences, cameras: list[CameraModel]
 
     weights = w / w.sum(axis=1, keepdims=True)
 
-    def residuals(x):  # x: (points, c, 3) candidate positions
-        pc = np.einsum("kij,pcj->pcki", rot, x) + t
+    def model(x, rows):  # x: (len(rows), 3) candidate positions
+        pc = np.einsum("kij,pj->pki", rot, x) + t
+        u = used[rows, :, None]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            r = _pixels(pc, focal, center, dist) - uv[:, None]
-        r = np.where(used[:, None, :, None], r, 0.0).reshape(x.shape[:2] + (2 * len(cameras),))
-        r[((pc[..., 2] <= 0) & used[:, None]).any(axis=2)] = np.nan
-        return r
+            r = np.where(u, _pixels(pc, focal, center, dist) - uv[rows], 0.0)
+            jac = np.where(u[..., None], _pixels_jacobian(pc, focal, dist) @ rot, 0.0)
+        r = r.reshape(len(x), 2 * len(cameras))
+        r[((pc[..., 2] <= 0) & u[..., 0]).any(axis=1)] = np.nan
+        return r, jac.reshape(len(x), 2 * len(cameras), 3)
 
-    x, r = _least_squares(residuals, start, np.repeat(weights, 2, axis=1))
+    x, r = _least_squares(model, start, np.repeat(weights, 2, axis=1))
     behind = np.isnan(r).any(axis=1)
     for i in sel[behind]:
         errors[i] = DegenerateGeometryError("triangulated point behind a camera")

@@ -12,7 +12,7 @@ from .errors import (DegenerateGeometryError, InsufficientCorrespondencesError,
                      ParameterError, TwinfuseError)
 from .geometry import (PointCloud, RigidTransform, apply, build_floor_frame,
                        kabsch, ransac_plane_inliers)
-from .metrics import _nn_distances, _render_table, chamfer
+from .metrics import _nn_distance_blocks, _render_table, chamfer
 
 
 @dataclass(frozen=True)
@@ -260,7 +260,8 @@ def remove_statistical_outliers(cloud: PointCloud, k: int = 16,
     if len(cloud) <= k:
         raise ParameterError(f"cloud of {len(cloud)} points too small for k={k}")
     # the first column is each point itself, at distance 0
-    mean_d = _nn_distances(cloud.points, cloud.points, k + 1)[:, 1:].mean(axis=1)
+    mean_d = np.concatenate([d[:, 1:].mean(axis=1) for d in
+                             _nn_distance_blocks(cloud.points, cloud.points, k + 1)])
     threshold = mean_d.mean() + std_ratio * mean_d.std()
     keep = mean_d <= threshold
     colors = cloud.colors[keep] if cloud.colors is not None else None

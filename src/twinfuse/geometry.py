@@ -328,60 +328,78 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return step
 
 
-def _least_squares(residuals, x: np.ndarray, weights: np.ndarray):
-    """Levenberg-Marquardt minimization of ``sum(weights * residuals(x)**2)``
-    for B independent problems at once.
+def _least_squares(model, x: np.ndarray, weights: np.ndarray):
+    """Levenberg-Marquardt minimization of ``sum(weights * r(x)**2)`` for B
+    independent problems at once (Hartley & Zisserman, appendix A6).
 
-    ``x`` is (B, n) and ``weights`` (B, m). ``residuals`` maps candidate
-    parameters (B, c, n) to residuals (B, c, m), with a row of NaN where a
-    candidate's model is undefined (a point behind a camera); the
-    forward-difference Jacobian (step 1e-8) of all problems is one call with
-    c = n. Each problem keeps its own damping, step tries, acceptance and
-    stop test, so it takes the path it would take alone: Marquardt damping
-    ``lam * diag(J^T W J)`` from lam 1e-3, 12 step tries, stop at a cost drop
-    < 1e-10 or after 100 iterations. An undefined trial step is rejected,
-    and a problem stops where a Jacobian column would need an undefined
-    point. Returns ``(x, r)``; a problem whose start point is undefined
-    keeps a NaN row in ``r``.
+    ``x`` is (B, n) and ``weights`` (B, m). ``model(x, rows)`` evaluates the
+    problems ``rows`` at their parameters ``x`` (len(rows), n) and returns
+    their residuals (len(rows), m) and Jacobians (len(rows), m, n), with a
+    row of NaN residuals where a model is undefined (a point behind a
+    camera). The first call covers every problem; after that each call
+    covers only the problems still trying a step, and an accepted step's
+    Jacobian is the one its next step is solved with.
+
+    Each problem keeps its own damping, step tries and stop test, so it
+    takes the path it would take alone. Steps use Marquardt damping
+    ``lam * diag(J^T W J)`` from lam 1e-3; an accepted step (one that lowers
+    the cost) divides lam by 10, a rejected one (or an undefined model)
+    multiplies it by 10. A problem stops, keeping its best x, when
+      - an accepted step lowered its cost by less than 1e-10;
+      - a rejected step's linearised cost drop was below 1e-10: raising lam
+        only shortens the step, so no later try can gain more;
+      - 12 tries in a row were rejected;
+      - 100 steps were accepted;
+      - its start is undefined: it keeps its start and a NaN row in ``r``.
+    Returns ``(x, r)``.
     """
     x = np.array(x, dtype=float)
-    n = x.shape[1]
-    r = residuals(x[:, None])[:, 0]
+    n_problems, n = x.shape
+    r, jac = model(x, np.arange(n_problems))
     cost = np.einsum("bm,bm->b", weights, r * r)
-    active = np.isfinite(cost)
-    lam = np.full(len(x), 1e-3)
+    act = np.flatnonzero(np.isfinite(cost))  # problems still trying a step
+    lam = np.full(n_problems, 1e-3)
+    tries = np.zeros(n_problems, dtype=int)
+    steps = np.zeros(n_problems, dtype=int)
+    jtj = np.zeros((n_problems, n, n))
+    jtr = np.zeros((n_problems, n))
+
+    def normal_equations(rows):
+        jtw = jac[rows].transpose(0, 2, 1) * weights[rows, None, :]
+        jtj[rows] = jtw @ jac[rows]
+        jtr[rows] = (jtw @ r[rows, :, None])[..., 0]
+
+    normal_equations(act)
     eye = np.eye(n)
-    for _ in range(100):
-        if not active.any():
-            break
-        jac_t = (residuals(x[:, None] + 1e-8 * eye) - r[:, None]) / 1e-8  # (B, n, m)
-        active &= np.isfinite(jac_t).all(axis=(1, 2))
-        act = np.flatnonzero(active)
-        jtw = jac_t[act] * weights[act, None, :]
-        jtj = jtw @ jac_t[act].transpose(0, 2, 1)
-        jtr = (jtw @ r[act, :, None])[..., 0]
-        damping = np.diagonal(jtj, axis1=1, axis2=2) + 1e-12
-        k = np.arange(len(act))  # rows of act still trying a step
-        for _ in range(12):
-            if not len(k):
-                break
-            trying = act[k]
-            step = np.zeros_like(x)
-            step[trying] = _solve(jtj[k] + (lam[trying, None] * damping[k])[..., None]
-                                  * eye, -jtr[k])
-            r_new = residuals((x + step)[:, None])[trying, 0]
-            cost_new = np.einsum("bm,bm->b", weights[trying], r_new * r_new)
-            better = cost_new < cost[trying]  # False where undefined (NaN)
-            done = trying[better]
-            drop = cost[done] - cost_new[better]
-            x[done] += step[done]
-            r[done] = r_new[better]
-            cost[done] = cost_new[better]
-            lam[done] = np.maximum(lam[done] / 10, 1e-12)
-            active[done[drop < 1e-10]] = False
-            k = k[~better]
-            lam[act[k]] *= 10
-        active[act[k]] = False
+    while len(act):
+        a, b = jtj[act], jtr[act]
+        h = _solve(a + (lam[act, None] * (np.diagonal(a, axis1=1, axis2=2) + 1e-12))[..., None]
+                   * eye, -b)
+        x_new = x[act] + h
+        r_new, jac_new = model(x_new, act)
+        cost_new = np.einsum("bm,bm->b", weights[act], r_new * r_new)
+        better = cost_new < cost[act]  # False where undefined (NaN)
+        done = act[better]
+        drop = cost[done] - cost_new[better]
+        x[done] = x_new[better]
+        r[done] = r_new[better]
+        jac[done] = jac_new[better]
+        cost[done] = cost_new[better]
+        lam[done] = np.maximum(lam[done] / 10, 1e-12)
+        tries[done] = 0
+        steps[done] += 1
+        normal_equations(done)
+        # linearised drop -(2 h.J^T W r + h.J^T W J h) of each rejected step
+        hr = h[~better]
+        predicted = -(2 * np.einsum("bn,bn->b", hr, b[~better])
+                      + np.einsum("bn,bnk,bk->b", hr, a[~better], hr))
+        failed = act[~better]
+        lam[failed] *= 10
+        tries[failed] += 1
+        keep = np.empty(len(act), dtype=bool)
+        keep[better] = (drop >= 1e-10) & (steps[done] < 100)
+        keep[~better] = (predicted >= 1e-10) & (tries[failed] < 12)  # False for NaN
+        act = act[keep]
     return x, r
 
 

@@ -162,10 +162,12 @@ def fit_sphere_fixed_radius(points, radius_m: float) -> tuple[np.ndarray, float]
     # 1e-10, sized for pixel residuals of order 1. In metres the cost of a
     # marker fit is near 1e-7 and the loop would stop up to 2e-8 m short of
     # the optimum; in millimetres it lands within about 4e-10 m of it.
-    def residuals(x):  # x: (1, c, 3) candidate centres of the one problem
-        return (np.linalg.norm(pts - x[0, :, None], axis=2) - radius_m)[None] * 1000.0
+    def model(x, rows):  # x: (1, 3) candidate centre of the one problem
+        d = pts - x[0]
+        dist = np.linalg.norm(d, axis=1)
+        return ((dist - radius_m) * 1000.0)[None], (-1000.0 * d / dist[:, None])[None]
 
-    c, r = _least_squares(residuals, pts.mean(axis=0)[None], np.ones((1, len(pts))))
+    c, r = _least_squares(model, pts.mean(axis=0)[None], np.ones((1, len(pts))))
     return c[0], float(np.sqrt(np.mean(r ** 2))) / 1000.0
 
 

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,37 @@ def look_at_camera_pose(position, target, from_frame="camera", to_frame="world")
     rot = np.column_stack([x, y, f])
     return transform_from_matrix(rot, position, from_frame=from_frame,
                                  to_frame=to_frame)
+
+
+def central_jacobian(f, x, h):
+    """Central differences (m, n) of ``f``: (n,) -> (m,) at ``x``, step h."""
+    x = np.asarray(x, dtype=float)
+    return np.stack([(f(x + h * e) - f(x - h * e)) / (2 * h) for e in np.eye(len(x))],
+                    axis=1)
+
+
+def captured_model(module, call):
+    """Run ``call()`` and return the first ``(model, x)`` that ``module``
+    passed to ``geometry._least_squares``."""
+    seen = []
+    solve = module._least_squares
+
+    def spy(model, x, weights):
+        seen.append((model, np.array(x, dtype=float)))
+        return solve(model, x, weights)
+
+    with mock.patch.object(module, "_least_squares", spy):
+        call()
+    return seen[0]
+
+
+def assert_jacobian_matches(model, x, h, rtol=1e-6):
+    """The Jacobian ``model`` returns at the one problem ``x`` (n,) equals
+    central differences of its residuals to ``rtol`` of its largest entry."""
+    _, jac = model(x[None], np.array([0]))
+    numeric = central_jacobian(lambda v: model(v[None], np.array([0]))[0][0], x, h)
+    assert np.isfinite(jac).all()
+    assert np.abs(jac[0] - numeric).max() <= rtol * np.abs(numeric).max()
 
 
 @pytest.fixture(scope="session")

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twinfuse import cameras
 from twinfuse.cameras import (CONFIDENCE_FLOOR, CameraIntrinsics, CameraModel,
-                              PixelObservation, estimate_time_offset,
+                              PixelObservation, _distort, _distort_jacobian,
+                              _undistort, estimate_time_offset,
                               pixels_to_normalized, project, project_points,
-                              solve_pnp, triangulate, unproject)
+                              solve_pnp, triangulate, triangulate_batch,
+                              unproject)
 from twinfuse.errors import (BehindCameraError, ConvergenceError,
                              DegenerateGeometryError,
                              InsufficientCorrespondencesError,
@@ -17,7 +20,8 @@ from twinfuse.errors import (BehindCameraError, ConvergenceError,
 from twinfuse.geometry import RigidTransform
 from twinfuse.synth import _default_intrinsics, project_visible
 
-from conftest import look_at_camera_pose, quat_angle_deg, random_transform
+from conftest import (assert_jacobian_matches, captured_model, central_jacobian,
+                      look_at_camera_pose, quat_angle_deg, random_transform)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -139,7 +143,6 @@ def test_distortion_changes_off_center_pixels():
 def test_normalized_coords_invert_distortion():
     rng = np.random.default_rng(0)
     xn_true = rng.uniform(-0.4, 0.4, size=(20, 2))
-    from twinfuse.cameras import _distort
     xd = _distort(xn_true, DIST)
     pix = np.column_stack([INTR_DIST.fx * xd[:, 0] + INTR_DIST.cx,
                            INTR_DIST.fy * xd[:, 1] + INTR_DIST.cy])
@@ -330,6 +333,94 @@ def test_triangulate_parallel_rays_degenerate():
     obs = [PixelObservation(c.id, *project(c, p)) for c in (c0, c1)]
     with pytest.raises(DegenerateGeometryError):
         triangulate(obs, [c0, c1])
+
+
+# ---------------------------------------------------------------------------
+# analytic Jacobians and Newton undistortion, on random intrinsics whose
+# distortion is up to twice synth's (-0.04, 0.01, 0.0004, -0.0003, 0) in
+# size, either sign, with k3 up to 1e-3
+
+DIST_SCALE = np.array([0.08, 0.02, 0.0008, 0.0006, 0.001])
+
+
+def _random_intrinsics(rng):
+    return CameraIntrinsics(fx=rng.uniform(400, 1200), fy=rng.uniform(400, 1200),
+                            cx=rng.uniform(600, 680), cy=rng.uniform(320, 400),
+                            width=1280, height=720,
+                            dist=tuple(rng.uniform(-1, 1, 5) * DIST_SCALE))
+
+
+def _image_normalized(rng, intr, n):
+    """Normalized coords (n, 2) of pixels spread over the image of ``intr``."""
+    uv = rng.uniform(0, 1, size=(n, 2)) * [intr.width - 1, intr.height - 1]
+    return (uv - intr.center) / intr.focal
+
+
+def _random_camera(rng, cam_id="cam0"):
+    """A camera 2.5-4 m from the origin in a random direction, looking at it."""
+    d = rng.normal(size=3)
+    return _cam(cam_id, position=rng.uniform(2.5, 4) * d / np.linalg.norm(d),
+                intr=_random_intrinsics(rng))
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None)
+def test_distort_jacobian_matches_central_differences(seed):
+    rng = np.random.default_rng(seed)
+    intr = _random_intrinsics(rng)
+    for xn in _image_normalized(rng, intr, 5):
+        jac = _distort_jacobian(xn, intr.dist)
+        numeric = central_jacobian(lambda v: _distort(v, intr.dist), xn, 1e-6)
+        assert np.abs(jac - numeric).max() < 1e-8
+        assert jac[0, 1] == jac[1, 0]
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None)
+def test_undistort_inverts_distort(seed):
+    rng = np.random.default_rng(seed)
+    intr = _random_intrinsics(rng)
+    xn = _image_normalized(rng, intr, 50)
+    assert np.abs(_undistort(_distort(xn, intr.dist), intr.dist) - xn).max() < 1e-12
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None)
+def test_undistort_batch_matches_single(seed):
+    rng = np.random.default_rng(seed)
+    intr = _random_intrinsics(rng)
+    xd = _distort(_image_normalized(rng, intr, 20), intr.dist)
+    batch = _undistort(xd, intr.dist)
+    for i in range(len(xd)):
+        assert np.array_equal(_undistort(xd[i:i + 1], intr.dist)[0], batch[i])
+
+
+@given(seeds)
+@settings(max_examples=30, deadline=None)
+def test_triangulation_jacobian_matches_central_differences(seed):
+    rng = np.random.default_rng(seed)
+    cams = [_random_camera(rng, f"cam{k}") for k in range(3)]
+    point = rng.uniform(-0.3, 0.3, size=3)
+    pixels = np.array([project(c, point) for c in cams]) + rng.normal(0, 0.5, (3, 2))
+    model, _ = captured_model(cameras, lambda: triangulate_batch(
+        pixels[None], rng.uniform(0.2, 1.0, size=(1, 3)), cams))
+    assert_jacobian_matches(model, point + rng.normal(0, 0.01, size=3), 1e-6)
+
+
+@given(seeds)
+@settings(max_examples=30, deadline=None)
+def test_pnp_jacobian_matches_central_differences(seed):
+    rng = np.random.default_rng(seed)
+    cam = _random_camera(rng)
+    points = rng.uniform(-0.4, 0.4, size=(10, 3))
+    model, (x,) = captured_model(cameras, lambda: solve_pnp(
+        points, project_points(cam, points), cam.intrinsics))
+    assert_jacobian_matches(model, x, 1e-6)
+    # near and at a zero rotation (the right Jacobian's first-order branch),
+    # with the points 3 m in front of the camera
+    for angle in (1e-3, 1e-13, 0.0):
+        rotvec = angle * rng.normal(size=3) / np.sqrt(3)
+        assert_jacobian_matches(model, np.concatenate([rotvec, [0.0, 0.0, 3.0]]), 1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from twinfuse.fusion import (MarkerSet, ScanRecord, crop_aabb,
                              register_scan, remove_statistical_outliers,
                              voxel_downsample)
 from twinfuse.geometry import PointCloud, RigidTransform, apply, invert, ransac_plane_inliers
-from twinfuse.metrics import _PARALLEL_MIN_PAIRS, chamfer
+from twinfuse import metrics
+from twinfuse.metrics import _PARALLEL_MIN_PAIRS, _nn_distance_blocks, chamfer
 from twinfuse.synth import (SynthConfig, generate, pose_error,
                             true_relative_scan_pose)
 
@@ -423,6 +424,22 @@ def test_outlier_removal_matches_serial_query(dense_room):
     assert 0 < keep.sum() < len(pts)
     out = remove_statistical_outliers(dense_room)
     assert out.points.tobytes() == pts[keep].tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 17])
+def test_nn_distance_blocks_match_one_query(dense_room, monkeypatch, k):
+    pts = dense_room.points
+    monkeypatch.setattr(metrics, "_QUERY_BLOCK_PAIRS", 4999)
+    rows = 4999 // k
+    assert len(pts) % rows and len(pts) // rows >= 2  # a short last block
+    blocks = list(_nn_distance_blocks(pts, pts, k))
+    assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+    expected, _ = cKDTree(pts).query(pts, k=k, workers=1)
+    assert np.concatenate(blocks).tobytes() == expected.tobytes()
+    if k == 17:  # the outlier filter averages each block as it comes
+        mean_d = expected[:, 1:].mean(axis=1)
+        keep = mean_d <= mean_d.mean() + 2.0 * mean_d.std()
+        assert remove_statistical_outliers(dense_room).points.tobytes() == pts[keep].tobytes()
 
 
 def test_chamfer_matches_serial_query(dense_room):

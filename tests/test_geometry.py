@@ -297,20 +297,26 @@ def _sphere_points(n_problems, rng, noise_m):
     return pts, centers
 
 
-def _sphere_residuals(pts):
-    """Fixed-radius sphere residuals (mm) of B point sets for candidate
-    centres (B, c, 3)."""
-    return lambda x: (np.linalg.norm(pts[:, None] - x[:, :, None], axis=3)
-                      - 0.0015) * 1000.0
+def _sphere_model(pts, calls=None):
+    """Fixed-radius sphere residuals (mm) and Jacobians of the point sets
+    ``pts`` (B, 60, 3) for candidate centres (len(rows), 3) of the problems
+    ``rows``; each call's ``rows`` are appended to ``calls``."""
+    def model(x, rows):
+        if calls is not None:
+            calls.append(np.array(rows))
+        d = pts[rows] - x[:, None]
+        dist = np.linalg.norm(d, axis=2)
+        return (dist - 0.0015) * 1000.0, -1000.0 * d / dist[..., None]
+    return model
 
 
 def test_least_squares_stacked_equals_alone():
     rng = np.random.default_rng(0)
     pts, _ = _sphere_points(6, rng, noise_m=5e-5)
     start = pts.mean(axis=1) + rng.normal(0, 5e-4, size=(6, 3))
-    x, r = _least_squares(_sphere_residuals(pts), start, np.ones((6, 60)))
+    x, r = _least_squares(_sphere_model(pts), start, np.ones((6, 60)))
     for b in range(6):
-        xb, rb = _least_squares(_sphere_residuals(pts[b:b + 1]), start[b:b + 1],
+        xb, rb = _least_squares(_sphere_model(pts[b:b + 1]), start[b:b + 1],
                                 np.ones((1, 60)))
         assert np.array_equal(x[b], xb[0]) and np.array_equal(r[b], rb[0])
 
@@ -318,20 +324,46 @@ def test_least_squares_stacked_equals_alone():
 def test_least_squares_undefined_start_keeps_start():
     rng = np.random.default_rng(1)
     pts, centers = _sphere_points(4, rng, noise_m=0.0)
-    sphere = _sphere_residuals(pts)
+    sphere = _sphere_model(pts)
 
-    def residuals(x):  # undefined where a candidate centre has z < -0.5 m
-        r = sphere(x)
-        r[x[..., 2] < -0.5] = np.nan
-        return r
+    def model(x, rows):  # undefined where a candidate centre has z < -0.5 m
+        r, jac = sphere(x, rows)
+        r[x[:, 2] < -0.5] = np.nan
+        return r, jac
 
     start = pts.mean(axis=1)
     start[2] = [0.0, 0.0, -1.0]
-    x, r = _least_squares(residuals, start, np.ones((4, 60)))
+    x, r = _least_squares(model, start, np.ones((4, 60)))
     assert np.array_equal(x[2], start[2]) and np.isnan(r[2]).all()
     for b in (0, 1, 3):
         assert np.linalg.norm(x[b] - centers[b]) < 1e-10
         assert np.isfinite(r[b]).all()
+
+
+def test_least_squares_evaluates_only_problems_still_trying():
+    rng = np.random.default_rng(2)
+    pts, _ = _sphere_points(6, rng, noise_m=5e-5)
+    start = pts.mean(axis=1) + rng.normal(0, 5e-4, size=(6, 3))
+    calls = []
+    _least_squares(_sphere_model(pts, calls), start, np.ones((6, 60)))
+    assert np.array_equal(calls[0], np.arange(6))
+    for before, after in zip(calls, calls[1:]):
+        assert set(after) <= set(before)  # a problem that stopped is not evaluated
+    assert min(map(len, calls)) < 6
+    for b in range(6):  # each problem is evaluated as often as when solved alone
+        alone = []
+        _least_squares(_sphere_model(pts[b:b + 1], alone), start[b:b + 1],
+                       np.ones((1, 60)))
+        assert sum(b in rows for rows in calls) == len(alone)
+
+
+def test_least_squares_stops_at_optimum_after_one_rejected_try():
+    # six points exactly on the sphere about the start: every residual is 0
+    pts = 0.0015 * np.vstack([np.eye(3), -np.eye(3)])[None]
+    calls = []
+    x, r = _least_squares(_sphere_model(pts, calls), np.zeros((1, 3)), np.ones((1, 6)))
+    assert len(calls) == 2  # the start and one try, not 12
+    assert np.array_equal(x, np.zeros((1, 3))) and not r.any()
 
 
 # ---------------------------------------------------------------------------

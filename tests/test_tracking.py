@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
+from twinfuse import tracking
 from twinfuse.errors import (AmbiguityError, CorrespondenceError,
                              InsufficientCorrespondencesError, NoOverlapError,
                              ParameterError)
@@ -20,7 +21,7 @@ from twinfuse.tracking import (MarkerArrayGeometry, PoseTrack,
 from twinfuse.geometry import quat_normalize
 from twinfuse.synth import SynthConfig, generate, pose_error
 
-from conftest import quat_angle_deg, random_transform
+from conftest import assert_jacobian_matches, captured_model, quat_angle_deg, random_transform
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -85,6 +86,17 @@ def test_sphere_fit_matches_scipy():
         ref = least_squares(lambda x: np.linalg.norm(pts - x, axis=1) - RADIUS,
                             center, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
         assert np.linalg.norm(c - ref.x) < 1e-9
+
+
+@given(seeds)
+@settings(max_examples=30, deadline=None)
+def test_sphere_fit_jacobian_matches_central_differences(seed):
+    rng = np.random.default_rng(seed)
+    center = rng.uniform(-0.2, 0.2, size=3)
+    pts = _hemisphere_points(center, RADIUS, rng, n=40, noise=5e-5)
+    model, (x,) = captured_model(
+        tracking, lambda: fit_sphere_fixed_radius(pts, RADIUS))
+    assert_jacobian_matches(model, x + rng.normal(0, 5e-4, size=3), 1e-7)
 
 
 def test_sphere_fit_monotone_cost():
