@@ -70,6 +70,12 @@ class CameraIntrinsics:
         except TypeError:
             raise ParameterError("camera intrinsics is not a JSON object") from None
 
+    def to_dict(self) -> dict:
+        """The JSON object ``from_dict`` reads."""
+        return {"width": self.width, "height": self.height, "fx": self.fx,
+                "fy": self.fy, "cx": self.cx, "cy": self.cy,
+                "dist": list(self.dist)}
+
 
 @dataclass(frozen=True)
 class CameraModel:
@@ -79,20 +85,14 @@ class CameraModel:
     cam_from_world: RigidTransform = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise ParameterError(f"camera id must be a string, got {self.id!r}")
         object.__setattr__(self, "cam_from_world", invert(self.world_from_camera))
 
     def to_json(self) -> str:
-        intr = self.intrinsics
-        return json.dumps({
-            "id": self.id,
-            "width": intr.width, "height": intr.height,
-            "fx": intr.fx, "fy": intr.fy, "cx": intr.cx, "cy": intr.cy,
-            "dist": list(intr.dist),
-            "world_from_camera": {
-                "t_m": [float(x) for x in self.world_from_camera.t],
-                "q_wxyz": [float(x) for x in self.world_from_camera.q],
-            },
-        }, indent=2)
+        return json.dumps({"id": self.id, **self.intrinsics.to_dict(),
+                           "world_from_camera": self.world_from_camera.to_dict()},
+                          indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "CameraModel":
@@ -100,9 +100,7 @@ class CameraModel:
         intr = CameraIntrinsics.from_dict(o)
         try:
             cam_id, wfc = o["id"], o["world_from_camera"]
-            pose = RigidTransform(np.asarray(wfc["q_wxyz"], dtype=float),
-                                  np.asarray(wfc["t_m"], dtype=float),
-                                  from_frame=f"camera:{cam_id}", to_frame="reference")
+            pose = RigidTransform.from_dict(wfc, f"camera:{cam_id}", "reference")
         except KeyError as exc:
             raise ParameterError(f"camera model missing key {exc}") from None
         except (TypeError, ValueError) as exc:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fusion, metrics, mocap, scene, synth
 from .cameras import CameraIntrinsics, CameraModel, _is_number, solve_pnp
-from .errors import EmptySelectionError, ParameterError, TwinfuseError
+from .errors import EmptySelectionError, ParameterError, TwinfuseError, parse_file
 from .fusion import MarkerSet, ScanRecord
 from .geometry import PointCloud
 from .metrics import render_reprojection_table
@@ -27,22 +27,6 @@ from .tracking import PoseTrack, smooth_track
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 1
-
-
-def _parsed(path: str, parse):
-    """``parse`` applied to the text of ``path``; text that is not UTF-8, a
-    ParameterError it raises and malformed JSON are raised as ParameterError
-    naming the file."""
-    try:
-        with open(path) as f:
-            return parse(f.read())
-    except UnicodeDecodeError:
-        raise ParameterError(f"{path}: not UTF-8 text") from None
-    except ParameterError as exc:
-        raise ParameterError(f"{path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"{path}: malformed JSON at line {exc.lineno}, "
-                             f"column {exc.colno}: {exc.msg}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +40,7 @@ def cmd_fuse(args) -> int:
     for ply_path in ply_paths:
         name = os.path.splitext(os.path.basename(ply_path))[0]
         marker_path = os.path.join(args.scans_dir, f"{name}_markers.json")
-        markers = _parsed(marker_path, MarkerSet.from_json)
+        markers = parse_file(marker_path, MarkerSet.from_json)
         cloud = load_ply(ply_path, frame=markers.frame)
         scans.append(ScanRecord(name, cloud, markers))
 
@@ -71,9 +55,8 @@ def cmd_fuse(args) -> int:
     if floor_t is not None:
         with open(os.path.join(args.out, "floor_transform.json"), "w") as f:
             json.dump({"from_frame": floor_t.from_frame,
-                       "to_frame": floor_t.to_frame,
-                       "t_m": [float(x) for x in floor_t.t],
-                       "q_wxyz": [float(x) for x in floor_t.q]}, f, indent=2)
+                       "to_frame": floor_t.to_frame, **floor_t.to_dict()},
+                      f, indent=2)
     with open(os.path.join(args.out, "report.json"), "w") as f:
         f.write(report.to_json())
     table = report.render_table()
@@ -127,7 +110,7 @@ def _register_camera(cam_id: str, intr: CameraIntrinsics, marker_uv,
 
 
 def cmd_register_cameras(args) -> int:
-    reference = _parsed(args.markers, MarkerSet.from_json)
+    reference = parse_file(args.markers, MarkerSet.from_json)
     intr_paths = sorted(glob.glob(os.path.join(args.cameras_dir,
                                                "*_intrinsics.json")))
     if not intr_paths:
@@ -136,9 +119,9 @@ def cmd_register_cameras(args) -> int:
     per_camera = {}
     failures = []
     for intr_path in intr_paths:
-        cam_id, intr = _parsed(intr_path, _intrinsics_record)
+        cam_id, intr = parse_file(intr_path, _intrinsics_record)
         pix_path = os.path.join(args.cameras_dir, f"{cam_id}_marker_pixels.json")
-        marker_uv = _parsed(pix_path, _marker_pixels)
+        marker_uv = parse_file(pix_path, _marker_pixels)
         try:
             cam, per_camera[cam_id] = _register_camera(cam_id, intr, marker_uv,
                                                        reference)
@@ -185,13 +168,13 @@ def cmd_mocap(args) -> int:
                                               "*_calibration.json")))
     if not cal_paths:
         return _fail(f"no *_calibration.json in {args.cameras_dir}")
-    cameras = [_parsed(p, CameraModel.from_json) for p in cal_paths]
+    cameras = [parse_file(p, CameraModel.from_json) for p in cal_paths]
     kp_paths = sorted(glob.glob(os.path.join(args.keypoints_dir, "*.json")))
     if not kp_paths:
         return _fail(f"no keypoint frames in {args.keypoints_dir}")
     by_time: dict[float, list] = {}
     for p in kp_paths:
-        frame = _parsed(p, mocap.Keypoint2DFrame.from_json)
+        frame = parse_file(p, mocap.Keypoint2DFrame.from_json)
         by_time.setdefault(frame.t_s, []).append(frame)
     frames3d = _triangulate_frames([by_time[t] for t in sorted(by_time)],
                                    cameras, args.table_center)
@@ -207,7 +190,7 @@ def cmd_mocap(args) -> int:
 # track
 
 def cmd_track(args) -> int:
-    track = _parsed(args.input, PoseTrack.from_csv)
+    track = parse_file(args.input, PoseTrack.from_csv)
     smoothed = smooth_track(track, args.window)
     with open(args.out, "w", newline="") as f:
         f.write(smoothed.to_csv())
@@ -231,8 +214,8 @@ def cmd_metrics(args) -> int:
             result.update(cd_mm=cd_mm, samples_used=used,
                           samples_filtered=filtered)
     if args.markers_a and args.markers_b:
-        ma = _parsed(args.markers_a, MarkerSet.from_json)
-        mb = _parsed(args.markers_b, MarkerSet.from_json)
+        ma = parse_file(args.markers_a, MarkerSet.from_json)
+        mb = parse_file(args.markers_b, MarkerSet.from_json)
         result["rmse_mm"] = metrics.marker_rmse(ma, mb)
     if not result:
         return _fail("nothing to compute: give --cloud-a/--cloud-b "
@@ -267,7 +250,7 @@ def cmd_scene(args) -> int:
 # synth
 
 def cmd_synth(args) -> int:
-    config = (_parsed(args.config, synth.SynthConfig.from_json) if args.config
+    config = (parse_file(args.config, synth.SynthConfig.from_json) if args.config
               else synth.SynthConfig())
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)

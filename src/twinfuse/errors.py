@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all twinfuse modules."""
+"""Exception hierarchy shared by all twinfuse modules, and the one reader of
+input files that names the file in its errors."""
+
+import json
 
 
 class TwinfuseError(Exception):
@@ -69,3 +72,19 @@ class UnknownEntityError(TwinfuseError):
 
 class ManifestError(TwinfuseError):
     """Scene manifest is malformed, missing assets, or has an unknown version."""
+
+
+def parse_file(path, parse):
+    """``parse`` applied to the text of ``path``; text that is not UTF-8, a
+    ParameterError it raises and malformed JSON are raised as ParameterError
+    naming the file."""
+    try:
+        with open(path) as f:
+            return parse(f.read())
+    except UnicodeDecodeError:
+        raise ParameterError(f"{path}: not UTF-8 text") from None
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ParameterError(f"{path}: malformed JSON at line {exc.lineno}, "
+                             f"column {exc.colno}: {exc.msg}") from None

@@ -96,8 +96,7 @@ class FusionReport:
                 "n_markers": r.n_markers,
                 "rmse_mm": r.rmse_mm,
                 "cd_mm": r.chamfer_mm,
-                "transform": {"t_m": [float(x) for x in r.transform.t],
-                              "q_wxyz": [float(x) for x in r.transform.q]},
+                "transform": r.transform.to_dict(),
             } for r in self.rows],
         }, indent=2)
 

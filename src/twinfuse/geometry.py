@@ -170,6 +170,24 @@ class RigidTransform:
     def with_frames(self, from_frame: str, to_frame: str) -> "RigidTransform":
         return replace(self, from_frame=from_frame, to_frame=to_frame)
 
+    def to_dict(self) -> dict:
+        """The pose object of every twinfuse file; frames are the caller's."""
+        return {"t_m": [float(x) for x in self.t],
+                "q_wxyz": [float(x) for x in self.q]}
+
+    @classmethod
+    def from_dict(cls, o, from_frame: str, to_frame: str) -> "RigidTransform":
+        """Pose from the object ``to_dict`` writes, exactly: a quaternion unit
+        to rounding is kept as read, since normalising it again can move its
+        last bits. A missing key raises KeyError, a malformed value TypeError
+        or ValueError, for the caller to name in its own error."""
+        q = np.asarray(o["q_wxyz"], dtype=float).reshape(4)
+        pose = cls(q, np.asarray(o["t_m"], dtype=float), from_frame, to_frame)
+        if abs(q @ q - 1.0) < 1e-15:
+            q.setflags(write=False)
+            object.__setattr__(pose, "q", q)
+        return pose
+
 
 def identity(frame: str = "world", to_frame: str | None = None) -> RigidTransform:
     return RigidTransform(np.array([1.0, 0, 0, 0]), np.zeros(3),

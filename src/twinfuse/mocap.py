@@ -42,7 +42,9 @@ class PersonDetection:
             a = np.asarray(arr, dtype=float)
             if a.shape != (n, 3):
                 raise ParameterError(f"{name} must have shape ({n}, 3), got {a.shape}")
-            if np.any((a[:, 2] < 0) | (a[:, 2] > 1)):
+            if not np.isfinite(a).all():
+                raise ParameterError(f"{name} keypoints must be finite")
+            if a[:, 2].min() < 0 or a[:, 2].max() > 1:
                 raise ParameterError(f"{name} confidences must be in [0, 1]")
             a.setflags(write=False)
             object.__setattr__(self, name, a)
@@ -58,6 +60,8 @@ class Keypoint2DFrame:
     persons: tuple
 
     def __post_init__(self):
+        if not isinstance(self.camera_id, str):
+            raise ParameterError(f"camera id must be a string, got {self.camera_id!r}")
         object.__setattr__(self, "persons", tuple(self.persons))
 
     def to_json(self) -> str:

@@ -3,17 +3,18 @@ time sampling, validation, and directory-based serialization."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ManifestError, ParameterError, TwinfuseError
+from .errors import ManifestError, ParameterError, TwinfuseError, parse_file
 from .geometry import PointCloud, RigidTransform, quat_slerp
 from .mocap import Skeleton3DFrame, skeleton_track_from_csv, skeleton_track_to_csv
 from .ply import load_ply, save_ply
-from .tracking import UNIT_QUATERNION_TOL, PoseTrack
+from .tracking import PoseTrack
 
 MANIFEST_VERSION = "1"
 MANIFEST_NAME = "scene.json"
@@ -150,7 +151,9 @@ def sample_at(scene: TwinScene, t: float) -> SceneSnapshot:
 
 
 def validate(scene: TwinScene, base_dir=None) -> list[str]:
-    """List of invariant violations; empty iff the scene is consistent."""
+    """List of invariant violations; empty iff the scene is consistent.
+    Unit quaternions and a dynamic track's time order are the node types'
+    own invariants (``RigidTransform`` normalises, ``PoseTrack`` raises)."""
     violations = []
     names = scene.node_names()
     for n in sorted({n for n in names if names.count(n) > 1}):
@@ -160,8 +163,6 @@ def validate(scene: TwinScene, base_dir=None) -> list[str]:
             violations.append(
                 f"static node {node.name!r}: pose frame {node.pose.to_frame!r} "
                 f"!= {scene.reference_frame!r}")
-        if abs(np.linalg.norm(node.pose.q) - 1.0) > UNIT_QUATERNION_TOL:
-            violations.append(f"static node {node.name!r}: non-unit quaternion")
         if isinstance(node.asset, str) and base_dir is not None:
             if not os.path.exists(os.path.join(base_dir, node.asset)):
                 violations.append(f"static node {node.name!r}: missing asset "
@@ -171,11 +172,6 @@ def validate(scene: TwinScene, base_dir=None) -> list[str]:
             violations.append(
                 f"dynamic node {node.name!r}: track frame {node.track.frame!r} "
                 f"!= {scene.reference_frame!r}")
-        if len(node.track) > 1 and np.any(np.diff(node.track.times) <= 0):
-            violations.append(f"dynamic node {node.name!r}: non-monotonic timestamps")
-        norms = np.linalg.norm(node.track.quats, axis=1)
-        if np.any(np.abs(norms - 1.0) > UNIT_QUATERNION_TOL):
-            violations.append(f"dynamic node {node.name!r}: non-unit quaternion(s)")
         if isinstance(node.asset, str) and base_dir is not None:
             if not os.path.exists(os.path.join(base_dir, node.asset)):
                 violations.append(f"dynamic node {node.name!r}: missing asset "
@@ -195,51 +191,33 @@ def validate(scene: TwinScene, base_dir=None) -> list[str]:
 # ---------------------------------------------------------------------------
 # serialization
 
-def _pose_to_obj(t: RigidTransform) -> dict:
-    return {"t_m": [float(x) for x in t.t], "q_wxyz": [float(x) for x in t.q],
-            "from_frame": t.from_frame, "to_frame": t.to_frame}
-
-
-def _pose_from_obj(o: dict) -> RigidTransform:
-    return RigidTransform(np.asarray(o["q_wxyz"], dtype=float),
-                          np.asarray(o["t_m"], dtype=float),
-                          from_frame=o.get("from_frame", "src"),
-                          to_frame=o.get("to_frame", "dst"))
-
-
 def save(scene: TwinScene, directory) -> None:
     """Write manifest + assets. In-memory clouds become PLY files (float32);
     string assets are recorded as opaque relative paths."""
     os.makedirs(directory, exist_ok=True)
 
-    def write_asset(name, asset):
-        if isinstance(asset, PointCloud):
-            rel = f"{name}.ply"
-            save_ply(os.path.join(directory, rel), asset)
-            return rel
-        return asset
+    def entry(node, **fields):
+        """Manifest entry of a static or dynamic node; a cloud asset is
+        saved as ``<name>.ply``."""
+        cloud = isinstance(node.asset, PointCloud)
+        if cloud:
+            save_ply(os.path.join(directory, f"{node.name}.ply"), node.asset)
+        return {"name": node.name, "asset": f"{node.name}.ply" if cloud
+                else node.asset, "cloud": cloud, **fields}
 
     manifest = {"version": MANIFEST_VERSION,
                 "reference_frame": scene.reference_frame,
                 "static": [], "dynamic": [], "skeletons": []}
     for node in scene.static_nodes:
-        manifest["static"].append({
-            "name": node.name,
-            "asset": write_asset(node.name, node.asset),
-            "cloud": isinstance(node.asset, PointCloud),
-            "pose": _pose_to_obj(node.pose),
-        })
+        manifest["static"].append(entry(node, pose={
+            **node.pose.to_dict(), "from_frame": node.pose.from_frame,
+            "to_frame": node.pose.to_frame}))
     for node in scene.dynamic_nodes:
         rel_track = f"{node.name}_track.csv"
         with open(os.path.join(directory, rel_track), "w", newline="") as f:
             f.write(node.track.to_csv())
-        manifest["dynamic"].append({
-            "name": node.name,
-            "asset": write_asset(node.name, node.asset),
-            "cloud": isinstance(node.asset, PointCloud),
-            "track": rel_track,
-            "track_frame": node.track.frame,
-        })
+        manifest["dynamic"].append(entry(node, track=rel_track,
+                                         track_frame=node.track.frame))
     for node in scene.skeleton_nodes:
         rel = f"{node.name}_skeleton.csv"
         with open(os.path.join(directory, rel), "w", newline="") as f:
@@ -252,15 +230,11 @@ def save(scene: TwinScene, directory) -> None:
 def load(directory) -> TwinScene:
     path = os.path.join(directory, MANIFEST_NAME)
     try:
-        with open(path) as f:
-            manifest = json.load(f)
+        manifest = parse_file(path, json.loads)
     except FileNotFoundError:
         raise ManifestError(f"no manifest at {path}")
-    except UnicodeDecodeError:
-        raise ManifestError(f"{path}: not UTF-8 text") from None
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"{path}: malformed JSON at line {exc.lineno}, "
-                            f"column {exc.colno}: {exc.msg}")
+    except ParameterError as exc:
+        raise ManifestError(str(exc)) from None
     if not isinstance(manifest, dict):
         raise ManifestError(f"{path}: manifest is not a JSON object")
     version = manifest.get("version")
@@ -297,19 +271,15 @@ def load(directory) -> TwinScene:
         if not os.path.exists(track_path):
             raise ManifestError(f"{path}: {kind} {name!r} references "
                                 f"missing track {track_path}")
-        try:
-            with open(track_path) as f:
-                return parse(f.read())
-        except UnicodeDecodeError:
-            raise ParameterError(f"{track_path}: not UTF-8 text") from None
-        except ParameterError as exc:
-            raise ParameterError(f"{track_path}: {exc}") from None
+        return parse_file(track_path, parse)
 
     static = []
     for entry in manifest.get("static", []):
         name = field(entry, "name", "static node", str)
+        obj = field(entry, "pose", f"static node {name!r}", dict)
         try:
-            pose = _pose_from_obj(field(entry, "pose", f"static node {name!r}"))
+            pose = RigidTransform.from_dict(obj, obj.get("from_frame", "src"),
+                                            obj.get("to_frame", "dst"))
         except KeyError as exc:
             raise ManifestError(f"{path}: static node {name!r} "
                                 f"missing field {exc}")
@@ -337,49 +307,25 @@ def load(directory) -> TwinScene:
 # ---------------------------------------------------------------------------
 # structural equality (used by round-trip tests and determinism checks)
 
-def _clouds_equal(a, b) -> bool:
-    if isinstance(a, str) or isinstance(b, str):
-        return a == b
-    if len(a) != len(b) or a.frame != b.frame:
-        return False
-    if not np.array_equal(a.points.astype(np.float32), b.points.astype(np.float32)):
-        return False
-    ca = a.colors if a.colors is not None else None
-    cb = b.colors if b.colors is not None else None
-    if (ca is None) != (cb is None):
-        return False
-    return ca is None or np.array_equal(ca, cb)
+def _equal(a, b, as_float32=False) -> bool:
+    """Equality of dataclasses field by field (``compare=False`` fields
+    skipped), of tuples item by item, and of arrays and scalars by value;
+    the arrays of a PointCloud compare at float32."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _equal(getattr(a, f.name), getattr(b, f.name), isinstance(a, PointCloud))
+            for f in dataclasses.fields(a) if f.compare)
+    if isinstance(a, tuple):
+        return (isinstance(b, tuple) and len(a) == len(b)
+                and all(_equal(x, y, as_float32) for x, y in zip(a, b)))
+    if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+        return bool(a == b)
+    if as_float32:
+        a, b = np.asarray(a, dtype=np.float32), np.asarray(b, dtype=np.float32)
+    return bool(np.array_equal(a, b))
 
 
 def scenes_equal(a: TwinScene, b: TwinScene) -> bool:
-    """Structural equality; cloud coordinates compared at float32 (the PLY
-    storage precision)."""
-    if a.reference_frame != b.reference_frame or a.time_range != b.time_range:
-        return False
-    if (len(a.static_nodes) != len(b.static_nodes)
-            or len(a.dynamic_nodes) != len(b.dynamic_nodes)
-            or len(a.skeleton_nodes) != len(b.skeleton_nodes)):
-        return False
-    for na, nb in zip(a.static_nodes, b.static_nodes):
-        if na.name != nb.name or not _clouds_equal(na.asset, nb.asset):
-            return False
-        if not (np.array_equal(na.pose.q, nb.pose.q)
-                and np.array_equal(na.pose.t, nb.pose.t)):
-            return False
-    for na, nb in zip(a.dynamic_nodes, b.dynamic_nodes):
-        if na.name != nb.name or not _clouds_equal(na.asset, nb.asset):
-            return False
-        if not (np.array_equal(na.track.times, nb.track.times)
-                and np.array_equal(na.track.quats, nb.track.quats)
-                and np.array_equal(na.track.translations, nb.track.translations)):
-            return False
-    for na, nb in zip(a.skeleton_nodes, b.skeleton_nodes):
-        if na.name != nb.name or len(na.frames) != len(nb.frames):
-            return False
-        for fa, fb in zip(na.frames, nb.frames):
-            if fa.t_s != fb.t_s or not np.array_equal(fa.valid, fb.valid):
-                return False
-            if not (np.array_equal(fa.positions, fb.positions)
-                    and np.array_equal(fa.residuals_px, fb.residuals_px)):
-                return False
-    return True
+    """Structural equality of every node, frame and sample; cloud coordinates
+    compared at float32 (the PLY storage precision)."""
+    return _equal(a, b)

@@ -88,7 +88,7 @@ class SynthConfig:
         if unknown:
             raise ParameterError("unknown synth config key(s): "
                                  + ", ".join(repr(k) for k in unknown))
-        if "room_extent_m" in obj:
+        if isinstance(obj.get("room_extent_m"), list):
             obj["room_extent_m"] = tuple(obj["room_extent_m"])
         return cls(**obj)
 
@@ -488,11 +488,8 @@ def export_bundle(bundle: GroundTruthBundle, directory) -> None:
         f.write(bundle.markers.to_json())
 
     for cam in bundle.cameras:
-        intr = cam.intrinsics
         with open(os.path.join(cams_dir, f"{cam.id}_intrinsics.json"), "w") as f:
-            json.dump({"id": cam.id, "width": intr.width, "height": intr.height,
-                       "fx": intr.fx, "fy": intr.fy, "cx": intr.cx, "cy": intr.cy,
-                       "dist": list(intr.dist)}, f, indent=2)
+            json.dump({"id": cam.id, **cam.intrinsics.to_dict()}, f, indent=2)
         with open(os.path.join(cams_dir, f"{cam.id}_marker_pixels.json"), "w") as f:
             json.dump({"camera": cam.id,
                        "pixels": [{"id": mid, "uv": [u, v]}
@@ -515,9 +512,7 @@ def export_bundle(bundle: GroundTruthBundle, directory) -> None:
 
     truth = {
         "table_center": [float(x) for x in bundle.table_center],
-        "scan_poses": {name: {"t_m": [float(x) for x in p.t],
-                              "q_wxyz": [float(x) for x in p.q]}
-                       for name, p in bundle.scan_poses.items()},
+        "scan_poses": {name: p.to_dict() for name, p in bundle.scan_poses.items()},
     }
     with open(os.path.join(directory, "truth.json"), "w") as f:
         json.dump(truth, f, indent=2)

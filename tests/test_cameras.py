@@ -1,5 +1,7 @@
 """Camera projection, PnP, triangulation, and track time alignment."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -79,6 +81,14 @@ def test_camera_json_round_trip():
     assert np.allclose(back.world_from_camera.t, cam.world_from_camera.t)
     assert quat_angle_deg(back.world_from_camera.q,
                           cam.world_from_camera.q) < 1e-9
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None)
+def test_intrinsics_dict_round_trip_is_exact(seed):
+    intr = _random_intrinsics(np.random.default_rng(seed))
+    back = CameraIntrinsics.from_dict(json.loads(json.dumps(intr.to_dict())))
+    assert back == intr
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinfuse import synth
 from twinfuse.cli import main
@@ -290,6 +292,8 @@ def _with_pose(key, value):
     pytest.param(_with_pose("t_m", [0.5, 0]),
                  "camera model 'world_from_camera': cannot reshape array of "
                  "size 2 into shape (3,)", id="short-translation"),
+    pytest.param(lambda cal: cal.update(id=[]),
+                 "camera id must be a string, got []", id="id-list"),
 ])
 def test_mocap_missing_camera_pose(bundle_dir, tmp_path, capsys, corrupt,
                                    message):
@@ -634,6 +638,9 @@ def test_synth_rejects_unknown_config_key(tmp_path, capsys):
     ({"seed": "zero"}, "seed must be an int, got 'zero'"),
     ({"marker_count": "5"}, "marker_count must be an int, got '5'"),
     ({"seed": -1}, "seed must be >= 0, got -1"),
+    ({"room_extent_m": 5}, "room_extent_m must be 3 positive numbers, got 5"),
+    ({"room_extent_m": None},
+     "room_extent_m must be 3 positive numbers, got None"),
 ])
 def test_synth_rejects_wrong_config_type(tmp_path, capsys, config, message):
     cfg_path = tmp_path / "config.json"
@@ -664,3 +671,66 @@ def test_pipeline_writes_a_valid_deterministic_scene(tmp_path, capsys):
     assert sorted(str(p) for p in _tree_bytes(outs[0])) == [
         "instrument.ply", "instrument_track.csv", "room.ply", "scene.json",
         "surgeon_skeleton.csv"]
+
+
+# ---------------------------------------------------------------------------
+# fuzzed JSON inputs
+
+# 1e400 is read as infinity, and json.dumps writes that back as Infinity
+FUZZ_VALUES = (None, 1, float("inf"), True, "x", [], [1], {})
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Each JSON file of a tiny bundle, of its register-cameras output and of
+    one saved scene, mapped to the subcommand that reads it."""
+    d = tmp_path_factory.mktemp("fuzz")
+    bundle, cams, saved, out = d / "bundle", d / "cams", d / "scene", d / "out"
+    synth.export_bundle(synth.generate(synth.SynthConfig(duration_s=0.034)),
+                        bundle)
+    register = ["register-cameras", "--markers",
+                str(bundle / "reference_markers.json"),
+                "--cameras-dir", str(bundle / "cameras"), "--out", str(out)]
+    assert main(register[:-1] + [str(cams)]) == 0
+    assert main(["pipeline", "--duration", "0.034", "--out", str(saved)]) == 0
+    out.mkdir()
+    mocap = ["mocap", "--keypoints-dir", str(bundle / "keypoints"),
+             "--cameras-dir", str(cams), "--table-center", "0.5,0,0.9",
+             "--out", str(out / "skeleton.csv")]
+    return {
+        bundle / "scans" / "scan0_markers.json":
+            ["fuse", "--scans-dir", str(bundle / "scans"), "--out", str(out)],
+        bundle / "reference_markers.json": register,
+        bundle / "cameras" / "cam1_intrinsics.json": register,
+        bundle / "cameras" / "cam1_marker_pixels.json": register,
+        cams / "cam1_calibration.json": mocap,
+        bundle / "keypoints" / "frame_00000_cam1.json": mocap,
+        bundle / "config.json": ["synth", "--config", str(bundle / "config.json"),
+                                 "--out", str(out / "synth")],
+        saved / "scene.json": ["scene", str(saved)],
+    }
+
+
+def _put(data, node, value):
+    """``node`` with ``value`` put at a drawn JSON path inside it; an empty
+    path replaces ``node`` itself."""
+    keys = (list(node) if isinstance(node, dict)
+            else range(len(node)) if isinstance(node, list) else [])
+    if not keys or not data.draw(st.booleans()):
+        return value
+    key = data.draw(st.sampled_from(keys))
+    node[key] = _put(data, node[key], value)
+    return node
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzzed_json_input_exits_0_or_1(fuzz_inputs, data):
+    path = data.draw(st.sampled_from(sorted(fuzz_inputs)))
+    original = path.read_text()
+    value = data.draw(st.sampled_from(FUZZ_VALUES))
+    try:
+        path.write_text(json.dumps(_put(data, json.loads(original), value)))
+        assert main(fuzz_inputs[path]) in (0, 1)
+    finally:
+        path.write_text(original)

@@ -1,5 +1,6 @@
 """Rigid-transform algebra, Kabsch alignment, and plane/floor fitting."""
 
+import json
 import math
 
 import numpy as np
@@ -83,6 +84,24 @@ def test_invert_translation():
 def test_invert_involution(seed):
     t = random_transform(np.random.default_rng(seed))
     assert transforms_close(invert(invert(t)), t, 1e-12, 1e-9)
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None)
+def test_pose_dict_round_trip_is_exact(seed):
+    rng = np.random.default_rng(seed)
+    # normalised once: about a third of such quaternions move in their last
+    # bits when normalised again
+    t = RigidTransform(rng.normal(size=4), rng.normal(size=3), "a", "b")
+    back = RigidTransform.from_dict(json.loads(json.dumps(t.to_dict())), "a", "b")
+    assert np.array_equal(back.q, t.q) and np.array_equal(back.t, t.t)
+    assert (back.from_frame, back.to_frame) == ("a", "b")
+
+
+def test_pose_dict_normalises_a_non_unit_quaternion():
+    t = RigidTransform.from_dict({"t_m": [0, 0, 0], "q_wxyz": [2, 0, 0, 0]},
+                                 "a", "b")
+    assert np.array_equal(t.q, [1.0, 0.0, 0.0, 0.0])
 
 
 def test_apply_identity_and_translation():

@@ -1,5 +1,7 @@
 """Person selection, skeleton triangulation, and per-joint smoothing."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,18 @@ def test_person_detection_shape_checks():
     bad[0, 2] = 2.0
     with pytest.raises(ParameterError):
         PersonDetection(bad, np.zeros((N_HAND, 3)), np.zeros((N_HAND, 3)))
+    for u, v in ((np.nan, 0.0), (0.0, np.inf)):
+        hand = np.zeros((N_HAND, 3))
+        hand[3, :2] = u, v
+        with pytest.raises(ParameterError, match="hand_left keypoints must be finite"):
+            PersonDetection(np.zeros((N_BODY, 3)), hand, np.zeros((N_HAND, 3)))
+
+
+@pytest.mark.parametrize("camera", [[], {}, None])
+def test_keypoint_frame_camera_must_be_a_string(camera):
+    text = json.dumps({"camera": camera, "t_s": 0.0, "persons": []})
+    with pytest.raises(ParameterError, match="camera id must be a string"):
+        Keypoint2DFrame.from_json(text)
 
 
 def test_person_joint_indexing():
