@@ -22,7 +22,7 @@ from .scene import (DynamicNode, SkeletonNode, StaticNode, TwinScene, assemble,
                     sample_at, scenes_equal, validate)
 from .scene import load as load_scene
 from .scene import save as save_scene
-from .synth import GroundTruthBundle, SynthConfig, compare_to_truth, generate
+from .synth import GroundTruthBundle, SynthConfig, generate
 from .ply import load_ply, save_ply
 
 __version__ = "0.1.0"

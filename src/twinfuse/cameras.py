@@ -17,12 +17,20 @@ from .geometry import (RigidTransform, _least_squares, invert, matrix_to_quat,
 
 CONFIDENCE_FLOOR = 0.1  # observations below this weight are discarded
 MIN_RAY_ANGLE_DEG = 0.25  # widest ray pair below this is a degenerate triangulation
+MIN_OVERLAP_S = 1.0  # estimate_time_offset compares at least this much motion
 
 
 def _is_number(value) -> bool:
     """A finite int or float, as JSON numbers parse (not a bool)."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and math.isfinite(value))
+
+
+def _camera_id(value) -> str:
+    """``value``, which must be a string to be a camera id."""
+    if not isinstance(value, str):
+        raise ParameterError(f"camera id must be a string, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -85,8 +93,7 @@ class CameraModel:
     cam_from_world: RigidTransform = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.id, str):
-            raise ParameterError(f"camera id must be a string, got {self.id!r}")
+        _camera_id(self.id)
         object.__setattr__(self, "cam_from_world", invert(self.world_from_camera))
 
     def to_json(self) -> str:
@@ -480,8 +487,8 @@ def _speed_profile(times: np.ndarray, positions: np.ndarray):
     return mid, speeds
 
 
-def estimate_time_offset(times_a, positions_a, times_b, positions_b,
-                         min_overlap_s: float = 1.0) -> TimeOffsetResult:
+def estimate_time_offset(times_a, positions_a, times_b,
+                         positions_b) -> TimeOffsetResult:
     """Offset to add to track-b timestamps so its motion aligns with track a.
 
     Grid search (step = half the finer sample interval) minimizing the mean
@@ -503,8 +510,8 @@ def estimate_time_offset(times_a, positions_a, times_b, positions_b,
         return TimeOffsetResult(0.0, ambiguous=True)
 
     step = 0.5 * min(np.median(np.diff(ta)), np.median(np.diff(tb)))
-    lo = ma[0] - mb[-1] + min_overlap_s
-    hi = ma[-1] - mb[0] - min_overlap_s
+    lo = ma[0] - mb[-1] + MIN_OVERLAP_S
+    hi = ma[-1] - mb[0] - MIN_OVERLAP_S
     if lo > hi:
         raise NoOverlapError("tracks cannot overlap by the minimum duration")
     # grid anchored at zero so an already-aligned pair recovers exactly 0
@@ -516,7 +523,7 @@ def estimate_time_offset(times_a, positions_a, times_b, positions_b,
     for off in offsets:
         t0 = max(ma[0], mb[0] + off)
         t1 = min(ma[-1], mb[-1] + off)
-        if t1 - t0 < min_overlap_s:
+        if t1 - t0 < MIN_OVERLAP_S:
             continue
         grid = np.linspace(t0, t1, max(8, int((t1 - t0) / step)))
         ra = np.interp(grid, ma, sa)

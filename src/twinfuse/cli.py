@@ -15,7 +15,8 @@ import sys
 import numpy as np
 
 from . import fusion, metrics, mocap, scene, synth
-from .cameras import CameraIntrinsics, CameraModel, _is_number, solve_pnp
+from .cameras import (CameraIntrinsics, CameraModel, _camera_id, _is_number,
+                      solve_pnp)
 from .errors import EmptySelectionError, ParameterError, TwinfuseError, parse_file
 from .fusion import MarkerSet, ScanRecord
 from .geometry import PointCloud
@@ -44,7 +45,7 @@ def cmd_fuse(args) -> int:
         cloud = load_ply(ply_path, frame=markers.frame)
         scans.append(ScanRecord(name, cloud, markers))
 
-    fused, report = fusion.fuse_scans(scans, chamfer_cutoff_m=args.chamfer_cutoff)
+    fused, report = fusion.fuse_scans(scans)
     os.makedirs(args.out, exist_ok=True)
     if args.skip_floor:
         final = fused
@@ -74,7 +75,7 @@ def _intrinsics_record(text: str) -> tuple[str, CameraIntrinsics]:
     intr = CameraIntrinsics.from_dict(o)
     if "id" not in o:
         raise ParameterError("camera intrinsics missing key 'id'")
-    return o["id"], intr
+    return _camera_id(o["id"]), intr
 
 
 def _marker_pixels(text: str) -> list[tuple[str, list]]:
@@ -286,11 +287,10 @@ def cmd_pipeline(args) -> int:
             cam.id, cam.intrinsics, [(mid, (u, v)) for mid, u, v in entries],
             bundle.markers)
         registered.append(est)
-        name = f"camera:{cam.id}"
-        err = synth.compare_to_truth(bundle, {name: est.world_from_camera})[name]
+        t_mm, r_deg = synth.pose_error(est.world_from_camera,
+                                       cam.world_from_camera)
         print(f"  {cam.id}: PnP from {len(entries)} markers, error "
-              f"{err['translation_error_mm']:.2f} mm / "
-              f"{err['rotation_error_deg']:.3f} deg")
+              f"{t_mm:.2f} mm / {r_deg:.3f} deg")
     print(f"\n{render_reprojection_table(per_camera)}")
 
     frames3d = _triangulate_frames(bundle.keypoint_frames, registered,
@@ -336,8 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scans-dir", required=True,
                    help="directory with <name>.ply + <name>_markers.json pairs")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--chamfer-cutoff", type=float, default=0.1,
-                   help="Chamfer outlier filter in meters (default 0.1)")
     p.add_argument("--skip-floor", action="store_true",
                    help="skip floor detection / reference re-centering")
     p.set_defaults(func=cmd_fuse)

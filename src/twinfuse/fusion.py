@@ -14,6 +14,10 @@ from .geometry import (PointCloud, RigidTransform, apply, build_floor_frame,
                        kabsch, ransac_plane_inliers)
 from .metrics import _nn_distance_blocks, _render_table, chamfer
 
+CHAMFER_CUTOFF_M = 0.1  # fuse_scans' per-scan Chamfer distance cutoff
+OUTLIER_K = 16
+OUTLIER_STD_RATIO = 2.0
+
 
 @dataclass(frozen=True)
 class MarkerSet:
@@ -140,8 +144,7 @@ def register_scan(src: ScanRecord, reference: MarkerSet) -> tuple[RigidTransform
     return t, rmse_mm
 
 
-def fuse_scans(scans: list[ScanRecord],
-               chamfer_cutoff_m: float = 0.1) -> tuple[PointCloud, FusionReport]:
+def fuse_scans(scans: list[ScanRecord]) -> tuple[PointCloud, FusionReport]:
     """Register every scan to the one with most visible markers and
     concatenate the clouds in input order."""
     if not scans:
@@ -161,7 +164,7 @@ def fuse_scans(scans: list[ScanRecord],
         except TwinfuseError as exc:
             raise type(exc)(f"scan {scan.name!r}: {exc}") from exc
         moved = apply(t, scan.cloud)
-        cd_mm, _, _ = chamfer(moved, reference.cloud, chamfer_cutoff_m)
+        cd_mm, _, _ = chamfer(moved, reference.cloud, CHAMFER_CUTOFF_M)
         n_used = len(set(scan.markers.positions) & set(reference.markers.positions))
         report.rows.append(FusionRow(scan.name, n_used, rmse_mm, cd_mm, t))
         clouds.append(moved)
@@ -250,18 +253,16 @@ def voxel_downsample(cloud: PointCloud, voxel_m: float) -> PointCloud:
     return PointCloud(pts, colors=colors, frame=cloud.frame)
 
 
-def remove_statistical_outliers(cloud: PointCloud, k: int = 16,
-                                std_ratio: float = 2.0) -> PointCloud:
-    """Drop points whose mean k-NN distance exceeds mean + std_ratio * std."""
-    if k < 1 or not (std_ratio > 0 and np.isfinite(std_ratio)):
-        raise ParameterError(f"need k >= 1 and a finite std_ratio > 0, got "
-                             f"k={k!r}, std_ratio={std_ratio!r}")
-    if len(cloud) <= k:
-        raise ParameterError(f"cloud of {len(cloud)} points too small for k={k}")
+def remove_statistical_outliers(cloud: PointCloud) -> PointCloud:
+    """Drop points whose mean distance to their OUTLIER_K nearest neighbours
+    exceeds mean + OUTLIER_STD_RATIO * std over the cloud."""
+    if len(cloud) <= OUTLIER_K:
+        raise ParameterError(f"cloud of {len(cloud)} points too small for "
+                             f"k={OUTLIER_K}")
     # the first column is each point itself, at distance 0
-    mean_d = np.concatenate([d[:, 1:].mean(axis=1) for d in
-                             _nn_distance_blocks(cloud.points, cloud.points, k + 1)])
-    threshold = mean_d.mean() + std_ratio * mean_d.std()
+    mean_d = np.concatenate([d[:, 1:].mean(axis=1) for d in _nn_distance_blocks(
+        cloud.points, cloud.points, OUTLIER_K + 1)])
+    threshold = mean_d.mean() + OUTLIER_STD_RATIO * mean_d.std()
     keep = mean_d <= threshold
     colors = cloud.colors[keep] if cloud.colors is not None else None
     return PointCloud(cloud.points[keep], colors=colors, frame=cloud.frame)

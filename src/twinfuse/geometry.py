@@ -17,6 +17,9 @@ import numpy as np
 from .errors import DegenerateGeometryError, FrameMismatchError, InsufficientCorrespondencesError
 
 RANSAC_CONFIDENCE = 0.99999
+RANSAC_THRESHOLD_M = 0.01
+RANSAC_MAX_DRAWS = 1000
+RANSAC_SEED = 0
 
 
 # ---------------------------------------------------------------------------
@@ -476,23 +479,22 @@ def _ransac_draws_needed(inlier_ratio: float) -> float:
     return math.ceil(math.log(1.0 - RANSAC_CONFIDENCE) / per_draw)
 
 
-def ransac_plane_inliers(points, threshold_m: float = 0.01,
-                         iterations: int = 1000, seed: int = 0) -> np.ndarray:
+def ransac_plane_inliers(points) -> np.ndarray:
     """Boolean inlier mask of the dominant plane (largest RANSAC consensus).
 
     Draws stop once enough have been made for the best consensus so far
-    (see ``_ransac_draws_needed``), and at ``iterations`` at the latest; the
-    sample stream is fixed by ``seed``, so the result is the best of a prefix
-    of the ``iterations`` draws.
+    (see ``_ransac_draws_needed``), and at RANSAC_MAX_DRAWS at the latest; the
+    sample stream is fixed by RANSAC_SEED, so the result is the best of a
+    prefix of the RANSAC_MAX_DRAWS draws.
     """
     pts = _as_points(points)
     n = len(pts)
     if n < 3:
         raise DegenerateGeometryError("plane RANSAC needs at least 3 points")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(RANSAC_SEED)
     best_mask = None
     best_count = -1
-    needed = iterations
+    needed = RANSAC_MAX_DRAWS
     draws = 0
     while draws < needed:
         draws += 1
@@ -504,12 +506,12 @@ def ransac_plane_inliers(points, threshold_m: float = 0.01,
             continue
         normal /= nn
         dist = np.abs((pts - p0) @ normal)
-        mask = dist <= threshold_m
+        mask = dist <= RANSAC_THRESHOLD_M
         count = int(mask.sum())
         if count > best_count:
             best_count = count
             best_mask = mask
-            needed = min(iterations, _ransac_draws_needed(count / n))
+            needed = min(RANSAC_MAX_DRAWS, _ransac_draws_needed(count / n))
     if best_mask is None or best_count < 3:
         raise DegenerateGeometryError("no plane found by RANSAC")
     # refit on the consensus set; a tilted sample plane clips the true plane
@@ -517,7 +519,7 @@ def ransac_plane_inliers(points, threshold_m: float = 0.01,
     for _ in range(5):
         plane = fit_plane_pca(pts[best_mask])
         dist = np.abs((pts - plane.origin) @ plane.axes[2])
-        mask = dist <= threshold_m
+        mask = dist <= RANSAC_THRESHOLD_M
         if np.array_equal(mask, best_mask):
             break
         best_mask = mask

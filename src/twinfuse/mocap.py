@@ -16,8 +16,8 @@ import numpy as np
 # ``triangulate`` and ``unproject`` are not called here; they stay bound in
 # this module because perfbench/spans.py wraps ``mocap.triangulate`` and
 # ``mocap.unproject``.
-from .cameras import (CameraModel, _camera_arrays, _undistort, triangulate,  # noqa: F401
-                      triangulate_batch, unproject)
+from .cameras import (CameraModel, _camera_arrays, _camera_id, _undistort,  # noqa: F401
+                      triangulate, triangulate_batch, unproject)
 from .errors import (BehindCameraError, EmptySelectionError, ParameterError,
                      UnknownEntityError)
 from .tracking import _window_slices
@@ -60,8 +60,7 @@ class Keypoint2DFrame:
     persons: tuple
 
     def __post_init__(self):
-        if not isinstance(self.camera_id, str):
-            raise ParameterError(f"camera id must be a string, got {self.camera_id!r}")
+        _camera_id(self.camera_id)
         object.__setattr__(self, "persons", tuple(self.persons))
 
     def to_json(self) -> str:

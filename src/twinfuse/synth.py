@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, asdict
 import numpy as np
 
 from .cameras import CameraIntrinsics, CameraModel, _is_number, _pixels
-from .errors import ParameterError, UnknownEntityError
+from .errors import ParameterError
 from .fusion import MarkerSet, ScanRecord
 from .geometry import (PointCloud, RigidTransform, compose, invert,
                        quat_from_axis_angle, quat_multiply, quat_normalize,
@@ -116,18 +116,6 @@ class GroundTruthBundle:
     skeleton_true: list                  # Skeleton3DFrame per timestamp
     keypoint_frames: list                # list per timestamp of Keypoint2DFrame per cam
     table_center: np.ndarray = field(default_factory=lambda: TABLE_CENTER.copy())
-
-    def truth_pose(self, name: str) -> RigidTransform:
-        if name.startswith("scan:"):
-            key = name[5:]
-            if key in self.scan_poses:
-                return self.scan_poses[key]
-        if name.startswith("camera:"):
-            key = name[7:]
-            for cam in self.cameras:
-                if cam.id == key:
-                    return cam.world_from_camera
-        raise UnknownEntityError(f"unknown entity {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -443,29 +431,6 @@ def true_relative_scan_pose(bundle: GroundTruthBundle, scan_name: str,
     """Ground-truth transform from a scan's frame into the reference scan's."""
     return compose(invert(bundle.scan_poses[reference_name]),
                    bundle.scan_poses[scan_name])
-
-
-def compare_to_truth(bundle: GroundTruthBundle, estimates: dict) -> dict:
-    """Per-entity errors for estimated poses (and 3D points).
-
-    Keys: ``scan:<name>`` / ``camera:<id>`` for poses (errors in mm / deg),
-    ``marker:<id>`` for points (error in mm).
-    """
-    report = {}
-    for name, est in estimates.items():
-        if name.startswith("marker:"):
-            mid = name[7:]
-            if mid not in bundle.markers.positions:
-                raise UnknownEntityError(f"unknown entity {name!r}")
-            err_mm = float(np.linalg.norm(np.asarray(est, dtype=float)
-                                          - bundle.markers.positions[mid]) * 1000.0)
-            report[name] = {"point_error_mm": err_mm}
-        else:
-            truth = bundle.truth_pose(name)
-            t_mm, r_deg = pose_error(est, truth)
-            report[name] = {"translation_error_mm": t_mm,
-                            "rotation_error_deg": r_deg}
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,8 @@ def _missing(key, what):
                  "distortion must be 5 finite numbers, got 5", id="dist-number"),
     pytest.param(lambda o: [o], "camera intrinsics is not a JSON object",
                  id="not-object"),
+    pytest.param(lambda o: {**o, "id": 1}, "camera id must be a string, got 1",
+                 id="id-number"),
 ])
 def test_register_cameras_missing_intrinsics_key(bundle_dir, tmp_path, capsys,
                                                  corrupt, message):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from twinfuse.errors import InsufficientCorrespondencesError, ParameterError
-from twinfuse.fusion import (MarkerSet, ScanRecord, crop_aabb,
+from twinfuse.fusion import (OUTLIER_K, MarkerSet, ScanRecord, crop_aabb,
                              finalize_reference, fuse_scans, match_markers,
                              register_scan, remove_statistical_outliers,
                              voxel_downsample)
@@ -212,8 +212,7 @@ def test_finalize_recovers_offset():
 def test_finalize_floor_inliers_near_zero(default_bundle):
     fused, _ = fuse_scans(default_bundle.scans)
     final, _ = finalize_reference(fused)
-    inliers = ransac_plane_inliers(final.points, threshold_m=0.01,
-                                   iterations=1000, seed=0)
+    inliers = ransac_plane_inliers(final.points)
     z = np.abs(final.points[inliers][:, 2])
     assert np.mean(z <= 0.015) >= 0.99
 
@@ -367,35 +366,28 @@ def test_outlier_removal_drops_lone_point():
     grid = np.array([[x, y, 0.0] for x in np.arange(0, 0.5, 0.05)
                      for y in np.arange(0, 0.5, 0.05)])
     pts = np.concatenate([grid, [[5.0, 5.0, 5.0]]])
-    out = remove_statistical_outliers(PointCloud(pts), k=8, std_ratio=2.0)
+    out = remove_statistical_outliers(PointCloud(pts))
     assert len(out) == len(grid)
     assert not any(np.allclose(p, [5, 5, 5]) for p in out.points)
 
 
 def test_outlier_removal_keeps_uniform_grid():
+    # on a 10 x 10 grid only the four corners have neighbours far enough
+    # away to exceed mean + OUTLIER_STD_RATIO * std
     grid = np.array([[x, y, 0.0] for x in np.arange(0, 1.0, 0.1)
                      for y in np.arange(0, 1.0, 0.1)])
-    out = remove_statistical_outliers(PointCloud(grid), k=4, std_ratio=5.0)
-    assert len(out) == len(grid)
+    out = remove_statistical_outliers(PointCloud(grid))
+    assert np.array_equal(out.points, np.delete(grid, [0, 9, 90, 99], axis=0))
 
 
 def test_outlier_removal_subset_and_params():
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(60, 3))
-    out = remove_statistical_outliers(PointCloud(pts), k=6, std_ratio=1.0)
+    out = remove_statistical_outliers(PointCloud(pts))
     in_rows = {tuple(p) for p in pts}
     assert all(tuple(p) in in_rows for p in out.points)
-    with pytest.raises(ParameterError):
-        remove_statistical_outliers(PointCloud(pts), k=0, std_ratio=1.0)
-    with pytest.raises(ParameterError):
-        remove_statistical_outliers(PointCloud(pts[:5]), k=10, std_ratio=1.0)
-
-
-@pytest.mark.parametrize("std_ratio", [float("nan"), float("inf")])
-def test_outlier_removal_non_finite_std_ratio(std_ratio):
-    pts = np.random.default_rng(3).normal(size=(60, 3))
-    with pytest.raises(ParameterError, match="finite std_ratio"):
-        remove_statistical_outliers(PointCloud(pts), std_ratio=std_ratio)
+    with pytest.raises(ParameterError, match="16 points too small for k=16"):
+        remove_statistical_outliers(PointCloud(pts[:OUTLIER_K]))
 
 
 @pytest.fixture(scope="module")

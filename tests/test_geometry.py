@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from twinfuse.errors import (DegenerateGeometryError, FrameMismatchError,
                              InsufficientCorrespondencesError)
-from twinfuse.geometry import (PlaneFrame, PointCloud, RigidTransform,
-                               _least_squares, _ransac_draws_needed, apply,
-                               build_floor_frame, compose, fit_plane_pca,
-                               identity, invert, kabsch, quat_from_axis_angle,
-                               quat_normalize, ransac_plane_inliers,
-                               rotation_angle_deg)
+from twinfuse.geometry import (RANSAC_MAX_DRAWS, RANSAC_SEED,
+                               RANSAC_THRESHOLD_M, PlaneFrame, PointCloud,
+                               RigidTransform, _least_squares,
+                               _ransac_draws_needed, apply, build_floor_frame,
+                               compose, fit_plane_pca, identity, invert, kabsch,
+                               quat_from_axis_angle, quat_normalize,
+                               ransac_plane_inliers, rotation_angle_deg)
 
 from conftest import quat_angle_deg, random_transform, transforms_close
 
@@ -388,21 +389,21 @@ def test_least_squares_stops_at_optimum_after_one_rejected_try():
 # ---------------------------------------------------------------------------
 # plane RANSAC
 
-def _floor_with_clutter():
-    rng = np.random.default_rng(0)
+def _floor_with_clutter(seed=0, n_clutter=150):
+    rng = np.random.default_rng(seed)
     floor = _plane_grid(nx=25, ny=25, sx=5.0, sy=5.0)
     floor = floor + rng.normal(0, 0.002, size=floor.shape)
-    clutter = rng.uniform([-2, -2, 0.3], [2, 2, 2.5], size=(150, 3))
+    clutter = rng.uniform([-2, -2, 0.3], [2, 2, 2.5], size=(n_clutter, 3))
     return np.concatenate([floor, clutter]), len(floor)
 
 
-def _ransac_reference(pts, threshold_m, iterations, seed):
-    """RANSAC that always makes ``iterations`` draws, then refits."""
+def _ransac_reference(pts):
+    """RANSAC that always makes RANSAC_MAX_DRAWS draws, then refits."""
     n = len(pts)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(RANSAC_SEED)
     best_mask = None
     best_count = -1
-    for _ in range(iterations):
+    for _ in range(RANSAC_MAX_DRAWS):
         idx = rng.choice(n, size=3, replace=False)
         p0, p1, p2 = pts[idx]
         normal = np.cross(p1 - p0, p2 - p0)
@@ -410,14 +411,14 @@ def _ransac_reference(pts, threshold_m, iterations, seed):
         if nn < 1e-12:
             continue
         normal /= nn
-        mask = np.abs((pts - p0) @ normal) <= threshold_m
+        mask = np.abs((pts - p0) @ normal) <= RANSAC_THRESHOLD_M
         count = int(mask.sum())
         if count > best_count:
             best_count = count
             best_mask = mask
     for _ in range(5):
         plane = fit_plane_pca(pts[best_mask])
-        mask = np.abs((pts - plane.origin) @ plane.axes[2]) <= threshold_m
+        mask = np.abs((pts - plane.origin) @ plane.axes[2]) <= RANSAC_THRESHOLD_M
         if np.array_equal(mask, best_mask):
             break
         best_mask = mask
@@ -426,32 +427,34 @@ def _ransac_reference(pts, threshold_m, iterations, seed):
 
 def test_ransac_plane_finds_dominant_plane():
     pts, n_floor = _floor_with_clutter()
-    mask = ransac_plane_inliers(pts, threshold_m=0.01, iterations=500, seed=0)
+    mask = ransac_plane_inliers(pts)
     assert mask[:n_floor].mean() > 0.99
     assert mask[n_floor:].mean() < 0.05
 
 
-@pytest.mark.parametrize("iterations", [1, 500, 1000])
-def test_ransac_plane_matches_all_draws(iterations):
-    pts, _ = _floor_with_clutter()
+@pytest.mark.parametrize("n_clutter", [150, 1000, 2500])
+def test_ransac_plane_matches_all_draws(n_clutter):
+    # at 2500 clutter points the floor is 20% of the cloud, too little for
+    # RANSAC_MAX_DRAWS draws to reach RANSAC_CONFIDENCE: only there the cap binds
     for seed in range(3):
-        expected = _ransac_reference(pts, 0.01, iterations, seed)
-        mask = ransac_plane_inliers(pts, threshold_m=0.01,
-                                    iterations=iterations, seed=seed)
-        assert np.array_equal(mask, expected)
+        pts, n_floor = _floor_with_clutter(seed, n_clutter)
+        mask = ransac_plane_inliers(pts)
+        assert mask[:n_floor].mean() > 0.99
+        capped = _ransac_draws_needed(mask.mean()) > RANSAC_MAX_DRAWS
+        assert capped == (n_clutter == 2500)
+        assert np.array_equal(mask, _ransac_reference(pts))
 
 
 def test_ransac_plane_matches_all_draws_on_fused_scans(default_bundle):
     from twinfuse.fusion import fuse_scans
     fused, _ = fuse_scans(default_bundle.scans)
-    mask = ransac_plane_inliers(fused.points, threshold_m=0.01,
-                                iterations=1000, seed=0)
-    assert np.array_equal(mask, _ransac_reference(fused.points, 0.01, 1000, 0))
+    mask = ransac_plane_inliers(fused.points)
+    assert np.array_equal(mask, _ransac_reference(fused.points))
 
 
 def test_ransac_plane_all_coplanar():
     pts = _plane_grid(nx=30, ny=20, sx=3.0, sy=2.0)
-    assert ransac_plane_inliers(pts, threshold_m=0.01, iterations=1000).all()
+    assert ransac_plane_inliers(pts).all()
 
 
 def test_ransac_draws_needed():

@@ -1,5 +1,5 @@
 """AST checks of the twinfuse modules: every name a module imports is used
-in that module, and the public API has no solver settings beyond a fixed set."""
+in that module, and the public API has no solver settings."""
 
 import ast
 import pathlib
@@ -41,18 +41,10 @@ def test_no_unused_imports(path):
     assert unused == [], f"{path.name} imports names it never uses: {unused}"
 
 
-# The only solver settings a caller may change: keyword parameters of public
-# functions whose default is a number, a bool or a call. Any other setting is
-# a module constant where it is used.
-SETTINGS = {
-    ("estimate_time_offset", "min_overlap_s"),
-    ("fuse_scans", "chamfer_cutoff_m"),
-    ("remove_statistical_outliers", "k"),
-    ("remove_statistical_outliers", "std_ratio"),
-    ("ransac_plane_inliers", "threshold_m"),
-    ("ransac_plane_inliers", "iterations"),
-    ("ransac_plane_inliers", "seed"),
-}
+# No public function or method has a solver setting: a keyword parameter
+# whose default is a number, a bool or a call. A setting is a module constant
+# where it is used.
+SETTINGS = set()
 
 
 def _is_setting(default: ast.expr) -> bool:

@@ -5,13 +5,12 @@ import os
 import numpy as np
 import pytest
 
-from twinfuse.errors import ParameterError, UnknownEntityError
+from twinfuse.errors import ParameterError
 from twinfuse.fusion import MarkerSet
 from twinfuse.geometry import invert
 from twinfuse.mocap import N_JOINTS
-from twinfuse.synth import (SynthConfig, compare_to_truth, export_bundle,
-                            generate, pose_error, project_visible,
-                            true_relative_scan_pose)
+from twinfuse.synth import (SynthConfig, export_bundle, generate, pose_error,
+                            project_visible, true_relative_scan_pose)
 
 from conftest import quat_angle_deg
 
@@ -104,7 +103,7 @@ def test_entity_substreams_stable_under_more_scans():
         assert np.array_equal(a.scans[i].cloud.points, b.scans[i].cloud.points)
 
 
-def test_scan_clouds_match_truth_poses(default_bundle):
+def test_scan_clouds_match_true_poses(default_bundle):
     # denoised: transforming a scan cloud by its truth pose recovers the room
     b = default_bundle
     scan = b.scans[0]
@@ -165,33 +164,10 @@ def test_bystander_adds_second_person():
                for per_cam in b.keypoint_frames for fr in per_cam)
 
 
-def test_truth_pose_lookup(default_bundle):
-    b = default_bundle
-    p = b.truth_pose("scan:scan0")
-    assert p is b.scan_poses["scan0"]
-    c = b.truth_pose("camera:cam1")
-    assert c.from_frame == "camera:cam1"
-    with pytest.raises(UnknownEntityError):
-        b.truth_pose("scan:nope")
-
-
 def test_true_relative_scan_pose_identity(default_bundle):
     rel = true_relative_scan_pose(default_bundle, "scan2", "scan2")
     assert np.linalg.norm(rel.t) < 1e-12
     assert quat_angle_deg(rel.q, [1, 0, 0, 0]) < 1e-9
-
-
-def test_compare_to_truth_keys(default_bundle):
-    b = default_bundle
-    est = {"scan:scan0": b.scan_poses["scan0"],
-           "camera:cam1": b.cameras[0].world_from_camera,
-           "marker:M01": b.markers.positions["M01"] + [0.001, 0, 0]}
-    rep = compare_to_truth(b, est)
-    assert rep["scan:scan0"]["translation_error_mm"] < 1e-9
-    assert rep["camera:cam1"]["rotation_error_deg"] < 1e-3
-    assert rep["marker:M01"]["point_error_mm"] == pytest.approx(1.0, abs=1e-9)
-    with pytest.raises(UnknownEntityError):
-        compare_to_truth(b, {"marker:ZZ": np.zeros(3)})
 
 
 def test_pose_error_units(default_bundle):
