@@ -12,7 +12,7 @@ from .errors import (DegenerateGeometryError, InsufficientCorrespondencesError,
                      ParameterError, TwinfuseError)
 from .geometry import (PointCloud, RigidTransform, apply, build_floor_frame,
                        kabsch, ransac_plane_inliers)
-from .metrics import _nn_distance_blocks, _render_table, chamfer
+from .metrics import _kd_tree, _nn_distances, _render_table, chamfer
 
 CHAMFER_CUTOFF_M = 0.1  # fuse_scans' per-scan Chamfer distance cutoff
 OUTLIER_K = 16
@@ -149,6 +149,9 @@ def fuse_scans(scans: list[ScanRecord]) -> tuple[PointCloud, FusionReport]:
     concatenate the clouds in input order."""
     if not scans:
         raise ParameterError("fuse_scans needs at least one scan")
+    empty = [s.name for s in scans if len(s.cloud) == 0]
+    if empty and len(scans) > 1:  # every other scan is compared with the reference
+        raise ParameterError(f"scan {empty[0]!r}: chamfer requires non-empty clouds")
     ref_idx = int(np.argmax([len(s.markers) for s in scans]))  # tie -> first
     reference = scans[ref_idx]
     report = FusionReport(reference_name=reference.name)
@@ -259,9 +262,12 @@ def remove_statistical_outliers(cloud: PointCloud) -> PointCloud:
     if len(cloud) <= OUTLIER_K:
         raise ParameterError(f"cloud of {len(cloud)} points too small for "
                              f"k={OUTLIER_K}")
-    # the first column is each point itself, at distance 0
-    mean_d = np.concatenate([d[:, 1:].mean(axis=1) for d in _nn_distance_blocks(
-        cloud.points, cloud.points, OUTLIER_K + 1)])
+    # the first column is each point itself, at distance 0; the cloud's own
+    # tree gives the leaf order its points are queried in
+    tree = _kd_tree(cloud.points)
+    mean_d = _nn_distances(cloud.points, tree, OUTLIER_K + 1, tree.indices,
+                           lambda d: d[:, 1:].mean(axis=1))
+    del tree  # its nodes are not needed while the output cloud is built
     threshold = mean_d.mean() + OUTLIER_STD_RATIO * mean_d.std()
     keep = mean_d <= threshold
     colors = cloud.colors[keep] if cloud.colors is not None else None

@@ -40,19 +40,46 @@ _PARALLEL_MIN_PAIRS = 8192
 _QUERY_BLOCK_PAIRS = 2 ** 20
 
 
-def _nn_distance_blocks(src: np.ndarray, dst: np.ndarray, k: int):
-    """Distances from the ``src`` points to their ``k`` nearest ``dst``
-    points, yielded in consecutive blocks of ``src`` rows: shape (rows,) for
-    k = 1 and (rows, k) otherwise.
+# Points per kd-tree leaf. A sliding-midpoint tree splits into more nodes than
+# scipy's median split: over 995,456 uniform points, at scipy's default of 16
+# its build took 30.6 MB against the median split's 21.4 MB; at 24 it takes
+# 21.6 MB. On the room cloud the outlier filter and Chamfer ran no slower at
+# 24 than at 16 or 32.
+_LEAF_SIZE = 24
 
-    A large query runs on every CPU. Each row is searched on its own, so the
-    distances do not depend on the number of threads or on the blocks.
+
+def _kd_tree(points: np.ndarray) -> cKDTree:
+    """Sliding-midpoint kd-tree (Maneewongvatana & Mount, 1999): it builds
+    faster than scipy's median split and, queried in its own leaf order,
+    answers faster too. A point's k nearest distances are exact whatever the
+    tree's shape."""
+    return cKDTree(points, leafsize=_LEAF_SIZE, balanced_tree=False)
+
+
+def _nn_distances(src: np.ndarray, tree: cKDTree, k: int,
+                  order: np.ndarray | None = None, row_stat=None) -> np.ndarray:
+    """Per ``src`` row, in input order: the distance to its nearest ``tree``
+    point (k = 1), or ``row_stat`` of the row of distances to its ``k``
+    nearest.
+
+    Rows are queried in blocks, taken in ``order`` when given, and each
+    block is written back to its rows. The leaf order of a kd-tree over
+    ``src`` (``cKDTree.indices``) queries neighbouring points one after
+    another: on the 90,496-point room cloud and 2 CPUs, the outlier filter's
+    tree build and k = 17 query took 0.15 s, against 0.23 s for a median-split
+    tree queried in input order. A large query runs on every CPU. Each row
+    is searched on its own, so the result does not depend on the order, the
+    blocks or the number of threads.
     """
-    workers = -1 if len(src) * k >= _PARALLEL_MIN_PAIRS else 1
-    tree = cKDTree(dst)
-    rows = max(1, _QUERY_BLOCK_PAIRS // k)
-    for i in range(0, len(src), rows):
-        yield tree.query(src[i:i + rows], k=k, workers=workers)[0]
+    n = len(src)
+    workers = -1 if n * k >= _PARALLEL_MIN_PAIRS else 1
+    step = max(1, _QUERY_BLOCK_PAIRS // k)
+    out = np.empty(n)
+    for i in range(0, n, step):
+        rows = slice(i, i + step) if order is None else order[i:i + step]
+        d = tree.query(src[rows], k=k, workers=workers)[0]
+        out[rows] = d if row_stat is None else row_stat(d)
+    return out
 
 
 def _check_cutoff(max_dist_m: float) -> None:
@@ -61,9 +88,9 @@ def _check_cutoff(max_dist_m: float) -> None:
                              f"got {max_dist_m!r}")
 
 
-def _directional_mean(src: np.ndarray, dst: np.ndarray,
-                      max_dist_m: float | None) -> tuple[float, int, int]:
-    d = np.concatenate(list(_nn_distance_blocks(src, dst, 1)))
+def _directional_mean(src: np.ndarray, dst_tree: cKDTree, max_dist_m: float | None,
+                      order: np.ndarray | None = None) -> tuple[float, int, int]:
+    d = _nn_distances(src, dst_tree, 1, order)
     if max_dist_m is not None:
         keep = d <= max_dist_m
         n_filtered = int((~keep).sum())
@@ -85,8 +112,12 @@ def chamfer(a: PointCloud, b: PointCloud, max_dist_m: float) -> tuple[float, int
     if len(a) == 0 or len(b) == 0:
         raise ParameterError("chamfer requires non-empty clouds")
     _check_cutoff(max_dist_m)
-    m_ab, used_ab, filt_ab = _directional_mean(a.points, b.points, max_dist_m)
-    m_ba, used_ba, filt_ba = _directional_mean(b.points, a.points, max_dist_m)
+    # each direction queries in the leaf order of the other direction's tree
+    tree_a, tree_b = _kd_tree(a.points), _kd_tree(b.points)
+    m_ab, used_ab, filt_ab = _directional_mean(a.points, tree_b, max_dist_m,
+                                               tree_a.indices)
+    m_ba, used_ba, filt_ba = _directional_mean(b.points, tree_a, max_dist_m,
+                                               tree_b.indices)
     cd_mm = 0.5 * (m_ab + m_ba) * 1000.0
     return cd_mm, used_ab + used_ba, filt_ab + filt_ba
 
@@ -98,7 +129,7 @@ def chamfer_one_sided(a: PointCloud, b: PointCloud,
         raise ParameterError("chamfer requires non-empty clouds")
     if max_dist_m is not None:
         _check_cutoff(max_dist_m)
-    mean_m, _, _ = _directional_mean(a.points, b.points, max_dist_m)
+    mean_m, _, _ = _directional_mean(a.points, _kd_tree(b.points), max_dist_m)
     return mean_m * 1000.0
 
 

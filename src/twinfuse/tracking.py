@@ -19,6 +19,11 @@ from .geometry import PointCloud, RigidTransform, _least_squares, compose, kabsc
 
 DEFAULT_MARKER_RADIUS_M = 0.0015  # 3 mm hemisphere diameter
 SIGNATURE_TOL_M = 0.0005  # pairwise-distance agreement for a marker match
+# Candidate correspondences a marker match lists at most. An exact rigid 3-D
+# point set has at most 120 distance-preserving permutations (the full
+# icosahedral group); markers closer together than SIGNATURE_TOL_M agree in
+# every permutation, n! of them.
+MAX_CANDIDATES = 1000
 ICP_MAX_ITERATIONS = 50
 ICP_MAX_CORRESPONDENCE_M = 0.01  # nearest neighbours farther away are outliers
 ICP_CONVERGENCE_RMS_M = 1e-7  # stop once an iteration lowers the RMS by less
@@ -176,8 +181,9 @@ def fit_sphere_fixed_radius(points, radius_m: float) -> tuple[np.ndarray, float]
 
 def _consistent_permutations(scan_centers: np.ndarray, array_markers: np.ndarray,
                              tol_m: float) -> list[tuple[int, ...]]:
-    """Every assignment ``perm`` (scan centre i is array marker perm[i]) whose
-    pairwise distances all agree within ``tol_m``, in lexicographic order.
+    """The assignments ``perm`` (scan centre i is array marker perm[i]) whose
+    pairwise distances all agree within ``tol_m``, in lexicographic order:
+    all of them, or the first MAX_CANDIDATES.
 
     Depth-first interpretation tree (Grimson & Lozano-Perez, PAMI 1987):
     centres take markers one at a time, each trying the unused markers in
@@ -193,17 +199,20 @@ def _consistent_permutations(scan_centers: np.ndarray, array_markers: np.ndarray
     perm = []
     used = [False] * n
 
-    def extend(i):
+    def extend(i):  # True once MAX_CANDIDATES are found
         if i == n:
             out.append(tuple(perm))
-            return
+            return len(out) == MAX_CANDIDATES
         for a in range(n):
             if not used[a] and all(ok[i][j][a][b] for j, b in enumerate(perm)):
                 used[a] = True
                 perm.append(a)
-                extend(i + 1)
+                full = extend(i + 1)
                 perm.pop()
                 used[a] = False
+                if full:
+                    return True
+        return False
 
     extend(0)
     return out
@@ -224,8 +233,9 @@ def register_marker_array(scan_centers, array: MarkerArrayGeometry
         raise CorrespondenceError(
             "no marker correspondence consistent with pairwise distances")
     if len(perms) > 1:
+        count = f"at least {len(perms)}" if len(perms) == MAX_CANDIDATES else len(perms)
         raise AmbiguityError(
-            f"{len(perms)} distance-consistent correspondences", candidates=perms)
+            f"{count} distance-consistent correspondences", candidates=perms)
     perm = perms[0]
     matched = array.markers[list(perm)]
     t = kabsch(matched, centers, from_frame="array", to_frame="model")

@@ -79,6 +79,16 @@ def test_fuse_skip_floor(bundle_dir, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_fuse_empty_scan_names_it(bundle_dir, tmp_path, capsys):
+    scans = tmp_path / "scans"
+    shutil.copytree(bundle_dir / "scans", scans)
+    save_ply(scans / "scan3.ply", PointCloud(np.zeros((0, 3))))
+    rc = main(["fuse", "--scans-dir", str(scans), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: scan 'scan3': chamfer requires non-empty clouds\n")
+
+
 # ---------------------------------------------------------------------------
 # register-cameras
 

@@ -13,7 +13,7 @@ from twinfuse.fusion import (OUTLIER_K, MarkerSet, ScanRecord, crop_aabb,
                              voxel_downsample)
 from twinfuse.geometry import PointCloud, RigidTransform, apply, invert, ransac_plane_inliers
 from twinfuse import metrics
-from twinfuse.metrics import _PARALLEL_MIN_PAIRS, _nn_distance_blocks, chamfer
+from twinfuse.metrics import _PARALLEL_MIN_PAIRS, _kd_tree, _nn_distances, chamfer
 from twinfuse.synth import (SynthConfig, generate, pose_error,
                             true_relative_scan_pose)
 
@@ -186,6 +186,17 @@ def test_fuse_failure_names_scan():
 def test_fuse_empty_input():
     with pytest.raises(ParameterError):
         fuse_scans([])
+
+
+@pytest.mark.parametrize("empty", ["s0", "s1"])  # the reference, another scan
+def test_fuse_empty_scan_names_scan(empty):
+    scans = [ScanRecord(name, PointCloud(np.zeros((0 if name == empty else 5, 3)),
+                                         frame=name),
+                        _markers("ABCDEF"[:6 - i], frame=name))
+             for i, name in enumerate(["s0", "s1"])]
+    with pytest.raises(ParameterError,
+                       match=f"scan '{empty}': chamfer requires non-empty clouds"):
+        fuse_scans(scans)
 
 
 # ---------------------------------------------------------------------------
@@ -407,34 +418,52 @@ def dense_room(default_bundle):
     return fused
 
 
-def test_outlier_removal_matches_serial_query(dense_room):
+# The kNN references below build scipy's default (balanced) kd-tree and query
+# it in input order on one thread; twinfuse builds sliding-midpoint trees,
+# queries in leaf order on every CPU and writes each block back. Every check
+# runs at the default block size and at 4,999 (point, neighbour) pairs per
+# block, where a query takes many blocks and a short last one.
+SMALL_BLOCK_PAIRS = 4999
+
+
+def _block_sizes(monkeypatch):
+    for pairs in (metrics._QUERY_BLOCK_PAIRS, SMALL_BLOCK_PAIRS):
+        monkeypatch.setattr(metrics, "_QUERY_BLOCK_PAIRS", pairs)
+        yield
+
+
+def test_outlier_removal_matches_serial_query(dense_room, monkeypatch):
     pts = dense_room.points
     assert len(pts) * 17 >= _PARALLEL_MIN_PAIRS  # the threaded query
     d, _ = cKDTree(pts).query(pts, k=17, workers=1)
     mean_d = d[:, 1:].mean(axis=1)
     keep = mean_d <= mean_d.mean() + 2.0 * mean_d.std()
     assert 0 < keep.sum() < len(pts)
-    out = remove_statistical_outliers(dense_room)
-    assert out.points.tobytes() == pts[keep].tobytes()
+    for _ in _block_sizes(monkeypatch):
+        out = remove_statistical_outliers(dense_room)
+        assert out.points.tobytes() == pts[keep].tobytes()
 
 
 @pytest.mark.parametrize("k", [1, 17])
 def test_nn_distance_blocks_match_one_query(dense_room, monkeypatch, k):
     pts = dense_room.points
-    monkeypatch.setattr(metrics, "_QUERY_BLOCK_PAIRS", 4999)
-    rows = 4999 // k
-    assert len(pts) % rows and len(pts) // rows >= 2  # a short last block
-    blocks = list(_nn_distance_blocks(pts, pts, k))
-    assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
-    expected, _ = cKDTree(pts).query(pts, k=k, workers=1)
-    assert np.concatenate(blocks).tobytes() == expected.tobytes()
-    if k == 17:  # the outlier filter averages each block as it comes
-        mean_d = expected[:, 1:].mean(axis=1)
-        keep = mean_d <= mean_d.mean() + 2.0 * mean_d.std()
-        assert remove_statistical_outliers(dense_room).points.tobytes() == pts[keep].tobytes()
+    query = pts[::2] + 0.003 if k == 1 else pts
+    expected, _ = cKDTree(pts).query(query, k=k, workers=1)
+    row_stat = None
+    if k == 17:  # the outlier filter's per-row mean
+        row_stat = lambda d: d[:, 1:].mean(axis=1)  # noqa: E731
+        expected = row_stat(expected)
+    tree = _kd_tree(pts)
+    leaf_order = _kd_tree(query).indices
+    assert not np.array_equal(leaf_order, np.arange(len(query)))
+    assert len(query) * k > 2 * SMALL_BLOCK_PAIRS  # several small blocks
+    for _ in _block_sizes(monkeypatch):
+        for order in (None, leaf_order):
+            got = _nn_distances(query, tree, k, order, row_stat)
+            assert got.tobytes() == expected.tobytes()
 
 
-def test_chamfer_matches_serial_query(dense_room):
+def test_chamfer_matches_serial_query(dense_room, monkeypatch):
     a = dense_room.points[::2]
     b = dense_room.points[1::3] + 0.004
     assert min(len(a), len(b)) >= _PARALLEL_MIN_PAIRS  # threaded queries
@@ -446,7 +475,8 @@ def test_chamfer_matches_serial_query(dense_room):
     expected = (0.5 * (float(near_ab.mean()) + float(near_ba.mean())) * 1000.0,
                 len(near_ab) + len(near_ba),
                 len(a) + len(b) - len(near_ab) - len(near_ba))
-    assert chamfer(PointCloud(a), PointCloud(b), cutoff) == expected
+    for _ in _block_sizes(monkeypatch):
+        assert chamfer(PointCloud(a), PointCloud(b), cutoff) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ from twinfuse.errors import (DegenerateGeometryError, FrameMismatchError,
                              InsufficientCorrespondencesError)
 from twinfuse.geometry import (RANSAC_MAX_DRAWS, RANSAC_SEED,
                                RANSAC_THRESHOLD_M, PlaneFrame, PointCloud,
-                               RigidTransform, _least_squares,
-                               _ransac_draws_needed, apply, build_floor_frame,
+                               RigidTransform, _FLAT_ROWS, _least_squares,
+                               _ransac_draws_needed, _subtract_rows, apply,
+                               build_floor_frame,
                                compose, fit_plane_pca, identity, invert, kabsch,
                                quat_from_axis_angle, quat_normalize,
                                ransac_plane_inliers, rotation_angle_deg)
@@ -450,6 +451,17 @@ def test_ransac_plane_matches_all_draws_on_fused_scans(default_bundle):
     fused, _ = fuse_scans(default_bundle.scans)
     mask = ransac_plane_inliers(fused.points)
     assert np.array_equal(mask, _ransac_reference(fused.points))
+
+
+@pytest.mark.parametrize("n", [0, 1, _FLAT_ROWS - 1, _FLAT_ROWS, _FLAT_ROWS + 1,
+                               90_496])
+def test_subtract_rows_matches_broadcast(n):
+    rng = np.random.default_rng(n)
+    pts = rng.normal(0.0, 3.0, size=(n, 3))
+    for p in (rng.normal(size=3), pts[n // 2] if n else np.full(3, np.pi)):
+        out = np.full((n, 3), np.nan)
+        assert _subtract_rows(pts, p, out) is out
+        assert out.tobytes() == (pts - p).tobytes()
 
 
 def test_ransac_plane_all_coplanar():

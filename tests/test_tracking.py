@@ -14,7 +14,7 @@ from twinfuse.errors import (AmbiguityError, CorrespondenceError,
                              InsufficientCorrespondencesError, NoOverlapError,
                              ParameterError)
 from twinfuse.geometry import PointCloud, RigidTransform, invert, kabsch
-from twinfuse.tracking import (MarkerArrayGeometry, PoseTrack,
+from twinfuse.tracking import (MAX_CANDIDATES, MarkerArrayGeometry, PoseTrack,
                                _consistent_permutations,
                                fit_sphere_fixed_radius, icp,
                                register_marker_array, smooth_track)
@@ -247,6 +247,20 @@ def test_array_registration_twelve_markers():
     t, rmse = register_marker_array(centers, array)
     t_mm, r_deg = pose_error(t, truth)
     assert rmse < 0.2 and t_mm < 0.2 and r_deg < 0.2
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_array_registration_crowded_markers_stops_at_cap(n):
+    # inside a 0.2 mm cube every pairwise distance agrees within the 0.5 mm
+    # signature tolerance, so all n! permutations are consistent; listing the
+    # 479,001,600 of 12 markers would not finish
+    rng = np.random.default_rng(n)
+    array = MarkerArrayGeometry(rng.uniform(0.0, 2e-4, size=(n, 3)), radius_m=1e-6)
+    with pytest.raises(AmbiguityError,
+                       match=f"^at least {MAX_CANDIDATES} distance-consistent") as exc_info:
+        register_marker_array(array.markers, array)
+    assert exc_info.value.candidates == list(
+        itertools.islice(itertools.permutations(range(n)), MAX_CANDIDATES))
 
 
 def test_array_geometry_validation():
