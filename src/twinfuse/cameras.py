@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import (BehindCameraError, ConvergenceError, DegenerateGeometryError,
                      InsufficientCorrespondencesError, InsufficientViewsError,
-                     NoOverlapError, ParameterError, UnknownEntityError)
+                     NoOverlapError, ParameterError, UnknownEntityError, reading)
 from .geometry import (RigidTransform, _least_squares, invert, matrix_to_quat,
                        quat_to_matrix, transform_from_matrix)
 
@@ -70,13 +70,9 @@ class CameraIntrinsics:
     @classmethod
     def from_dict(cls, o: dict) -> "CameraIntrinsics":
         """Intrinsics from the JSON keys fx, fy, cx, cy, width, height, dist."""
-        try:
+        with reading("camera intrinsics", "camera intrinsics is not a JSON object"):
             return cls(fx=o["fx"], fy=o["fy"], cx=o["cx"], cy=o["cy"],
                        width=o["width"], height=o["height"], dist=o["dist"])
-        except KeyError as exc:
-            raise ParameterError(f"camera intrinsics missing key {exc}") from None
-        except TypeError:
-            raise ParameterError("camera intrinsics is not a JSON object") from None
 
     def to_dict(self) -> dict:
         """The JSON object ``from_dict`` reads."""
@@ -105,13 +101,9 @@ class CameraModel:
     def from_json(cls, text: str) -> "CameraModel":
         o = json.loads(text)
         intr = CameraIntrinsics.from_dict(o)
-        try:
+        with reading("camera model", "camera model 'world_from_camera': {exc}"):
             cam_id, wfc = o["id"], o["world_from_camera"]
             pose = RigidTransform.from_dict(wfc, f"camera:{cam_id}", "reference")
-        except KeyError as exc:
-            raise ParameterError(f"camera model missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"camera model 'world_from_camera': {exc}") from None
         return cls(cam_id, intr, pose)
 
 
@@ -127,6 +119,16 @@ class PixelObservation:
             raise ParameterError("confidence must be in [0, 1]")
         if not (np.isfinite(self.u) and np.isfinite(self.v)):
             raise ParameterError("pixel coordinates must be finite")
+
+
+def _cameras_by_id(cameras: list[CameraModel], ids) -> list[CameraModel]:
+    """The camera of each id in ``ids``; the first id that no camera has
+    raises UnknownEntityError."""
+    by_id = {c.id: c for c in cameras}
+    for cam_id in ids:
+        if cam_id not in by_id:
+            raise UnknownEntityError(f"unknown camera id {cam_id!r}")
+    return [by_id[cam_id] for cam_id in ids]
 
 
 # ---------------------------------------------------------------------------
@@ -458,14 +460,10 @@ def triangulate(observations: list[PixelObservation],
     a camera id missing from ``cameras`` raises ``UnknownEntityError``.
     Returns ``(point_xyz, mean weighted reprojection residual px)``.
     """
-    by_id = {c.id: c for c in cameras}
     used = [o for o in observations if o.confidence >= CONFIDENCE_FLOOR]
-    unknown = sorted({o.camera_id for o in used} - by_id.keys())
-    if unknown:
-        raise UnknownEntityError(f"unknown camera id {unknown[0]!r}")
     points, residual_px, errors = triangulate_batch(
         [[(o.u, o.v) for o in used]], [[o.confidence for o in used]],
-        [by_id[o.camera_id] for o in used])
+        _cameras_by_id(cameras, [o.camera_id for o in used]))
     if errors[0] is not None:
         raise errors[0]
     return points[0], float(residual_px[0])

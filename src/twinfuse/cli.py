@@ -17,7 +17,8 @@ import numpy as np
 from . import fusion, metrics, mocap, scene, synth
 from .cameras import (CameraIntrinsics, CameraModel, _camera_id, _is_number,
                       solve_pnp)
-from .errors import EmptySelectionError, ParameterError, TwinfuseError, parse_file
+from .errors import (EmptySelectionError, ParameterError, TwinfuseError,
+                     parse_file, reading)
 from .fusion import MarkerSet, ScanRecord
 from .geometry import PointCloud
 from .metrics import render_reprojection_table
@@ -73,20 +74,15 @@ def cmd_fuse(args) -> int:
 def _intrinsics_record(text: str) -> tuple[str, CameraIntrinsics]:
     o = json.loads(text)
     intr = CameraIntrinsics.from_dict(o)
-    if "id" not in o:
-        raise ParameterError("camera intrinsics missing key 'id'")
-    return _camera_id(o["id"]), intr
+    with reading("camera intrinsics"):
+        return _camera_id(o["id"]), intr
 
 
 def _marker_pixels(text: str) -> list[tuple[str, list]]:
     o = json.loads(text)
-    try:
+    with reading("marker pixels", "marker pixels is not an object with a "
+                                  "list of pixel objects under 'pixels'"):
         pixels = [(str(entry["id"]), entry["uv"]) for entry in o["pixels"]]
-    except KeyError as exc:
-        raise ParameterError(f"marker pixels missing key {exc}") from None
-    except TypeError:
-        raise ParameterError("marker pixels is not an object with a list of "
-                             "pixel objects under 'pixels'") from None
     for mid, uv in pixels:
         if not (isinstance(uv, list) and len(uv) == 2
                 and all(map(_is_number, uv))):
@@ -179,8 +175,7 @@ def cmd_mocap(args) -> int:
         by_time.setdefault(frame.t_s, []).append(frame)
     frames3d = _triangulate_frames([by_time[t] for t in sorted(by_time)],
                                    cameras, args.table_center)
-    if args.window > 1:
-        frames3d = mocap.smooth_skeleton(frames3d, args.window)
+    frames3d = mocap.smooth_skeleton(frames3d, args.window)
     with open(args.out, "w", newline="") as f:
         f.write(mocap.skeleton_track_to_csv(frames3d))
     print(f"wrote {len(frames3d)} skeleton frames to {args.out}")

@@ -1,7 +1,12 @@
-"""Exception hierarchy shared by all twinfuse modules, and the one reader of
-input files that names the file in its errors."""
+"""Exception hierarchy shared by all twinfuse modules, and the input rules
+every reader shares: the file reader that names the file in its errors, the
+record reader that names a missing key or a malformed value, and the
+positive-number check."""
 
 import json
+import math
+import numbers
+from contextlib import contextmanager
 
 
 class TwinfuseError(Exception):
@@ -88,3 +93,27 @@ def parse_file(path, parse):
     except json.JSONDecodeError as exc:
         raise ParameterError(f"{path}: malformed JSON at line {exc.lineno}, "
                              f"column {exc.colno}: {exc.msg}") from None
+
+
+@contextmanager
+def reading(what: str, malformed: str = "{what}: {exc}"):
+    """Context for reading the JSON record named ``what``: a KeyError in the
+    block is raised as ParameterError "<what> missing key 'k'", and a
+    TypeError or ValueError as ParameterError ``malformed``, formatted with
+    ``what`` and the exception as ``exc``."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ParameterError(f"{what} missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(malformed.format(what=what, exc=exc)) from None
+
+
+def positive_number(value, what: str) -> float:
+    """``value`` as a float; it must be a finite positive real and not a
+    bool, or ParameterError names it as ``what``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value <= 0):
+        raise ParameterError(
+            f"{what} must be a finite positive number, got {value!r}")
+    return float(value)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DegenerateGeometryError, InsufficientCorrespondencesError,
-                     ParameterError, TwinfuseError)
+                     ParameterError, TwinfuseError, positive_number, reading)
 from .geometry import (PointCloud, RigidTransform, apply, build_floor_frame,
                        kabsch, ransac_plane_inliers)
 from .metrics import _kd_tree, _nn_distances, _render_table, chamfer
@@ -53,14 +53,10 @@ class MarkerSet:
     @classmethod
     def from_json(cls, text: str) -> "MarkerSet":
         obj = json.loads(text)
-        try:
+        with reading("marker set", "marker set is not an object with a list "
+                                   "of marker objects under 'markers'"):
             return cls(obj["frame"],
                        {m["id"]: m["position_m"] for m in obj["markers"]})
-        except KeyError as exc:
-            raise ParameterError(f"marker set missing key {exc}") from None
-        except TypeError:
-            raise ParameterError("marker set is not an object with a list of "
-                                 "marker objects under 'markers'") from None
 
 
 @dataclass(frozen=True)
@@ -211,9 +207,7 @@ def voxel_downsample(cloud: PointCloud, voxel_m: float) -> PointCloud:
 
     Output voxels are ordered by first occurrence in the input.
     """
-    if not (voxel_m > 0 and np.isfinite(voxel_m)):
-        raise ParameterError(f"voxel size must be a finite positive number, "
-                             f"got {voxel_m!r}")
+    positive_number(voxel_m, "voxel size")
     if len(cloud) == 0:
         return cloud
     with np.errstate(over="ignore"):  # an infinite key is refused below

@@ -155,14 +155,6 @@ class RigidTransform:
         object.__setattr__(self, "t", t)
 
     @property
-    def matrix(self) -> np.ndarray:
-        """4x4 homogeneous matrix."""
-        m = np.eye(4)
-        m[:3, :3] = quat_to_matrix(self.q)
-        m[:3, 3] = self.t
-        return m
-
-    @property
     def rotation(self) -> np.ndarray:
         return quat_to_matrix(self.q)
 

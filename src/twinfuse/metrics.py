@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cameras import project
+from .cameras import _cameras_by_id, project
 from .errors import (InsufficientCorrespondencesError, NoOverlapError,
-                     ParameterError, UnknownEntityError)
+                     ParameterError, positive_number)
 from .geometry import PointCloud
 
 
@@ -82,12 +82,6 @@ def _nn_distances(src: np.ndarray, tree: cKDTree, k: int,
     return out
 
 
-def _check_cutoff(max_dist_m: float) -> None:
-    if not (max_dist_m > 0 and np.isfinite(max_dist_m)):
-        raise ParameterError(f"max_dist_m must be a finite positive number, "
-                             f"got {max_dist_m!r}")
-
-
 def _directional_mean(src: np.ndarray, dst_tree: cKDTree, max_dist_m: float | None,
                       order: np.ndarray | None = None) -> tuple[float, int, int]:
     d = _nn_distances(src, dst_tree, 1, order)
@@ -111,7 +105,7 @@ def chamfer(a: PointCloud, b: PointCloud, max_dist_m: float) -> tuple[float, int
     """
     if len(a) == 0 or len(b) == 0:
         raise ParameterError("chamfer requires non-empty clouds")
-    _check_cutoff(max_dist_m)
+    positive_number(max_dist_m, "max_dist_m")
     # each direction queries in the leaf order of the other direction's tree
     tree_a, tree_b = _kd_tree(a.points), _kd_tree(b.points)
     m_ab, used_ab, filt_ab = _directional_mean(a.points, tree_b, max_dist_m,
@@ -128,7 +122,7 @@ def chamfer_one_sided(a: PointCloud, b: PointCloud,
     if len(a) == 0 or len(b) == 0:
         raise ParameterError("chamfer requires non-empty clouds")
     if max_dist_m is not None:
-        _check_cutoff(max_dist_m)
+        positive_number(max_dist_m, "max_dist_m")
     mean_m, _, _ = _directional_mean(a.points, _kd_tree(b.points), max_dist_m)
     return mean_m * 1000.0
 
@@ -140,12 +134,10 @@ def reprojection_stats(observations, cameras) -> tuple[float, float]:
     ``cameras`` a sequence of CameraModel. Each 3D point is projected into
     its camera and compared against the observed pixel.
     """
-    by_id = {c.id: c for c in cameras}
+    cams = _cameras_by_id(cameras, [cam_id for cam_id, _, _ in observations])
     residuals = []
-    for cam_id, pixel, point in observations:
-        if cam_id not in by_id:
-            raise UnknownEntityError(f"unknown camera id {cam_id!r}")
-        uv = project(by_id[cam_id], np.asarray(point, dtype=float))
+    for cam, (_, pixel, point) in zip(cams, observations):
+        uv = project(cam, np.asarray(point, dtype=float))
         residuals.append(np.linalg.norm(np.asarray(pixel, dtype=float) - uv))
     if not residuals:
         return 0.0, 0.0

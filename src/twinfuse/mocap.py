@@ -16,10 +16,10 @@ import numpy as np
 # ``triangulate`` and ``unproject`` are not called here; they stay bound in
 # this module because perfbench/spans.py wraps ``mocap.triangulate`` and
 # ``mocap.unproject``.
-from .cameras import (CameraModel, _camera_arrays, _camera_id, _undistort,  # noqa: F401
-                      triangulate, triangulate_batch, unproject)
-from .errors import (BehindCameraError, EmptySelectionError, ParameterError,
-                     UnknownEntityError)
+from .cameras import (CameraModel, _camera_arrays, _camera_id,  # noqa: F401
+                      _cameras_by_id, _undistort, triangulate,
+                      triangulate_batch, unproject)
+from .errors import BehindCameraError, EmptySelectionError, ParameterError, reading
 from .tracking import _window_slices
 
 N_BODY = 25
@@ -77,16 +77,12 @@ class Keypoint2DFrame:
     @classmethod
     def from_json(cls, text: str) -> "Keypoint2DFrame":
         o = json.loads(text)
-        try:
+        with reading("keypoint frame"):
             persons = [PersonDetection(np.array(p["body"], dtype=float),
                                        np.array(p["hand_l"], dtype=float),
                                        np.array(p["hand_r"], dtype=float))
                        for p in o["persons"]]
             return cls(o["camera"], float(o["t_s"]), tuple(persons))
-        except KeyError as exc:
-            raise ParameterError(f"keypoint frame missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"keypoint frame: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -176,10 +172,7 @@ def select_surgeon(frames: list[Keypoint2DFrame], cameras: list[CameraModel],
     cameras are undistorted in one call, and distances are measured in each
     camera's frame, where they equal the world distances.
     """
-    by_id = {c.id: c for c in cameras}
-    for fr in frames:
-        if fr.camera_id not in by_id:
-            raise UnknownEntityError(f"unknown camera id {fr.camera_id!r}")
+    frame_cameras = _cameras_by_id(cameras, [fr.camera_id for fr in frames])
     slot, person, mean_px = [], [], []  # per person with nonzero confidence
     for k, fr in enumerate(frames):
         for idx, p in enumerate(fr.persons):
@@ -192,7 +185,7 @@ def select_surgeon(frames: list[Keypoint2DFrame], cameras: list[CameraModel],
     if not slot:
         raise EmptySelectionError("no person detected in any camera")
     slot = np.array(slot)
-    rot, t, focal, center, dist = _camera_arrays([by_id[fr.camera_id] for fr in frames])
+    rot, t, focal, center, dist = _camera_arrays(frame_cameras)
     table = (rot @ np.asarray(table_center, dtype=float).reshape(3) + t)[slot]
     if np.any(table[:, 2] <= 0):
         raise BehindCameraError("table center is behind a camera")
@@ -222,19 +215,16 @@ def triangulate_skeleton(frames: list[Keypoint2DFrame],
     t_s = frames[0].t_s
     if any(abs(f.t_s - t_s) > 1e-9 for f in frames):
         raise ParameterError("keypoint frames must share one timestamp")
-    by_id = {c.id: c for c in cameras}
     persons = {}
     for fr in frames:
         idx = selection.get(fr.camera_id)
         if idx is not None and idx < len(fr.persons):
-            if fr.camera_id not in by_id:
-                raise UnknownEntityError(f"unknown camera id {fr.camera_id!r}")
             persons[fr.camera_id] = fr.persons[idx]
     kp = np.zeros((N_JOINTS, len(persons), 3))
     for k, person in enumerate(persons.values()):
         kp[:, k] = person.all_joints()
     positions, residuals, errors = triangulate_batch(
-        kp[..., :2], kp[..., 2], [by_id[cam_id] for cam_id in persons])
+        kp[..., :2], kp[..., 2], _cameras_by_id(cameras, list(persons)))
     return Skeleton3DFrame(t_s, positions, residuals, [e is None for e in errors])
 
 

@@ -104,6 +104,8 @@ def load_ply(path, frame: str = "world") -> PointCloud:
     pts = np.column_stack([np.asarray(rec["x"], dtype=float),
                            np.asarray(rec["y"], dtype=float),
                            np.asarray(rec["z"], dtype=float)])
+    if not np.isfinite(pts).all():
+        raise ManifestError(f"{path}: vertex coordinates must be finite")
     colors = None
     if has_color:
         colors = np.column_stack([np.asarray(rec["red"]), np.asarray(rec["green"]),

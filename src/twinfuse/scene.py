@@ -158,23 +158,15 @@ def validate(scene: TwinScene, base_dir=None) -> list[str]:
     names = scene.node_names()
     for n in sorted({n for n in names if names.count(n) > 1}):
         violations.append(f"duplicate node name: {n!r}")
-    for node in scene.static_nodes:
-        if node.pose.to_frame != scene.reference_frame:
-            violations.append(
-                f"static node {node.name!r}: pose frame {node.pose.to_frame!r} "
-                f"!= {scene.reference_frame!r}")
+    placed = ([("static", n, "pose", n.pose.to_frame) for n in scene.static_nodes]
+              + [("dynamic", n, "track", n.track.frame) for n in scene.dynamic_nodes])
+    for kind, node, held, frame in placed:
+        if frame != scene.reference_frame:
+            violations.append(f"{kind} node {node.name!r}: {held} frame {frame!r} "
+                              f"!= {scene.reference_frame!r}")
         if isinstance(node.asset, str) and base_dir is not None:
             if not os.path.exists(os.path.join(base_dir, node.asset)):
-                violations.append(f"static node {node.name!r}: missing asset "
-                                  f"{node.asset!r}")
-    for node in scene.dynamic_nodes:
-        if node.track.frame != scene.reference_frame:
-            violations.append(
-                f"dynamic node {node.name!r}: track frame {node.track.frame!r} "
-                f"!= {scene.reference_frame!r}")
-        if isinstance(node.asset, str) and base_dir is not None:
-            if not os.path.exists(os.path.join(base_dir, node.asset)):
-                violations.append(f"dynamic node {node.name!r}: missing asset "
+                violations.append(f"{kind} node {node.name!r}: missing asset "
                                   f"{node.asset!r}")
     for node in scene.skeleton_nodes:
         ts = [f.t_s for f in node.frames]

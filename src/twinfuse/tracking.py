@@ -5,17 +5,15 @@ from __future__ import annotations
 
 import io
 import json
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (AmbiguityError, CorrespondenceError,
                      InsufficientCorrespondencesError, NoOverlapError,
-                     ParameterError)
+                     ParameterError, positive_number, reading)
 from .geometry import PointCloud, RigidTransform, _least_squares, compose, kabsch
+from .metrics import _kd_tree
 
 DEFAULT_MARKER_RADIUS_M = 0.0015  # 3 mm hemisphere diameter
 SIGNATURE_TOL_M = 0.0005  # pairwise-distance agreement for a marker match
@@ -28,15 +26,6 @@ ICP_MAX_ITERATIONS = 50
 ICP_MAX_CORRESPONDENCE_M = 0.01  # nearest neighbours farther away are outliers
 ICP_CONVERGENCE_RMS_M = 1e-7  # stop once an iteration lowers the RMS by less
 UNIT_QUATERNION_TOL = 1e-6  # largest |norm - 1| of a quaternion taken as unit
-
-
-def _radius(r) -> float:
-    """``r`` as a float; it must be a finite positive real and not a bool."""
-    if (isinstance(r, bool) or not isinstance(r, numbers.Real)
-            or not math.isfinite(r) or r <= 0):
-        raise ParameterError(
-            f"marker radius must be a finite positive number, got {r!r}")
-    return float(r)
 
 
 @dataclass(frozen=True)
@@ -54,7 +43,7 @@ class MarkerArrayGeometry:
             raise ParameterError("marker array needs at least 3 markers")
         if not np.isfinite(m).all():
             raise ParameterError("marker coordinates must be finite")
-        r = _radius(self.radius_m)
+        r = positive_number(self.radius_m, "marker radius")
         d = np.linalg.norm(m[:, None] - m[None, :], axis=2)
         np.fill_diagonal(d, np.inf)
         if d.min() <= 2 * r:
@@ -73,13 +62,9 @@ class MarkerArrayGeometry:
     @classmethod
     def from_json(cls, text: str) -> "MarkerArrayGeometry":
         o = json.loads(text)
-        try:
+        with reading("marker array"):
             return cls(np.array([m["position_m"] for m in o["markers"]]),
                        radius_m=o["radius_m"])
-        except KeyError as exc:
-            raise ParameterError(f"marker array missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"marker array: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -161,7 +146,7 @@ def fit_sphere_fixed_radius(points, radius_m: float) -> tuple[np.ndarray, float]
         raise ParameterError("sphere fit needs at least 4 points")
     if not np.isfinite(pts).all():
         raise ParameterError("sphere fit points must be finite")
-    radius_m = _radius(radius_m)
+    radius_m = positive_number(radius_m, "marker radius")
 
     # Residuals in millimetres: the loop stops at an absolute cost drop of
     # 1e-10, sized for pixel residuals of order 1. In metres the cost of a
@@ -262,7 +247,7 @@ def icp(src: PointCloud, dst: PointCloud, init: RigidTransform) -> IcpResult:
     """
     if len(src) == 0 or len(dst) == 0:
         raise ParameterError("ICP requires non-empty clouds")
-    tree = cKDTree(dst.points)
+    tree = _kd_tree(dst.points)
     t = init
     history = []
 

@@ -335,6 +335,17 @@ def test_triangulate_unknown_camera_id():
         triangulate(obs, cams)
 
 
+def test_triangulate_names_first_unknown_camera_in_observation_order():
+    cams = _ring_cameras()
+    p = np.array([0.0, 0.0, 1.0])
+    obs = [PixelObservation(c.id, *project(c, p)) for c in cams]
+    obs[1:1] = [PixelObservation("camZ", 640.0, 360.0),
+                PixelObservation("camA", 640.0, 360.0)]
+    with pytest.raises(UnknownEntityError) as exc_info:
+        triangulate(obs, cams)
+    assert str(exc_info.value) == "unknown camera id 'camZ'"
+
+
 def test_triangulate_parallel_rays_degenerate():
     # two cameras at the same position see the same ray
     c0 = _cam("cam0", position=(0, 0, 3.0))

@@ -247,6 +247,25 @@ def test_register_cameras_reference_markers_missing_key(bundle_dir, tmp_path,
     assert err == f"error: {bad}: {message}\n"
 
 
+def test_register_cameras_reports_failed_pnp_and_keeps_others(bundle_dir, tmp_path,
+                                                              capsys):
+    cams_dir = tmp_path / "cameras"
+    shutil.copytree(bundle_dir / "cameras", cams_dir)
+    pix = json.loads((cams_dir / "cam2_marker_pixels.json").read_text())
+    pix["pixels"] = pix["pixels"][:3]
+    (cams_dir / "cam2_marker_pixels.json").write_text(json.dumps(pix))
+    out = tmp_path / "out"
+    rc = main(["register-cameras",
+               "--markers", str(bundle_dir / "reference_markers.json"),
+               "--cameras-dir", str(cams_dir), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: PnP failed for cam2: PnP needs >= 6 correspondences, got 3\n")
+    assert sorted(p.name for p in out.glob("*_calibration.json")) == [
+        f"cam{i}_calibration.json" for i in (1, 3, 4, 5)]
+    assert "cam2" not in json.loads((out / "reprojection_stats.json").read_text())
+
+
 # ---------------------------------------------------------------------------
 # mocap
 
@@ -385,6 +404,19 @@ def test_mocap_malformed_calibration_json(bundle_dir, tmp_path, capsys):
     assert "cam2_calibration.json: malformed JSON at line 1, column 2" in err
 
 
+@pytest.mark.parametrize("window", ["0", "-3", "2"])
+def test_mocap_bad_window(bundle_dir, tmp_path, capsys, window):
+    cams = _true_calibrations(bundle_dir, tmp_path / "cams")
+    out = tmp_path / "skeleton.csv"
+    rc = main(["mocap", "--keypoints-dir", str(bundle_dir / "keypoints"),
+               "--cameras-dir", str(cams), "--table-center", "0.5,0,0.9",
+               "--window", window, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: window must be an odd integer >= 1\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["a,b,c", "0.5,0", "0.5,0,nan", "0.5,0,0.9,1"])
 def test_mocap_bad_table_center_is_usage_error(bundle_dir, tmp_path, capsys,
                                                value):
@@ -474,6 +506,28 @@ def test_metrics_clouds_and_markers(bundle_dir, tmp_path, capsys):
     assert saved["cd_mm"] == pytest.approx(2.0, abs=1e-3)
 
 
+@pytest.mark.parametrize("max_dist, expected", [
+    ("0.1", "cd_one_sided_mm: 2.00"),   # every neighbour is 2 mm away
+    ("0.001", None),                    # the cutoff filters all of them
+    ("0", "cd_one_sided_mm: 2.00"),     # <= 0 disables the cutoff
+    ("-1", "cd_one_sided_mm: 2.00"),
+])
+def test_metrics_one_sided(tmp_path, capsys, max_dist, expected):
+    pts = np.random.default_rng(0).uniform(-1, 1, size=(50, 3))
+    a, b = tmp_path / "a.ply", tmp_path / "b.ply"
+    save_ply(a, PointCloud(pts))
+    save_ply(b, PointCloud(pts + [0.002, 0, 0]))
+    rc = main(["metrics", "--cloud-a", str(a), "--cloud-b", str(b),
+               "--one-sided", "--max-dist", max_dist])
+    out, err = capsys.readouterr()
+    if expected is None:
+        assert rc == 1
+        assert err == "error: all nearest-neighbor correspondences filtered out\n"
+    else:
+        assert rc == 0
+        assert out == f"{expected}\n"
+
+
 def test_metrics_markers_missing_frame(bundle_dir, tmp_path, capsys):
     ref = bundle_dir / "reference_markers.json"
     bad = tmp_path / "markers.json"
@@ -523,6 +577,18 @@ def test_scene_rejects_short_skeleton_row(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == (f"error: {csv}: skeleton CSV line {n_lines + 1}: "
                    f"expected 7 columns, got 2\n")
+
+
+def test_scene_reports_missing_opaque_asset(tmp_path, capsys):
+    from twinfuse import scene as scene_mod
+    from twinfuse.geometry import RigidTransform
+    pose = RigidTransform([1.0, 0, 0, 0], [0.0, 0, 0], "room", "reference")
+    d = tmp_path / "scene"
+    scene_mod.save(scene_mod.assemble(
+        [scene_mod.StaticNode("room", "meshes/room.obj", pose)]), d)
+    assert main(["scene", str(d)]) == 1
+    assert capsys.readouterr().err == (
+        "violation: static node 'room': missing asset 'meshes/room.obj'\n")
 
 
 def test_scene_rejects_corrupt_manifest(tmp_path, capsys):
@@ -617,6 +683,39 @@ def test_unreadable_input_is_one_error_line(bundle_dir, tmp_path, capsys, case):
     argv, message = case(bundle_dir, tmp_path)
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+_NAN_PLY = (b"ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\n"
+            b"property float y\nproperty float z\nend_header\n0 0 0\n1 nan 0\n")
+
+
+def _metrics_nan_ply(bundle_dir, tmp_path):
+    bad = tmp_path / "a.ply"
+    bad.write_bytes(_NAN_PLY)
+    return ["metrics", "--cloud-a", str(bad), "--cloud-b", str(bad)], bad
+
+
+def _fuse_nan_ply(bundle_dir, tmp_path):
+    scans = tmp_path / "scans"
+    shutil.copytree(bundle_dir / "scans", scans)
+    (scans / "scan2.ply").write_bytes(_NAN_PLY)
+    return ["fuse", "--scans-dir", str(scans), "--out", str(tmp_path / "out")], \
+        scans / "scan2.ply"
+
+
+def _scene_nan_ply(bundle_dir, tmp_path):
+    d = _saved_scene(tmp_path / "scene")
+    (d / "room.ply").write_bytes(_NAN_PLY)
+    return ["scene", str(d)], d / "room.ply"
+
+
+@pytest.mark.parametrize("case", [_metrics_nan_ply, _fuse_nan_ply, _scene_nan_ply],
+                         ids=lambda case: case.__name__[1:])
+def test_non_finite_ply_is_one_error_line(bundle_dir, tmp_path, capsys, case):
+    argv, bad = case(bundle_dir, tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: vertex coordinates must be finite\n")
 
 
 # ---------------------------------------------------------------------------

@@ -361,6 +361,14 @@ def test_voxel_non_finite_or_negative_size(voxel_m):
         voxel_downsample(PointCloud(np.zeros((50, 3))), voxel_m)
 
 
+@pytest.mark.parametrize("voxel_m", [True, "0.1"])
+def test_voxel_size_must_be_a_number(voxel_m):
+    with pytest.raises(ParameterError) as exc_info:
+        voxel_downsample(PointCloud(np.zeros((50, 3))), voxel_m)
+    assert str(exc_info.value) == (
+        f"voxel size must be a finite positive number, got {voxel_m!r}")
+
+
 @pytest.mark.parametrize("points, voxel_m", [
     pytest.param(np.random.default_rng(6).uniform(0, 1, size=(50, 3)), 1e-300,
                  id="keys-overflow"),

@@ -196,6 +196,16 @@ def test_reprojection_unknown_camera():
         reprojection_stats([("ghost", (0.0, 0.0), np.zeros(3))], [cam])
 
 
+def test_reprojection_names_first_unknown_camera():
+    cam = _camera()
+    obs = [(cam.id, (0.0, 0.0), np.array([0.0, 0.0, 1.0])),
+           ("ghost", (0.0, 0.0), np.zeros(3)),
+           ("phantom", (0.0, 0.0), np.zeros(3))]
+    with pytest.raises(UnknownEntityError) as exc_info:
+        reprojection_stats(obs, [cam])
+    assert str(exc_info.value) == "unknown camera id 'ghost'"
+
+
 def test_reprojection_empty_observations():
     assert reprojection_stats([], [_camera()]) == (0.0, 0.0)
 
@@ -207,3 +217,19 @@ def test_reprojection_table_layout():
     assert lines[0].split() == ["Camera", "cam0", "cam1", "Mean"]
     assert "0.60" in lines[2]  # mean of the per-camera means
     assert "0.20" in lines[3]
+
+
+@pytest.mark.parametrize("max_dist_m", [True, "0.1", None])
+def test_chamfer_cutoff_must_be_a_number(max_dist_m):
+    cloud = PointCloud([[0.0, 0, 0]])
+    with pytest.raises(ParameterError) as exc_info:
+        chamfer(cloud, cloud, max_dist_m)
+    assert str(exc_info.value) == (
+        f"max_dist_m must be a finite positive number, got {max_dist_m!r}")
+
+
+def test_chamfer_cutoff_accepts_numpy_scalars():
+    cloud = PointCloud([[0.0, 0, 0]])
+    for max_dist_m in (np.float32(0.1), np.float64(0.1), np.int64(1)):
+        assert chamfer(cloud, cloud, max_dist_m) == (0.0, 2, 0)
+        assert chamfer_one_sided(cloud, cloud, max_dist_m) == 0.0

@@ -156,3 +156,21 @@ def test_load_rejects_malformed_ascii(tmp_path, text, message):
     with pytest.raises(ManifestError) as exc_info:
         load_ply(path)
     assert str(exc_info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("fmt", ["ascii", "binary"])
+def test_load_rejects_non_finite_coordinates(tmp_path, value, fmt):
+    pts = np.array([[0.5, 1.0, -1.0], [2.0, float(value), 0.0]])
+    path = tmp_path / "cloud.ply"
+    if fmt == "ascii":
+        path.write_text("ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\n"
+                        "property float y\nproperty float z\nend_header\n"
+                        f"0.5 1 -1\n2 {value} 0\n")
+    else:
+        path.write_bytes(b"ply\nformat binary_little_endian 1.0\nelement vertex 2\n"
+                         b"property float x\nproperty float y\nproperty float z\n"
+                         b"end_header\n" + pts.astype("<f4").tobytes())
+    with pytest.raises(ManifestError) as exc_info:
+        load_ply(path)
+    assert str(exc_info.value) == f"{path}: vertex coordinates must be finite"
