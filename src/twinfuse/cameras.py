@@ -4,26 +4,20 @@ temporal-offset estimation between tracks."""
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (BehindCameraError, ConvergenceError, DegenerateGeometryError,
                      InsufficientCorrespondencesError, InsufficientViewsError,
-                     NoOverlapError, ParameterError, UnknownEntityError, reading)
+                     NoOverlapError, ParameterError, UnknownEntityError,
+                     finite_number, reading)
 from .geometry import (RigidTransform, _least_squares, invert, matrix_to_quat,
                        quat_to_matrix, transform_from_matrix)
 
 CONFIDENCE_FLOOR = 0.1  # observations below this weight are discarded
 MIN_RAY_ANGLE_DEG = 0.25  # widest ray pair below this is a degenerate triangulation
 MIN_OVERLAP_S = 1.0  # estimate_time_offset compares at least this much motion
-
-
-def _is_number(value) -> bool:
-    """A finite int or float, as JSON numbers parse (not a bool)."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
 
 
 def _camera_id(value) -> str:
@@ -49,7 +43,7 @@ class CameraIntrinsics:
 
     def __post_init__(self):
         for name in ("fx", "fy", "cx", "cy", "width", "height"):
-            if not _is_number(getattr(self, name)):
+            if not finite_number(getattr(self, name)):
                 raise ParameterError(f"{name} must be a finite number, "
                                      f"got {getattr(self, name)!r}")
         if self.fx <= 0 or self.fy <= 0:
@@ -57,7 +51,7 @@ class CameraIntrinsics:
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ParameterError("principal point must lie inside the image")
         dist = tuple(self.dist) if isinstance(self.dist, (tuple, list)) else ()
-        if len(dist) != 5 or not all(map(_is_number, dist)):
+        if len(dist) != 5 or not all(map(finite_number, dist)):
             raise ParameterError(f"distortion must be 5 finite numbers, "
                                  f"got {self.dist!r}")
         object.__setattr__(self, "dist", tuple(map(float, dist)))

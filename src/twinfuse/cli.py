@@ -15,10 +15,9 @@ import sys
 import numpy as np
 
 from . import fusion, metrics, mocap, scene, synth
-from .cameras import (CameraIntrinsics, CameraModel, _camera_id, _is_number,
-                      solve_pnp)
+from .cameras import CameraIntrinsics, CameraModel, _camera_id, solve_pnp
 from .errors import (EmptySelectionError, ParameterError, TwinfuseError,
-                     parse_file, reading)
+                     finite_number, parse_file, reading)
 from .fusion import MarkerSet, ScanRecord
 from .geometry import PointCloud
 from .metrics import render_reprojection_table
@@ -85,7 +84,7 @@ def _marker_pixels(text: str) -> list[tuple[str, list]]:
         pixels = [(str(entry["id"]), entry["uv"]) for entry in o["pixels"]]
     for mid, uv in pixels:
         if not (isinstance(uv, list) and len(uv) == 2
-                and all(map(_is_number, uv))):
+                and all(map(finite_number, uv))):
             raise ParameterError(f"marker pixels: 'uv' of {mid!r} must be two "
                                  f"finite numbers, got {uv!r}")
     return pixels

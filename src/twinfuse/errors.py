@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all twinfuse modules, and the input rules
 every reader shares: the file reader that names the file in its errors, the
-record reader that names a missing key or a malformed value, and the
-positive-number check."""
+record reader that names a missing key or a malformed value, the CSV row
+reader, and the number checks."""
 
 import json
 import math
@@ -95,25 +95,58 @@ def parse_file(path, parse):
                              f"column {exc.colno}: {exc.msg}") from None
 
 
+# Raised by converting a malformed value, e.g. an int too large for a float
+MALFORMED = (TypeError, ValueError, OverflowError)
+
+
 @contextmanager
 def reading(what: str, malformed: str = "{what}: {exc}"):
     """Context for reading the JSON record named ``what``: a KeyError in the
     block is raised as ParameterError "<what> missing key 'k'", and a
-    TypeError or ValueError as ParameterError ``malformed``, formatted with
-    ``what`` and the exception as ``exc``."""
+    MALFORMED error as ParameterError ``malformed``, formatted with ``what``
+    and the exception as ``exc``."""
     try:
         yield
     except KeyError as exc:
         raise ParameterError(f"{what} missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except MALFORMED as exc:
         raise ParameterError(malformed.format(what=what, exc=exc)) from None
+
+
+def csv_rows(text: str, what: str, header: str, types):
+    """(line number, values) of each data row of the CSV ``text`` named
+    ``what``, in order: the first non-blank line must start with ``header``,
+    a row must have one value per entry of ``types``, and each value is
+    parsed by its column's entry, or ParameterError names the line."""
+    lines = [(n, l) for n, l in enumerate(text.splitlines(), 1) if l.strip()]
+    if not lines or not lines[0][1].startswith(header):
+        raise ParameterError(f"{what} missing {header} header")
+    for n, line in lines[1:]:
+        values = line.split(",")
+        if len(values) != len(types):
+            raise ParameterError(f"{what} line {n}: expected {len(types)} "
+                                 f"columns, got {len(values)}")
+        try:
+            row = [parse(v) for parse, v in zip(types, values)]
+        except MALFORMED:
+            raise ParameterError(f"{what} line {n}: non-numeric value") from None
+        yield n, row
+
+
+def finite_number(value, kinds=(int, float)) -> bool:
+    """Whether ``value`` is a finite number of one of ``kinds`` (by default
+    the numbers JSON parses to) and not a bool."""
+    try:
+        return (isinstance(value, kinds) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an int too large for a float is not finite
+        return False
 
 
 def positive_number(value, what: str) -> float:
     """``value`` as a float; it must be a finite positive real and not a
     bool, or ParameterError names it as ``what``."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or value <= 0):
+    if not finite_number(value, numbers.Real) or value <= 0:
         raise ParameterError(
             f"{what} must be a finite positive number, got {value!r}")
     return float(value)

@@ -8,11 +8,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DegenerateGeometryError, InsufficientCorrespondencesError,
-                     ParameterError, TwinfuseError, positive_number, reading)
+from .errors import (MALFORMED, DegenerateGeometryError,
+                     InsufficientCorrespondencesError, ParameterError,
+                     TwinfuseError, positive_number, reading)
 from .geometry import (PointCloud, RigidTransform, apply, build_floor_frame,
                        kabsch, ransac_plane_inliers)
-from .metrics import _kd_tree, _nn_distances, _render_table, chamfer
+from .metrics import _kd_tree, _mean_table, _nn_distances, _rms_mm, chamfer
 
 CHAMFER_CUTOFF_M = 0.1  # fuse_scans' per-scan Chamfer distance cutoff
 OUTLIER_K = 16
@@ -31,7 +32,7 @@ class MarkerSet:
         for mid, p in self.positions.items():
             try:
                 arr = np.asarray(p, dtype=float).reshape(3)
-            except (TypeError, ValueError):
+            except MALFORMED:
                 arr = np.full(3, np.nan)
             if not np.all(np.isfinite(arr)):
                 raise ParameterError(f"marker {mid!r} position must be 3 "
@@ -102,21 +103,11 @@ class FusionReport:
 
     def render_table(self) -> str:
         """Text table of marker count, RMSE and CD per registered scan."""
-        names = [r.name for r in self.rows]
-        header = ["Scan"] + names + ["Mean"]
-        if self.rows:
-            mk = [r.n_markers for r in self.rows]
-            rm = [r.rmse_mm for r in self.rows]
-            cd = [r.chamfer_mm for r in self.rows]
-            body = [
-                ["# Markers"] + [str(m) for m in mk] + [f"{np.mean(mk):.1f}"],
-                ["RMSE (mm)"] + [f"{v:.2f}" for v in rm] + [f"{np.mean(rm):.2f}"],
-                ["CD (mm)"] + [f"{v:.2f}" for v in cd] + [f"{np.mean(cd):.2f}"],
-            ]
-        else:
-            body = [["# Markers", "-"], ["RMSE (mm)", "-"], ["CD (mm)", "-"]]
-            header = ["Scan", "Mean"]
-        table = _render_table(header, body)
+        table = _mean_table("Scan", [r.name for r in self.rows], [
+            ("# Markers", [r.n_markers for r in self.rows], "", ".1f"),
+            ("RMSE (mm)", [r.rmse_mm for r in self.rows], ".2f", ".2f"),
+            ("CD (mm)", [r.chamfer_mm for r in self.rows], ".2f", ".2f"),
+        ])
         return f"Reference scan: {self.reference_name}\n{table}"
 
 
@@ -135,9 +126,7 @@ def register_scan(src: ScanRecord, reference: MarkerSet) -> tuple[RigidTransform
     s = np.array([p[0] for p in pairs])
     d = np.array([p[1] for p in pairs])
     t = kabsch(s, d, from_frame=src.markers.frame, to_frame=reference.frame)
-    residual = t.apply_points(s) - d
-    rmse_mm = float(np.sqrt((residual ** 2).sum(axis=1).mean()) * 1000.0)
-    return t, rmse_mm
+    return t, _rms_mm(t.apply_points(s), d)
 
 
 def fuse_scans(scans: list[ScanRecord]) -> tuple[PointCloud, FusionReport]:

@@ -174,8 +174,8 @@ class RigidTransform:
     def from_dict(cls, o, from_frame: str, to_frame: str) -> "RigidTransform":
         """Pose from the object ``to_dict`` writes, exactly: a quaternion unit
         to rounding is kept as read, since normalising it again can move its
-        last bits. A missing key raises KeyError, a malformed value TypeError
-        or ValueError, for the caller to name in its own error."""
+        last bits. A missing key raises KeyError, a malformed value one of
+        ``errors.MALFORMED``, for the caller to name in its own error."""
         q = np.asarray(o["q_wxyz"], dtype=float).reshape(4)
         pose = cls(q, np.asarray(o["t_m"], dtype=float), from_frame, to_frame)
         if abs(q @ q - 1.0) < 1e-15:

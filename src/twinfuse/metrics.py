@@ -19,10 +19,14 @@ def marker_rmse(a, b) -> float:
     common = sorted(set(a.positions) & set(b.positions))
     if not common:
         raise InsufficientCorrespondencesError("marker sets share no ids")
-    pa = np.array([a.positions[i] for i in common])
-    pb = np.array([b.positions[i] for i in common])
-    d2 = np.sum((pa - pb) ** 2, axis=1)
-    return float(np.sqrt(d2.mean()) * 1000.0)
+    return _rms_mm(np.array([a.positions[i] for i in common]),
+                   np.array([b.positions[i] for i in common]))
+
+
+def _rms_mm(a: np.ndarray, b: np.ndarray) -> float:
+    """RMS of the Euclidean distances between matching rows of ``a`` and
+    ``b`` (metres), in millimetres."""
+    return float(np.sqrt(((a - b) ** 2).sum(axis=1).mean()) * 1000.0)
 
 
 # Smaller kNN queries, counted in (query point, neighbour) pairs, run on one
@@ -147,22 +151,22 @@ def reprojection_stats(observations, cameras) -> tuple[float, float]:
 
 def render_reprojection_table(per_camera: dict[str, tuple[float, float]]) -> str:
     """Text table of per-camera reprojection stats with a mean column."""
-    ids = list(per_camera)
-    means = [per_camera[i][0] for i in ids]
-    stds = [per_camera[i][1] for i in ids]
-    header = ["Camera"] + ids + ["Mean"]
-    rows = [
-        ["Mean error (px)"] + [f"{m:.2f}" for m in means] + [f"{np.mean(means):.2f}"],
-        ["Std of errors (px)"] + [f"{s:.2f}" for s in stds] + [f"{np.mean(stds):.2f}"],
-    ]
-    return _render_table(header, rows)
+    return _mean_table("Camera", list(per_camera), [
+        ("Mean error (px)", [m for m, _ in per_camera.values()], ".2f", ".2f"),
+        ("Std of errors (px)", [s for _, s in per_camera.values()], ".2f", ".2f"),
+    ])
 
 
-def _render_table(header: list[str], rows: list[list[str]]) -> str:
-    cols = [header] + rows
-    widths = [max(len(r[i]) for r in cols) for i in range(len(header))]
-    lines = []
-    for r in cols:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
+def _mean_table(title: str, names: list[str], rows) -> str:
+    """Text table with one column per name and a Mean column. Each row is
+    (label, one value per name, value format, mean format); with no names,
+    each row shows "-" under Mean."""
+    cols = [[title] + names + ["Mean"]] + [
+        [label] + [format(v, spec) for v in values]
+        + [format(np.mean(values), mean_spec) if names else "-"]
+        for label, values, spec, mean_spec in rows]
+    widths = [max(len(r[i]) for r in cols) for i in range(len(cols[0]))]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip()
+             for r in cols]
     lines.insert(1, "-" * len(lines[0]))
     return "\n".join(lines) + "\n"

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import io
 import json
-import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +19,8 @@ import numpy as np
 from .cameras import (CameraModel, _camera_arrays, _camera_id,  # noqa: F401
                       _cameras_by_id, _undistort, triangulate,
                       triangulate_batch, unproject)
-from .errors import BehindCameraError, EmptySelectionError, ParameterError, reading
+from .errors import (BehindCameraError, EmptySelectionError, ParameterError,
+                     csv_rows, finite_number, reading)
 from .tracking import _window_slices
 
 N_BODY = 25
@@ -61,6 +62,9 @@ class Keypoint2DFrame:
 
     def __post_init__(self):
         _camera_id(self.camera_id)
+        if not finite_number(self.t_s, numbers.Real):
+            raise ParameterError(f"keypoint frame t_s must be a finite number, "
+                                 f"got {self.t_s!r}")
         object.__setattr__(self, "persons", tuple(self.persons))
 
     def to_json(self) -> str:
@@ -118,34 +122,23 @@ def skeleton_track_to_csv(frames: list[Skeleton3DFrame]) -> str:
 
 
 def skeleton_track_from_csv(text: str) -> list[Skeleton3DFrame]:
-    lines = [(n, l) for n, l in enumerate(text.splitlines(), 1) if l.strip()]
-    if not lines or not lines[0][1].startswith("t_s,joint_id"):
-        raise ParameterError("skeleton CSV missing header")
     by_t: dict[float, list] = {}  # rows per timestamp, in first-seen order
-    for n, line in lines[1:]:
-        r = line.split(",")
-        if len(r) != 7:
-            raise ParameterError(
-                f"skeleton CSV line {n}: expected 7 columns, got {len(r)}")
-        try:
-            t, j, valid = float(r[0]), int(r[1]), int(r[6])
-            row = (j, [float(v) for v in r[2:5]], float(r[5]), valid == 1)
-        except ValueError:
-            raise ParameterError(f"skeleton CSV line {n}: "
-                                 f"non-numeric value") from None
+    for n, (t, j, x, y, z, residual, valid) in csv_rows(
+            text, "skeleton CSV", "t_s,joint_id",
+            [float, int, float, float, float, float, int]):
         if not 0 <= j < N_JOINTS:
             raise ParameterError(f"skeleton CSV line {n}: joint id {j} "
                                  f"outside 0..{N_JOINTS - 1}")
-        if not math.isfinite(t):
+        if not finite_number(t):
             raise ParameterError(f"skeleton CSV line {n}: t_s must be finite")
         if valid not in (0, 1):
             raise ParameterError(f"skeleton CSV line {n}: valid must be 0 or 1, "
                                  f"got {valid}")
         # an invalid joint's position and residual are undefined
-        if valid and not all(map(math.isfinite, [*row[1], row[2]])):
+        if valid and not all(map(finite_number, (x, y, z, residual))):
             raise ParameterError(f"skeleton CSV line {n}: a valid joint's "
                                  f"position and residual must be finite")
-        by_t.setdefault(t, []).append(row)
+        by_t.setdefault(t, []).append((j, [x, y, z], residual, valid == 1))
     frames = []
     for t, rows in by_t.items():
         pos = np.zeros((N_JOINTS, 3))

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ManifestError, ParameterError, TwinfuseError, parse_file
+from .errors import (MALFORMED, ManifestError, ParameterError, TwinfuseError,
+                     parse_file)
 from .geometry import PointCloud, RigidTransform, quat_slerp
 from .mocap import Skeleton3DFrame, skeleton_track_from_csv, skeleton_track_to_csv
 from .ply import load_ply, save_ply
@@ -275,7 +276,7 @@ def load(directory) -> TwinScene:
         except KeyError as exc:
             raise ManifestError(f"{path}: static node {name!r} "
                                 f"missing field {exc}")
-        except (TypeError, ValueError) as exc:
+        except MALFORMED as exc:
             raise ManifestError(f"{path}: static node {name!r} pose: {exc}")
         static.append(StaticNode(name, read_asset(entry, name), pose))
     dynamic = []

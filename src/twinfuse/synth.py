@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
-from .cameras import CameraIntrinsics, CameraModel, _is_number, _pixels
-from .errors import ParameterError
+from .cameras import CameraIntrinsics, CameraModel, _pixels
+from .errors import ParameterError, finite_number
 from .fusion import MarkerSet, ScanRecord
 from .geometry import (PointCloud, RigidTransform, compose, invert,
                        quat_from_axis_angle, quat_multiply, quat_normalize,
@@ -29,12 +29,12 @@ from .tracking import PoseTrack
 
 
 _FIELD_TYPES = {  # SynthConfig annotation -> (what it must be, check)
-    "int": ("an int", lambda v: _is_number(v) and isinstance(v, int)),
-    "float": ("a number", _is_number),
+    "int": ("an int", lambda v: finite_number(v, int)),
+    "float": ("a number", finite_number),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
     "tuple": ("3 positive numbers",
               lambda v: isinstance(v, (tuple, list)) and len(v) == 3
-              and all(_is_number(x) and x > 0 for x in v)),
+              and all(finite_number(x) and x > 0 for x in v)),
 }
 
 

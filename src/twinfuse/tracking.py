@@ -11,9 +11,9 @@ import numpy as np
 
 from .errors import (AmbiguityError, CorrespondenceError,
                      InsufficientCorrespondencesError, NoOverlapError,
-                     ParameterError, positive_number, reading)
+                     ParameterError, csv_rows, positive_number, reading)
 from .geometry import PointCloud, RigidTransform, _least_squares, compose, kabsch
-from .metrics import _kd_tree
+from .metrics import _kd_tree, _rms_mm
 
 DEFAULT_MARKER_RADIUS_M = 0.0015  # 3 mm hemisphere diameter
 SIGNATURE_TOL_M = 0.0005  # pairwise-distance agreement for a marker match
@@ -22,6 +22,10 @@ SIGNATURE_TOL_M = 0.0005  # pairwise-distance agreement for a marker match
 # icosahedral group); markers closer together than SIGNATURE_TOL_M agree in
 # every permutation, n! of them.
 MAX_CANDIDATES = 1000
+# Marker assignments a match tries at most. Forward checking cuts most dead
+# branches at once, but not every input: past this budget the match raises
+# AmbiguityError.
+MAX_BRANCHES = 100_000
 ICP_MAX_ITERATIONS = 50
 ICP_MAX_CORRESPONDENCE_M = 0.01  # nearest neighbours farther away are outliers
 ICP_CONVERGENCE_RMS_M = 1e-7  # stop once an iteration lowers the RMS by less
@@ -113,20 +117,9 @@ class PoseTrack:
 
     @classmethod
     def from_csv(cls, text: str, frame: str = "reference") -> "PoseTrack":
-        lines = [(n, l.split(",")) for n, l in enumerate(text.splitlines(), 1)
-                 if l.strip()]
-        if not lines or lines[0][1][0] != "t_s":
-            raise ParameterError("pose track CSV missing t_s header")
-        data = np.zeros((len(lines) - 1, 8))
-        for row, (n, values) in zip(data, lines[1:]):
-            if len(values) != 8:
-                raise ParameterError(
-                    f"pose track CSV line {n}: expected 8 columns, got {len(values)}")
-            try:
-                row[:] = [float(v) for v in values]
-            except ValueError:
-                raise ParameterError(f"pose track CSV line {n}: "
-                                     f"non-numeric value") from None
+        rows = [values for _, values in
+                csv_rows(text, "pose track CSV", "t_s", [float] * 8)]
+        data = np.array(rows, dtype=float).reshape(-1, 8)
         return cls(frame, data[:, 0], data[:, 4:8], data[:, 1:4])
 
 
@@ -172,8 +165,11 @@ def _consistent_permutations(scan_centers: np.ndarray, array_markers: np.ndarray
 
     Depth-first interpretation tree (Grimson & Lozano-Perez, PAMI 1987):
     centres take markers one at a time, each trying the unused markers in
-    ascending order, and a branch is cut at the first distance to an earlier
-    centre that disagrees.
+    ascending order. Forward checking (Haralick & Elliott, AI 1980) keeps,
+    for every later centre, the unused markers consistent with all
+    assignments so far, and cuts a branch once one of these sets is empty.
+    A search that tries more than MAX_BRANCHES assignments raises
+    AmbiguityError with the candidates found so far.
     """
     n = len(scan_centers)
     d_scan = np.linalg.norm(scan_centers[:, None] - scan_centers[None, :], axis=2)
@@ -182,24 +178,30 @@ def _consistent_permutations(scan_centers: np.ndarray, array_markers: np.ndarray
     ok = (np.abs(d_scan[:, :, None, None] - d_arr[None, None]) <= tol_m).tolist()
     out = []
     perm = []
-    used = [False] * n
+    tried = 0
 
-    def extend(i):  # True once MAX_CANDIDATES are found
+    def extend(i, domains):  # True once MAX_CANDIDATES are found
+        nonlocal tried
         if i == n:
             out.append(tuple(perm))
             return len(out) == MAX_CANDIDATES
-        for a in range(n):
-            if not used[a] and all(ok[i][j][a][b] for j, b in enumerate(perm)):
-                used[a] = True
+        for a in domains[0]:
+            tried += 1
+            if tried > MAX_BRANCHES:
+                raise AmbiguityError(
+                    f"marker matching tried more than {MAX_BRANCHES} "
+                    f"assignments", candidates=out)
+            later = [[b for b in domain if b != a and ok[i][k][a][b]]
+                     for k, domain in enumerate(domains[1:], i + 1)]
+            if all(later):
                 perm.append(a)
-                full = extend(i + 1)
+                full = extend(i + 1, later)
                 perm.pop()
-                used[a] = False
                 if full:
                     return True
         return False
 
-    extend(0)
+    extend(0, [list(range(n))] * n)
     return out
 
 
@@ -224,9 +226,7 @@ def register_marker_array(scan_centers, array: MarkerArrayGeometry
     perm = perms[0]
     matched = array.markers[list(perm)]
     t = kabsch(matched, centers, from_frame="array", to_frame="model")
-    res = t.apply_points(matched) - centers
-    rmse_mm = float(np.sqrt((res ** 2).sum(axis=1).mean()) * 1000.0)
-    return t, rmse_mm
+    return t, _rms_mm(t.apply_points(matched), centers)
 
 
 # ---------------------------------------------------------------------------

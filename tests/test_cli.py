@@ -404,6 +404,24 @@ def test_mocap_malformed_calibration_json(bundle_dir, tmp_path, capsys):
     assert "cam2_calibration.json: malformed JSON at line 1, column 2" in err
 
 
+def test_mocap_non_finite_keypoint_time(bundle_dir, tmp_path, capsys):
+    cams = _true_calibrations(bundle_dir, tmp_path / "cams")
+    keypoints = tmp_path / "keypoints"
+    shutil.copytree(bundle_dir / "keypoints", keypoints)
+    bad = sorted(keypoints.glob("*.json"))[0]
+    frame = json.loads(bad.read_text())
+    frame["t_s"] = float("nan")
+    bad.write_text(json.dumps(frame))
+    out = tmp_path / "skeleton.csv"
+    rc = main(["mocap", "--keypoints-dir", str(keypoints),
+               "--cameras-dir", str(cams), "--table-center", "0.5,0,0.9",
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: keypoint frame t_s must be a finite number, got nan\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("window", ["0", "-3", "2"])
 def test_mocap_bad_window(bundle_dir, tmp_path, capsys, window):
     cams = _true_calibrations(bundle_dir, tmp_path / "cams")
@@ -845,3 +863,49 @@ def test_fuzzed_json_input_exits_0_or_1(fuzz_inputs, data):
         assert main(fuzz_inputs[path]) in (0, 1)
     finally:
         path.write_text(original)
+
+
+# An int JSON reads exactly but a float cannot hold.
+HUGE = 10 ** 400
+
+
+def _set(*keys):
+    """An edit that puts HUGE at the path ``keys`` of a JSON object."""
+    def edit(obj):
+        for key in keys[:-1]:
+            obj = obj[key]
+        obj[keys[-1]] = HUGE
+    return edit
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("reference_markers.json", _set("markers", 0, "position_m", 0),
+     "marker 'M01' position must be 3 finite numbers, got [1"),
+    ("frame_00000_cam1.json", _set("t_s"),
+     "keypoint frame: int too large to convert to float"),
+    ("frame_00000_cam1.json", _set("persons", 0, "body", 0, 0),
+     "keypoint frame: int too large to convert to float"),
+    ("cam1_intrinsics.json", _set("fx"), "fx must be a finite number, got 1"),
+    ("cam1_calibration.json", _set("world_from_camera", "t_m", 0),
+     "camera model 'world_from_camera': int too large to convert to float"),
+    ("config.json", _set("duration_s"), "duration_s must be a number, got 1"),
+    ("cam1_marker_pixels.json", _set("pixels", 0, "uv", 1),
+     "marker pixels: 'uv' of 'M"),
+    ("scene.json", _set("static", 0, "pose", "t_m", 2),
+     "static node 'room' pose: int too large to convert to float"),
+], ids=["marker-set", "keypoint-time", "keypoint", "intrinsics", "calibration",
+        "synth-config", "marker-pixels", "scene-static-pose"])
+def test_int_too_large_for_a_float_is_one_error_line(fuzz_inputs, capsys, name,
+                                                     edit, message):
+    path = next(p for p in fuzz_inputs if p.name == name)
+    original = path.read_text()
+    obj = json.loads(original)
+    edit(obj)
+    try:
+        path.write_text(json.dumps(obj))
+        assert main(fuzz_inputs[path]) == 1
+    finally:
+        path.write_text(original)
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {message}")
+    assert err.count("\n") == 1 and err.endswith("\n")

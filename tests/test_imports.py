@@ -87,3 +87,27 @@ def test_settings_detector():
 def test_no_new_settings():
     found = set().union(*(_settings(p.read_text()) for p in MODULES))
     assert found == SETTINGS
+
+
+# The number rule ("a finite number that is not a bool") is written once, in
+# errors.finite_number: no other module calls math.isfinite.
+def _isfinite_calls(source: str) -> int:
+    tree = ast.parse(source)
+    imported = any(isinstance(n, ast.ImportFrom) and n.module == "math"
+                   and any(a.name == "isfinite" for a in n.names)
+                   for n in ast.walk(tree))
+    return imported + sum(
+        isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+        and n.func.attr == "isfinite" and isinstance(n.func.value, ast.Name)
+        and n.func.value.id == "math" for n in ast.walk(tree))
+
+
+def test_isfinite_detector():
+    source = ("import math\nimport numpy as np\nfrom math import isfinite\n"
+              "math.isfinite(1.0)\nnp.isfinite(1.0)\n")
+    assert _isfinite_calls(source) == 2
+
+
+def test_number_rule_written_once():
+    calls = {p.name: _isfinite_calls(p.read_text()) for p in MODULES}
+    assert {name for name, n in calls.items() if n} == {"errors.py"}

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from scipy.optimize import least_squares
 from twinfuse import tracking
 from twinfuse.errors import (AmbiguityError, CorrespondenceError,
                              InsufficientCorrespondencesError, NoOverlapError,
-                             ParameterError)
+                             ParameterError, positive_number)
 from twinfuse.geometry import PointCloud, RigidTransform, invert, kabsch
 from twinfuse.tracking import (MAX_CANDIDATES, MarkerArrayGeometry, PoseTrack,
                                _consistent_permutations,
@@ -263,6 +264,72 @@ def test_array_registration_crowded_markers_stops_at_cap(n):
         itertools.islice(itertools.permutations(range(n)), MAX_CANDIDATES))
 
 
+def _plain_tree(scan_centers, array_markers, tol_m):
+    """The interpretation tree without forward checking: each centre tries
+    the unused markers in ascending order, checked against earlier centres
+    only, up to MAX_CANDIDATES candidates."""
+    n = len(scan_centers)
+    d_scan = np.linalg.norm(scan_centers[:, None] - scan_centers[None, :], axis=2)
+    d_arr = np.linalg.norm(array_markers[:, None] - array_markers[None, :], axis=2)
+    out = []
+
+    def extend(perm):
+        if len(perm) == n:
+            out.append(tuple(perm))
+            return
+        i = len(perm)
+        for a in range(n):
+            if len(out) == MAX_CANDIDATES:
+                return
+            if a not in perm and all(abs(d_scan[i, j] - d_arr[a, b]) <= tol_m
+                                     for j, b in enumerate(perm)):
+                extend(perm + [a])
+
+    extend([])
+    return out
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("layout", ["distinct", "crowded", "cluster"])
+def test_forward_checking_matches_plain_tree(n, layout):
+    for seed in range(3):
+        rng = np.random.default_rng(100 * n + seed)
+        markers = rng.uniform(-0.06, 0.06, size=(n, 3))
+        if layout == "crowded":  # every distance agrees with every other
+            markers = rng.uniform(0.0, 2e-4, size=(n, 3))
+        elif layout == "cluster":  # all but two markers inside a 0.2 mm cube
+            markers[2:] = rng.uniform(0.0, 2e-4, size=(n - 2, 3))
+        truth = random_transform(rng, "array", "model", t_scale=0.3)
+        centers = truth.apply_points(markers)[rng.permutation(n)]
+        centers = centers + rng.normal(0, 1e-4, size=centers.shape)
+        assert (_consistent_permutations(centers, markers, 0.0005)
+                == _plain_tree(centers, markers, 0.0005))
+
+
+def _cube_and_far_marker(n, far_m):
+    rng = np.random.default_rng(n)
+    return np.vstack([rng.uniform(0.0, 2e-4, size=(n - 1, 3)), [[far_m, 0, 0]]])
+
+
+def test_array_registration_cube_and_far_marker_fails_fast():
+    # n - 1 markers agree with each other, and the far one matches nothing:
+    # the plain tree walks (n - 1)! branches before it gives up
+    array = MarkerArrayGeometry(_cube_and_far_marker(12, 0.05), radius_m=1e-6)
+    start = time.perf_counter()
+    with pytest.raises(CorrespondenceError):
+        register_marker_array(_cube_and_far_marker(12, 0.06), array)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_array_registration_stops_at_branch_budget(monkeypatch):
+    monkeypatch.setattr(tracking, "MAX_BRANCHES", 50)
+    array = MarkerArrayGeometry(np.random.default_rng(8).uniform(
+        0.0, 2e-4, size=(8, 3)), radius_m=1e-6)
+    with pytest.raises(AmbiguityError,
+                       match="^marker matching tried more than 50 assignments$"):
+        register_marker_array(array.markers, array)
+
+
 def test_array_geometry_validation():
     with pytest.raises(ParameterError):
         MarkerArrayGeometry(np.zeros((2, 3)))
@@ -320,6 +387,28 @@ def test_array_geometry_json_malformed(edit):
     obj = edit(json.loads(ARRAY.to_json()))
     with pytest.raises(ParameterError):
         MarkerArrayGeometry.from_json(json.dumps(obj))
+
+
+# An int JSON reads exactly but a float cannot hold.
+HUGE = 10 ** 400
+
+
+def _array_json(edit):
+    obj = json.loads(ARRAY.to_json())
+    edit(obj)
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: MarkerArrayGeometry.from_json(_array_json(
+        lambda o: o["markers"][1]["position_m"].__setitem__(0, HUGE))),
+    lambda: MarkerArrayGeometry.from_json(_array_json(
+        lambda o: o.update(radius_m=HUGE))),
+    lambda: positive_number(HUGE, "voxel size"),
+], ids=["marker-position", "marker-radius", "positive-number"])
+def test_int_too_large_for_a_float_is_parameter_error(call):
+    with pytest.raises(ParameterError):
+        call()
 
 
 # ---------------------------------------------------------------------------
