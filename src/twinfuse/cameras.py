@@ -12,8 +12,8 @@ from .errors import (BehindCameraError, ConvergenceError, DegenerateGeometryErro
                      InsufficientCorrespondencesError, InsufficientViewsError,
                      NoOverlapError, ParameterError, UnknownEntityError,
                      finite_number, reading)
-from .geometry import (RigidTransform, _least_squares, invert, matrix_to_quat,
-                       quat_to_matrix, transform_from_matrix)
+from .geometry import (RigidTransform, _freeze, _least_squares, invert,
+                       matrix_to_quat, quat_to_matrix, transform_from_matrix)
 
 CONFIDENCE_FLOOR = 0.1  # observations below this weight are discarded
 MIN_RAY_ANGLE_DEG = 0.25  # widest ray pair below this is a degenerate triangulation
@@ -42,9 +42,12 @@ class CameraIntrinsics:
     center: np.ndarray = field(init=False, repr=False, compare=False)  # (cx, cy)
 
     def __post_init__(self):
-        for name in ("fx", "fy", "cx", "cy", "width", "height"):
-            if not finite_number(getattr(self, name)):
-                raise ParameterError(f"{name} must be a finite number, "
+        real = (int, float)
+        for name, kinds in (("fx", real), ("fy", real), ("cx", real),
+                            ("cy", real), ("width", int), ("height", int)):
+            if not finite_number(getattr(self, name), kinds):
+                want = "an integer" if kinds is int else "a finite number"
+                raise ParameterError(f"{name} must be {want}, "
                                      f"got {getattr(self, name)!r}")
         if self.fx <= 0 or self.fy <= 0:
             raise ParameterError("focal lengths must be positive")
@@ -54,12 +57,9 @@ class CameraIntrinsics:
         if len(dist) != 5 or not all(map(finite_number, dist)):
             raise ParameterError(f"distortion must be 5 finite numbers, "
                                  f"got {self.dist!r}")
-        object.__setattr__(self, "dist", tuple(map(float, dist)))
-        for name, pair in (("focal", (self.fx, self.fy)),
-                           ("center", (self.cx, self.cy))):
-            a = np.array(pair, dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        _freeze(self, dist=tuple(map(float, dist)),
+                focal=np.array((self.fx, self.fy), dtype=float),
+                center=np.array((self.cx, self.cy), dtype=float))
 
     @classmethod
     def from_dict(cls, o: dict) -> "CameraIntrinsics":
@@ -84,7 +84,7 @@ class CameraModel:
 
     def __post_init__(self):
         _camera_id(self.id)
-        object.__setattr__(self, "cam_from_world", invert(self.world_from_camera))
+        _freeze(self, cam_from_world=invert(self.world_from_camera))
 
     def to_json(self) -> str:
         return json.dumps({"id": self.id, **self.intrinsics.to_dict(),

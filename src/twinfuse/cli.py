@@ -400,6 +400,8 @@ def main(argv=None) -> int:
         return _fail(f"missing file: {exc.filename}")
     except OSError as exc:
         return _fail(f"{exc.filename}: {exc.strerror}")
+    except MemoryError as exc:
+        return _fail(str(exc) or "out of memory")
 
 
 if __name__ == "__main__":

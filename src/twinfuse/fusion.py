@@ -11,8 +11,8 @@ import numpy as np
 from .errors import (MALFORMED, DegenerateGeometryError,
                      InsufficientCorrespondencesError, ParameterError,
                      TwinfuseError, positive_number, reading)
-from .geometry import (PointCloud, RigidTransform, apply, build_floor_frame,
-                       kabsch, ransac_plane_inliers)
+from .geometry import (PointCloud, RigidTransform, _freeze, apply,
+                       build_floor_frame, kabsch, ransac_plane_inliers)
 from .metrics import _kd_tree, _mean_table, _nn_distances, _rms_mm, chamfer
 
 CHAMFER_CUTOFF_M = 0.1  # fuse_scans' per-scan Chamfer distance cutoff
@@ -37,9 +37,8 @@ class MarkerSet:
             if not np.all(np.isfinite(arr)):
                 raise ParameterError(f"marker {mid!r} position must be 3 "
                                      f"finite numbers, got {p!r}")
-            arr.setflags(write=False)
             pos[str(mid)] = arr
-        object.__setattr__(self, "positions", pos)
+        _freeze(self, positions=pos)
 
     def __len__(self) -> int:
         return len(self.positions)

@@ -135,6 +135,21 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
+def _freeze(obj, **fields) -> None:
+    """Set ``fields`` on the frozen dataclass ``obj``: an ndarray, alone or as
+    a dict value, as a read-only copy, so the object and its caller never
+    share memory; any other value as given."""
+    def owned(value):
+        if isinstance(value, np.ndarray):
+            value = np.array(value)
+            value.setflags(write=False)
+        return value
+    for name, value in fields.items():
+        if isinstance(value, dict):
+            value = {k: owned(v) for k, v in value.items()}
+        object.__setattr__(obj, name, owned(value))
+
+
 @dataclass(frozen=True)
 class RigidTransform:
     """SE(3) element: unit quaternion (w,x,y,z) plus translation in meters."""
@@ -145,14 +160,13 @@ class RigidTransform:
     to_frame: str = "dst"
 
     def __post_init__(self):
-        q = quat_normalize(np.asarray(self.q, dtype=float).reshape(4))
+        q = np.asarray(self.q, dtype=float).reshape(4)
+        if not abs(q @ q - 1.0) < 1e-15:  # unit to rounding is kept as given
+            q = quat_normalize(q)
         t = np.asarray(self.t, dtype=float).reshape(3)
         if not np.all(np.isfinite(t)):
             raise ValueError("non-finite translation")
-        q.setflags(write=False)
-        t.setflags(write=False)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "t", t)
+        _freeze(self, q=q, t=t)
 
     @property
     def rotation(self) -> np.ndarray:
@@ -172,16 +186,10 @@ class RigidTransform:
 
     @classmethod
     def from_dict(cls, o, from_frame: str, to_frame: str) -> "RigidTransform":
-        """Pose from the object ``to_dict`` writes, exactly: a quaternion unit
-        to rounding is kept as read, since normalising it again can move its
-        last bits. A missing key raises KeyError, a malformed value one of
-        ``errors.MALFORMED``, for the caller to name in its own error."""
-        q = np.asarray(o["q_wxyz"], dtype=float).reshape(4)
-        pose = cls(q, np.asarray(o["t_m"], dtype=float), from_frame, to_frame)
-        if abs(q @ q - 1.0) < 1e-15:
-            q.setflags(write=False)
-            object.__setattr__(pose, "q", q)
-        return pose
+        """Pose from the object ``to_dict`` writes, exactly. A missing key
+        raises KeyError, a malformed value one of ``errors.MALFORMED``, for
+        the caller to name in its own error."""
+        return cls(o["q_wxyz"], o["t_m"], from_frame, to_frame)
 
 
 def identity(frame: str = "world", to_frame: str | None = None) -> RigidTransform:
@@ -201,9 +209,9 @@ def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
         raise FrameMismatchError(
             f"cannot compose: a maps {a.from_frame!r}->{a.to_frame!r}, "
             f"b maps {b.from_frame!r}->{b.to_frame!r}")
-    q = quat_normalize(quat_multiply(a.q, b.q))
     t = quat_to_matrix(a.q) @ b.t + a.t
-    return RigidTransform(q, t, from_frame=b.from_frame, to_frame=a.to_frame)
+    return RigidTransform(quat_multiply(a.q, b.q), t,
+                          from_frame=b.from_frame, to_frame=a.to_frame)
 
 
 def invert(t: RigidTransform) -> RigidTransform:
@@ -222,18 +230,13 @@ class PointCloud:
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
-        if pts.size == 0:
-            pts = pts.reshape(0, 3)
-        else:
-            pts = _as_points(pts)
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        if self.colors is not None:
-            cols = np.asarray(self.colors, dtype=np.uint8).reshape(-1, 3)
+        pts = pts.reshape(0, 3) if pts.size == 0 else _as_points(pts)
+        cols = self.colors
+        if cols is not None:
+            cols = np.asarray(cols, dtype=np.uint8).reshape(-1, 3)
             if len(cols) != len(pts):
                 raise ValueError("colors length must match points length")
-            cols.setflags(write=False)
-            object.__setattr__(self, "colors", cols)
+        _freeze(self, points=pts, colors=cols)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -264,10 +267,7 @@ class PlaneFrame:
             raise ValueError("axes not orthonormal")
         if np.linalg.det(axes) < 0:
             raise ValueError("axes not right-handed")
-        origin.setflags(write=False)
-        axes.setflags(write=False)
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "axes", axes)
+        _freeze(self, origin=origin, axes=axes)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .cameras import (CameraModel, _camera_arrays, _camera_id,  # noqa: F401
                       triangulate_batch, unproject)
 from .errors import (BehindCameraError, EmptySelectionError, ParameterError,
                      csv_rows, finite_number, reading)
+from .geometry import _freeze
 from .tracking import _window_slices
 
 N_BODY = 25
@@ -37,6 +38,7 @@ class PersonDetection:
     hand_right: np.ndarray  # (21, 3)
 
     def __post_init__(self):
+        arrays = {}
         for name, arr, n in (("body", self.body, N_BODY),
                              ("hand_left", self.hand_left, N_HAND),
                              ("hand_right", self.hand_right, N_HAND)):
@@ -47,8 +49,8 @@ class PersonDetection:
                 raise ParameterError(f"{name} keypoints must be finite")
             if a[:, 2].min() < 0 or a[:, 2].max() > 1:
                 raise ParameterError(f"{name} confidences must be in [0, 1]")
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            arrays[name] = a
+        _freeze(self, **arrays)
 
     def all_joints(self) -> np.ndarray:
         return np.vstack([self.body, self.hand_left, self.hand_right])
@@ -65,7 +67,7 @@ class Keypoint2DFrame:
         if not finite_number(self.t_s, numbers.Real):
             raise ParameterError(f"keypoint frame t_s must be a finite number, "
                                  f"got {self.t_s!r}")
-        object.__setattr__(self, "persons", tuple(self.persons))
+        _freeze(self, persons=tuple(self.persons))
 
     def to_json(self) -> str:
         return json.dumps({
@@ -102,11 +104,7 @@ class Skeleton3DFrame:
         pos = np.asarray(self.positions, dtype=float).reshape(N_JOINTS, 3)
         res = np.asarray(self.residuals_px, dtype=float).reshape(N_JOINTS)
         val = np.asarray(self.valid, dtype=bool).reshape(N_JOINTS)
-        for a in (pos, res, val):
-            a.setflags(write=False)
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "residuals_px", res)
-        object.__setattr__(self, "valid", val)
+        _freeze(self, positions=pos, residuals_px=res, valid=val)
 
 
 def skeleton_track_to_csv(frames: list[Skeleton3DFrame]) -> str:

@@ -35,6 +35,11 @@ def save_ply(path, cloud: PointCloud) -> None:
 
 
 def load_ply(path, frame: str = "world") -> PointCloud:
+    """Cloud of the PLY file ``path`` in ``frame``. The first element must be
+    ``vertex``, each of its properties declared once, with x, y, z and
+    optional red, green, blue colors that are whole numbers in [0, 255];
+    later elements are not read. A malformed file raises ManifestError
+    naming it."""
     with open(path, "rb") as f:
         data = f.read()
     end = data.find(b"end_header\n")
@@ -53,10 +58,16 @@ def load_ply(path, frame: str = "world") -> PointCloud:
         tok = line.split()
         if not tok or tok[0] == "comment":
             continue
+        if len(tok) < {"format": 2, "element": 2, "property": 3}.get(tok[0], 1):
+            raise ManifestError(f"{path}: header line lacks a token: {line!r}")
         if tok[0] == "format":
             fmt = tok[1]
         elif tok[0] == "element":
-            in_vertex = tok[1] == "vertex"
+            # the vertex element comes first; later elements are not read
+            if n_vertex is None and tok[1] != "vertex":
+                raise ManifestError(f"{path}: element {tok[1]!r} comes before "
+                                    f"the vertex element")
+            in_vertex = n_vertex is None
             if in_vertex:
                 if len(tok) < 3 or not tok[2].isdigit():
                     raise ManifestError(f"{path}: vertex count is not a "
@@ -70,6 +81,9 @@ def load_ply(path, frame: str = "world") -> PointCloud:
         raise ManifestError(f"{path}: no vertex element")
 
     names = [name for _, name in props]
+    for name in names:
+        if names.count(name) > 1:
+            raise ManifestError(f"{path}: vertex property {name!r} declared twice")
     for axis in ("x", "y", "z"):
         if axis not in names:
             raise ManifestError(f"{path}: vertex element lacks property {axis!r}")
@@ -109,5 +123,9 @@ def load_ply(path, frame: str = "world") -> PointCloud:
     colors = None
     if has_color:
         colors = np.column_stack([np.asarray(rec["red"]), np.asarray(rec["green"]),
-                                  np.asarray(rec["blue"])]).astype(np.uint8)
+                                  np.asarray(rec["blue"])])
+        if not np.all((colors >= 0) & (colors <= 255) & (np.floor(colors) == colors)):
+            raise ManifestError(f"{path}: vertex colors must be whole numbers "
+                                f"in [0, 255]")
+        colors = colors.astype(np.uint8)
     return PointCloud(pts, colors=colors, frame=frame)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import (MALFORMED, ManifestError, ParameterError, TwinfuseError,
                      parse_file)
-from .geometry import PointCloud, RigidTransform, quat_slerp
+from .geometry import PointCloud, RigidTransform, _freeze, quat_slerp
 from .mocap import Skeleton3DFrame, skeleton_track_from_csv, skeleton_track_to_csv
 from .ply import load_ply, save_ply
 from .tracking import PoseTrack
@@ -41,7 +41,7 @@ class SkeletonNode:
     frames: tuple  # of Skeleton3DFrame, strictly increasing t_s
 
     def __post_init__(self):
-        object.__setattr__(self, "frames", tuple(self.frames))
+        _freeze(self, frames=tuple(self.frames))
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,9 @@ class TwinScene:
     time_range: tuple | None = None  # (t_min, t_max) or None if no tracks
 
     def __post_init__(self):
-        object.__setattr__(self, "static_nodes", tuple(self.static_nodes))
-        object.__setattr__(self, "dynamic_nodes", tuple(self.dynamic_nodes))
-        object.__setattr__(self, "skeleton_nodes", tuple(self.skeleton_nodes))
+        _freeze(self, static_nodes=tuple(self.static_nodes),
+                dynamic_nodes=tuple(self.dynamic_nodes),
+                skeleton_nodes=tuple(self.skeleton_nodes))
 
     def node_names(self) -> list[str]:
         return ([n.name for n in self.static_nodes]

@@ -12,7 +12,8 @@ import numpy as np
 from .errors import (AmbiguityError, CorrespondenceError,
                      InsufficientCorrespondencesError, NoOverlapError,
                      ParameterError, csv_rows, positive_number, reading)
-from .geometry import PointCloud, RigidTransform, _least_squares, compose, kabsch
+from .geometry import (PointCloud, RigidTransform, _freeze, _least_squares,
+                       compose, kabsch)
 from .metrics import _kd_tree, _rms_mm
 
 DEFAULT_MARKER_RADIUS_M = 0.0015  # 3 mm hemisphere diameter
@@ -52,9 +53,7 @@ class MarkerArrayGeometry:
         np.fill_diagonal(d, np.inf)
         if d.min() <= 2 * r:
             raise ParameterError("markers closer than one marker diameter")
-        m.setflags(write=False)
-        object.__setattr__(self, "markers", m)
-        object.__setattr__(self, "radius_m", r)
+        _freeze(self, markers=m, radius_m=r)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -94,11 +93,7 @@ class PoseTrack:
         norms = np.linalg.norm(q, axis=1)
         if np.any(np.abs(norms - 1.0) > UNIT_QUATERNION_TOL):
             raise ParameterError("track quaternions must be unit norm")
-        for arr in (t, q, tr):
-            arr.setflags(write=False)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "quats", q)
-        object.__setattr__(self, "translations", tr)
+        _freeze(self, times=t, quats=q, translations=tr)
 
     def __len__(self) -> int:
         return len(self.times)

@@ -247,6 +247,23 @@ def test_register_cameras_reference_markers_missing_key(bundle_dir, tmp_path,
     assert err == f"error: {bad}: {message}\n"
 
 
+@pytest.mark.parametrize("key, value", [("width", 1280.5), ("height", 720.0)])
+def test_register_cameras_rejects_fractional_image_size(bundle_dir, tmp_path,
+                                                        capsys, key, value):
+    cams_dir = tmp_path / "cameras"
+    shutil.copytree(bundle_dir / "cameras", cams_dir)
+    bad = cams_dir / "cam1_intrinsics.json"
+    bad.write_text(json.dumps({**json.loads(bad.read_text()), key: value}))
+    out = tmp_path / "out"
+    rc = main(["register-cameras",
+               "--markers", str(bundle_dir / "reference_markers.json"),
+               "--cameras-dir", str(cams_dir), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: {key} must be an integer, got {value!r}\n")
+    assert not (out / "cam1_calibration.json").exists()
+
+
 def test_register_cameras_reports_failed_pnp_and_keeps_others(bundle_dir, tmp_path,
                                                               capsys):
     cams_dir = tmp_path / "cameras"
@@ -736,6 +753,18 @@ def test_non_finite_ply_is_one_error_line(bundle_dir, tmp_path, capsys, case):
         f"error: {bad}: vertex coordinates must be finite\n")
 
 
+def test_fuse_malformed_ply_header_is_one_error_line(bundle_dir, tmp_path, capsys):
+    scans = tmp_path / "scans"
+    shutil.copytree(bundle_dir / "scans", scans)
+    bad = scans / "scan2.ply"
+    bad.write_bytes(bad.read_bytes().replace(b"format binary_little_endian 1.0",
+                                             b"format", 1))
+    rc = main(["fuse", "--scans-dir", str(scans), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: header line lacks a token: 'format'\n")
+
+
 # ---------------------------------------------------------------------------
 # synth
 
@@ -782,6 +811,18 @@ def test_synth_rejects_wrong_config_type(tmp_path, capsys, config, message):
 
 # ---------------------------------------------------------------------------
 # pipeline
+
+@pytest.mark.parametrize("message", [
+    "Unable to allocate 224. GiB for an array with shape (6720000001, 3) "
+    "and data type float64", ""], ids=["numpy", "bare"])
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, message):
+    def generate(config):
+        raise MemoryError(message)
+    monkeypatch.setattr(synth, "generate", generate)
+    rc = main(["pipeline", "--duration", "1e9", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message or 'out of memory'}\n"
+
 
 def _tree_bytes(directory):
     return {p.relative_to(directory): p.read_bytes()
@@ -909,3 +950,56 @@ def test_int_too_large_for_a_float_is_one_error_line(fuzz_inputs, capsys, name,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: {message}")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+# ---------------------------------------------------------------------------
+# fuzzed input bytes
+
+@pytest.fixture(scope="module")
+def byte_fuzz_inputs(fuzz_inputs):
+    """``fuzz_inputs`` plus each PLY and CSV file of its tiny bundle and saved
+    scene, mapped to the subcommand that reads it."""
+    by_name = {p.name: p for p in fuzz_inputs}
+    bundle, saved = by_name["config.json"].parent, by_name["scene.json"].parent
+    out = fuzz_inputs[by_name["scan0_markers.json"]][-1]
+    scan1 = str(bundle / "scans" / "scan1.ply")
+    inputs = {
+        **fuzz_inputs,
+        bundle / "scans" / "scan0.ply": fuzz_inputs[by_name["scan0_markers.json"]],
+        bundle / "scans" / "scan1.ply": ["metrics", "--cloud-a", scan1,
+                                         "--cloud-b", scan1],
+        bundle / "instrument_track.csv": [
+            "track", "--input", str(bundle / "instrument_track.csv"),
+            "--window", "3", "--out", os.path.join(out, "smooth.csv")],
+    }
+    for name in ("room.ply", "instrument.ply", "instrument_track.csv",
+                 "surgeon_skeleton.csv"):
+        inputs[saved / name] = ["scene", str(saved)]
+    return inputs
+
+
+def _mutated(data, original: bytes) -> bytes:
+    """``original`` truncated, with one byte flipped, or with a few bytes
+    deleted or inserted, at a drawn position."""
+    at = data.draw(st.integers(0, len(original) - 1))
+    edit = data.draw(st.sampled_from(["truncate", "flip", "delete", "insert"]))
+    if edit == "truncate":
+        return original[:at]
+    if edit == "flip":
+        flipped = original[at] ^ data.draw(st.integers(1, 255))
+        return original[:at] + bytes([flipped]) + original[at + 1:]
+    if edit == "delete":
+        return original[:at] + original[at + data.draw(st.integers(1, 16)):]
+    return original[:at] + data.draw(st.binary(min_size=1, max_size=16)) + original[at:]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fuzzed_input_bytes_exit_0_or_1(byte_fuzz_inputs, data):
+    path = data.draw(st.sampled_from(sorted(byte_fuzz_inputs)))
+    original = path.read_bytes()
+    try:
+        path.write_bytes(_mutated(data, original))
+        assert main(byte_fuzz_inputs[path]) in (0, 1)
+    finally:
+        path.write_bytes(original)

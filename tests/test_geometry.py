@@ -1,5 +1,6 @@
 """Rigid-transform algebra, Kabsch alignment, and plane/floor fitting."""
 
+import dataclasses
 import json
 import math
 
@@ -13,8 +14,8 @@ from twinfuse.errors import (DegenerateGeometryError, FrameMismatchError,
 from twinfuse.geometry import (RANSAC_MAX_DRAWS, RANSAC_SEED,
                                RANSAC_THRESHOLD_M, PlaneFrame, PointCloud,
                                RigidTransform, _FLAT_ROWS, _least_squares,
-                               _ransac_draws_needed, _subtract_rows, apply,
-                               build_floor_frame,
+                               _ransac_draws_needed, _sign_key, _solve,
+                               _subtract_rows, apply, build_floor_frame,
                                compose, fit_plane_pca, identity, invert, kabsch,
                                quat_from_axis_angle, quat_normalize,
                                ransac_plane_inliers, rotation_angle_deg)
@@ -305,6 +306,63 @@ def test_build_floor_frame_z_points_toward_body():
     assert t.apply_points(body.mean(axis=0).reshape(1, 3))[0, 2] > 0
 
 
+def _turned_floor(angle_deg):
+    """Points of a 4 m x 1 m floor at z = 0.2 whose long side is turned by
+    ``angle_deg`` about z, centred on the origin."""
+    u, v = np.meshgrid(np.linspace(-2, 2, 21), np.linspace(-0.5, 0.5, 6))
+    a = np.radians(angle_deg)
+    x = np.cos(a) * u - np.sin(a) * v
+    y = np.sin(a) * u + np.cos(a) * v
+    return np.column_stack([x.ravel(), y.ravel(), np.full(x.size, 0.2)])
+
+
+def _check_floor_signs(t, angle_deg):
+    x, _, z = t.rotation
+    assert np.allclose(z, [0, 0, 1], atol=1e-9)
+    # x lies along the long side, its first component that is not ~0 positive
+    a = np.radians(angle_deg)
+    assert np.allclose(np.abs(x), np.abs([np.cos(a), np.sin(a), 0]), atol=1e-9)
+    assert _sign_key(x) > 0
+
+
+@pytest.mark.parametrize("angle_deg", range(0, 360, 30))
+def test_build_floor_frame_signs_without_body(angle_deg):
+    floor = _turned_floor(angle_deg)
+    for pts in (floor, floor[::-1]):
+        _check_floor_signs(build_floor_frame(pts), angle_deg)
+        _check_floor_signs(build_floor_frame(pts, np.zeros((0, 3))), angle_deg)
+
+
+@pytest.mark.parametrize("angle_deg", range(0, 360, 30))
+def test_build_floor_frame_signs_with_body_above_origin(angle_deg):
+    floor = _turned_floor(angle_deg)
+    body = np.array([[0.0, 0.0, 1.5]])  # straight above the floor centroid
+    for pts in (floor, floor[::-1]):
+        t = build_floor_frame(pts, body)
+        _check_floor_signs(t, angle_deg)
+        assert t.apply_points(body)[0, 2] > 0
+
+
+def test_sign_key():
+    assert _sign_key(np.array([0.0, -1e-13, -0.5, 1.0])) == -1.0
+    assert _sign_key(np.array([1e-13, 0.25, -1.0])) == 1.0
+    assert _sign_key(np.zeros(3)) == 1.0
+
+
+def test_solve_gives_a_singular_system_a_zero_step():
+    rng = np.random.default_rng(0)
+    m = rng.normal(size=(5, 3, 3))
+    a = m @ m.transpose(0, 2, 1) + 0.1 * np.eye(3)
+    a[2] = np.ones((3, 3))  # exactly singular
+    b = rng.normal(size=(5, 3))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(a, b[..., None])
+    step = _solve(a, b)
+    assert np.array_equal(step[2], np.zeros(3))
+    for i in (0, 1, 3, 4):
+        assert np.array_equal(step[i], _solve(a[i:i + 1], b[i:i + 1])[0])
+
+
 # ---------------------------------------------------------------------------
 # shared Levenberg-Marquardt loop
 
@@ -496,6 +554,80 @@ def test_rigid_transform_rejects_nonfinite():
         RigidTransform([1, 0, 0, 0], [np.nan, 0, 0])
     with pytest.raises(ValueError):
         RigidTransform([0, 0, 0, 0], np.zeros(3))
+
+
+def test_rigid_transform_keeps_a_unit_quaternion_and_normalises_others():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        q = quat_normalize(rng.normal(size=4))
+        assert np.array_equal(RigidTransform(q, np.zeros(3)).q, q)
+        p = 3.0 * q
+        assert np.array_equal(RigidTransform(p, np.zeros(3)).q, quat_normalize(p))
+    for bad in ([0, 0, 0, 0], [np.nan, 0, 0, 1], [np.inf, 0, 0, 0]):
+        with pytest.raises(ValueError):
+            RigidTransform(bad, np.zeros(3))
+
+
+def test_copies_keep_pose_bit_for_bit():
+    rng = np.random.default_rng(6)
+    for _ in range(500):
+        t = RigidTransform(rng.normal(size=4), rng.normal(size=3), "a", "b")
+        for copy in (t.with_frames("c", "d"), dataclasses.replace(t)):
+            assert np.array_equal(copy.q, t.q) and np.array_equal(copy.t, t.t)
+
+
+def _value_types():
+    """For each frozen value type that takes arrays: the caller's arrays, and
+    a function that builds the value from them and returns its arrays in the
+    same order."""
+    from twinfuse.fusion import MarkerSet
+    from twinfuse.mocap import N_BODY, N_HAND, N_JOINTS, PersonDetection, Skeleton3DFrame
+    from twinfuse.tracking import MarkerArrayGeometry, PoseTrack
+
+    rng = np.random.default_rng(7)
+    quats = np.array([quat_normalize(rng.normal(size=4)) for _ in range(3)])
+
+    def keypoints(n):
+        return np.column_stack([rng.uniform(0, 600, (n, 2)), rng.uniform(0, 1, n)])
+
+    def fields(value, *names):
+        return [getattr(value, name) for name in names]
+
+    return {
+        "RigidTransform": ([quats[0], rng.normal(size=3)],
+                           lambda q, t: fields(RigidTransform(q, t), "q", "t")),
+        "PointCloud": ([rng.normal(size=(5, 3)),
+                        rng.integers(0, 255, (5, 3), dtype=np.uint8)],
+                       lambda p, c: fields(PointCloud(p, c), "points", "colors")),
+        "PlaneFrame": ([rng.normal(size=3), np.eye(3)],
+                       lambda o, a: fields(PlaneFrame(o, a), "origin", "axes")),
+        "MarkerSet": ([rng.normal(size=3)],
+                      lambda p: [MarkerSet("scan", {"M01": p}).positions["M01"]]),
+        "MarkerArrayGeometry": ([0.05 * np.eye(3)],
+                                lambda m: fields(MarkerArrayGeometry(m), "markers")),
+        "PoseTrack": ([np.arange(3.0), quats, rng.normal(size=(3, 3))],
+                      lambda t, q, tr: fields(PoseTrack("reference", t, q, tr),
+                                              "times", "quats", "translations")),
+        "PersonDetection": ([keypoints(N_BODY), keypoints(N_HAND), keypoints(N_HAND)],
+                            lambda b, hl, hr: fields(PersonDetection(b, hl, hr), "body",
+                                                     "hand_left", "hand_right")),
+        "Skeleton3DFrame": ([rng.normal(size=(N_JOINTS, 3)), rng.uniform(0, 1, N_JOINTS),
+                             rng.uniform(0, 1, N_JOINTS) > 0.5],
+                            lambda p, r, v: fields(Skeleton3DFrame(0.5, p, r, v),
+                                                   "positions", "residuals_px", "valid")),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_value_types()))
+def test_value_types_own_their_arrays(name):
+    caller, build = _value_types()[name]
+    held = build(*caller)
+    kept = [a.copy() for a in held]
+    for a, h in zip(caller, held):
+        assert a.flags.writeable and not h.flags.writeable
+        a[...] = ~a if a.dtype == bool else a + 1
+    for h, k in zip(held, kept):
+        assert np.array_equal(h, k)
 
 
 def test_point_cloud_validation():

@@ -1,5 +1,6 @@
 """AST checks of the twinfuse modules: every name a module imports is used
-in that module, and the public API has no solver settings."""
+in that module, the public API has no solver settings, and each rule
+written once stays in its one place."""
 
 import ast
 import pathlib
@@ -111,3 +112,33 @@ def test_isfinite_detector():
 def test_number_rule_written_once():
     calls = {p.name: _isfinite_calls(p.read_text()) for p in MODULES}
     assert {name for name, n in calls.items() if n} == {"errors.py"}
+
+
+# A frozen value type sets its fields through one helper, geometry._freeze:
+# no other code calls setflags or object.__setattr__.
+def _field_setters(source: str) -> list[str]:
+    """Name of the module-level function or class around each call of
+    ``setflags`` or ``object.__setattr__``."""
+    found = []
+    for top in ast.parse(source).body:
+        for n in ast.walk(top):
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and (
+                    n.func.attr == "setflags"
+                    or (n.func.attr == "__setattr__"
+                        and isinstance(n.func.value, ast.Name)
+                        and n.func.value.id == "object")):
+                found.append(getattr(top, "name", "<module>"))
+    return found
+
+
+def test_field_setter_detector():
+    source = ("import numpy as np\nclass C:\n    def __post_init__(self):\n"
+              "        object.__setattr__(self, 'a', 1)\n"
+              "def f(a):\n    a.setflags(write=False)\n    setattr(a, 'b', 1)\n"
+              "np.zeros(3).setflags(write=False)\n")
+    assert _field_setters(source) == ["C", "f", "<module>"]
+
+
+def test_frozen_fields_set_in_one_helper():
+    found = {(p.name, name) for p in MODULES for name in _field_setters(p.read_text())}
+    assert found == {("geometry.py", "_freeze")}

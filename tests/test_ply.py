@@ -174,3 +174,71 @@ def test_load_rejects_non_finite_coordinates(tmp_path, value, fmt):
     with pytest.raises(ManifestError) as exc_info:
         load_ply(path)
     assert str(exc_info.value) == f"{path}: vertex coordinates must be finite"
+
+
+_XYZ = "property float x\nproperty float y\nproperty float z\n"
+
+
+@pytest.mark.parametrize("header, message", [
+    ("format\nelement vertex 1\n" + _XYZ,
+     "header line lacks a token: 'format'"),
+    ("format ascii 1.0\nelement\n" + _XYZ,
+     "header line lacks a token: 'element'"),
+    ("format ascii 1.0\nelement vertex 1\nproperty float x\nproperty float\n"
+     "property float z\n", "header line lacks a token: 'property float'"),
+    ("format ascii 1.0\nelement vertex 1\n" + _XYZ + "property float x\n",
+     "vertex property 'x' declared twice"),
+    ("format ascii 1.0\nelement face 1\nproperty float a\nelement vertex 1\n" + _XYZ,
+     "element 'face' comes before the vertex element"),
+], ids=["format-no-token", "element-no-token", "property-no-name",
+        "duplicate-property", "element-before-vertex"])
+def test_load_rejects_malformed_ascii_header(tmp_path, header, message):
+    path = tmp_path / "cloud.ply"
+    path.write_text(f"ply\n{header}end_header\n1 2 3\n")
+    with pytest.raises(ManifestError) as exc_info:
+        load_ply(path)
+    assert str(exc_info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("header, message", [
+    ("element vertex 1\n" + _XYZ + "property float x\n",
+     "vertex property 'x' declared twice"),
+    ("element face 1\nproperty float a\nproperty float b\nproperty float c\n"
+     "element vertex 1\n" + _XYZ,
+     "element 'face' comes before the vertex element"),
+], ids=["duplicate-property", "element-before-vertex"])
+def test_load_rejects_malformed_binary_header(tmp_path, header, message):
+    path = tmp_path / "cloud.ply"
+    path.write_bytes(f"ply\nformat binary_little_endian 1.0\n{header}"
+                     f"end_header\n".encode() + np.arange(8, dtype="<f4").tobytes())
+    with pytest.raises(ManifestError) as exc_info:
+        load_ply(path)
+    assert str(exc_info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("fmt", ["ascii", "binary"])
+def test_load_ignores_elements_after_vertex(tmp_path, fmt):
+    cloud = PointCloud([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    path = tmp_path / "cloud.ply"
+    if fmt == "ascii":
+        path.write_text(_ascii_ply(cloud).replace(
+            "end_header", "element face 1\nproperty list uchar int vertex_indices\n"
+                          "end_header") + "3 0 1 1\n")
+    else:
+        save_ply(path, cloud)
+        path.write_bytes(path.read_bytes().replace(
+            b"end_header", b"element face 1\nproperty list uchar int vertex_indices\n"
+                           b"end_header") + b"\x03" + bytes(12))
+    assert np.array_equal(load_ply(path).points, cloud.points)
+
+
+@pytest.mark.parametrize("value", ["300", "-5", "2.7", "nan"])
+def test_load_rejects_ascii_colors_out_of_range_or_fractional(tmp_path, value):
+    path = tmp_path / "cloud.ply"
+    path.write_text("ply\nformat ascii 1.0\nelement vertex 1\n" + _XYZ
+                    + "property uchar red\nproperty uchar green\n"
+                    f"property uchar blue\nend_header\n1 2 3 0 {value} 255\n")
+    with pytest.raises(ManifestError) as exc_info:
+        load_ply(path)
+    assert str(exc_info.value) == (
+        f"{path}: vertex colors must be whole numbers in [0, 255]")

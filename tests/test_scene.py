@@ -12,7 +12,7 @@ from twinfuse.mocap import N_JOINTS, Skeleton3DFrame
 from twinfuse.scene import (DynamicNode, SkeletonNode, StaticNode, TwinScene,
                             assemble, load, sample_at, save, scenes_equal,
                             validate)
-from twinfuse.tracking import PoseTrack
+from twinfuse.tracking import PoseTrack, smooth_track
 
 from conftest import quat_angle_deg, random_transform
 
@@ -127,6 +127,15 @@ def test_sample_exact_timestamp():
     pose = snap.poses["drill"]
     assert np.array_equal(pose.t, track.translations[3])
     assert quat_angle_deg(pose.q, track.quats[3]) < 1e-9
+
+
+def test_sample_at_stored_times_returns_the_stored_poses(default_bundle):
+    track = smooth_track(default_bundle.instrument_track_noisy, 5)
+    scene = assemble(dynamic_nodes=[DynamicNode("drill", "drill.ply", track)])
+    for i, t in enumerate(track.times):
+        pose = sample_at(scene, t).poses["drill"]
+        assert np.array_equal(pose.q, track.quats[i])
+        assert np.array_equal(pose.t, track.translations[i])
 
 
 def test_sample_interpolates_translation():
