@@ -27,6 +27,26 @@ from .tracking import _window_slices
 N_BODY = 25
 N_HAND = 21
 N_JOINTS = N_BODY + 2 * N_HAND  # 67
+_PARTS = (("body", N_BODY), ("hand_left", N_HAND), ("hand_right", N_HAND))
+
+
+def _keypoints_ok(kp: np.ndarray) -> bool:
+    """Rows (u, v, confidence) all finite, with confidences in [0, 1]."""
+    conf = kp[:, 2]
+    return bool(np.isfinite(kp).all() and conf.min() >= 0 and conf.max() <= 1)
+
+
+def _checked_part(name: str, n: int, value) -> np.ndarray:
+    """One part of a PersonDetection as an (n, 3) float array, or its first
+    error: the conversion, then the shape, then the values."""
+    a = np.asarray(value, dtype=float)
+    if a.shape != (n, 3):
+        raise ParameterError(f"{name} must have shape ({n}, 3), got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ParameterError(f"{name} keypoints must be finite")
+    if not _keypoints_ok(a):
+        raise ParameterError(f"{name} confidences must be in [0, 1]")
+    return a
 
 
 @dataclass(frozen=True)
@@ -38,19 +58,16 @@ class PersonDetection:
     hand_right: np.ndarray  # (21, 3)
 
     def __post_init__(self):
-        arrays = {}
-        for name, arr, n in (("body", self.body, N_BODY),
-                             ("hand_left", self.hand_left, N_HAND),
-                             ("hand_right", self.hand_right, N_HAND)):
-            a = np.asarray(arr, dtype=float)
-            if a.shape != (n, 3):
-                raise ParameterError(f"{name} must have shape ({n}, 3), got {a.shape}")
-            if not np.isfinite(a).all():
-                raise ParameterError(f"{name} keypoints must be finite")
-            if a[:, 2].min() < 0 or a[:, 2].max() > 1:
-                raise ParameterError(f"{name} confidences must be in [0, 1]")
-            arrays[name] = a
-        _freeze(self, **arrays)
+        given = [getattr(self, name) for name, _ in _PARTS]
+        try:
+            arrays = [np.asarray(v, dtype=float) for v in given]
+        except (TypeError, ValueError, OverflowError):
+            arrays = []
+        # all three parts in one pass; on a fault, find the first part by part
+        if not (arrays and all(a.shape == (n, 3) for a, (_, n) in zip(arrays, _PARTS))
+                and _keypoints_ok(np.concatenate(arrays))):
+            arrays = [_checked_part(name, n, v) for (name, n), v in zip(_PARTS, given)]
+        _freeze(self, **{name: a for (name, _), a in zip(_PARTS, arrays)})
 
     def all_joints(self) -> np.ndarray:
         return np.vstack([self.body, self.hand_left, self.hand_right])

@@ -115,17 +115,21 @@ def load_ply(path, frame: str = "world") -> PointCloud:
         except ValueError as exc:
             raise ManifestError(f"{path}: ASCII body: {exc}") from None
         rec = {name: arr[i::ncol] for i, (_, name) in enumerate(props)}
-    pts = np.column_stack([np.asarray(rec["x"], dtype=float),
-                           np.asarray(rec["y"], dtype=float),
-                           np.asarray(rec["z"], dtype=float)])
-    if not np.isfinite(pts).all():
-        raise ManifestError(f"{path}: vertex coordinates must be finite")
-    colors = None
-    if has_color:
-        colors = np.column_stack([np.asarray(rec["red"]), np.asarray(rec["green"]),
-                                  np.asarray(rec["blue"])])
-        if not np.all((colors >= 0) & (colors <= 255) & (np.floor(colors) == colors)):
-            raise ManifestError(f"{path}: vertex colors must be whole numbers "
-                                f"in [0, 255]")
-        colors = colors.astype(np.uint8)
+    # a signalling NaN raises the invalid flag in casts and compares; the
+    # checks below reject it, so numpy need not warn about it first
+    with np.errstate(invalid="ignore"):
+        pts = np.column_stack([np.asarray(rec["x"], dtype=float),
+                               np.asarray(rec["y"], dtype=float),
+                               np.asarray(rec["z"], dtype=float)])
+        if not np.isfinite(pts).all():
+            raise ManifestError(f"{path}: vertex coordinates must be finite")
+        colors = None
+        if has_color:
+            colors = np.column_stack([np.asarray(rec["red"]), np.asarray(rec["green"]),
+                                      np.asarray(rec["blue"])])
+            if not np.all((colors >= 0) & (colors <= 255)
+                          & (np.floor(colors) == colors)):
+                raise ManifestError(f"{path}: vertex colors must be whole numbers "
+                                    f"in [0, 255]")
+            colors = colors.astype(np.uint8)
     return PointCloud(pts, colors=colors, frame=frame)

@@ -100,6 +100,9 @@ def _rng(seed: int, label: str) -> np.random.Generator:
 
 
 TABLE_CENTER = np.array([0.5, 0.0, 0.9])
+# frames of skeletons and 2D keypoints made together; a whole capture in one
+# block would raise the peak memory of generate
+_FRAME_BLOCK = 64
 
 
 @dataclass
@@ -231,16 +234,17 @@ def _camera_rig(count: int) -> list[CameraModel]:
 
 
 def project_visible(cam: CameraModel, points: np.ndarray):
-    """Project points, returning (pixels, mask of in-front & in-image)."""
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    """Project world points (..., 3), or one point (3,) as (1, 3), returning
+    (pixels (..., 2), mask (...) of in-front & in-image)."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
     pc = cam.cam_from_world.apply_points(points)
-    mask = pc[:, 2] > 0.05
-    uv = np.zeros((len(points), 2))
+    mask = pc[..., 2] > 0.05
+    uv = np.zeros(points.shape[:-1] + (2,))
     if mask.any():
         intr = cam.intrinsics
         uv[mask] = _pixels(pc[mask], intr.focal, intr.center, intr.dist)
-        inside = ((uv[:, 0] >= 0) & (uv[:, 0] <= intr.width - 1)
-                  & (uv[:, 1] >= 0) & (uv[:, 1] <= intr.height - 1))
+        inside = ((uv[..., 0] >= 0) & (uv[..., 0] <= intr.width - 1)
+                  & (uv[..., 1] >= 0) & (uv[..., 1] <= intr.height - 1))
         mask = mask & inside
     return uv, mask
 
@@ -292,15 +296,17 @@ def _hand_offsets() -> np.ndarray:
 _HAND_OFFSETS = _hand_offsets()
 
 
-def _skeleton_at(t: float, root: np.ndarray, amp: float) -> np.ndarray:
-    """True 67-joint skeleton at time t: rigid template plus a smooth sway."""
-    sway = amp * np.array([np.sin(2 * np.pi * 0.5 * t),
+def _skeleton_at(times: np.ndarray, root: np.ndarray, amp: float) -> np.ndarray:
+    """True 67-joint skeletons (F, 67, 3) at times (F,): rigid template plus
+    a smooth sway."""
+    t = np.asarray(times, dtype=float)
+    sway = amp * np.stack([np.sin(2 * np.pi * 0.5 * t),
                            np.cos(2 * np.pi * 0.3 * t),
-                           0.2 * np.sin(2 * np.pi * 0.9 * t)])
-    body = _BODY25_TEMPLATE + root + sway
-    left = body[7] + _HAND_OFFSETS @ np.diag([1.0, 1.0, -1.0])
-    right = body[4] + _HAND_OFFSETS @ np.diag([-1.0, 1.0, -1.0])
-    return np.vstack([body, left, right])
+                           0.2 * np.sin(2 * np.pi * 0.9 * t)], axis=-1)
+    body = _BODY25_TEMPLATE + root + sway[:, None]
+    left = body[:, 7:8] + _HAND_OFFSETS @ np.diag([1.0, 1.0, -1.0])
+    right = body[:, 4:5] + _HAND_OFFSETS @ np.diag([-1.0, 1.0, -1.0])
+    return np.concatenate([body, left, right], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -376,38 +382,44 @@ def generate(config: SynthConfig) -> GroundTruthBundle:
             quat_multiply(quat_from_axis_angle(axis, ang), quats[i]))
     track_noisy = PoseTrack("reference", times, noisy_quats, noisy_pos)
 
-    # skeleton + 2D keypoints
+    # skeleton + 2D keypoints, _FRAME_BLOCK frames at a time. One draw per
+    # block holds each frame's jitter (67x3) and then, per camera and person,
+    # its pixel noise (67x2), in the order of one normal() call each; and
+    # 0.0 + sigma * z is what Generator.normal(0.0, sigma) computes, so every
+    # value is the one that call would give.
     surgeon_root = TABLE_CENTER * np.array([1, 1, 0]) + np.array([0.0, -0.55, 0.0])
     bystander_root = TABLE_CENTER * np.array([1, 1, 0]) + np.array([-1.2, 1.6, 0.0])
+    roots = [surgeon_root, bystander_root][:1 + config.include_bystander]
+    n_jitter = 3 * N_JOINTS if config.skeleton_jitter_m > 0 else 0
     skel_rng = _rng(config.seed, "skeleton")
     skeleton_true = []
     keypoint_frames = []
-    for t in times:
-        joints = _skeleton_at(t, surgeon_root, config.skeleton_motion_amp_m)
-        if config.skeleton_jitter_m > 0:
-            joints = joints + skel_rng.normal(0.0, config.skeleton_jitter_m,
-                                              size=joints.shape)
-        skeleton_true.append(Skeleton3DFrame(float(t), joints,
-                                             np.zeros(N_JOINTS),
-                                             np.ones(N_JOINTS, dtype=bool)))
-        persons_3d = [joints]
-        if config.include_bystander:
-            persons_3d.append(_skeleton_at(t, bystander_root,
-                                           config.skeleton_motion_amp_m))
-        per_cam = []
-        for cam in cameras:
-            detections = []
-            for p3d in persons_3d:
-                uv, mask = project_visible(cam, p3d)
-                uv = uv + skel_rng.normal(0.0, config.pixel_sigma_px, size=uv.shape)
-                conf = np.where(mask, 0.9, 0.0)
-                kp = np.column_stack([uv, conf])
-                kp[~mask, :2] = 0.0
-                detections.append(PersonDetection(kp[:N_BODY],
-                                                  kp[N_BODY:N_BODY + N_HAND],
-                                                  kp[N_BODY + N_HAND:]))
-            per_cam.append(Keypoint2DFrame(cam.id, float(t), tuple(detections)))
-        keypoint_frames.append(per_cam)
+    for start in range(0, n_samples, _FRAME_BLOCK):
+        block = times[start:start + _FRAME_BLOCK]
+        n = len(block)
+        z = skel_rng.standard_normal(
+            (n, n_jitter + len(cameras) * len(roots) * N_JOINTS * 2))
+        persons = np.stack([_skeleton_at(block, root, config.skeleton_motion_amp_m)
+                            for root in roots], axis=1)  # (n, persons, 67, 3)
+        if n_jitter:
+            persons[:, 0] += 0.0 + config.skeleton_jitter_m * z[:, :n_jitter].reshape(
+                n, N_JOINTS, 3)
+        noise = 0.0 + config.pixel_sigma_px * z[:, n_jitter:].reshape(
+            n, len(cameras), len(roots), N_JOINTS, 2)
+        kp = np.empty((n, len(cameras), len(roots), N_JOINTS, 3))
+        for c, cam in enumerate(cameras):
+            uv, mask = project_visible(cam, persons)
+            kp[:, c, ..., :2] = np.where(mask[..., None], uv + noise[:, c], 0.0)
+            kp[:, c, ..., 2] = np.where(mask, 0.9, 0.0)
+        for k, t in enumerate(block.tolist()):
+            skeleton_true.append(Skeleton3DFrame(t, persons[k, 0],
+                                                 np.zeros(N_JOINTS),
+                                                 np.ones(N_JOINTS, dtype=bool)))
+            keypoint_frames.append([
+                Keypoint2DFrame(cam.id, t, tuple(
+                    PersonDetection(p[:N_BODY], p[N_BODY:N_BODY + N_HAND],
+                                    p[N_BODY + N_HAND:]) for p in kp[k, c]))
+                for c, cam in enumerate(cameras)])
 
     return GroundTruthBundle(
         config=config, room_cloud=room_cloud, markers=markers, scans=scans,

@@ -4,6 +4,7 @@ import functools
 import json
 import os
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -573,6 +574,21 @@ def test_metrics_markers_missing_frame(bundle_dir, tmp_path, capsys):
     assert f"error: {bad}: marker set missing key 'frame'" in err
 
 
+def test_metrics_signalling_nan_is_one_error_line(tmp_path, capsys):
+    rows = np.array([[0.5, 1.0, -1.0], [2.0, 0.0, 0.0]], dtype="<f4")
+    rows[1, 1] = np.array([0x7F800001], dtype="<u4").view("<f4")[0]
+    path = tmp_path / "cloud.ply"
+    path.write_bytes(b"ply\nformat binary_little_endian 1.0\nelement vertex 2\n"
+                     b"property float x\nproperty float y\nproperty float z\n"
+                     b"end_header\n" + rows.tobytes())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["metrics", "--cloud-a", str(path), "--cloud-b", str(path)])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: {path}: vertex coordinates "
+                                       f"must be finite\n")
+
+
 def test_metrics_nothing_to_compute(capsys):
     assert main(["metrics"]) == 1
     assert "nothing to compute" in capsys.readouterr().err
@@ -993,6 +1009,7 @@ def _mutated(data, original: bytes) -> bytes:
     return original[:at] + data.draw(st.binary(min_size=1, max_size=16)) + original[at:]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(data=st.data())
 def test_fuzzed_input_bytes_exit_0_or_1(byte_fuzz_inputs, data):

@@ -76,6 +76,64 @@ def test_person_detection_shape_checks():
             PersonDetection(np.zeros((N_BODY, 3)), hand, np.zeros((N_HAND, 3)))
 
 
+_PART_ROWS = {"body": N_BODY, "hand_left": N_HAND, "hand_right": N_HAND}
+
+
+def _faulty_parts(faults):
+    """Valid keypoints for each part, with one fault per named part: a row
+    short, a NaN or inf pixel, a NaN confidence, a confidence out of range,
+    or a value that is no array of numbers."""
+    rng = np.random.default_rng(7)
+    parts = {name: rng.uniform(0, 1, (n, 3)) for name, n in _PART_ROWS.items()}
+    for name, fault in faults.items():
+        a = parts[name]
+        if fault == "shape":
+            parts[name] = a[1:]
+        elif fault == "not-numbers":
+            parts[name] = "x"
+        else:
+            row, col, value = {"nan": (2, 0, np.nan), "inf": (3, 1, -np.inf),
+                               "nan-conf": (4, 2, np.nan), "high": (5, 2, 1.5),
+                               "low": (6, 2, -1e-300)}[fault]
+            a[row, col] = value
+    return parts
+
+
+def _shape(name):
+    n = _PART_ROWS[name]
+    return f"{name} must have shape ({n}, 3), got ({n - 1}, 3)"
+
+
+@pytest.mark.parametrize("faults, message", [
+    *[({name: "shape"}, _shape(name)) for name in _PART_ROWS],
+    *[({name: fault}, f"{name} keypoints must be finite")
+      for name in _PART_ROWS for fault in ("nan", "inf", "nan-conf")],
+    *[({name: fault}, f"{name} confidences must be in [0, 1]")
+      for name in _PART_ROWS for fault in ("high", "low")],
+    # the first part with any fault wins; in it, shape before values
+    ({"body": "high", "hand_left": "shape"}, "body confidences must be in [0, 1]"),
+    ({"body": "shape", "hand_right": "nan"}, _shape("body")),
+    ({"hand_left": "shape", "hand_right": "nan"}, _shape("hand_left")),
+    ({"body": "inf", "hand_left": "high"}, "body keypoints must be finite"),
+    ({"hand_left": "low", "hand_right": "shape"},
+     "hand_left confidences must be in [0, 1]"),
+    ({"body": "nan", "hand_right": "high"}, "body keypoints must be finite"),
+    ({"body": "shape", "hand_left": "not-numbers"}, _shape("body")),
+    ({"hand_left": "high", "hand_right": "not-numbers"},
+     "hand_left confidences must be in [0, 1]"),
+])
+def test_person_detection_first_error(faults, message):
+    parts = _faulty_parts(faults)
+    with pytest.raises(ParameterError) as exc_info:
+        PersonDetection(**parts)
+    assert str(exc_info.value) == message
+
+
+def test_person_detection_rejects_non_numbers():
+    with pytest.raises(ValueError, match="could not convert"):
+        PersonDetection(**_faulty_parts({"hand_left": "not-numbers"}))
+
+
 @pytest.mark.parametrize("camera", [[], {}, None])
 def test_keypoint_frame_camera_must_be_a_string(camera):
     text = json.dumps({"camera": camera, "t_s": 0.0, "persons": []})

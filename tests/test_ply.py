@@ -1,5 +1,7 @@
 """PLY point-cloud serialization."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,30 @@ def test_load_rejects_non_finite_coordinates(tmp_path, value, fmt):
     with pytest.raises(ManifestError) as exc_info:
         load_ply(path)
     assert str(exc_info.value) == f"{path}: vertex coordinates must be finite"
+
+
+_SIGNALLING_NAN = np.array([0x7F800001], dtype="<u4").view("<f4")[0]
+
+
+@pytest.mark.parametrize("column, message", [
+    (1, "vertex coordinates must be finite"),
+    (4, "vertex colors must be whole numbers in [0, 255]"),
+], ids=["coordinate", "color"])
+def test_load_rejects_signalling_nan_without_a_warning(tmp_path, column, message):
+    # a binary float32 signalling NaN raises the FPU invalid flag when cast
+    # or compared; the error names the file and numpy warns about nothing
+    rows = np.array([[0.5, 1.0, -1.0, 1, 2, 3], [2.0, 0.0, 0.0, 4, 5, 6]], dtype="<f4")
+    rows[1, column] = _SIGNALLING_NAN
+    path = tmp_path / "cloud.ply"
+    path.write_bytes(b"ply\nformat binary_little_endian 1.0\nelement vertex 2\n"
+                     + "".join(f"property float {name}\n" for name in
+                               ("x", "y", "z", "red", "green", "blue")).encode()
+                     + b"end_header\n" + rows.tobytes())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ManifestError) as exc_info:
+            load_ply(path)
+    assert str(exc_info.value) == f"{path}: {message}"
 
 
 _XYZ = "property float x\nproperty float y\nproperty float z\n"

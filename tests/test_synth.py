@@ -8,7 +8,9 @@ import pytest
 from twinfuse.errors import ParameterError
 from twinfuse.fusion import MarkerSet
 from twinfuse.geometry import invert
-from twinfuse.mocap import N_JOINTS
+from twinfuse import synth
+from twinfuse.mocap import (N_BODY, N_HAND, N_JOINTS, Keypoint2DFrame,
+                            PersonDetection, Skeleton3DFrame)
 from twinfuse.synth import (SynthConfig, export_bundle, generate, pose_error,
                             project_visible, true_relative_scan_pose)
 
@@ -162,6 +164,129 @@ def test_bystander_adds_second_person():
     b = generate(cfg)
     assert all(len(fr.persons) == 2
                for per_cam in b.keypoint_frames for fr in per_cam)
+
+
+# ---------------------------------------------------------------------------
+# skeletons and 2D keypoints: the block generator against one frame at a time
+
+def _skeleton_at_time(t, root, amp):
+    """One frame's true skeleton, as the per-frame generator made it."""
+    sway = amp * np.array([np.sin(2 * np.pi * 0.5 * t),
+                           np.cos(2 * np.pi * 0.3 * t),
+                           0.2 * np.sin(2 * np.pi * 0.9 * t)])
+    body = synth._BODY25_TEMPLATE + root + sway
+    left = body[7] + synth._HAND_OFFSETS @ np.diag([1.0, 1.0, -1.0])
+    right = body[4] + synth._HAND_OFFSETS @ np.diag([-1.0, 1.0, -1.0])
+    return np.vstack([body, left, right])
+
+
+def _per_frame_skeletons(config, cameras):
+    """(skeleton_true, keypoint_frames) made one frame, camera and person at
+    a time, with one noise draw each: the reference for ``generate``."""
+    n_samples = int(round(config.duration_s * config.rate_hz)) + 1
+    times = np.arange(n_samples) / config.rate_hz
+    table = synth.TABLE_CENTER
+    surgeon_root = table * np.array([1, 1, 0]) + np.array([0.0, -0.55, 0.0])
+    bystander_root = table * np.array([1, 1, 0]) + np.array([-1.2, 1.6, 0.0])
+    skel_rng = synth._rng(config.seed, "skeleton")
+    skeleton_true = []
+    keypoint_frames = []
+    for t in times:
+        joints = _skeleton_at_time(t, surgeon_root, config.skeleton_motion_amp_m)
+        if config.skeleton_jitter_m > 0:
+            joints = joints + skel_rng.normal(0.0, config.skeleton_jitter_m,
+                                              size=joints.shape)
+        skeleton_true.append(Skeleton3DFrame(float(t), joints,
+                                             np.zeros(N_JOINTS),
+                                             np.ones(N_JOINTS, dtype=bool)))
+        persons_3d = [joints]
+        if config.include_bystander:
+            persons_3d.append(_skeleton_at_time(t, bystander_root,
+                                                config.skeleton_motion_amp_m))
+        per_cam = []
+        for cam in cameras:
+            detections = []
+            for p3d in persons_3d:
+                uv, mask = project_visible(cam, p3d)
+                uv = uv + skel_rng.normal(0.0, config.pixel_sigma_px, size=uv.shape)
+                conf = np.where(mask, 0.9, 0.0)
+                kp = np.column_stack([uv, conf])
+                kp[~mask, :2] = 0.0
+                detections.append(PersonDetection(kp[:N_BODY],
+                                                  kp[N_BODY:N_BODY + N_HAND],
+                                                  kp[N_BODY + N_HAND:]))
+            per_cam.append(Keypoint2DFrame(cam.id, float(t), tuple(detections)))
+        keypoint_frames.append(per_cam)
+    return skeleton_true, keypoint_frames
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_same_skeletons(bundle, reference):
+    skeleton_true, keypoint_frames = reference
+    assert len(bundle.skeleton_true) == len(skeleton_true)
+    for got, want in zip(bundle.skeleton_true, skeleton_true):
+        assert type(got.t_s) is float and got.t_s == want.t_s
+        for name in ("positions", "residuals_px", "valid"):
+            assert _same_bits(getattr(got, name), getattr(want, name))
+    assert len(bundle.keypoint_frames) == len(keypoint_frames)
+    for got_cams, want_cams in zip(bundle.keypoint_frames, keypoint_frames):
+        assert len(got_cams) == len(want_cams)
+        for got, want in zip(got_cams, want_cams):
+            assert got.camera_id == want.camera_id
+            assert type(got.t_s) is float and got.t_s == want.t_s
+            assert len(got.persons) == len(want.persons)
+            for p, q in zip(got.persons, want.persons):
+                for name in ("body", "hand_left", "hand_right"):
+                    assert _same_bits(getattr(p, name), getattr(q, name))
+
+
+@pytest.mark.parametrize("cameras", [1, 5])
+@pytest.mark.parametrize("bystander", [False, True])
+@pytest.mark.parametrize("frames", [1, 64, 65, 130])
+def test_block_generator_matches_per_frame(frames, bystander, cameras):
+    config = SynthConfig(seed=frames, duration_s=max(frames - 1, 0.3) / 30,
+                         camera_count=cameras, include_bystander=bystander)
+    bundle = generate(config)
+    assert len(bundle.skeleton_true) == frames
+    _assert_same_skeletons(bundle, _per_frame_skeletons(config, bundle.cameras))
+
+
+@pytest.mark.parametrize("overrides", [
+    {"skeleton_jitter_m": 0.01},
+    {"pixel_sigma_px": 0.0},
+    {"skeleton_jitter_m": 0.003, "pixel_sigma_px": 0.0},
+], ids=["jitter", "no-pixel-noise", "jitter-no-pixel-noise"])
+def test_block_generator_matches_per_frame_noise(overrides):
+    config = SynthConfig(seed=4, duration_s=70 / 30, include_bystander=True,
+                         **overrides)
+    bundle = generate(config)
+    _assert_same_skeletons(bundle, _per_frame_skeletons(config, bundle.cameras))
+
+
+def test_project_visible_stacked_matches_rows():
+    cam = synth._camera_rig(5)[4]
+    rng = np.random.default_rng(5)
+    # around the table, plus points behind the camera and outside the image
+    points = synth.TABLE_CENTER + rng.uniform(-1.5, 1.5, size=(3, 2, N_JOINTS, 3))
+    points[0, 0, :5] = cam.world_from_camera.apply_points(
+        rng.uniform(-1, 1, size=(5, 3)) * [1, 1, 0] - [0, 0, 1])
+    points[1, 1, :5] = cam.world_from_camera.apply_points(
+        [[8.0, 0, 1], [0, 5.0, 1], [-9.0, -6.0, 2], [0, 0, 0.01], [0.1, 0, 0.06]])
+    uv, mask = project_visible(cam, points)
+    assert uv.shape == (3, 2, N_JOINTS, 2) and mask.shape == (3, 2, N_JOINTS)
+    assert not mask[0, 0, :5].any() and not mask[1, 1, :5].any()
+    assert mask.sum() > mask.size // 2
+    for f in range(3):
+        for p in range(2):
+            row_uv, row_mask = project_visible(cam, points[f, p])
+            assert _same_bits(uv[f, p], row_uv)
+            assert _same_bits(mask[f, p], row_mask)
+    one_uv, one_mask = project_visible(cam, points[2, 0, 7])
+    assert one_uv.shape == (1, 2) and one_mask.shape == (1,)
+    assert np.array_equal(one_uv[0], uv[2, 0, 7]) and one_mask[0] == mask[2, 0, 7]
 
 
 def test_true_relative_scan_pose_identity(default_bundle):
