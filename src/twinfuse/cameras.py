@@ -115,10 +115,23 @@ class PixelObservation:
             raise ParameterError("pixel coordinates must be finite")
 
 
+def _repeated(ids):
+    """The first item of ``ids`` that an earlier item equals, or None."""
+    seen = set()
+    for i in ids:
+        if i in seen:
+            return i
+        seen.add(i)
+    return None
+
+
 def _cameras_by_id(cameras: list[CameraModel], ids) -> list[CameraModel]:
-    """The camera of each id in ``ids``; the first id that no camera has
-    raises UnknownEntityError."""
+    """The camera of each id in ``ids``. Two cameras with one id raise
+    ParameterError; the first id that no camera has, UnknownEntityError."""
     by_id = {c.id: c for c in cameras}
+    if len(by_id) < len(cameras):
+        raise ParameterError(f"two cameras with id "
+                             f"{_repeated(c.id for c in cameras)!r}")
     for cam_id in ids:
         if cam_id not in by_id:
             raise UnknownEntityError(f"unknown camera id {cam_id!r}")
@@ -185,6 +198,13 @@ def _pixels(pc: np.ndarray, focal, center, dist) -> np.ndarray:
     return focal * _distort(pc[..., :2] / pc[..., 2:3], dist) + center
 
 
+def _normalized(pixels: np.ndarray, focal, center, dist) -> np.ndarray:
+    """The inverse of ``_pixels``: pixels (..., 2) to undistorted normalized
+    coords (..., 2), the ray (x, y, 1) of each pixel in the camera frame.
+    Arguments broadcast as for ``_pixels``."""
+    return _undistort((pixels - center) / focal, dist)
+
+
 def _pixels_jacobian(pc: np.ndarray, focal, dist) -> np.ndarray:
     """Derivative (..., 2, 3) of ``_pixels`` with respect to the camera-frame
     points: ``diag(focal) . D . d(x/z, y/z)/d(x, y, z)``, with D the
@@ -215,16 +235,10 @@ def unproject(cam: CameraModel, pixel, depth_m: float) -> np.ndarray:
     if depth_m <= 0:
         raise BehindCameraError("depth must be positive")
     intr = cam.intrinsics
-    xn = _undistort((np.asarray(pixel, dtype=float) - intr.center) / intr.focal,
-                    intr.dist)
+    xn = _normalized(np.asarray(pixel, dtype=float), intr.focal, intr.center,
+                     intr.dist)
     pc = np.array([xn[0] * depth_m, xn[1] * depth_m, depth_m])
     return cam.world_from_camera.apply_points(pc.reshape(1, 3))[0]
-
-
-def pixels_to_normalized(intr: CameraIntrinsics, pixels: np.ndarray) -> np.ndarray:
-    """Undistorted normalized image coordinates for pixels (N, 2)."""
-    pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
-    return _undistort((pixels - intr.center) / intr.focal, intr.dist)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +324,7 @@ def solve_pnp(points, pixels, intr: CameraIntrinsics) -> tuple[RigidTransform, f
         raise InsufficientCorrespondencesError(
             f"PnP needs >= 6 correspondences, got {len(points)}")
 
-    xn = pixels_to_normalized(intr, pixels)
+    xn = _normalized(pixels, intr.focal, intr.center, intr.dist)
     rot, t = _dlt_pose(points, xn)
 
     def model(x, rows):  # x: (1, 6) rotation vector and translation of the one problem
@@ -397,7 +411,7 @@ def triangulate_batch(pixels, confidences, cameras: list[CameraModel]
     uv = np.where(used[..., None], uv[sel], center)  # discarded slots: on axis
 
     # DLT rows w * (x * P[2] - P[0]), w * (y * P[2] - P[1]) with P = [R|t]
-    xn = _undistort((uv - center) / focal, dist)
+    xn = _normalized(uv, focal, center, dist)
     p = np.concatenate([rot, t[:, :, None]], axis=2)
     a = w[..., None, None] * (xn[..., None] * p[:, 2:3, :] - p[:, :2, :])
     h = np.linalg.svd(a.reshape(len(sel), -1, 4))[2][:, -1]

@@ -15,7 +15,8 @@ import sys
 import numpy as np
 
 from . import fusion, metrics, mocap, scene, synth
-from .cameras import CameraIntrinsics, CameraModel, _camera_id, solve_pnp
+from .cameras import (CameraIntrinsics, CameraModel, _camera_id, _repeated,
+                      solve_pnp)
 from .errors import (EmptySelectionError, ParameterError, TwinfuseError,
                      finite_number, parse_file, reading)
 from .fusion import MarkerSet, ScanRecord
@@ -30,15 +31,21 @@ def _fail(message: str) -> int:
     return 1
 
 
+def _inputs(directory: str, pattern: str, what: str) -> list[str]:
+    """The sorted paths in ``directory`` that match ``pattern``; none raises
+    ParameterError "no <what> in <directory>"."""
+    paths = sorted(glob.glob(os.path.join(directory, pattern)))
+    if not paths:
+        raise ParameterError(f"no {what} in {directory}")
+    return paths
+
+
 # ---------------------------------------------------------------------------
 # fuse
 
 def cmd_fuse(args) -> int:
-    ply_paths = sorted(glob.glob(os.path.join(args.scans_dir, "*.ply")))
-    if not ply_paths:
-        return _fail(f"no .ply scans found in {args.scans_dir}")
     scans = []
-    for ply_path in ply_paths:
+    for ply_path in _inputs(args.scans_dir, "*.ply", ".ply scans found"):
         name = os.path.splitext(os.path.basename(ply_path))[0]
         marker_path = os.path.join(args.scans_dir, f"{name}_markers.json")
         markers = parse_file(marker_path, MarkerSet.from_json)
@@ -77,7 +84,8 @@ def _intrinsics_record(text: str) -> tuple[str, CameraIntrinsics]:
         return _camera_id(o["id"]), intr
 
 
-def _marker_pixels(text: str) -> list[tuple[str, list]]:
+def _marker_pixels(text: str) -> list[tuple[str, float, float]]:
+    """The (marker id, u, v) triples of a marker pixels file."""
     o = json.loads(text)
     with reading("marker pixels", "marker pixels is not an object with a "
                                   "list of pixel objects under 'pixels'"):
@@ -87,35 +95,35 @@ def _marker_pixels(text: str) -> list[tuple[str, list]]:
                 and all(map(finite_number, uv))):
             raise ParameterError(f"marker pixels: 'uv' of {mid!r} must be two "
                                  f"finite numbers, got {uv!r}")
-    return pixels
+    return [(mid, u, v) for mid, (u, v) in pixels]
 
 
-def _register_camera(cam_id: str, intr: CameraIntrinsics, marker_uv,
+def _register_camera(cam_id: str, intr: CameraIntrinsics, marker_pixels,
                      reference: MarkerSet) -> tuple[CameraModel, tuple]:
-    """PnP-registered camera from ``(marker id, uv)`` pairs (ids missing from
-    ``reference`` skipped) and its (mean, std) reprojection error in px."""
-    pairs = [(reference.positions[mid], uv) for mid, uv in marker_uv
+    """PnP-registered camera from ``(marker id, u, v)`` triples (ids missing
+    from ``reference`` skipped) and its (mean, std) reprojection error in px."""
+    pairs = [(reference.positions[mid], (u, v)) for mid, u, v in marker_pixels
              if mid in reference.positions]
     points = np.array([p for p, _ in pairs])
     pixels = np.array([uv for _, uv in pairs])
     pose, _ = solve_pnp(points, pixels, intr)
     cam = CameraModel(cam_id, intr,
                       pose.with_frames(f"camera:{cam_id}", reference.frame))
-    observations = [(cam_id, pixels[i], points[i]) for i in range(len(points))]
-    return cam, metrics.reprojection_stats(observations, [cam])
+    return cam, metrics.reprojection_stats(cam, points, pixels)
 
 
 def cmd_register_cameras(args) -> int:
     reference = parse_file(args.markers, MarkerSet.from_json)
-    intr_paths = sorted(glob.glob(os.path.join(args.cameras_dir,
-                                               "*_intrinsics.json")))
-    if not intr_paths:
-        return _fail(f"no *_intrinsics.json in {args.cameras_dir}")
+    records = [parse_file(p, _intrinsics_record) for p in
+               _inputs(args.cameras_dir, "*_intrinsics.json", "*_intrinsics.json")]
+    repeated = _repeated(cam_id for cam_id, _ in records)
+    if repeated is not None:
+        raise ParameterError(f"two intrinsics files in {args.cameras_dir} "
+                             f"have camera id {repeated!r}")
     os.makedirs(args.out, exist_ok=True)
     per_camera = {}
     failures = []
-    for intr_path in intr_paths:
-        cam_id, intr = parse_file(intr_path, _intrinsics_record)
+    for cam_id, intr in records:
         pix_path = os.path.join(args.cameras_dir, f"{cam_id}_marker_pixels.json")
         marker_uv = parse_file(pix_path, _marker_pixels)
         try:
@@ -160,16 +168,10 @@ def _triangulate_frames(frame_groups, cameras, table_center) -> list:
 
 
 def cmd_mocap(args) -> int:
-    cal_paths = sorted(glob.glob(os.path.join(args.cameras_dir,
-                                              "*_calibration.json")))
-    if not cal_paths:
-        return _fail(f"no *_calibration.json in {args.cameras_dir}")
-    cameras = [parse_file(p, CameraModel.from_json) for p in cal_paths]
-    kp_paths = sorted(glob.glob(os.path.join(args.keypoints_dir, "*.json")))
-    if not kp_paths:
-        return _fail(f"no keypoint frames in {args.keypoints_dir}")
+    cameras = [parse_file(p, CameraModel.from_json) for p in
+               _inputs(args.cameras_dir, "*_calibration.json", "*_calibration.json")]
     by_time: dict[float, list] = {}
-    for p in kp_paths:
+    for p in _inputs(args.keypoints_dir, "*.json", "keypoint frames"):
         frame = parse_file(p, mocap.Keypoint2DFrame.from_json)
         by_time.setdefault(frame.t_s, []).append(frame)
     frames3d = _triangulate_frames([by_time[t] for t in sorted(by_time)],
@@ -277,9 +279,8 @@ def cmd_pipeline(args) -> int:
     registered = []
     for cam in bundle.cameras:
         entries = bundle.marker_pixels[cam.id]
-        est, per_camera[cam.id] = _register_camera(
-            cam.id, cam.intrinsics, [(mid, (u, v)) for mid, u, v in entries],
-            bundle.markers)
+        est, per_camera[cam.id] = _register_camera(cam.id, cam.intrinsics,
+                                                   entries, bundle.markers)
         registered.append(est)
         t_mm, r_deg = synth.pose_error(est.world_from_camera,
                                        cam.world_from_camera)

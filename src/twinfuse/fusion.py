@@ -1,5 +1,5 @@
 """Scan fusion: marker-based registration of scans into one reference cloud,
-plus the qualitative post-processing steps (crop, voxelize, outlier removal)."""
+plus the qualitative post-processing steps (voxelize, outlier removal)."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import (MALFORMED, DegenerateGeometryError,
                      InsufficientCorrespondencesError, ParameterError,
-                     TwinfuseError, positive_number, reading)
+                     TwinfuseError, finite_number, positive_number, reading)
 from .geometry import (PointCloud, RigidTransform, _freeze, apply,
                        build_floor_frame, kabsch, ransac_plane_inliers)
 from .metrics import _kd_tree, _mean_table, _nn_distances, _rms_mm, chamfer
@@ -18,6 +18,9 @@ from .metrics import _kd_tree, _mean_table, _nn_distances, _rms_mm, chamfer
 CHAMFER_CUTOFF_M = 0.1  # fuse_scans' per-scan Chamfer distance cutoff
 OUTLIER_K = 16
 OUTLIER_STD_RATIO = 2.0
+
+
+_BAD_POSITION = "marker {!r} position must be 3 finite numbers, got {!r}"
 
 
 @dataclass(frozen=True)
@@ -35,8 +38,7 @@ class MarkerSet:
             except MALFORMED:
                 arr = np.full(3, np.nan)
             if not np.all(np.isfinite(arr)):
-                raise ParameterError(f"marker {mid!r} position must be 3 "
-                                     f"finite numbers, got {p!r}")
+                raise ParameterError(_BAD_POSITION.format(mid, p))
             pos[str(mid)] = arr
         _freeze(self, positions=pos)
 
@@ -55,8 +57,12 @@ class MarkerSet:
         obj = json.loads(text)
         with reading("marker set", "marker set is not an object with a list "
                                    "of marker objects under 'markers'"):
-            return cls(obj["frame"],
-                       {m["id"]: m["position_m"] for m in obj["markers"]})
+            frame = obj["frame"]
+            positions = {m["id"]: m["position_m"] for m in obj["markers"]}
+        for mid, p in positions.items():
+            if not (isinstance(p, list) and all(map(finite_number, p))):
+                raise ParameterError(_BAD_POSITION.format(mid, p))
+        return cls(frame, positions)
 
 
 @dataclass(frozen=True)
@@ -173,21 +179,6 @@ def finalize_reference(fused: PointCloud) -> tuple[PointCloud, RigidTransform]:
     t = build_floor_frame(floor_pts, body_pts if len(body_pts) else None,
                           from_frame=fused.frame, to_frame="reference")
     return apply(t, fused), t
-
-
-def crop_aabb(cloud: PointCloud, boxes) -> PointCloud:
-    """Keep points inside the union of axis-aligned boxes (inclusive bounds)."""
-    if not boxes:
-        return PointCloud(np.zeros((0, 3)), frame=cloud.frame)
-    keep = np.zeros(len(cloud), dtype=bool)
-    for lo, hi in boxes:
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        if np.any(lo > hi):
-            raise ParameterError(f"invalid box: min {lo} > max {hi}")
-        keep |= np.all((cloud.points >= lo) & (cloud.points <= hi), axis=1)
-    colors = cloud.colors[keep] if cloud.colors is not None else None
-    return PointCloud(cloud.points[keep], colors=colors, frame=cloud.frame)
 
 
 def voxel_downsample(cloud: PointCloud, voxel_m: float) -> PointCloud:

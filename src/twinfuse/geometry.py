@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, FrameMismatchError, InsufficientCorrespondencesError
+from .errors import (DegenerateGeometryError, FrameMismatchError,
+                     InsufficientCorrespondencesError, finite_number)
 
 RANSAC_CONFIDENCE = 0.99999
 RANSAC_THRESHOLD_M = 0.01
@@ -187,14 +188,15 @@ class RigidTransform:
     @classmethod
     def from_dict(cls, o, from_frame: str, to_frame: str) -> "RigidTransform":
         """Pose from the object ``to_dict`` writes, exactly. A missing key
-        raises KeyError, a malformed value one of ``errors.MALFORMED``, for
-        the caller to name in its own error."""
-        return cls(o["q_wxyz"], o["t_m"], from_frame, to_frame)
-
-
-def identity(frame: str = "world", to_frame: str | None = None) -> RigidTransform:
-    return RigidTransform(np.array([1.0, 0, 0, 0]), np.zeros(3),
-                          from_frame=frame, to_frame=frame if to_frame is None else to_frame)
+        raises KeyError, and a malformed value one of ``errors.MALFORMED``,
+        for the caller to name in its own error: a value that does not
+        convert, then an item that is not a finite number (a string or a
+        bool converts, but is not one)."""
+        pose = cls(o["q_wxyz"], o["t_m"], from_frame, to_frame)
+        for key in ("q_wxyz", "t_m"):
+            if not all(map(finite_number, o[key])):
+                raise ValueError(f"{key} must be finite numbers, got {o[key]!r}")
+        return pose
 
 
 def transform_from_matrix(rot: np.ndarray, t: np.ndarray,

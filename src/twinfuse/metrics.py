@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cameras import _cameras_by_id, project
+from .cameras import project
 from .errors import (InsufficientCorrespondencesError, NoOverlapError,
                      ParameterError, positive_number)
 from .geometry import PointCloud
@@ -131,21 +131,14 @@ def chamfer_one_sided(a: PointCloud, b: PointCloud,
     return mean_m * 1000.0
 
 
-def reprojection_stats(observations, cameras) -> tuple[float, float]:
-    """Mean and population std of pixel residuals.
-
-    ``observations`` is a sequence of ``(camera_id, (u, v), point_xyz)``;
-    ``cameras`` a sequence of CameraModel. Each 3D point is projected into
-    its camera and compared against the observed pixel.
-    """
-    cams = _cameras_by_id(cameras, [cam_id for cam_id, _, _ in observations])
-    residuals = []
-    for cam, (_, pixel, point) in zip(cams, observations):
-        uv = project(cam, np.asarray(point, dtype=float))
-        residuals.append(np.linalg.norm(np.asarray(pixel, dtype=float) - uv))
-    if not residuals:
+def reprojection_stats(cam, points, pixels) -> tuple[float, float]:
+    """Mean and population std of the distances between ``pixels`` (N, 2)
+    and the projections of ``points`` (N, 3) into ``cam``, one ``project``
+    call per point."""
+    r = np.array([np.linalg.norm(uv - project(cam, p))
+                  for p, uv in zip(points, pixels)])
+    if not len(r):
         return 0.0, 0.0
-    r = np.asarray(residuals)
     return float(r.mean()), float(r.std())
 
 

@@ -17,7 +17,7 @@ import numpy as np
 # this module because perfbench/spans.py wraps ``mocap.triangulate`` and
 # ``mocap.unproject``.
 from .cameras import (CameraModel, _camera_arrays, _camera_id,  # noqa: F401
-                      _cameras_by_id, _undistort, triangulate,
+                      _cameras_by_id, _normalized, _repeated, triangulate,
                       triangulate_batch, unproject)
 from .errors import (BehindCameraError, EmptySelectionError, ParameterError,
                      csv_rows, finite_number, reading)
@@ -101,11 +101,21 @@ class Keypoint2DFrame:
     def from_json(cls, text: str) -> "Keypoint2DFrame":
         o = json.loads(text)
         with reading("keypoint frame"):
-            persons = [PersonDetection(np.array(p["body"], dtype=float),
-                                       np.array(p["hand_l"], dtype=float),
-                                       np.array(p["hand_r"], dtype=float))
-                       for p in o["persons"]]
-            return cls(o["camera"], float(o["t_s"]), tuple(persons))
+            persons = []
+            for p in o["persons"]:
+                parts = [p["body"], p["hand_l"], p["hand_r"]]
+                persons.append(PersonDetection(
+                    *(np.array(rows, dtype=float) for rows in parts)))
+                # a string or a bool converts, but is not a number
+                bad = [v for rows in parts for row in rows for v in row
+                       if not finite_number(v)]
+                if bad:
+                    raise ValueError(f"keypoints must be finite numbers, "
+                                     f"got {bad[0]!r}")
+            camera, t_s = o["camera"], float(o["t_s"])
+            if not finite_number(o["t_s"]):  # "1.5" or true: the check names it
+                t_s = o["t_s"]
+            return cls(camera, t_s, tuple(persons))
 
 
 @dataclass(frozen=True)
@@ -170,6 +180,16 @@ def skeleton_track_from_csv(text: str) -> list[Skeleton3DFrame]:
 # ---------------------------------------------------------------------------
 # operations
 
+def _camera_ids(frames: list[Keypoint2DFrame]) -> list[str]:
+    """The camera id of each frame; two frames of one camera raise
+    ParameterError."""
+    ids = [fr.camera_id for fr in frames]
+    if len(set(ids)) < len(ids):
+        raise ParameterError(f"two keypoint frames of camera {_repeated(ids)!r} "
+                             f"at t = {frames[0].t_s} s")
+    return ids
+
+
 def select_surgeon(frames: list[Keypoint2DFrame], cameras: list[CameraModel],
                    table_center) -> dict[str, int | None]:
     """Per-camera index of the person nearest the operating table.
@@ -180,7 +200,7 @@ def select_surgeon(frames: list[Keypoint2DFrame], cameras: list[CameraModel],
     cameras are undistorted in one call, and distances are measured in each
     camera's frame, where they equal the world distances.
     """
-    frame_cameras = _cameras_by_id(cameras, [fr.camera_id for fr in frames])
+    frame_cameras = _cameras_by_id(cameras, _camera_ids(frames))
     slot, person, mean_px = [], [], []  # per person with nonzero confidence
     for k, fr in enumerate(frames):
         for idx, p in enumerate(fr.persons):
@@ -197,7 +217,7 @@ def select_surgeon(frames: list[Keypoint2DFrame], cameras: list[CameraModel],
     table = (rot @ np.asarray(table_center, dtype=float).reshape(3) + t)[slot]
     if np.any(table[:, 2] <= 0):
         raise BehindCameraError("table center is behind a camera")
-    xn = _undistort((np.array(mean_px) - center[slot]) / focal[slot], dist[:, slot])
+    xn = _normalized(np.array(mean_px), focal[slot], center[slot], dist[:, slot])
     lifted = np.column_stack([xn * table[:, 2:], table[:, 2]])
     gap = np.linalg.norm(lifted - table, axis=1)
     selection: dict[str, int | None] = {}
@@ -223,6 +243,7 @@ def triangulate_skeleton(frames: list[Keypoint2DFrame],
     t_s = frames[0].t_s
     if any(abs(f.t_s - t_s) > 1e-9 for f in frames):
         raise ParameterError("keypoint frames must share one timestamp")
+    _camera_ids(frames)
     persons = {}
     for fr in frames:
         idx = selection.get(fr.camera_id)

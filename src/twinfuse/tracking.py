@@ -11,7 +11,8 @@ import numpy as np
 
 from .errors import (AmbiguityError, CorrespondenceError,
                      InsufficientCorrespondencesError, NoOverlapError,
-                     ParameterError, csv_rows, positive_number, reading)
+                     ParameterError, csv_rows, finite_number, positive_number,
+                     reading)
 from .geometry import (PointCloud, RigidTransform, _freeze, _least_squares,
                        compose, kabsch)
 from .metrics import _kd_tree, _rms_mm
@@ -66,8 +67,14 @@ class MarkerArrayGeometry:
     def from_json(cls, text: str) -> "MarkerArrayGeometry":
         o = json.loads(text)
         with reading("marker array"):
-            return cls(np.array([m["position_m"] for m in o["markers"]]),
-                       radius_m=o["radius_m"])
+            positions = [m["position_m"] for m in o["markers"]]
+            geometry = cls(np.array(positions), radius_m=o["radius_m"])
+            # a string or a bool converts, but is not a number
+            bad = [v for p in positions for v in p if not finite_number(v)]
+            if bad:
+                raise ValueError(f"marker positions must be finite numbers, "
+                                 f"got {bad[0]!r}")
+        return geometry
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from twinfuse import cameras
 from twinfuse.cameras import (CONFIDENCE_FLOOR, CameraIntrinsics, CameraModel,
                               PixelObservation, _distort, _distort_jacobian,
-                              _undistort, estimate_time_offset,
-                              pixels_to_normalized, project, project_points,
-                              solve_pnp, triangulate, triangulate_batch,
-                              unproject)
+                              _normalized, _undistort, estimate_time_offset,
+                              project, project_points, solve_pnp, triangulate,
+                              triangulate_batch, unproject)
 from twinfuse.errors import (BehindCameraError, ConvergenceError,
                              DegenerateGeometryError,
                              InsufficientCorrespondencesError,
@@ -156,7 +155,7 @@ def test_normalized_coords_invert_distortion():
     xd = _distort(xn_true, DIST)
     pix = np.column_stack([INTR_DIST.fx * xd[:, 0] + INTR_DIST.cx,
                            INTR_DIST.fy * xd[:, 1] + INTR_DIST.cy])
-    xn = pixels_to_normalized(INTR_DIST, pix)
+    xn = _normalized(pix, INTR_DIST.focal, INTR_DIST.center, INTR_DIST.dist)
     assert np.max(np.abs(xn - xn_true)) < 1e-10
 
 

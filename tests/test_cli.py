@@ -322,6 +322,54 @@ def test_mocap_unknown_camera_is_pipeline_error(bundle_dir, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _mocap_args(bundle_dir, keypoints, cams, tmp_path):
+    return ["mocap", "--keypoints-dir", str(keypoints), "--cameras-dir",
+            str(cams), "--table-center", "0.5,0,0.9",
+            "--out", str(tmp_path / "skeleton.csv")]
+
+
+def _second_calibration(bundle_dir, tmp_path):
+    """A second calibration of cam2, 0.5 m away from the first."""
+    cams = _true_calibrations(bundle_dir, tmp_path / "cams")
+    cal = json.loads((cams / "cam2_calibration.json").read_text())
+    cal["world_from_camera"]["t_m"][0] += 0.5
+    (cams / "cam9_calibration.json").write_text(json.dumps(cal))
+    return (_mocap_args(bundle_dir, bundle_dir / "keypoints", cams, tmp_path),
+            "two cameras with id 'cam2'")
+
+
+def _second_keypoint_frame(bundle_dir, tmp_path):
+    """A second keypoint frame of cam1 at t = 0, its nose 300 px away."""
+    cams = _true_calibrations(bundle_dir, tmp_path / "cams")
+    keypoints = tmp_path / "keypoints"
+    shutil.copytree(bundle_dir / "keypoints", keypoints)
+    frame = json.loads((keypoints / "frame_00000_cam1.json").read_text())
+    frame["persons"][0]["body"][0][0] += 300.0
+    (keypoints / "frame_00000_cam1_copy.json").write_text(json.dumps(frame))
+    return (_mocap_args(bundle_dir, keypoints, cams, tmp_path),
+            "two keypoint frames of camera 'cam1' at t = 0.0 s")
+
+
+def _second_intrinsics(bundle_dir, tmp_path):
+    """A second intrinsics file whose id is cam2."""
+    cams_dir = tmp_path / "cameras"
+    shutil.copytree(bundle_dir / "cameras", cams_dir)
+    shutil.copy(cams_dir / "cam2_intrinsics.json", cams_dir / "cam9_intrinsics.json")
+    return (["register-cameras", "--markers",
+             str(bundle_dir / "reference_markers.json"),
+             "--cameras-dir", str(cams_dir), "--out", str(tmp_path / "out")],
+            f"two intrinsics files in {cams_dir} have camera id 'cam2'")
+
+
+@pytest.mark.parametrize("case", [_second_calibration, _second_keypoint_frame,
+                                  _second_intrinsics],
+                         ids=["calibration", "keypoint-frame", "intrinsics"])
+def test_camera_given_twice_is_one_error_line(bundle_dir, tmp_path, capsys, case):
+    argv, message = case(bundle_dir, tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def _with_pose(key, value):
     def corrupt(cal):
         cal["world_from_camera"][key] = value
@@ -926,13 +974,17 @@ def test_fuzzed_json_input_exits_0_or_1(fuzz_inputs, data):
 HUGE = 10 ** 400
 
 
-def _set(*keys):
-    """An edit that puts HUGE at the path ``keys`` of a JSON object."""
+def _set(*keys, value=HUGE):
+    """An edit that puts ``value`` at the path ``keys`` of a JSON object."""
     def edit(obj):
         for key in keys[:-1]:
             obj = obj[key]
-        obj[keys[-1]] = HUGE
+        obj[keys[-1]] = value
     return edit
+
+
+# Strings and bools convert to floats, but are not numbers.
+TEXT, FLAGS = ["1", "2", "3"], [True, False, False, False]
 
 
 @pytest.mark.parametrize("name, edit, message", [
@@ -950,8 +1002,35 @@ def _set(*keys):
      "marker pixels: 'uv' of 'M"),
     ("scene.json", _set("static", 0, "pose", "t_m", 2),
      "static node 'room' pose: int too large to convert to float"),
+    ("reference_markers.json", _set("markers", 0, "position_m", value=TEXT),
+     "marker 'M01' position must be 3 finite numbers, got ['1', '2', '3']"),
+    ("reference_markers.json", _set("markers", 0, "position_m", value=FLAGS[:3]),
+     "marker 'M01' position must be 3 finite numbers, got [True, False, False]"),
+    ("frame_00000_cam1.json", _set("t_s", value="1.5"),
+     "keypoint frame t_s must be a finite number, got '1.5'"),
+    ("frame_00000_cam1.json", _set("t_s", value=True),
+     "keypoint frame t_s must be a finite number, got True"),
+    ("frame_00000_cam1.json", _set("persons", 0, "body", 0, 0, value="640"),
+     "keypoint frame: keypoints must be finite numbers, got '640'"),
+    ("frame_00000_cam1.json", _set("persons", 0, "hand_r", 0, 2, value=True),
+     "keypoint frame: keypoints must be finite numbers, got True"),
+    ("cam1_calibration.json", _set("world_from_camera", "t_m", value=TEXT),
+     "camera model 'world_from_camera': t_m must be finite numbers, "
+     "got ['1', '2', '3']"),
+    ("cam1_calibration.json", _set("world_from_camera", "q_wxyz", value=FLAGS),
+     "camera model 'world_from_camera': q_wxyz must be finite numbers, "
+     "got [True, False, False, False]"),
+    ("scene.json", _set("static", 0, "pose", "t_m", value=TEXT),
+     "static node 'room' pose: t_m must be finite numbers, got ['1', '2', '3']"),
+    ("scene.json", _set("static", 0, "pose", "q_wxyz", value=FLAGS),
+     "static node 'room' pose: q_wxyz must be finite numbers, "
+     "got [True, False, False, False]"),
 ], ids=["marker-set", "keypoint-time", "keypoint", "intrinsics", "calibration",
-        "synth-config", "marker-pixels", "scene-static-pose"])
+        "synth-config", "marker-pixels", "scene-static-pose",
+        "marker-set-string", "marker-set-bool", "keypoint-time-string",
+        "keypoint-time-bool", "keypoint-string", "keypoint-bool",
+        "calibration-string", "calibration-bool", "scene-static-pose-string",
+        "scene-static-pose-bool"])
 def test_int_too_large_for_a_float_is_one_error_line(fuzz_inputs, capsys, name,
                                                      edit, message):
     path = next(p for p in fuzz_inputs if p.name == name)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from twinfuse.errors import InsufficientCorrespondencesError, ParameterError
-from twinfuse.fusion import (OUTLIER_K, MarkerSet, ScanRecord, crop_aabb,
+from twinfuse.fusion import (OUTLIER_K, MarkerSet, ScanRecord,
                              finalize_reference, fuse_scans, match_markers,
                              register_scan, remove_statistical_outliers,
                              voxel_downsample)
@@ -230,36 +230,6 @@ def test_finalize_floor_inliers_near_zero(default_bundle):
 
 # ---------------------------------------------------------------------------
 # post-processing
-
-def test_crop_keeps_inside_union():
-    cloud = PointCloud([[0.5, 0.5, 0.5], [2.0, 2.0, 2.0]])
-    out = crop_aabb(cloud, [(np.zeros(3), np.ones(3))])
-    assert len(out) == 1 and np.allclose(out.points[0], [0.5, 0.5, 0.5])
-
-
-def test_crop_full_box_is_identity():
-    rng = np.random.default_rng(0)
-    cloud = PointCloud(rng.normal(size=(50, 3)))
-    out = crop_aabb(cloud, [(-np.full(3, 10.0), np.full(3, 10.0))])
-    assert np.array_equal(out.points, cloud.points)
-
-
-def test_crop_invalid_box():
-    with pytest.raises(ParameterError):
-        crop_aabb(PointCloud([[0, 0, 0]]), [(np.ones(3), np.zeros(3))])
-
-
-@given(seeds)
-@settings(max_examples=25, deadline=None)
-def test_crop_output_subset(seed):
-    rng = np.random.default_rng(seed)
-    cloud = PointCloud(rng.uniform(-2, 2, size=(40, 3)))
-    lo = rng.uniform(-2, 0, size=3)
-    hi = lo + rng.uniform(0, 3, size=3)
-    out = crop_aabb(cloud, [(lo, hi)])
-    in_rows = {tuple(p) for p in cloud.points}
-    assert all(tuple(p) in in_rows for p in out.points)
-
 
 def test_voxel_tiny_voxel_is_identity():
     rng = np.random.default_rng(1)

@@ -16,7 +16,7 @@ from twinfuse.geometry import (RANSAC_MAX_DRAWS, RANSAC_SEED,
                                RigidTransform, _FLAT_ROWS, _least_squares,
                                _ransac_draws_needed, _sign_key, _solve,
                                _subtract_rows, apply, build_floor_frame,
-                               compose, fit_plane_pca, identity, invert, kabsch,
+                               compose, fit_plane_pca, invert, kabsch,
                                quat_from_axis_angle, quat_normalize,
                                ransac_plane_inliers, rotation_angle_deg)
 
@@ -36,7 +36,7 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 def test_compose_identity():
     t = random_transform(np.random.default_rng(0), "a", "b")
-    left = compose(t, identity("a"))
+    left = compose(t, RigidTransform([1, 0, 0, 0], np.zeros(3), "a", "a"))
     assert transforms_close(left, t, 1e-12, 1e-10)
 
 
@@ -72,7 +72,8 @@ def test_compose_associative(seed):
 
 
 def test_invert_identity():
-    assert transforms_close(invert(identity()), identity(), 0.0, 0.0)
+    one = RigidTransform([1, 0, 0, 0], np.zeros(3), "world", "world")
+    assert transforms_close(invert(one), one, 0.0, 0.0)
 
 
 def test_invert_translation():
@@ -109,7 +110,8 @@ def test_pose_dict_normalises_a_non_unit_quaternion():
 
 def test_apply_identity_and_translation():
     cloud = PointCloud([[0.0, 0.0, 0.0]], frame="world")
-    same = apply(identity("world"), cloud)
+    one = RigidTransform([1, 0, 0, 0], np.zeros(3), "world", "world")
+    same = apply(one, cloud)
     assert np.array_equal(same.points, cloud.points)
     t = RigidTransform([1, 0, 0, 0], [0, 0, 1.0], "world", "up")
     moved = apply(t, cloud)
@@ -120,7 +122,8 @@ def test_apply_identity_and_translation():
 def test_apply_frame_mismatch():
     cloud = PointCloud([[0.0, 0.0, 0.0]], frame="other")
     with pytest.raises(FrameMismatchError):
-        apply(identity("world"), cloud)
+        apply(RigidTransform([1, 0, 0, 0], np.zeros(3), "world", "world"),
+              cloud)
 
 
 @given(seeds)
@@ -141,7 +144,8 @@ def test_apply_is_isometry(seed):
 def test_kabsch_identity_on_equal_sets():
     src = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0.5]], dtype=float)
     t = kabsch(src, src)
-    assert transforms_close(t, identity("src", "dst"), 1e-12, 1e-9)
+    assert transforms_close(t, RigidTransform([1, 0, 0, 0], np.zeros(3), "src", "dst"),
+                            1e-12, 1e-9)
     assert np.linalg.norm(t.apply_points(src) - src) < 1e-12
 
 

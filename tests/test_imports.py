@@ -1,18 +1,19 @@
 """AST checks of the twinfuse modules: every name a module imports is used
-in that module, the public API has no solver settings, and each rule
-written once stays in its one place."""
+in that module, the public API has no solver settings and no name without a
+caller, and each rule written once stays in its one place."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "twinfuse"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "twinfuse"
 
 # Bound in mocap only so that perfbench/spans.py can wrap them there.
 ALLOWED = {("mocap.py", "triangulate"), ("mocap.py", "unproject")}
 
-# __init__.py imports to re-export: its names are the package's public API.
+# __init__.py holds only the package docstring and version.
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -114,21 +115,22 @@ def test_number_rule_written_once():
     assert {name for name, n in calls.items() if n} == {"errors.py"}
 
 
+def _callers(source: str, called) -> list[str]:
+    """Name of the module-level function or class around each call whose
+    ``func`` node satisfies ``called``."""
+    return [getattr(top, "name", "<module>") for top in ast.parse(source).body
+            for n in ast.walk(top) if isinstance(n, ast.Call) and called(n.func)]
+
+
 # A frozen value type sets its fields through one helper, geometry._freeze:
 # no other code calls setflags or object.__setattr__.
 def _field_setters(source: str) -> list[str]:
     """Name of the module-level function or class around each call of
     ``setflags`` or ``object.__setattr__``."""
-    found = []
-    for top in ast.parse(source).body:
-        for n in ast.walk(top):
-            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and (
-                    n.func.attr == "setflags"
-                    or (n.func.attr == "__setattr__"
-                        and isinstance(n.func.value, ast.Name)
-                        and n.func.value.id == "object")):
-                found.append(getattr(top, "name", "<module>"))
-    return found
+    return _callers(source, lambda f: isinstance(f, ast.Attribute) and (
+        f.attr == "setflags"
+        or (f.attr == "__setattr__" and isinstance(f.value, ast.Name)
+            and f.value.id == "object")))
 
 
 def test_field_setter_detector():
@@ -142,3 +144,61 @@ def test_field_setter_detector():
 def test_frozen_fields_set_in_one_helper():
     found = {(p.name, name) for p in MODULES for name in _field_setters(p.read_text())}
     assert found == {("geometry.py", "_freeze")}
+
+
+# The pixel-to-ray rule is written once, in cameras._normalized: no other
+# code undistorts.
+def _undistort_callers(source: str) -> list[str]:
+    return _callers(source, lambda f: getattr(f, "id", getattr(f, "attr", None))
+                    == "_undistort")
+
+
+def test_undistort_caller_detector():
+    source = ("from .cameras import _undistort\nfrom . import cameras\n"
+              "def f(x):\n    return _undistort(x, d)\n"
+              "class C:\n    y = cameras._undistort(1, 2)\n"
+              "g = _undistort\n")
+    assert _undistort_callers(source) == ["f", "C"]
+
+
+def test_pixel_to_ray_rule_written_once():
+    found = {(p.name, name) for p in MODULES
+             for name in _undistort_callers(p.read_text())}
+    assert found == {("cameras.py", "_normalized")}
+
+
+# Every public top-level function and class has a caller outside the unit
+# tests: a Name or Attribute node (an import does not count) in the package,
+# perfbench, scripts or the acceptance tests.
+CALLER_FILES = (MODULES + sorted((ROOT / "perfbench").glob("*.py"))
+                + sorted((ROOT / "scripts").glob("*.py"))
+                + [ROOT / "tests" / "test_acceptance.py"])
+
+
+def _public_names(source: str) -> set[str]:
+    return {n.name for n in ast.parse(source).body
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+            and not n.name.startswith("_")}
+
+
+def _referenced_names(source: str) -> set[str]:
+    nodes = list(ast.walk(ast.parse(source)))
+    return ({n.id for n in nodes if isinstance(n, ast.Name)}
+            | {n.attr for n in nodes if isinstance(n, ast.Attribute)})
+
+
+def test_public_name_detectors():
+    source = ("from .a import used, imported_only\nimport b\n"
+              "def f():\n    return used(b.g)\nclass C:\n    def m(self):\n"
+              "        pass\ndef _p():\n    pass\n")
+    assert _public_names(source) == {"f", "C"}
+    assert _referenced_names(source) == {"used", "b", "g"}
+
+
+def test_public_names_have_callers():
+    referenced = set().union(*(_referenced_names(p.read_text())
+                               for p in CALLER_FILES))
+    uncalled = sorted((p.name, name) for p in MODULES
+                      for name in _public_names(p.read_text())
+                      if name not in referenced)
+    assert uncalled == []

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from twinfuse.cameras import CameraIntrinsics, CameraModel, project
 from twinfuse.errors import (InsufficientCorrespondencesError, NoOverlapError,
-                             ParameterError, UnknownEntityError)
+                             ParameterError)
 from twinfuse.fusion import MarkerSet
 from twinfuse.geometry import PointCloud
 from twinfuse.metrics import (chamfer, chamfer_one_sided, marker_rmse,
@@ -162,8 +162,7 @@ def test_reprojection_exact_points_zero():
     cam = _camera()
     rng = np.random.default_rng(0)
     pts = rng.uniform(-0.5, 0.5, size=(10, 3))
-    obs = [(cam.id, project(cam, p), p) for p in pts]
-    mean, std = reprojection_stats(obs, [cam])
+    mean, std = reprojection_stats(cam, pts, [project(cam, p) for p in pts])
     assert mean < 1e-9 and std < 1e-9
 
 
@@ -171,8 +170,8 @@ def test_reprojection_known_residuals():
     cam = _camera()
     pts = np.array([[0.0, 0, 0], [0.2, 0, 0], [0.0, 0.2, 0], [0.1, 0.1, 0]])
     shifts = np.array([[3.0, 4.0], [1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
-    obs = [(cam.id, project(cam, p) + s, p) for p, s in zip(pts, shifts)]
-    mean, std = reprojection_stats(obs, [cam])
+    pixels = [project(cam, p) + s for p, s in zip(pts, shifts)]
+    mean, std = reprojection_stats(cam, pts, pixels)
     norms = np.array([5.0, 1.0, 2.0, 0.0])
     assert mean == pytest.approx(norms.mean(), abs=1e-9)
     assert std == pytest.approx(norms.std(), abs=1e-9)
@@ -185,29 +184,14 @@ def test_reprojection_multi_camera():
                                               from_frame="camera:cam1",
                                               to_frame="world"))
     p = np.array([0.05, -0.1, 0.2])
-    obs = [(c.id, project(c, p), p) for c in cams]
-    mean, _ = reprojection_stats(obs, cams)
-    assert mean < 1e-9
-
-
-def test_reprojection_unknown_camera():
-    cam = _camera()
-    with pytest.raises(UnknownEntityError):
-        reprojection_stats([("ghost", (0.0, 0.0), np.zeros(3))], [cam])
-
-
-def test_reprojection_names_first_unknown_camera():
-    cam = _camera()
-    obs = [(cam.id, (0.0, 0.0), np.array([0.0, 0.0, 1.0])),
-           ("ghost", (0.0, 0.0), np.zeros(3)),
-           ("phantom", (0.0, 0.0), np.zeros(3))]
-    with pytest.raises(UnknownEntityError) as exc_info:
-        reprojection_stats(obs, [cam])
-    assert str(exc_info.value) == "unknown camera id 'ghost'"
+    for c in cams:
+        mean, _ = reprojection_stats(c, [p], [project(c, p)])
+        assert mean < 1e-9
 
 
 def test_reprojection_empty_observations():
-    assert reprojection_stats([], [_camera()]) == (0.0, 0.0)
+    assert reprojection_stats(_camera(), np.zeros((0, 3)),
+                              np.zeros((0, 2))) == (0.0, 0.0)
 
 
 def test_reprojection_table_layout():

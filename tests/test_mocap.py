@@ -411,6 +411,22 @@ def test_skeleton_unknown_camera_id():
                              [c for c in cams if c.id != "cam2"])
 
 
+@pytest.mark.parametrize("solve", [
+    lambda frames, cams: select_surgeon(frames, cams, TABLE),
+    lambda frames, cams: triangulate_skeleton(frames, {c.id: 0 for c in cams},
+                                              cams),
+], ids=["select", "triangulate"])
+def test_one_camera_given_twice(solve):
+    cams = _cameras()
+    points = _skeleton_points(np.random.default_rng(6), TABLE)
+    frames = _frames(cams, {c.id: [_person_from_points(c, points)] for c in cams})
+    with pytest.raises(ParameterError,
+                       match="two keypoint frames of camera 'cam1' at t = 0.0 s"):
+        solve(frames + [frames[1]], cams)
+    with pytest.raises(ParameterError, match="two cameras with id 'cam1'"):
+        solve(frames, cams + [cams[1]])
+
+
 # ---------------------------------------------------------------------------
 # smooth_skeleton
 

@@ -381,8 +381,10 @@ def test_array_geometry_json_missing_key(key):
     lambda o: {**o, "radius_m": "x"},
     lambda o: [1],
     lambda o: {**o, "markers": [{"position_m": ["a", 0, 0]}] + o["markers"][1:]},
+    lambda o: {**o, "markers": [{"position_m": ["1", 0, 0]}] + o["markers"][1:]},
+    lambda o: {**o, "markers": [{"position_m": [True, 0, 0]}] + o["markers"][1:]},
 ], ids=["markers-not-list", "radius-not-number", "top-level-list",
-        "non-numeric-position"])
+        "non-numeric-position", "string-position", "bool-position"])
 def test_array_geometry_json_malformed(edit):
     obj = edit(json.loads(ARRAY.to_json()))
     with pytest.raises(ParameterError):
