@@ -11,7 +11,7 @@ import numpy as np
 from .errors import (BehindCameraError, ConvergenceError, DegenerateGeometryError,
                      InsufficientCorrespondencesError, InsufficientViewsError,
                      NoOverlapError, ParameterError, UnknownEntityError,
-                     finite_number, reading)
+                     _repeated, finite_number, reading)
 from .geometry import (RigidTransform, _freeze, _least_squares, invert,
                        matrix_to_quat, quat_to_matrix, transform_from_matrix)
 
@@ -113,16 +113,6 @@ class PixelObservation:
             raise ParameterError("confidence must be in [0, 1]")
         if not (np.isfinite(self.u) and np.isfinite(self.v)):
             raise ParameterError("pixel coordinates must be finite")
-
-
-def _repeated(ids):
-    """The first item of ``ids`` that an earlier item equals, or None."""
-    seen = set()
-    for i in ids:
-        if i in seen:
-            return i
-        seen.add(i)
-    return None
 
 
 def _cameras_by_id(cameras: list[CameraModel], ids) -> list[CameraModel]:
@@ -284,15 +274,12 @@ def _matrix_to_rotvec(m: np.ndarray) -> np.ndarray:
 
 def _dlt_pose(points: np.ndarray, xn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Linear camera pose [R|t] from world points and normalized coords."""
-    n = len(points)
-    a = np.zeros((2 * n, 12))
-    for i in range(n):
-        X = np.concatenate([points[i], [1.0]])
-        a[2 * i, 0:4] = X
-        a[2 * i, 8:12] = -xn[i, 0] * X
-        a[2 * i + 1, 4:8] = X
-        a[2 * i + 1, 8:12] = -xn[i, 1] * X
-    _, sv, vt = np.linalg.svd(a)
+    X = np.column_stack([points, np.ones(len(points))])  # homogeneous points
+    a = np.zeros((len(points), 2, 12))  # the u row and the v row of each point
+    a[:, 0, 0:4] = X
+    a[:, 1, 4:8] = X
+    a[:, :, 8:12] = -xn[:, :, None] * X[:, None]
+    _, sv, vt = np.linalg.svd(a.reshape(-1, 12))
     if sv[-2] <= 1e-12 * sv[0]:
         raise DegenerateGeometryError("DLT system is rank-deficient")
     p = vt[-1].reshape(3, 4)

@@ -15,10 +15,9 @@ import sys
 import numpy as np
 
 from . import fusion, metrics, mocap, scene, synth
-from .cameras import (CameraIntrinsics, CameraModel, _camera_id, _repeated,
-                      solve_pnp)
+from .cameras import CameraIntrinsics, CameraModel, _camera_id, solve_pnp
 from .errors import (EmptySelectionError, ParameterError, TwinfuseError,
-                     finite_number, parse_file, reading)
+                     _repeated, finite_number, parse_file, reading)
 from .fusion import MarkerSet, ScanRecord
 from .geometry import PointCloud
 from .metrics import render_reprojection_table

@@ -133,6 +133,16 @@ def csv_rows(text: str, what: str, header: str, types):
         yield n, row
 
 
+def _repeated(ids):
+    """The first item of ``ids`` that an earlier item equals, or None."""
+    seen = set()
+    for i in ids:
+        if i in seen:
+            return i
+        seen.add(i)
+    return None
+
+
 def finite_number(value, kinds=(int, float)) -> bool:
     """Whether ``value`` is a finite number of one of ``kinds`` (by default
     the numbers JSON parses to) and not a bool."""

@@ -10,7 +10,8 @@ import numpy as np
 
 from .errors import (MALFORMED, DegenerateGeometryError,
                      InsufficientCorrespondencesError, ParameterError,
-                     TwinfuseError, finite_number, positive_number, reading)
+                     TwinfuseError, _repeated, finite_number, positive_number,
+                     reading)
 from .geometry import (PointCloud, RigidTransform, _freeze, apply,
                        build_floor_frame, kabsch, ransac_plane_inliers)
 from .metrics import _kd_tree, _mean_table, _nn_distances, _rms_mm, chamfer
@@ -23,6 +24,14 @@ OUTLIER_STD_RATIO = 2.0
 _BAD_POSITION = "marker {!r} position must be 3 finite numbers, got {!r}"
 
 
+def _unique_marker_ids(ids) -> None:
+    """Raise ParameterError naming the first marker id given twice; ids
+    compare as the strings MarkerSet stores."""
+    mid = _repeated(map(str, ids))
+    if mid is not None:
+        raise ParameterError(f"two markers with id {mid!r}")
+
+
 @dataclass(frozen=True)
 class MarkerSet:
     """Labeled fiducial positions (meters) in a named frame."""
@@ -31,6 +40,7 @@ class MarkerSet:
     positions: dict  # id -> np.ndarray (3,)
 
     def __post_init__(self):
+        _unique_marker_ids(self.positions)
         pos = {}
         for mid, p in self.positions.items():
             try:
@@ -58,7 +68,9 @@ class MarkerSet:
         with reading("marker set", "marker set is not an object with a list "
                                    "of marker objects under 'markers'"):
             frame = obj["frame"]
-            positions = {m["id"]: m["position_m"] for m in obj["markers"]}
+            markers = [(m["id"], m["position_m"]) for m in obj["markers"]]
+            _unique_marker_ids(mid for mid, _ in markers)
+            positions = dict(markers)
         for mid, p in positions.items():
             if not (isinstance(p, list) and all(map(finite_number, p))):
                 raise ParameterError(_BAD_POSITION.format(mid, p))

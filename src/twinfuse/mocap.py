@@ -17,29 +17,33 @@ import numpy as np
 # this module because perfbench/spans.py wraps ``mocap.triangulate`` and
 # ``mocap.unproject``.
 from .cameras import (CameraModel, _camera_arrays, _camera_id,  # noqa: F401
-                      _cameras_by_id, _normalized, _repeated, triangulate,
+                      _cameras_by_id, _normalized, triangulate,
                       triangulate_batch, unproject)
 from .errors import (BehindCameraError, EmptySelectionError, ParameterError,
-                     csv_rows, finite_number, reading)
+                     _repeated, csv_rows, finite_number, reading)
 from .geometry import _freeze
 from .tracking import _window_slices
 
 N_BODY = 25
 N_HAND = 21
 N_JOINTS = N_BODY + 2 * N_HAND  # 67
-_PARTS = (("body", N_BODY), ("hand_left", N_HAND), ("hand_right", N_HAND))
+# each part of a person's keypoints: name in messages, JSON key, rows
+_PARTS = (("body", "body", slice(0, N_BODY)),
+          ("hand_left", "hand_l", slice(N_BODY, N_BODY + N_HAND)),
+          ("hand_right", "hand_r", slice(N_BODY + N_HAND, N_JOINTS)))
 
 
 def _keypoints_ok(kp: np.ndarray) -> bool:
     """Rows (u, v, confidence) all finite, with confidences in [0, 1]."""
-    conf = kp[:, 2]
-    return bool(np.isfinite(kp).all() and conf.min() >= 0 and conf.max() <= 1)
+    conf = kp[..., 2]
+    return bool(np.isfinite(kp).all() and (conf >= 0).all() and (conf <= 1).all())
 
 
-def _checked_part(name: str, n: int, value) -> np.ndarray:
-    """One part of a PersonDetection as an (n, 3) float array, or its first
-    error: the conversion, then the shape, then the values."""
+def _checked_part(name: str, rows: slice, value) -> np.ndarray:
+    """One part of a person's keypoints as an (n, 3) float array, or its
+    first error: the conversion, then the shape, then the values."""
     a = np.asarray(value, dtype=float)
+    n = rows.stop - rows.start
     if a.shape != (n, 3):
         raise ParameterError(f"{name} must have shape ({n}, 3), got {a.shape}")
     if not np.isfinite(a).all():
@@ -50,51 +54,33 @@ def _checked_part(name: str, n: int, value) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PersonDetection:
-    """One person's 2D keypoints in one image: rows are (u, v, confidence)."""
-
-    body: np.ndarray       # (25, 3)
-    hand_left: np.ndarray  # (21, 3)
-    hand_right: np.ndarray  # (21, 3)
-
-    def __post_init__(self):
-        given = [getattr(self, name) for name, _ in _PARTS]
-        try:
-            arrays = [np.asarray(v, dtype=float) for v in given]
-        except (TypeError, ValueError, OverflowError):
-            arrays = []
-        # all three parts in one pass; on a fault, find the first part by part
-        if not (arrays and all(a.shape == (n, 3) for a, (_, n) in zip(arrays, _PARTS))
-                and _keypoints_ok(np.concatenate(arrays))):
-            arrays = [_checked_part(name, n, v) for (name, n), v in zip(_PARTS, given)]
-        _freeze(self, **{name: a for (name, _), a in zip(_PARTS, arrays)})
-
-    def all_joints(self) -> np.ndarray:
-        return np.vstack([self.body, self.hand_left, self.hand_right])
-
-
-@dataclass(frozen=True)
 class Keypoint2DFrame:
+    """One camera's 2D keypoints at one time: ``keypoints[p, j]`` is
+    (u, v, confidence) of joint j of person p, body joints first."""
+
     camera_id: str
     t_s: float
-    persons: tuple
+    keypoints: np.ndarray  # (persons, 67, 3)
 
     def __post_init__(self):
         _camera_id(self.camera_id)
         if not finite_number(self.t_s, numbers.Real):
             raise ParameterError(f"keypoint frame t_s must be a finite number, "
                                  f"got {self.t_s!r}")
-        _freeze(self, persons=tuple(self.persons))
+        kp = np.asarray(self.keypoints, dtype=float)
+        if kp.ndim != 3 or kp.shape[1:] != (N_JOINTS, 3):
+            raise ParameterError(f"keypoints must have shape (persons, {N_JOINTS}, 3), "
+                                 f"got {kp.shape}")
+        if not _keypoints_ok(kp):
+            raise ParameterError("keypoints must be finite, with confidences in [0, 1]")
+        _freeze(self, keypoints=kp)
 
     def to_json(self) -> str:
         return json.dumps({
             "camera": self.camera_id,
             "t_s": self.t_s,
-            "persons": [{
-                "body": p.body.tolist(),
-                "hand_l": p.hand_left.tolist(),
-                "hand_r": p.hand_right.tolist(),
-            } for p in self.persons],
+            "persons": [{key: person[rows].tolist() for _, key, rows in _PARTS}
+                        for person in self.keypoints],
         })
 
     @classmethod
@@ -103,9 +89,9 @@ class Keypoint2DFrame:
         with reading("keypoint frame"):
             persons = []
             for p in o["persons"]:
-                parts = [p["body"], p["hand_l"], p["hand_r"]]
-                persons.append(PersonDetection(
-                    *(np.array(rows, dtype=float) for rows in parts)))
+                parts = [p[key] for _, key, _ in _PARTS]
+                persons.append(np.vstack([_checked_part(name, rows, part) for
+                                          (name, _, rows), part in zip(_PARTS, parts)]))
                 # a string or a bool converts, but is not a number
                 bad = [v for rows in parts for row in rows for v in row
                        if not finite_number(v)]
@@ -115,7 +101,7 @@ class Keypoint2DFrame:
             camera, t_s = o["camera"], float(o["t_s"])
             if not finite_number(o["t_s"]):  # "1.5" or true: the check names it
                 t_s = o["t_s"]
-            return cls(camera, t_s, tuple(persons))
+            return cls(camera, t_s, np.reshape(persons, (-1, N_JOINTS, 3)))
 
 
 @dataclass(frozen=True)
@@ -147,7 +133,7 @@ def skeleton_track_to_csv(frames: list[Skeleton3DFrame]) -> str:
 
 
 def skeleton_track_from_csv(text: str) -> list[Skeleton3DFrame]:
-    by_t: dict[float, list] = {}  # rows per timestamp, in first-seen order
+    by_t: dict[float, dict] = {}  # rows per timestamp, in first-seen order
     for n, (t, j, x, y, z, residual, valid) in csv_rows(
             text, "skeleton CSV", "t_s,joint_id",
             [float, int, float, float, float, float, int]):
@@ -163,13 +149,17 @@ def skeleton_track_from_csv(text: str) -> list[Skeleton3DFrame]:
         if valid and not all(map(finite_number, (x, y, z, residual))):
             raise ParameterError(f"skeleton CSV line {n}: a valid joint's "
                                  f"position and residual must be finite")
-        by_t.setdefault(t, []).append((j, [x, y, z], residual, valid == 1))
+        rows = by_t.setdefault(t, {})  # joint id -> row
+        if j in rows:
+            raise ParameterError(f"skeleton CSV line {n}: joint {j} at "
+                                 f"t_s = {t!r} given twice")
+        rows[j] = ([x, y, z], residual, valid == 1)
     frames = []
     for t, rows in by_t.items():
         pos = np.zeros((N_JOINTS, 3))
         res = np.zeros(N_JOINTS)
         val = np.zeros(N_JOINTS, dtype=bool)
-        for j, p, residual, valid in rows:
+        for j, (p, residual, valid) in rows.items():
             pos[j] = p
             res[j] = residual
             val[j] = valid
@@ -201,29 +191,29 @@ def select_surgeon(frames: list[Keypoint2DFrame], cameras: list[CameraModel],
     camera's frame, where they equal the world distances.
     """
     frame_cameras = _cameras_by_id(cameras, _camera_ids(frames))
-    slot, person, mean_px = [], [], []  # per person with nonzero confidence
-    for k, fr in enumerate(frames):
-        for idx, p in enumerate(fr.persons):
-            kp = p.all_joints()
-            w = kp[:, 2]
-            if w.sum() > 0:
-                slot.append(k)
-                person.append(idx)
-                mean_px.append((kp[:, :2] * w[:, None]).sum(axis=0) / w.sum())
-    if not slot:
+    counts = [len(fr.keypoints) for fr in frames]
+    kp = np.concatenate([np.zeros((0, N_JOINTS, 3))]  # all persons, in order
+                        + [fr.keypoints for fr in frames])
+    seen = np.flatnonzero(kp[..., 2].sum(axis=1) > 0)  # nonzero confidence
+    if not len(seen):
         raise EmptySelectionError("no person detected in any camera")
-    slot = np.array(slot)
+    slot = np.repeat(np.arange(len(frames)), counts)[seen]  # frame of each
+    person = seen - np.cumsum([0] + counts)[slot]  # its index in that frame
+    kp = kp[seen]
+    w = kp[..., 2]
+    mean_px = (kp[..., :2] * w[..., None]).sum(axis=1) / w.sum(axis=1)[:, None]
     rot, t, focal, center, dist = _camera_arrays(frame_cameras)
     table = (rot @ np.asarray(table_center, dtype=float).reshape(3) + t)[slot]
     if np.any(table[:, 2] <= 0):
         raise BehindCameraError("table center is behind a camera")
-    xn = _normalized(np.array(mean_px), focal[slot], center[slot], dist[:, slot])
+    xn = _normalized(mean_px, focal[slot], center[slot], dist[:, slot])
     lifted = np.column_stack([xn * table[:, 2:], table[:, 2]])
     gap = np.linalg.norm(lifted - table, axis=1)
     selection: dict[str, int | None] = {}
     for k, fr in enumerate(frames):
         rows = np.flatnonzero(slot == k)
-        selection[fr.camera_id] = person[rows[np.argmin(gap[rows])]] if len(rows) else None
+        selection[fr.camera_id] = (int(person[rows[np.argmin(gap[rows])]])
+                                   if len(rows) else None)
     return selection
 
 
@@ -247,11 +237,11 @@ def triangulate_skeleton(frames: list[Keypoint2DFrame],
     persons = {}
     for fr in frames:
         idx = selection.get(fr.camera_id)
-        if idx is not None and idx < len(fr.persons):
-            persons[fr.camera_id] = fr.persons[idx]
+        if idx is not None and idx < len(fr.keypoints):
+            persons[fr.camera_id] = fr.keypoints[idx]
     kp = np.zeros((N_JOINTS, len(persons), 3))
     for k, person in enumerate(persons.values()):
-        kp[:, k] = person.all_joints()
+        kp[:, k] = person
     positions, residuals, errors = triangulate_batch(
         kp[..., :2], kp[..., 2], _cameras_by_id(cameras, list(persons)))
     return Skeleton3DFrame(t_s, positions, residuals, [e is None for e in errors])

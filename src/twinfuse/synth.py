@@ -22,8 +22,7 @@ from .fusion import MarkerSet, ScanRecord
 from .geometry import (PointCloud, RigidTransform, compose, invert,
                        quat_from_axis_angle, quat_multiply, quat_normalize,
                        rotation_angle_deg, transform_from_matrix)
-from .mocap import (N_BODY, N_HAND, N_JOINTS, Keypoint2DFrame, PersonDetection,
-                    Skeleton3DFrame)
+from .mocap import N_JOINTS, Keypoint2DFrame, Skeleton3DFrame
 from .ply import save_ply
 from .tracking import PoseTrack
 
@@ -415,11 +414,8 @@ def generate(config: SynthConfig) -> GroundTruthBundle:
             skeleton_true.append(Skeleton3DFrame(t, persons[k, 0],
                                                  np.zeros(N_JOINTS),
                                                  np.ones(N_JOINTS, dtype=bool)))
-            keypoint_frames.append([
-                Keypoint2DFrame(cam.id, t, tuple(
-                    PersonDetection(p[:N_BODY], p[N_BODY:N_BODY + N_HAND],
-                                    p[N_BODY + N_HAND:]) for p in kp[k, c]))
-                for c, cam in enumerate(cameras)])
+            keypoint_frames.append([Keypoint2DFrame(cam.id, t, kp[k, c])
+                                    for c, cam in enumerate(cameras)])
 
     return GroundTruthBundle(
         config=config, room_cloud=room_cloud, markers=markers, scans=scans,

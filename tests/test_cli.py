@@ -233,6 +233,10 @@ def test_register_cameras_marker_pixels_missing_key(bundle_dir, tmp_path,
                  "marker set is not an object with a list of marker objects "
                  "under 'markers'",
                  id="markers-not-list"),
+    # a second M01, 0.5 m from the first, is an error, not a moved marker
+    pytest.param(lambda o: {**o, "markers": o["markers"] + [{
+        "id": "M01", "position_m": [x + 0.5 for x in o["markers"][0]["position_m"]]}]},
+                 "two markers with id 'M01'", id="id-twice"),
 ])
 def test_register_cameras_reference_markers_missing_key(bundle_dir, tmp_path,
                                                         capsys, corrupt,
@@ -659,7 +663,8 @@ def test_scene_validates_saved_scene(tmp_path, capsys):
     assert "scene OK" in capsys.readouterr().out
 
 
-def test_scene_rejects_short_skeleton_row(tmp_path, capsys):
+def _saved_skeleton_scene(tmp_path):
+    """The skeleton CSV of a saved two-frame skeleton scene in ``tmp_path``."""
     from twinfuse import scene as scene_mod
     from twinfuse.mocap import N_JOINTS, Skeleton3DFrame
     rng = np.random.default_rng(0)
@@ -669,13 +674,27 @@ def test_scene_rejects_short_skeleton_row(tmp_path, capsys):
     d = tmp_path / "scene"
     scene_mod.save(scene_mod.assemble(
         skeleton_nodes=[scene_mod.SkeletonNode("surgeon", frames)]), d)
-    csv = d / "surgeon_skeleton.csv"
+    return d / "surgeon_skeleton.csv"
+
+
+def test_scene_rejects_short_skeleton_row(tmp_path, capsys):
+    csv = _saved_skeleton_scene(tmp_path)
     n_lines = len(csv.read_text().splitlines())
     csv.write_text(csv.read_text() + "0.0,1\n")
-    assert main(["scene", str(d)]) == 1
+    assert main(["scene", str(csv.parent)]) == 1
     err = capsys.readouterr().err
     assert err == (f"error: {csv}: skeleton CSV line {n_lines + 1}: "
                    f"expected 7 columns, got 2\n")
+
+
+def test_scene_rejects_repeated_skeleton_row(tmp_path, capsys):
+    csv = _saved_skeleton_scene(tmp_path)
+    lines = csv.read_text().splitlines()
+    csv.write_text("\n".join(lines + [lines[5]]) + "\n")
+    assert main(["scene", str(csv.parent)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {csv}: skeleton CSV line {len(lines) + 1}: joint 4 at "
+        f"t_s = 0.1 given twice\n")
 
 
 def test_scene_reports_missing_opaque_asset(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Marker-based scan registration, cloud fusion, and post-processing."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -467,6 +469,23 @@ def test_marker_set_json_round_trip():
     assert set(back.positions) == set(m.positions)
     for k in m.positions:
         assert np.array_equal(back.positions[k], m.positions[k])
+
+
+@pytest.mark.parametrize("ids, repeated", [
+    (["M01", "M02", "M01"], "M01"),
+    ([1, "2", "1"], "1"),  # ids are stored as strings
+])
+def test_marker_set_json_id_given_twice(ids, repeated):
+    markers = [{"id": mid, "position_m": [float(k), 0.0, 1.0]}
+               for k, mid in enumerate(ids)]
+    text = json.dumps({"frame": "ref", "markers": markers})
+    with pytest.raises(ParameterError, match=f"^two markers with id '{repeated}'$"):
+        MarkerSet.from_json(text)
+
+
+def test_marker_set_ids_equal_as_strings():
+    with pytest.raises(ParameterError, match="^two markers with id '1'$"):
+        MarkerSet("ref", {1: [0.0, 0.0, 1.0], "1": [1.0, 0.0, 1.0]})
 
 
 def test_scan_record_frame_check():

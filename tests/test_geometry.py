@@ -585,14 +585,11 @@ def _value_types():
     a function that builds the value from them and returns its arrays in the
     same order."""
     from twinfuse.fusion import MarkerSet
-    from twinfuse.mocap import N_BODY, N_HAND, N_JOINTS, PersonDetection, Skeleton3DFrame
+    from twinfuse.mocap import N_JOINTS, Keypoint2DFrame, Skeleton3DFrame
     from twinfuse.tracking import MarkerArrayGeometry, PoseTrack
 
     rng = np.random.default_rng(7)
     quats = np.array([quat_normalize(rng.normal(size=4)) for _ in range(3)])
-
-    def keypoints(n):
-        return np.column_stack([rng.uniform(0, 600, (n, 2)), rng.uniform(0, 1, n)])
 
     def fields(value, *names):
         return [getattr(value, name) for name in names]
@@ -612,9 +609,9 @@ def _value_types():
         "PoseTrack": ([np.arange(3.0), quats, rng.normal(size=(3, 3))],
                       lambda t, q, tr: fields(PoseTrack("reference", t, q, tr),
                                               "times", "quats", "translations")),
-        "PersonDetection": ([keypoints(N_BODY), keypoints(N_HAND), keypoints(N_HAND)],
-                            lambda b, hl, hr: fields(PersonDetection(b, hl, hr), "body",
-                                                     "hand_left", "hand_right")),
+        "Keypoint2DFrame": ([rng.uniform(0, 1, (2, N_JOINTS, 3))],
+                            lambda kp: fields(Keypoint2DFrame("cam0", 0.5, kp),
+                                              "keypoints")),
         "Skeleton3DFrame": ([rng.normal(size=(N_JOINTS, 3)), rng.uniform(0, 1, N_JOINTS),
                              rng.uniform(0, 1, N_JOINTS) > 0.5],
                             lambda p, r, v: fields(Skeleton3DFrame(0.5, p, r, v),

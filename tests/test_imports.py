@@ -202,3 +202,27 @@ def test_public_names_have_callers():
                       for name in _public_names(p.read_text())
                       if name not in referenced)
     assert uncalled == []
+
+
+# The joint layout (25 body joints, then 21 per hand) and the part table of
+# the keypoint file are written once, in mocap: no other module imports or
+# references N_BODY, N_HAND or _PARTS.
+LAYOUT_NAMES = {"N_BODY", "N_HAND", "_PARTS"}
+
+
+def _layout_references(source: str) -> set[str]:
+    imported = {a.name for n in ast.walk(ast.parse(source))
+                if isinstance(n, ast.ImportFrom) for a in n.names}
+    return (imported | _referenced_names(source)) & LAYOUT_NAMES
+
+
+def test_layout_reference_detector():
+    source = ("from .mocap import N_BODY, N_JOINTS\nfrom . import mocap\n"
+              "x = mocap._PARTS\nN_HANDS = 2\n")
+    assert _layout_references(source) == {"N_BODY", "_PARTS"}
+
+
+def test_joint_layout_written_once():
+    found = {(p.name, name) for p in MODULES
+             for name in _layout_references(p.read_text())}
+    assert found == {("mocap.py", name) for name in LAYOUT_NAMES}

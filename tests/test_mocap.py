@@ -1,6 +1,7 @@
 """Person selection, skeleton triangulation, and per-joint smoothing."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from twinfuse.errors import (DegenerateGeometryError, EmptySelectionError,
                              UnknownEntityError)
 from twinfuse.geometry import RigidTransform, invert
 from twinfuse.mocap import (N_BODY, N_HAND, N_JOINTS, Keypoint2DFrame,
-                            PersonDetection, Skeleton3DFrame, select_surgeon,
+                            Skeleton3DFrame, select_surgeon,
                             skeleton_track_from_csv, skeleton_track_to_csv,
                             smooth_skeleton, triangulate_skeleton)
 from twinfuse.synth import SynthConfig, generate
@@ -49,12 +50,12 @@ def _person_from_points(cam, points, confidence=1.0, noise=0.0, rng=None):
         if noise > 0:
             uv = uv + rng.normal(0, noise, size=2)
         kp[j] = [uv[0], uv[1], confidence]
-    return PersonDetection(kp[:N_BODY], kp[N_BODY:N_BODY + N_HAND],
-                           kp[N_BODY + N_HAND:])
+    return kp
 
 
 def _frames(cams, persons_by_cam, t_s=0.0):
-    return [Keypoint2DFrame(c.id, t_s, tuple(persons_by_cam[c.id]))
+    return [Keypoint2DFrame(c.id, t_s,
+                            np.reshape(persons_by_cam[c.id], (-1, N_JOINTS, 3)))
             for c in cams]
 
 
@@ -62,21 +63,23 @@ def _frames(cams, persons_by_cam, t_s=0.0):
 # validation / serialization
 
 def test_person_detection_shape_checks():
-    with pytest.raises(ParameterError):
-        PersonDetection(np.zeros((10, 3)), np.zeros((N_HAND, 3)),
-                        np.zeros((N_HAND, 3)))
-    bad = np.zeros((N_BODY, 3))
-    bad[0, 2] = 2.0
-    with pytest.raises(ParameterError):
-        PersonDetection(bad, np.zeros((N_HAND, 3)), np.zeros((N_HAND, 3)))
-    for u, v in ((np.nan, 0.0), (0.0, np.inf)):
-        hand = np.zeros((N_HAND, 3))
-        hand[3, :2] = u, v
-        with pytest.raises(ParameterError, match="hand_left keypoints must be finite"):
-            PersonDetection(np.zeros((N_BODY, 3)), hand, np.zeros((N_HAND, 3)))
+    for shape in ((N_JOINTS, 3), (1, 10, 3), (2, N_JOINTS, 2)):
+        with pytest.raises(ParameterError, match=re.escape(
+                f"keypoints must have shape (persons, 67, 3), got {shape}")):
+            Keypoint2DFrame("cam0", 0.0, np.zeros(shape))
+    for row, col, value in ((0, 2, 2.0), (30, 2, -0.1), (3, 0, np.nan),
+                            (60, 1, np.inf)):
+        kp = np.zeros((2, N_JOINTS, 3))
+        kp[1, row, col] = value
+        with pytest.raises(ParameterError, match=r"^keypoints must be finite, "
+                           r"with confidences in \[0, 1\]$"):
+            Keypoint2DFrame("cam0", 0.0, kp)
+    empty = Keypoint2DFrame("cam0", 0.0, np.zeros((0, N_JOINTS, 3)))
+    assert empty.keypoints.shape == (0, N_JOINTS, 3)
 
 
 _PART_ROWS = {"body": N_BODY, "hand_left": N_HAND, "hand_right": N_HAND}
+_JSON_KEYS = {"body": "body", "hand_left": "hand_l", "hand_right": "hand_r"}
 
 
 def _faulty_parts(faults):
@@ -97,6 +100,13 @@ def _faulty_parts(faults):
                                "low": (6, 2, -1e-300)}[fault]
             a[row, col] = value
     return parts
+
+
+def _keypoint_json(parts):
+    """A keypoint file with a valid person, then one made of ``parts``."""
+    persons = [{_JSON_KEYS[name]: np.asarray(a).tolist() for name, a in p.items()}
+               for p in (_faulty_parts({}), parts)]
+    return json.dumps({"camera": "cam0", "t_s": 0.0, "persons": persons})
 
 
 def _shape(name):
@@ -123,15 +133,16 @@ def _shape(name):
      "hand_left confidences must be in [0, 1]"),
 ])
 def test_person_detection_first_error(faults, message):
-    parts = _faulty_parts(faults)
     with pytest.raises(ParameterError) as exc_info:
-        PersonDetection(**parts)
+        Keypoint2DFrame.from_json(_keypoint_json(_faulty_parts(faults)))
     assert str(exc_info.value) == message
 
 
 def test_person_detection_rejects_non_numbers():
-    with pytest.raises(ValueError, match="could not convert"):
-        PersonDetection(**_faulty_parts({"hand_left": "not-numbers"}))
+    text = _keypoint_json(_faulty_parts({"hand_left": "not-numbers"}))
+    with pytest.raises(ParameterError, match="^keypoint frame: could not convert "
+                       "string to float: 'x'$"):
+        Keypoint2DFrame.from_json(text)
 
 
 @pytest.mark.parametrize("camera", [[], {}, None])
@@ -142,28 +153,26 @@ def test_keypoint_frame_camera_must_be_a_string(camera):
 
 
 def test_person_joint_indexing():
-    rng = np.random.default_rng(0)
-    body = rng.uniform(0, 1, (N_BODY, 3))
-    hl = rng.uniform(0, 1, (N_HAND, 3))
-    hr = rng.uniform(0, 1, (N_HAND, 3))
-    p = PersonDetection(body, hl, hr)
-    joints = p.all_joints()
-    assert joints.shape == (N_JOINTS, 3)
-    assert np.array_equal(joints[0], body[0])
-    assert np.array_equal(joints[N_BODY], hl[0])
-    assert np.array_equal(joints[N_BODY + N_HAND + 5], hr[5])
+    """A keypoint file's parts stack body first, then the left and right hand."""
+    parts = _faulty_parts({})
+    kp = Keypoint2DFrame.from_json(_keypoint_json(parts)).keypoints
+    assert kp.shape == (2, N_JOINTS, 3)
+    assert np.array_equal(kp[1], np.vstack([parts["body"], parts["hand_left"],
+                                            parts["hand_right"]]))
 
 
 def test_keypoint_frame_json_round_trip():
     rng = np.random.default_rng(1)
-    p = PersonDetection(rng.uniform(0, 1, (N_BODY, 3)),
-                        rng.uniform(0, 1, (N_HAND, 3)),
-                        rng.uniform(0, 1, (N_HAND, 3)))
-    fr = Keypoint2DFrame("cam0", 1.25, (p,))
-    back = Keypoint2DFrame.from_json(fr.to_json())
+    kp = rng.uniform(0, 1, (2, N_JOINTS, 3))
+    text = Keypoint2DFrame("cam0", 1.25, kp).to_json()
+    back = Keypoint2DFrame.from_json(text)
     assert back.camera_id == "cam0" and back.t_s == 1.25
-    assert np.array_equal(back.persons[0].body, p.body)
-    assert np.array_equal(back.persons[0].hand_right, p.hand_right)
+    assert np.array_equal(back.keypoints, kp)
+    person = json.loads(text)["persons"][1]
+    assert list(person) == ["body", "hand_l", "hand_r"]
+    assert person["hand_r"] == kp[1, N_BODY + N_HAND:].tolist()
+    empty = Keypoint2DFrame("cam0", 0.0, np.zeros((0, N_JOINTS, 3))).to_json()
+    assert Keypoint2DFrame.from_json(empty).keypoints.shape == (0, N_JOINTS, 3)
 
 
 def test_skeleton_csv_round_trip():
@@ -196,6 +205,7 @@ def test_skeleton_csv_round_trip():
      "a valid joint's position and residual must be finite"),
     ("0.0,1,0.1,0.2,0.3,inf,1",
      "a valid joint's position and residual must be finite"),
+    ("0.0,0,4,5,6,0.1,0", "joint 0 at t_s = 0.0 given twice"),
 ])
 def test_skeleton_csv_rejects_bad_rows(row, message):
     text = "t_s,joint_id,x_m,y_m,z_m,residual_px,valid\n0.0,0,1,2,3,0.5,1\n\n"
@@ -256,14 +266,13 @@ def _select_reference(frames, cameras, table_center):
     selection = {}
     for fr in frames:
         cam = by_id[fr.camera_id]
-        if not fr.persons:
+        if not len(fr.keypoints):
             selection[fr.camera_id] = None
             continue
         table_depth = invert(cam.world_from_camera).apply_points(
             table_center.reshape(1, 3))[0, 2]
         best, best_dist = None, np.inf
-        for idx, person in enumerate(fr.persons):
-            kp = person.all_joints()
+        for idx, kp in enumerate(fr.keypoints):
             w = kp[:, 2]
             if w.sum() <= 0:
                 continue
@@ -279,7 +288,7 @@ def test_select_matches_per_person_unproject():
     bundle = generate(SynthConfig(seed=0, duration_s=1.0, include_bystander=True))
     table = np.asarray(bundle.table_center, dtype=float)
     for per_cam in bundle.keypoint_frames:
-        assert max(len(fr.persons) for fr in per_cam) == 2
+        assert max(len(fr.keypoints) for fr in per_cam) == 2
         assert (select_surgeon(per_cam, bundle.cameras, table)
                 == _select_reference(per_cam, bundle.cameras, table))
 
@@ -304,12 +313,9 @@ def test_skeleton_low_confidence_joint_invalid():
     cams = _cameras()
     rng = np.random.default_rng(1)
     points = _skeleton_points(rng, TABLE)
-    persons = {}
-    for c in cams:
-        p = _person_from_points(c, points)
-        body = np.array(p.body)
-        body[3, 2] = 0.05  # below the confidence floor in every view
-        persons[c.id] = [PersonDetection(body, p.hand_left, p.hand_right)]
+    persons = {c.id: [_person_from_points(c, points)] for c in cams}
+    for (p,) in persons.values():
+        p[3, 2] = 0.05  # below the confidence floor in every view
     frames = _frames(cams, persons)
     out = triangulate_skeleton(frames, select_surgeon(frames, cams, TABLE), cams)
     assert not out.valid[3]
@@ -320,13 +326,9 @@ def test_skeleton_single_view_joint_invalid():
     cams = _cameras()
     rng = np.random.default_rng(2)
     points = _skeleton_points(rng, TABLE)
-    persons = {}
-    for i, c in enumerate(cams):
-        p = _person_from_points(c, points)
-        body = np.array(p.body)
-        if i > 0:
-            body[7, 2] = 0.0  # joint 7 seen only by cam0
-        persons[c.id] = [PersonDetection(body, p.hand_left, p.hand_right)]
+    persons = {c.id: [_person_from_points(c, points)] for c in cams}
+    for c in cams[1:]:
+        persons[c.id][0][7, 2] = 0.0  # joint 7 seen only by cam0
     frames = _frames(cams, persons)
     out = triangulate_skeleton(frames, select_surgeon(frames, cams, TABLE), cams)
     assert not out.valid[7]
@@ -338,7 +340,7 @@ def test_skeleton_timestamp_mismatch():
     points = _skeleton_points(rng, TABLE)
     persons = {c.id: [_person_from_points(c, points)] for c in cams}
     frames = _frames(cams, persons)
-    frames[1] = Keypoint2DFrame(frames[1].camera_id, 99.0, frames[1].persons)
+    frames[1] = Keypoint2DFrame(frames[1].camera_id, 99.0, frames[1].keypoints)
     with pytest.raises(ParameterError):
         triangulate_skeleton(frames, {c.id: 0 for c in cams}, cams)
 
@@ -361,11 +363,11 @@ def test_skeleton_batch_matches_per_joint_triangulate(default_bundle):
     per_cam = default_bundle.keypoint_frames[3]
     sel = select_surgeon(per_cam, cams, default_bundle.table_center)
     out = triangulate_skeleton(per_cam, sel, cams)
-    persons = {fr.camera_id: fr.persons[sel[fr.camera_id]] for fr in per_cam
+    persons = {fr.camera_id: fr.keypoints[sel[fr.camera_id]] for fr in per_cam
                if sel[fr.camera_id] is not None}
     for j in range(N_JOINTS):
-        obs = [PixelObservation(cid, *p.all_joints()[j]) for cid, p in persons.items()
-               if p.all_joints()[j, 2] >= CONFIDENCE_FLOOR]
+        obs = [PixelObservation(cid, *p[j]) for cid, p in persons.items()
+               if p[j, 2] >= CONFIDENCE_FLOOR]
         try:
             point, res = triangulate(obs, cams)
         except (DegenerateGeometryError, InsufficientViewsError):
@@ -389,10 +391,7 @@ def test_skeleton_near_parallel_joint_invalid_others_unchanged():
     sel = {c.id: 0 for c in cams}
     base = triangulate_skeleton(frames, sel, cams)
     for c in cams[1:-1]:  # joint 5 keeps only cam0 and its near twin
-        p = persons[c.id][0]
-        body = np.array(p.body)
-        body[5, 2] = 0.0
-        persons[c.id] = [PersonDetection(body, p.hand_left, p.hand_right)]
+        persons[c.id][0][5, 2] = 0.0
     out = triangulate_skeleton(_frames(cams, persons), sel, cams)
     assert base.valid.all()
     assert not out.valid[5]

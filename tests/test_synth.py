@@ -9,8 +9,7 @@ from twinfuse.errors import ParameterError
 from twinfuse.fusion import MarkerSet
 from twinfuse.geometry import invert
 from twinfuse import synth
-from twinfuse.mocap import (N_BODY, N_HAND, N_JOINTS, Keypoint2DFrame,
-                            PersonDetection, Skeleton3DFrame)
+from twinfuse.mocap import N_JOINTS, Keypoint2DFrame, Skeleton3DFrame
 from twinfuse.synth import (SynthConfig, export_bundle, generate, pose_error,
                             project_visible, true_relative_scan_pose)
 
@@ -162,7 +161,7 @@ def test_skeleton_true_valid_and_shaped(default_bundle):
 def test_bystander_adds_second_person():
     cfg = SynthConfig(seed=1, duration_s=0.2, include_bystander=True)
     b = generate(cfg)
-    assert all(len(fr.persons) == 2
+    assert all(fr.keypoints.shape == (2, N_JOINTS, 3)
                for per_cam in b.keypoint_frames for fr in per_cam)
 
 
@@ -212,10 +211,8 @@ def _per_frame_skeletons(config, cameras):
                 conf = np.where(mask, 0.9, 0.0)
                 kp = np.column_stack([uv, conf])
                 kp[~mask, :2] = 0.0
-                detections.append(PersonDetection(kp[:N_BODY],
-                                                  kp[N_BODY:N_BODY + N_HAND],
-                                                  kp[N_BODY + N_HAND:]))
-            per_cam.append(Keypoint2DFrame(cam.id, float(t), tuple(detections)))
+                detections.append(kp)
+            per_cam.append(Keypoint2DFrame(cam.id, float(t), np.array(detections)))
         keypoint_frames.append(per_cam)
     return skeleton_true, keypoint_frames
 
@@ -237,10 +234,7 @@ def _assert_same_skeletons(bundle, reference):
         for got, want in zip(got_cams, want_cams):
             assert got.camera_id == want.camera_id
             assert type(got.t_s) is float and got.t_s == want.t_s
-            assert len(got.persons) == len(want.persons)
-            for p, q in zip(got.persons, want.persons):
-                for name in ("body", "hand_left", "hand_right"):
-                    assert _same_bits(getattr(p, name), getattr(q, name))
+            assert _same_bits(got.keypoints, want.keypoints)
 
 
 @pytest.mark.parametrize("cameras", [1, 5])
