@@ -11,7 +11,7 @@ import numpy as np
 from .errors import (BehindCameraError, ConvergenceError, DegenerateGeometryError,
                      InsufficientCorrespondencesError, InsufficientViewsError,
                      NoOverlapError, ParameterError, UnknownEntityError,
-                     _repeated, finite_number, reading)
+                     _repeated, finite_number, non_numbers, reading)
 from .geometry import (RigidTransform, _freeze, _least_squares, invert,
                        matrix_to_quat, quat_to_matrix, transform_from_matrix)
 
@@ -54,7 +54,7 @@ class CameraIntrinsics:
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ParameterError("principal point must lie inside the image")
         dist = tuple(self.dist) if isinstance(self.dist, (tuple, list)) else ()
-        if len(dist) != 5 or not all(map(finite_number, dist)):
+        if len(dist) != 5 or non_numbers(dist):
             raise ParameterError(f"distortion must be 5 finite numbers, "
                                  f"got {self.dist!r}")
         _freeze(self, dist=tuple(map(float, dist)),

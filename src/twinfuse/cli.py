@@ -17,7 +17,7 @@ import numpy as np
 from . import fusion, metrics, mocap, scene, synth
 from .cameras import CameraIntrinsics, CameraModel, _camera_id, solve_pnp
 from .errors import (EmptySelectionError, ParameterError, TwinfuseError,
-                     _repeated, finite_number, parse_file, reading)
+                     _repeated, non_numbers, parse_file, reading)
 from .fusion import MarkerSet, ScanRecord
 from .geometry import PointCloud
 from .metrics import render_reprojection_table
@@ -89,9 +89,11 @@ def _marker_pixels(text: str) -> list[tuple[str, float, float]]:
     with reading("marker pixels", "marker pixels is not an object with a "
                                   "list of pixel objects under 'pixels'"):
         pixels = [(str(entry["id"]), entry["uv"]) for entry in o["pixels"]]
+    repeated = _repeated(mid for mid, _ in pixels)
+    if repeated is not None:
+        raise ParameterError(f"marker pixels: two pixel objects with id {repeated!r}")
     for mid, uv in pixels:
-        if not (isinstance(uv, list) and len(uv) == 2
-                and all(map(finite_number, uv))):
+        if not isinstance(uv, list) or len(uv) != 2 or non_numbers(uv):
             raise ParameterError(f"marker pixels: 'uv' of {mid!r} must be two "
                                  f"finite numbers, got {uv!r}")
     return [(mid, u, v) for mid, (u, v) in pixels]

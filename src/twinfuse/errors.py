@@ -153,6 +153,19 @@ def finite_number(value, kinds=(int, float)) -> bool:
         return False
 
 
+def non_numbers(values) -> list:
+    """The items of the list or tuple ``values`` that ``finite_number``
+    refuses, in order; readers refuse "1.5" and true with it, which numpy
+    converts. Ints and floats cost no Python call per item: one type test
+    per distinct type and one ``math.fsum`` pass."""
+    try:
+        if set(map(type, values)) <= {int, float} and math.isfinite(math.fsum(values)):
+            return []
+    except (OverflowError, ValueError):  # e.g. an int too large for a float
+        pass
+    return [v for v in values if not finite_number(v)]
+
+
 def positive_number(value, what: str) -> float:
     """``value`` as a float; it must be a finite positive real and not a
     bool, or ParameterError names it as ``what``."""

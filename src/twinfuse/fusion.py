@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import (MALFORMED, DegenerateGeometryError,
                      InsufficientCorrespondencesError, ParameterError,
-                     TwinfuseError, _repeated, finite_number, positive_number,
+                     TwinfuseError, _repeated, non_numbers, positive_number,
                      reading)
 from .geometry import (PointCloud, RigidTransform, _freeze, apply,
                        build_floor_frame, kabsch, ransac_plane_inliers)
@@ -72,7 +72,7 @@ class MarkerSet:
             _unique_marker_ids(mid for mid, _ in markers)
             positions = dict(markers)
         for mid, p in positions.items():
-            if not (isinstance(p, list) and all(map(finite_number, p))):
+            if not isinstance(p, list) or non_numbers(p):
                 raise ParameterError(_BAD_POSITION.format(mid, p))
         return cls(frame, positions)
 

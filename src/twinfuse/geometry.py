@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (DegenerateGeometryError, FrameMismatchError,
-                     InsufficientCorrespondencesError, finite_number)
+                     InsufficientCorrespondencesError, non_numbers)
 
 RANSAC_CONFIDENCE = 0.99999
 RANSAC_THRESHOLD_M = 0.01
@@ -190,11 +190,10 @@ class RigidTransform:
         """Pose from the object ``to_dict`` writes, exactly. A missing key
         raises KeyError, and a malformed value one of ``errors.MALFORMED``,
         for the caller to name in its own error: a value that does not
-        convert, then an item that is not a finite number (a string or a
-        bool converts, but is not one)."""
+        convert, then an item that ``errors.non_numbers`` refuses."""
         pose = cls(o["q_wxyz"], o["t_m"], from_frame, to_frame)
         for key in ("q_wxyz", "t_m"):
-            if not all(map(finite_number, o[key])):
+            if non_numbers(o[key]):
                 raise ValueError(f"{key} must be finite numbers, got {o[key]!r}")
         return pose
 

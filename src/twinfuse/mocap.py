@@ -20,7 +20,7 @@ from .cameras import (CameraModel, _camera_arrays, _camera_id,  # noqa: F401
                       _cameras_by_id, _normalized, triangulate,
                       triangulate_batch, unproject)
 from .errors import (BehindCameraError, EmptySelectionError, ParameterError,
-                     _repeated, csv_rows, finite_number, reading)
+                     _repeated, csv_rows, finite_number, non_numbers, reading)
 from .geometry import _freeze
 from .tracking import _window_slices
 
@@ -92,12 +92,8 @@ class Keypoint2DFrame:
                 parts = [p[key] for _, key, _ in _PARTS]
                 persons.append(np.vstack([_checked_part(name, rows, part) for
                                           (name, _, rows), part in zip(_PARTS, parts)]))
-                # a string or a bool converts, but is not a number
-                bad = [v for rows in parts for row in rows for v in row
-                       if not finite_number(v)]
-                if bad:
-                    raise ValueError(f"keypoints must be finite numbers, "
-                                     f"got {bad[0]!r}")
+                if bad := non_numbers([v for rows in parts for row in rows for v in row]):
+                    raise ValueError(f"keypoints must be finite numbers, got {bad[0]!r}")
             camera, t_s = o["camera"], float(o["t_s"])
             if not finite_number(o["t_s"]):  # "1.5" or true: the check names it
                 t_s = o["t_s"]
@@ -146,24 +142,19 @@ def skeleton_track_from_csv(text: str) -> list[Skeleton3DFrame]:
             raise ParameterError(f"skeleton CSV line {n}: valid must be 0 or 1, "
                                  f"got {valid}")
         # an invalid joint's position and residual are undefined
-        if valid and not all(map(finite_number, (x, y, z, residual))):
+        if valid and non_numbers((x, y, z, residual)):
             raise ParameterError(f"skeleton CSV line {n}: a valid joint's "
                                  f"position and residual must be finite")
         rows = by_t.setdefault(t, {})  # joint id -> row
         if j in rows:
             raise ParameterError(f"skeleton CSV line {n}: joint {j} at "
                                  f"t_s = {t!r} given twice")
-        rows[j] = ([x, y, z], residual, valid == 1)
+        rows[j] = (x, y, z, residual, valid)
     frames = []
     for t, rows in by_t.items():
-        pos = np.zeros((N_JOINTS, 3))
-        res = np.zeros(N_JOINTS)
-        val = np.zeros(N_JOINTS, dtype=bool)
-        for j, (p, residual, valid) in rows.items():
-            pos[j] = p
-            res[j] = residual
-            val[j] = valid
-        frames.append(Skeleton3DFrame(t, pos, res, val))
+        a = np.zeros((N_JOINTS, 5))  # x, y, z, residual, valid; absent joints 0
+        a[list(rows)] = list(rows.values())
+        frames.append(Skeleton3DFrame(t, a[:, :3], a[:, 3], a[:, 4] == 1))
     return frames
 
 

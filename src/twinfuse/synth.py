@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, asdict
 import numpy as np
 
 from .cameras import CameraIntrinsics, CameraModel, _pixels
-from .errors import ParameterError, finite_number
+from .errors import ParameterError, finite_number, non_numbers
 from .fusion import MarkerSet, ScanRecord
 from .geometry import (PointCloud, RigidTransform, compose, invert,
                        quat_from_axis_angle, quat_multiply, quat_normalize,
@@ -31,9 +31,8 @@ _FIELD_TYPES = {  # SynthConfig annotation -> (what it must be, check)
     "int": ("an int", lambda v: finite_number(v, int)),
     "float": ("a number", finite_number),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
-    "tuple": ("3 positive numbers",
-              lambda v: isinstance(v, (tuple, list)) and len(v) == 3
-              and all(finite_number(x) and x > 0 for x in v)),
+    "tuple": ("3 positive numbers", lambda v: isinstance(v, (tuple, list))
+              and len(v) == 3 and not non_numbers(v) and min(v) > 0),
 }
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import (AmbiguityError, CorrespondenceError,
                      InsufficientCorrespondencesError, NoOverlapError,
-                     ParameterError, csv_rows, finite_number, positive_number,
+                     ParameterError, csv_rows, non_numbers, positive_number,
                      reading)
 from .geometry import (PointCloud, RigidTransform, _freeze, _least_squares,
                        compose, kabsch)
@@ -69,11 +69,8 @@ class MarkerArrayGeometry:
         with reading("marker array"):
             positions = [m["position_m"] for m in o["markers"]]
             geometry = cls(np.array(positions), radius_m=o["radius_m"])
-            # a string or a bool converts, but is not a number
-            bad = [v for p in positions for v in p if not finite_number(v)]
-            if bad:
-                raise ValueError(f"marker positions must be finite numbers, "
-                                 f"got {bad[0]!r}")
+            if bad := non_numbers([v for p in positions for v in p]):
+                raise ValueError(f"marker positions must be finite numbers, got {bad[0]!r}")
         return geometry
 
 

@@ -204,6 +204,11 @@ def test_register_cameras_missing_intrinsics_key(bundle_dir, tmp_path, capsys,
                  "marker pixels: 'uv' of 'M", id="uv-one-number"),
     pytest.param(lambda o: _with_value(o, "uv", ["1", 2.0]),
                  "marker pixels: 'uv' of 'M", id="uv-not-numbers"),
+    # a second M07, 300 px from the first, is an error, not a second PnP
+    # correspondence
+    pytest.param(lambda o: {**o, "pixels": o["pixels"] + [{
+        "id": "M07", "uv": [o["pixels"][0]["uv"][0] + 300.0, o["pixels"][0]["uv"][1]]}]},
+                 "marker pixels: two pixel objects with id 'M07'\n", id="id-twice"),
 ])
 def test_register_cameras_marker_pixels_missing_key(bundle_dir, tmp_path,
                                                     capsys, corrupt, message):

@@ -115,6 +115,45 @@ def test_number_rule_written_once():
     assert {name for name, n in calls.items() if n} == {"errors.py"}
 
 
+# The number-list rule ("every item is a finite number") is written once, in
+# errors.non_numbers: no other module passes finite_number to map or calls it
+# in a comprehension or a generator expression.
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _names_finite_number(node: ast.expr) -> bool:
+    return getattr(node, "id", getattr(node, "attr", None)) == "finite_number"
+
+
+def _finite_number_loops(source: str) -> list[str]:
+    """Name of the module-level function or class around each ``map`` call
+    given ``finite_number`` and each comprehension that calls it."""
+    def loop(n):
+        if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "map":
+            return any(map(_names_finite_number, n.args))
+        return isinstance(n, COMPREHENSIONS) and any(
+            isinstance(c, ast.Call) and _names_finite_number(c.func)
+            for c in ast.walk(n))
+    return [getattr(top, "name", "<module>") for top in ast.parse(source).body
+            for n in ast.walk(top) if loop(n)]
+
+
+def test_finite_number_loop_detector():
+    source = ("from .errors import finite_number\nfrom . import errors\n"
+              "def f(v):\n    return all(map(finite_number, v))\n"
+              "class C:\n    bad = [x for x in v if not errors.finite_number(x)]\n"
+              "def g(v):\n    return finite_number(v) and [x + 1 for x in v]\n"
+              "check = lambda v: finite_number(v, int)\n"
+              "positive = all(finite_number(x) and x > 0 for x in v)\n")
+    assert _finite_number_loops(source) == ["f", "C", "<module>"]
+
+
+def test_number_list_rule_written_once():
+    found = {(p.name, name) for p in MODULES
+             for name in _finite_number_loops(p.read_text())}
+    assert found == {("errors.py", "non_numbers")}
+
+
 def _callers(source: str, called) -> list[str]:
     """Name of the module-level function or class around each call whose
     ``func`` node satisfies ``called``."""
