@@ -486,7 +486,8 @@ def estimate_time_offset(times_a, positions_a, times_b,
 
     Grid search (step = half the finer sample interval) minimizing the mean
     absolute difference of linearly resampled speed profiles. Motionless
-    tracks are ambiguous and yield offset 0 with the flag set.
+    tracks are ambiguous and yield offset 0 with the flag set; times that are
+    not strictly increasing raise ParameterError.
     """
     ta = np.asarray(times_a, dtype=float)
     tb = np.asarray(times_b, dtype=float)
@@ -494,6 +495,8 @@ def estimate_time_offset(times_a, positions_a, times_b,
     pb = np.asarray(positions_b, dtype=float).reshape(-1, 3)
     if len(ta) < 3 or len(tb) < 3:
         raise ParameterError("tracks too short for offset estimation")
+    if not ((np.diff(ta) > 0).all() and (np.diff(tb) > 0).all()):
+        raise ParameterError("timestamps must be strictly increasing")
     if ta[-1] - ta[0] < 2.0 or tb[-1] - tb[0] < 2.0:
         raise ParameterError("tracks must span at least 2 s")
 

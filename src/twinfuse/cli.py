@@ -17,7 +17,7 @@ import numpy as np
 from . import fusion, metrics, mocap, scene, synth
 from .cameras import CameraIntrinsics, CameraModel, _camera_id, solve_pnp
 from .errors import (EmptySelectionError, ParameterError, TwinfuseError,
-                     _repeated, non_numbers, parse_file, reading)
+                     _repeated, non_numbers, parse_file, reading, write_file)
 from .fusion import MarkerSet, ScanRecord
 from .geometry import PointCloud
 from .metrics import render_reprojection_table
@@ -60,15 +60,12 @@ def cmd_fuse(args) -> int:
         final, floor_t = fusion.finalize_reference(fused)
     save_ply(os.path.join(args.out, "fused.ply"), final)
     if floor_t is not None:
-        with open(os.path.join(args.out, "floor_transform.json"), "w") as f:
-            json.dump({"from_frame": floor_t.from_frame,
-                       "to_frame": floor_t.to_frame, **floor_t.to_dict()},
-                      f, indent=2)
-    with open(os.path.join(args.out, "report.json"), "w") as f:
-        f.write(report.to_json())
+        write_file(os.path.join(args.out, "floor_transform.json"), json.dumps(
+            {"from_frame": floor_t.from_frame, "to_frame": floor_t.to_frame,
+             **floor_t.to_dict()}, indent=2))
+    write_file(os.path.join(args.out, "report.json"), report.to_json())
     table = report.render_table()
-    with open(os.path.join(args.out, "report.txt"), "w") as f:
-        f.write(table)
+    write_file(os.path.join(args.out, "report.txt"), table)
     print(table, end="")
     return 0
 
@@ -133,15 +130,12 @@ def cmd_register_cameras(args) -> int:
         except TwinfuseError as exc:
             failures.append(f"{cam_id}: {exc}")
             continue
-        with open(os.path.join(args.out, f"{cam_id}_calibration.json"), "w") as f:
-            f.write(cam.to_json())
+        write_file(os.path.join(args.out, f"{cam_id}_calibration.json"), cam.to_json())
     table = render_reprojection_table(per_camera) if per_camera else ""
-    with open(os.path.join(args.out, "reprojection_stats.json"), "w") as f:
-        json.dump({cid: {"mean_px": m, "std_px": s}
-                   for cid, (m, s) in per_camera.items()}, f, indent=2,
-                  sort_keys=True)
-    with open(os.path.join(args.out, "reprojection_table.txt"), "w") as f:
-        f.write(table)
+    write_file(os.path.join(args.out, "reprojection_stats.json"), json.dumps(
+        {cid: {"mean_px": m, "std_px": s} for cid, (m, s) in per_camera.items()},
+        indent=2, sort_keys=True))
+    write_file(os.path.join(args.out, "reprojection_table.txt"), table)
     print(table, end="")
     if failures:
         for msg in failures:
@@ -178,8 +172,7 @@ def cmd_mocap(args) -> int:
     frames3d = _triangulate_frames([by_time[t] for t in sorted(by_time)],
                                    cameras, args.table_center)
     frames3d = mocap.smooth_skeleton(frames3d, args.window)
-    with open(args.out, "w", newline="") as f:
-        f.write(mocap.skeleton_track_to_csv(frames3d))
+    write_file(args.out, mocap.skeleton_track_to_csv(frames3d))
     print(f"wrote {len(frames3d)} skeleton frames to {args.out}")
     return 0
 
@@ -190,8 +183,7 @@ def cmd_mocap(args) -> int:
 def cmd_track(args) -> int:
     track = parse_file(args.input, PoseTrack.from_csv)
     smoothed = smooth_track(track, args.window)
-    with open(args.out, "w", newline="") as f:
-        f.write(smoothed.to_csv())
+    write_file(args.out, smoothed.to_csv())
     print(f"wrote {len(smoothed)} smoothed samples to {args.out}")
     return 0
 
@@ -224,8 +216,7 @@ def cmd_metrics(args) -> int:
         else:
             print(f"{key}: {value}")
     if args.out:
-        with open(args.out, "w") as f:
-            json.dump(result, f, indent=2, sort_keys=True)
+        write_file(args.out, json.dumps(result, indent=2, sort_keys=True))
     return 0
 
 

@@ -1,7 +1,8 @@
-"""Exception hierarchy shared by all twinfuse modules, and the input rules
-every reader shares: the file reader that names the file in its errors, the
-record reader that names a missing key or a malformed value, the CSV row
-reader, and the number checks."""
+"""Exception hierarchy shared by all twinfuse modules, and the file rules
+every reader and writer shares: the UTF-8 text file reader that names the
+file in its errors and its writer twin, the record reader that names a
+missing key or a malformed value, the CSV row reader and writer, and the
+number checks."""
 
 import json
 import math
@@ -80,11 +81,11 @@ class ManifestError(TwinfuseError):
 
 
 def parse_file(path, parse):
-    """``parse`` applied to the text of ``path``; text that is not UTF-8, a
-    ParameterError it raises and malformed JSON are raised as ParameterError
-    naming the file."""
+    """``parse`` applied to the UTF-8 text of ``path``; text that is not
+    UTF-8, a ParameterError it raises and malformed JSON are raised as
+    ParameterError naming the file."""
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             return parse(f.read())
     except UnicodeDecodeError:
         raise ParameterError(f"{path}: not UTF-8 text") from None
@@ -93,6 +94,12 @@ def parse_file(path, parse):
     except json.JSONDecodeError as exc:
         raise ParameterError(f"{path}: malformed JSON at line {exc.lineno}, "
                              f"column {exc.colno}: {exc.msg}") from None
+
+
+def write_file(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, its line ends as given."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(text)
 
 
 # Raised by converting a malformed value, e.g. an int too large for a float
@@ -131,6 +138,13 @@ def csv_rows(text: str, what: str, header: str, types):
         except MALFORMED:
             raise ParameterError(f"{what} line {n}: non-numeric value") from None
         yield n, row
+
+
+def csv_text(header: str, rows) -> str:
+    """The CSV text that ``csv_rows`` reads back: the ``header`` line, then
+    each row of Python ints and floats as its comma-joined ``repr``, each
+    line ending in a line feed."""
+    return "".join([header, "\n", *(",".join(map(repr, row)) + "\n" for row in rows)])
 
 
 def _repeated(ids):

@@ -6,7 +6,6 @@ Joint layout follows the 25-body + 21-left-hand + 21-right-hand convention
 
 from __future__ import annotations
 
-import io
 import json
 import numbers
 from dataclasses import dataclass
@@ -20,7 +19,8 @@ from .cameras import (CameraModel, _camera_arrays, _camera_id,  # noqa: F401
                       _cameras_by_id, _normalized, triangulate,
                       triangulate_batch, unproject)
 from .errors import (BehindCameraError, EmptySelectionError, ParameterError,
-                     _repeated, csv_rows, finite_number, non_numbers, reading)
+                     _repeated, csv_rows, csv_text, finite_number, non_numbers,
+                     reading)
 from .geometry import _freeze
 from .tracking import _window_slices
 
@@ -117,15 +117,10 @@ class Skeleton3DFrame:
 
 
 def skeleton_track_to_csv(frames: list[Skeleton3DFrame]) -> str:
-    buf = io.StringIO()
-    buf.write("t_s,joint_id,x_m,y_m,z_m,residual_px,valid\n")
-    for fr in frames:
-        for j in range(N_JOINTS):
-            p = fr.positions[j]
-            buf.write(f"{float(fr.t_s)!r},{j},{float(p[0])!r},{float(p[1])!r},"
-                      f"{float(p[2])!r},{float(fr.residuals_px[j])!r},"
-                      f"{int(fr.valid[j])}\n")
-    return buf.getvalue()
+    return csv_text("t_s,joint_id,x_m,y_m,z_m,residual_px,valid", (
+        row for fr in frames for row in zip(
+            [float(fr.t_s)] * N_JOINTS, range(N_JOINTS), *fr.positions.T.tolist(),
+            fr.residuals_px.tolist(), fr.valid.astype(int).tolist())))
 
 
 def skeleton_track_from_csv(text: str) -> list[Skeleton3DFrame]:
@@ -216,6 +211,7 @@ def triangulate_skeleton(frames: list[Keypoint2DFrame],
 
     A joint is valid when observed with confidence >= 0.1 in at least two
     cameras and triangulation succeeds; failures become invalid flags. A
+    selected index outside a frame's persons raises ``ParameterError``, and a
     selected person seen by a camera missing from ``cameras`` raises
     ``UnknownEntityError``.
     """
@@ -228,8 +224,12 @@ def triangulate_skeleton(frames: list[Keypoint2DFrame],
     persons = {}
     for fr in frames:
         idx = selection.get(fr.camera_id)
-        if idx is not None and idx < len(fr.keypoints):
-            persons[fr.camera_id] = fr.keypoints[idx]
+        if idx is None:
+            continue
+        if not 0 <= idx < len(fr.keypoints):
+            raise ParameterError(f"selected person {idx} of camera {fr.camera_id!r} "
+                                 f"is not in 0..{len(fr.keypoints) - 1}")
+        persons[fr.camera_id] = fr.keypoints[idx]
     kp = np.zeros((N_JOINTS, len(persons), 3))
     for k, person in enumerate(persons.values()):
         kp[:, k] = person

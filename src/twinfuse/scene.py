@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (MALFORMED, ManifestError, ParameterError, TwinfuseError,
-                     parse_file)
+                     parse_file, write_file)
 from .geometry import PointCloud, RigidTransform, _freeze, quat_slerp
 from .mocap import Skeleton3DFrame, skeleton_track_from_csv, skeleton_track_to_csv
 from .ply import load_ply, save_ply
@@ -132,7 +132,9 @@ def _interp_skeleton(frames, t: float) -> Skeleton3DFrame:
 def sample_at(scene: TwinScene, t: float) -> SceneSnapshot:
     """Scene state at time t: static poses unchanged, dynamic poses
     lerp/slerp-interpolated, exact samples returned at exact timestamps.
-    Times outside the range are clamped (flagged)."""
+    Times outside the range are clamped (flagged); NaN raises ParameterError."""
+    if np.isnan(t):
+        raise ParameterError("sample time must not be NaN")
     clamped = False
     if scene.time_range is not None:
         lo, hi = scene.time_range
@@ -207,17 +209,14 @@ def save(scene: TwinScene, directory) -> None:
             "to_frame": node.pose.to_frame}))
     for node in scene.dynamic_nodes:
         rel_track = f"{node.name}_track.csv"
-        with open(os.path.join(directory, rel_track), "w", newline="") as f:
-            f.write(node.track.to_csv())
+        write_file(os.path.join(directory, rel_track), node.track.to_csv())
         manifest["dynamic"].append(entry(node, track=rel_track,
                                          track_frame=node.track.frame))
     for node in scene.skeleton_nodes:
         rel = f"{node.name}_skeleton.csv"
-        with open(os.path.join(directory, rel), "w", newline="") as f:
-            f.write(skeleton_track_to_csv(list(node.frames)))
+        write_file(os.path.join(directory, rel), skeleton_track_to_csv(list(node.frames)))
         manifest["skeletons"].append({"name": node.name, "track": rel})
-    with open(os.path.join(directory, MANIFEST_NAME), "w") as f:
-        json.dump(manifest, f, indent=2)
+    write_file(os.path.join(directory, MANIFEST_NAME), json.dumps(manifest, indent=2))
 
 
 def load(directory) -> TwinScene:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, asdict
 import numpy as np
 
 from .cameras import CameraIntrinsics, CameraModel, _pixels
-from .errors import ParameterError, finite_number, non_numbers
+from .errors import ParameterError, finite_number, non_numbers, write_file
 from .fusion import MarkerSet, ScanRecord
 from .geometry import (PointCloud, RigidTransform, compose, invert,
                        quat_from_axis_angle, quat_multiply, quat_normalize,
@@ -453,40 +453,34 @@ def export_bundle(bundle: GroundTruthBundle, directory) -> None:
 
     for scan in bundle.scans:
         save_ply(os.path.join(scans_dir, f"{scan.name}.ply"), scan.cloud)
-        with open(os.path.join(scans_dir, f"{scan.name}_markers.json"), "w") as f:
-            f.write(scan.markers.to_json())
+        write_file(os.path.join(scans_dir, f"{scan.name}_markers.json"),
+                   scan.markers.to_json())
 
-    with open(os.path.join(directory, "reference_markers.json"), "w") as f:
-        f.write(bundle.markers.to_json())
+    write_file(os.path.join(directory, "reference_markers.json"),
+               bundle.markers.to_json())
 
     for cam in bundle.cameras:
-        with open(os.path.join(cams_dir, f"{cam.id}_intrinsics.json"), "w") as f:
-            json.dump({"id": cam.id, **cam.intrinsics.to_dict()}, f, indent=2)
-        with open(os.path.join(cams_dir, f"{cam.id}_marker_pixels.json"), "w") as f:
-            json.dump({"camera": cam.id,
-                       "pixels": [{"id": mid, "uv": [u, v]}
-                                  for mid, u, v in bundle.marker_pixels[cam.id]]},
-                      f, indent=2)
-        with open(os.path.join(cams_dir, f"{cam.id}_truth.json"), "w") as f:
-            f.write(cam.to_json())
+        write_file(os.path.join(cams_dir, f"{cam.id}_intrinsics.json"), json.dumps(
+            {"id": cam.id, **cam.intrinsics.to_dict()}, indent=2))
+        write_file(os.path.join(cams_dir, f"{cam.id}_marker_pixels.json"), json.dumps(
+            {"camera": cam.id, "pixels": [{"id": mid, "uv": [u, v]} for mid, u, v
+                                          in bundle.marker_pixels[cam.id]]},
+            indent=2))
+        write_file(os.path.join(cams_dir, f"{cam.id}_truth.json"), cam.to_json())
 
-    with open(os.path.join(directory, "instrument_track.csv"), "w", newline="") as f:
-        f.write(bundle.instrument_track_noisy.to_csv())
-    with open(os.path.join(directory, "instrument_track_true.csv"), "w",
-              newline="") as f:
-        f.write(bundle.instrument_track_true.to_csv())
+    write_file(os.path.join(directory, "instrument_track.csv"),
+               bundle.instrument_track_noisy.to_csv())
+    write_file(os.path.join(directory, "instrument_track_true.csv"),
+               bundle.instrument_track_true.to_csv())
 
     for k, per_cam in enumerate(bundle.keypoint_frames):
         for frame in per_cam:
-            name = f"frame_{k:05d}_{frame.camera_id}.json"
-            with open(os.path.join(kp_dir, name), "w") as f:
-                f.write(frame.to_json())
+            write_file(os.path.join(kp_dir, f"frame_{k:05d}_{frame.camera_id}.json"),
+                       frame.to_json())
 
     truth = {
         "table_center": [float(x) for x in bundle.table_center],
         "scan_poses": {name: p.to_dict() for name, p in bundle.scan_poses.items()},
     }
-    with open(os.path.join(directory, "truth.json"), "w") as f:
-        json.dump(truth, f, indent=2)
-    with open(os.path.join(directory, "config.json"), "w") as f:
-        f.write(bundle.config.to_json())
+    write_file(os.path.join(directory, "truth.json"), json.dumps(truth, indent=2))
+    write_file(os.path.join(directory, "config.json"), bundle.config.to_json())

@@ -3,7 +3,6 @@ hemispheres, marker-array registration, point-to-point ICP, pose smoothing."""
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 
@@ -11,8 +10,8 @@ import numpy as np
 
 from .errors import (AmbiguityError, CorrespondenceError,
                      InsufficientCorrespondencesError, NoOverlapError,
-                     ParameterError, csv_rows, non_numbers, positive_number,
-                     reading)
+                     ParameterError, csv_rows, csv_text, non_numbers,
+                     positive_number, reading)
 from .geometry import (PointCloud, RigidTransform, _freeze, _least_squares,
                        compose, kabsch)
 from .metrics import _kd_tree, _rms_mm
@@ -107,12 +106,8 @@ class PoseTrack:
                               from_frame="body", to_frame=self.frame)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("t_s,tx_m,ty_m,tz_m,qw,qx,qy,qz\n")
-        for i in range(len(self)):
-            row = [self.times[i], *self.translations[i], *self.quats[i]]
-            buf.write(",".join(repr(float(v)) for v in row) + "\n")
-        return buf.getvalue()
+        return csv_text("t_s,tx_m,ty_m,tz_m,qw,qx,qy,qz", np.column_stack(
+            [self.times, self.translations, self.quats]).tolist())
 
     @classmethod
     def from_csv(cls, text: str, frame: str = "reference") -> "PoseTrack":

@@ -500,6 +500,20 @@ def test_offset_too_short():
         estimate_time_offset(t, _wiggle_track(t), t, _wiggle_track(t))
 
 
+@pytest.mark.parametrize("disorder", ["repeated", "shuffled"])
+@pytest.mark.parametrize("track", ["a", "b"])
+def test_offset_refuses_unordered_times(disorder, track):
+    t = np.arange(0, 10, 1 / 30)
+    bad = t.copy()
+    if disorder == "repeated":
+        bad[5] = bad[4]
+    else:
+        np.random.default_rng(0).shuffle(bad[1:-1])  # same span
+    ta, tb = (bad, t) if track == "a" else (t, bad)
+    with pytest.raises(ParameterError, match="timestamps must be strictly increasing"):
+        estimate_time_offset(ta, _wiggle_track(t), tb, _wiggle_track(t))
+
+
 def test_offset_disjoint_tracks():
     # the speed profiles span 1 s each and sit 0.25 s apart: no offset on the
     # 0.5 s grid lets them share MIN_OVERLAP_S

@@ -3,7 +3,10 @@
 import functools
 import json
 import os
+import pathlib
 import shutil
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -839,6 +842,30 @@ def test_non_finite_ply_is_one_error_line(bundle_dir, tmp_path, capsys, case):
     assert main(argv) == 1
     assert capsys.readouterr().err == (
         f"error: {bad}: vertex coordinates must be finite\n")
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+# A locale whose preferred encoding is ASCII, with Python's UTF-8 mode and
+# locale coercion off
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+def test_fuse_reads_utf8_markers_under_an_ascii_locale(bundle_dir, tmp_path):
+    scans = tmp_path / "scans"
+    shutil.copytree(bundle_dir / "scans", scans)
+    for path in scans.glob("*_markers.json"):
+        o = json.loads(path.read_bytes())
+        o["frame"] += "\u00e9"  # written as the raw UTF-8 bytes of "é"
+        path.write_bytes(json.dumps(o, ensure_ascii=False).encode("utf-8"))
+    clouds = []
+    for k, locale in enumerate([ASCII_LOCALE, {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"}]):
+        env = {**os.environ, **locale, "PYTHONPATH": str(SRC)}
+        run = subprocess.run([sys.executable, "-m", "twinfuse.cli", "fuse",
+                              "--scans-dir", str(scans), "--out", str(tmp_path / f"out{k}")],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        clouds.append((tmp_path / f"out{k}" / "fused.ply").read_bytes())
+    assert clouds[0] == clouds[1]
 
 
 def test_fuse_malformed_ply_header_is_one_error_line(bundle_dir, tmp_path, capsys):

@@ -1,10 +1,13 @@
-"""Property tests of the number-list rule in twinfuse.errors."""
+"""Property tests of the number-list rule and the CSV writer in
+twinfuse.errors."""
+
+import struct
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinfuse.errors import finite_number, non_numbers
+from twinfuse.errors import csv_rows, csv_text, finite_number, non_numbers
 
 # Edge values: not finite, at the float range, past it as ints.
 EDGES = st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e308,
@@ -35,3 +38,37 @@ def test_non_numbers_examples():
     assert non_numbers([1.0, True, "1.5", None]) == [True, "1.5", None]
     f32, i64 = np.float32(1.0), np.int64(1)
     assert non_numbers([f32, i64, 0]) == [f32, i64]
+
+
+# Floats at the edges of the range, signed zero and the smallest subnormal.
+FLOATS = st.one_of(st.floats(allow_nan=False),
+                   st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e308]))
+
+
+@st.composite
+def _tables(draw):
+    """Column types, each int or float, and rows of matching Python values."""
+    types = draw(st.lists(st.sampled_from([int, float]), min_size=1, max_size=6))
+    cells = [st.integers() if t is int else FLOATS for t in types]
+    return types, draw(st.lists(st.tuples(*cells), max_size=6))
+
+
+def _bits(row):
+    return [(type(v), struct.pack("<d", v) if isinstance(v, float) else v)
+            for v in row]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(table=_tables())
+def test_csv_text_round_trips_through_csv_rows(table):
+    types, rows = table
+    header = ",".join(f"c{i}" for i in range(len(types)))
+    back = list(csv_rows(csv_text(header, rows), "table", header, types))
+    assert [n for n, _ in back] == list(range(2, len(rows) + 2))
+    assert [_bits(row) for _, row in back] == [_bits(row) for row in rows]
+
+
+def test_csv_text_examples():
+    assert csv_text("a,b", []) == "a,b\n"
+    assert (csv_text("a,b", [[1, -0.0], (2, 5e-324), [-3, 1e308]])
+            == "a,b\n1,-0.0\n2,5e-324\n-3,1e+308\n")

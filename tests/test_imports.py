@@ -185,6 +185,29 @@ def test_frozen_fields_set_in_one_helper():
     assert found == {("geometry.py", "_freeze")}
 
 
+# The text file rules (UTF-8, "\n" line ends) are written once, in
+# errors.parse_file and errors.write_file; ply.py opens its binary files. No
+# other code opens a file.
+def _file_openers(source: str) -> list[str]:
+    return _callers(source, lambda f: getattr(f, "id", getattr(f, "attr", None))
+                    in ("open", "read_text", "write_text"))
+
+
+def test_file_opener_detector():
+    source = ("import io\nimport pathlib\n"
+              "def f(p):\n    with open(p, 'w') as h:\n        h.write('x')\n"
+              "class C:\n    text = pathlib.Path('a').read_text()\n"
+              "def g(p):\n    return io.open(p).read() + opener(p)\n"
+              "pathlib.Path('b').write_text('y')\n")
+    assert _file_openers(source) == ["f", "C", "g", "<module>"]
+
+
+def test_files_opened_in_one_place():
+    found = {(p.name, name) for p in MODULES for name in _file_openers(p.read_text())}
+    assert found == {("errors.py", "parse_file"), ("errors.py", "write_file"),
+                     ("ply.py", "save_ply"), ("ply.py", "load_ply")}
+
+
 # The pixel-to-ray rule is written once, in cameras._normalized: no other
 # code undistorts.
 def _undistort_callers(source: str) -> list[str]:

@@ -410,6 +410,21 @@ def test_skeleton_unknown_camera_id():
                              [c for c in cams if c.id != "cam2"])
 
 
+def test_skeleton_selected_index_outside_persons():
+    # -1 would pick each camera's last person (the bystander); an index past
+    # the end would drop the camera
+    bundle = generate(SynthConfig(seed=0, duration_s=0.2, include_bystander=True))
+    frames = bundle.keypoint_frames[0]
+    cam, persons = frames[0].camera_id, len(frames[0].keypoints)
+    for index in (-1, persons):
+        selection = {**select_surgeon(frames, bundle.cameras, bundle.table_center),
+                     cam: index}
+        with pytest.raises(ParameterError, match=re.escape(
+                f"selected person {index} of camera {cam!r} is not in "
+                f"0..{persons - 1}")):
+            triangulate_skeleton(frames, selection, bundle.cameras)
+
+
 @pytest.mark.parametrize("solve", [
     lambda frames, cams: select_surgeon(frames, cams, TABLE),
     lambda frames, cams: triangulate_skeleton(frames, {c.id: 0 for c in cams},

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from twinfuse.errors import ManifestError, TwinfuseError
+from twinfuse.errors import ManifestError, ParameterError, TwinfuseError
 from twinfuse.geometry import PointCloud, RigidTransform
 from twinfuse.mocap import N_JOINTS, Skeleton3DFrame
 from twinfuse.scene import (DynamicNode, SkeletonNode, StaticNode, TwinScene,
@@ -168,6 +168,14 @@ def test_sample_clamps_out_of_range():
     assert snap.clamped and snap.t_s == hi
     snap = sample_at(scene, lo - 5.0)
     assert snap.clamped and snap.t_s == lo
+
+
+def test_sample_refuses_nan_time():
+    scene = _scene()
+    with pytest.raises(ParameterError, match="sample time must not be NaN"):
+        sample_at(scene, float("nan"))
+    lo, hi = scene.time_range
+    assert sample_at(scene, np.inf).t_s == hi and sample_at(scene, -np.inf).t_s == lo
 
 
 def test_sample_static_pose_constant():
