@@ -254,7 +254,7 @@ def cmd_synth(args) -> int:
 def cmd_pipeline(args) -> int:
     config = synth.SynthConfig(seed=args.seed, duration_s=args.duration)
     bundle = synth.generate(config)
-    print(f"generated bundle: seed {config.seed}, {config.scan_count} scans, "
+    print(f"generated bundle: seed {config.seed}, {synth.SCAN_COUNT} scans, "
           f"{config.camera_count} cameras, {len(bundle.skeleton_true)} frames")
 
     fused, report = fusion.fuse_scans(bundle.scans)
@@ -385,6 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # names read from files are printed; an ASCII locale cannot encode them all
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(errors="backslashreplace")
     try:
         return args.func(args)
     except TwinfuseError as exc:

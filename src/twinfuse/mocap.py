@@ -110,6 +110,9 @@ class Skeleton3DFrame:
     valid: np.ndarray       # (67,) bool
 
     def __post_init__(self):
+        if not finite_number(self.t_s, numbers.Real):
+            raise ParameterError(f"skeleton frame t_s must be a finite number, "
+                                 f"got {self.t_s!r}")
         pos = np.asarray(self.positions, dtype=float).reshape(N_JOINTS, 3)
         res = np.asarray(self.residuals_px, dtype=float).reshape(N_JOINTS)
         val = np.asarray(self.valid, dtype=bool).reshape(N_JOINTS)

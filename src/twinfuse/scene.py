@@ -63,8 +63,9 @@ class TwinScene:
                 + [n.name for n in self.skeleton_nodes])
 
 
-def _track_end_times(dynamic_nodes, skeleton_nodes) -> list[float]:
-    """First and last timestamp of every non-empty dynamic track and skeleton."""
+def _time_span(dynamic_nodes, skeleton_nodes) -> tuple | None:
+    """(first, last) timestamp over every non-empty dynamic track and
+    skeleton, or None when there is none."""
     times = []
     for node in dynamic_nodes:
         if len(node.track):
@@ -72,7 +73,7 @@ def _track_end_times(dynamic_nodes, skeleton_nodes) -> list[float]:
     for node in skeleton_nodes:
         if node.frames:
             times += [node.frames[0].t_s, node.frames[-1].t_s]
-    return times
+    return (float(min(times)), float(max(times))) if times else None
 
 
 def assemble(static_nodes=(), dynamic_nodes=(), skeleton_nodes=(),
@@ -80,10 +81,8 @@ def assemble(static_nodes=(), dynamic_nodes=(), skeleton_nodes=(),
     """Scene of the nodes, its time range spanning every track; raises
     TwinfuseError with the first violation ``validate`` finds."""
     dynamic_nodes, skeleton_nodes = tuple(dynamic_nodes), tuple(skeleton_nodes)
-    times = _track_end_times(dynamic_nodes, skeleton_nodes)
-    time_range = (float(min(times)), float(max(times))) if times else None
     scene = TwinScene(reference_frame, static_nodes, dynamic_nodes,
-                      skeleton_nodes, time_range)
+                      skeleton_nodes, _time_span(dynamic_nodes, skeleton_nodes))
     violations = validate(scene)
     if violations:
         raise TwinfuseError(violations[0])
@@ -175,11 +174,9 @@ def validate(scene: TwinScene, base_dir=None) -> list[str]:
         ts = [f.t_s for f in node.frames]
         if len(ts) > 1 and np.any(np.diff(ts) <= 0):
             violations.append(f"skeleton node {node.name!r}: non-monotonic timestamps")
-    if scene.time_range is not None:
-        lo, hi = scene.time_range
-        times = _track_end_times(scene.dynamic_nodes, scene.skeleton_nodes)
-        if times and (lo > min(times) or hi < max(times)):
-            violations.append("time_range does not span all track timestamps")
+    # save does not write time_range: load recomputes it
+    if scene.time_range != _time_span(scene.dynamic_nodes, scene.skeleton_nodes):
+        violations.append("time_range is not the span of the track timestamps")
     return violations
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, asdict
 import numpy as np
 
 from .cameras import CameraIntrinsics, CameraModel, _pixels
-from .errors import ParameterError, finite_number, non_numbers, write_file
+from .errors import ParameterError, finite_number, write_file
 from .fusion import MarkerSet, ScanRecord
 from .geometry import (PointCloud, RigidTransform, compose, invert,
                        quat_from_axis_angle, quat_multiply, quat_normalize,
@@ -31,26 +31,25 @@ _FIELD_TYPES = {  # SynthConfig annotation -> (what it must be, check)
     "int": ("an int", lambda v: finite_number(v, int)),
     "float": ("a number", finite_number),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
-    "tuple": ("3 positive numbers", lambda v: isinstance(v, (tuple, list))
-              and len(v) == 3 and not non_numbers(v) and min(v) > 0),
 }
+
+ROOM_EXTENT_M = (7.0, 5.0, 3.0)  # x, y, z
+MARKER_COUNT = 21
+SCAN_COUNT = 8
+VISIBILITY_MIN = 12  # markers each scan sees, drawn in [min, max]
+VISIBILITY_MAX = 14
+TRACKER_SIGMA_M = 0.0005
+TRACKER_ROT_SIGMA_DEG = 0.05
+RATE_HZ = 30.0
 
 
 @dataclass(frozen=True)
 class SynthConfig:
     seed: int = 0
-    room_extent_m: tuple = (7.0, 5.0, 3.0)  # x, y, z
-    marker_count: int = 21
-    scan_count: int = 8
-    visibility_min: int = 12
-    visibility_max: int = 14
     camera_count: int = 5
     scan_sigma_m: float = 0.0025
     pixel_sigma_px: float = 0.5
-    tracker_sigma_m: float = 0.0005
-    tracker_rot_sigma_deg: float = 0.05
     duration_s: float = 4.0
-    rate_hz: float = 30.0
     skeleton_motion_amp_m: float = 0.05
     skeleton_jitter_m: float = 0.0
     include_bystander: bool = False
@@ -63,16 +62,13 @@ class SynthConfig:
                                      f"got {getattr(self, f.name)!r}")
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
-        if self.marker_count < 1 or self.scan_count < 1 or self.camera_count < 1:
-            raise ParameterError("counts must be >= 1")
-        if not (1 <= self.visibility_min <= self.visibility_max <= self.marker_count):
-            raise ParameterError("need 1 <= visibility_min <= visibility_max <= markers")
-        for s in (self.scan_sigma_m, self.pixel_sigma_px, self.tracker_sigma_m,
-                  self.tracker_rot_sigma_deg, self.skeleton_jitter_m):
+        if self.camera_count < 1:
+            raise ParameterError("camera_count must be >= 1")
+        for s in (self.scan_sigma_m, self.pixel_sigma_px, self.skeleton_jitter_m):
             if s < 0:
                 raise ParameterError("noise levels must be non-negative")
-        if self.duration_s <= 0 or self.rate_hz <= 0:
-            raise ParameterError("duration and rate must be positive")
+        if self.duration_s <= 0:
+            raise ParameterError("duration_s must be positive")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
@@ -86,8 +82,6 @@ class SynthConfig:
         if unknown:
             raise ParameterError("unknown synth config key(s): "
                                  + ", ".join(repr(k) for k in unknown))
-        if isinstance(obj.get("room_extent_m"), list):
-            obj["room_extent_m"] = tuple(obj["room_extent_m"])
         return cls(**obj)
 
 
@@ -129,8 +123,8 @@ def _grid(x0, x1, y0, y1, z, step):
     return np.column_stack([gx.ravel(), gy.ravel(), np.full(gx.size, float(z))])
 
 
-def _room_points(extent) -> np.ndarray:
-    ex, ey, ez = extent
+def _room_points() -> np.ndarray:
+    ex, ey, ez = ROOM_EXTENT_M
     hx, hy = ex / 2, ey / 2
     parts = [
         _grid(-hx, hx, -hy, hy, 0.0, 0.22),            # floor (dominant plane)
@@ -152,11 +146,11 @@ def _room_points(extent) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _marker_positions(config: SynthConfig, rng) -> np.ndarray:
+def _marker_positions(rng) -> np.ndarray:
     # three elliptical rings of increasing radius and height around the
     # table, jittered per seed; a wide constellation keeps the rotation
     # error of marker-based registration small at the default noise level
-    n = config.marker_count
+    n = MARKER_COUNT
     base = []
     i = 0
     while len(base) < n:
@@ -312,11 +306,11 @@ def _skeleton_at(times: np.ndarray, root: np.ndarray, amp: float) -> np.ndarray:
 
 def generate(config: SynthConfig) -> GroundTruthBundle:
     """Deterministic ground-truth bundle for the given config."""
-    room_pts = _room_points(config.room_extent_m)
+    room_pts = _room_points()
     room_cloud = PointCloud(room_pts, frame="reference")
 
     marker_rng = _rng(config.seed, "markers")
-    marker_pos = _marker_positions(config, marker_rng)
+    marker_pos = _marker_positions(marker_rng)
     markers = MarkerSet("reference", {f"M{i + 1:02d}": p
                                       for i, p in enumerate(marker_pos)})
     marker_ids = sorted(markers.positions)
@@ -325,18 +319,18 @@ def generate(config: SynthConfig) -> GroundTruthBundle:
     # scans; visibility favors a core subset so scan pairs share markers,
     # as physically prominent markers are seen from most positions
     vis_weights = np.ones(len(marker_ids))
-    vis_weights[:min(14, len(marker_ids))] = 50.0
+    vis_weights[:14] = 50.0
     vis_weights /= vis_weights.sum()
     scans = []
     scan_poses = {}
-    for i in range(config.scan_count):
+    for i in range(SCAN_COUNT):
         rng = _rng(config.seed, f"scan{i}")
         name = f"scan{i}"
         world_from_scan = _scan_pose(rng, name)
         scan_from_world = invert(world_from_scan)
         pts = scan_from_world.apply_points(room_pts)
         pts = pts + rng.normal(0.0, config.scan_sigma_m, size=pts.shape)
-        n_vis = int(rng.integers(config.visibility_min, config.visibility_max + 1))
+        n_vis = int(rng.integers(VISIBILITY_MIN, VISIBILITY_MAX + 1))
         vis_idx = np.sort(rng.choice(len(marker_ids), size=n_vis, replace=False,
                                      p=vis_weights))
         mpos = scan_from_world.apply_points(marker_arr[vis_idx])
@@ -357,8 +351,8 @@ def generate(config: SynthConfig) -> GroundTruthBundle:
                                  for j in range(len(marker_ids)) if mask[j]]
 
     # instrument trajectory
-    n_samples = int(round(config.duration_s * config.rate_hz)) + 1
-    times = np.arange(n_samples) / config.rate_hz
+    n_samples = int(round(config.duration_s * RATE_HZ)) + 1
+    times = np.arange(n_samples) / RATE_HZ
     w = 2 * np.pi * 0.25
     pos = TABLE_CENTER + np.column_stack([
         0.10 * np.cos(w * times),
@@ -370,12 +364,12 @@ def generate(config: SynthConfig) -> GroundTruthBundle:
         quat_from_axis_angle([0, 0, 1], 0.4 * t))) for t in times])
     track_true = PoseTrack("reference", times, quats, pos)
     rng = _rng(config.seed, "instrument")
-    noisy_pos = pos + rng.normal(0.0, config.tracker_sigma_m, size=pos.shape)
+    noisy_pos = pos + rng.normal(0.0, TRACKER_SIGMA_M, size=pos.shape)
     noisy_quats = np.empty_like(quats)
     for i in range(n_samples):
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
-        ang = np.radians(rng.normal(0.0, config.tracker_rot_sigma_deg))
+        ang = np.radians(rng.normal(0.0, TRACKER_ROT_SIGMA_DEG))
         noisy_quats[i] = quat_normalize(
             quat_multiply(quat_from_axis_angle(axis, ang), quats[i]))
     track_noisy = PoseTrack("reference", times, noisy_quats, noisy_pos)

@@ -1,6 +1,7 @@
 """End-to-end command-line interface tests (run in process)."""
 
 import functools
+import io
 import json
 import os
 import pathlib
@@ -868,6 +869,36 @@ def test_fuse_reads_utf8_markers_under_an_ascii_locale(bundle_dir, tmp_path):
     assert clouds[0] == clouds[1]
 
 
+def test_scene_prints_a_non_ascii_name_under_an_ascii_locale(tmp_path):
+    from twinfuse import scene as scene_mod
+    from twinfuse.geometry import RigidTransform
+    pose = RigidTransform([1.0, 0, 0, 0], [0.0, 0, 0], "room", "reference")
+    d = tmp_path / "scene"
+    scene_mod.save(scene_mod.assemble(
+        [scene_mod.StaticNode(name, "room.obj", pose)
+         for name in ("salle\u00e9", "table")]), d)
+    (d / "room.obj").write_bytes(b"")
+    out = {}
+    for name, locale in [("ascii", ASCII_LOCALE),
+                         ("utf8", {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"})]:
+        env = {**os.environ, **locale, "PYTHONPATH": str(SRC)}
+        run = subprocess.run([sys.executable, "-m", "twinfuse.cli", "scene", str(d)],
+                             env=env, capture_output=True)
+        assert (run.returncode, run.stderr) == (0, b"")
+        out[name] = run.stdout
+    assert out["ascii"] == b"scene OK: frame 'reference', nodes: salle\\xe9, table\n"
+    assert out["utf8"] == "scene OK: frame 'reference', nodes: salle\u00e9, table\n".encode()
+
+
+def test_main_prints_to_a_stream_without_reconfigure(tmp_path, monkeypatch):
+    from twinfuse import scene as scene_mod
+    d = tmp_path / "scene"
+    scene_mod.save(scene_mod.assemble(), d)
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    assert main(["scene", str(d)]) == 0
+    assert sys.stdout.getvalue() == "scene OK: frame 'reference', nodes: (empty)\n"
+
+
 def test_fuse_malformed_ply_header_is_one_error_line(bundle_dir, tmp_path, capsys):
     scans = tmp_path / "scans"
     shutil.copytree(bundle_dir / "scans", scans)
@@ -909,11 +940,11 @@ def test_synth_rejects_unknown_config_key(tmp_path, capsys):
 
 @pytest.mark.parametrize("config, message", [
     ({"seed": "zero"}, "seed must be an int, got 'zero'"),
-    ({"marker_count": "5"}, "marker_count must be an int, got '5'"),
+    ({"marker_count": "5"}, "unknown synth config key(s): 'marker_count'"),
     ({"seed": -1}, "seed must be >= 0, got -1"),
-    ({"room_extent_m": 5}, "room_extent_m must be 3 positive numbers, got 5"),
-    ({"room_extent_m": None},
-     "room_extent_m must be 3 positive numbers, got None"),
+    ({"room_extent_m": [7.0, 5.0, 3.0]},
+     "unknown synth config key(s): 'room_extent_m'"),
+    ({"seed": 0, "rate_hz": 30.0}, "unknown synth config key(s): 'rate_hz'"),
 ])
 def test_synth_rejects_wrong_config_type(tmp_path, capsys, config, message):
     cfg_path = tmp_path / "config.json"

@@ -206,7 +206,7 @@ def test_fuse_empty_scan_names_scan(empty):
 
 def test_finalize_centered_room_is_identity():
     from twinfuse.synth import _room_points
-    room = PointCloud(_room_points(SynthConfig().room_extent_m), frame="fused")
+    room = PointCloud(_room_points(), frame="fused")
     final, t = finalize_reference(room)
     assert np.linalg.norm(t.t) < 0.005
     from twinfuse.geometry import rotation_angle_deg
@@ -215,7 +215,7 @@ def test_finalize_centered_room_is_identity():
 
 def test_finalize_recovers_offset():
     from twinfuse.synth import _room_points
-    room_pts = _room_points(SynthConfig().room_extent_m)
+    room_pts = _room_points()
     base, _ = finalize_reference(PointCloud(room_pts, frame="fused"))
     offset = RigidTransform([1, 0, 0, 0], [1.0, 2.0, 0.5], "fused", "fused")
     moved, _ = finalize_reference(apply(offset, PointCloud(room_pts, frame="fused")))

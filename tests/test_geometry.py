@@ -284,8 +284,8 @@ def test_build_floor_frame_identity_when_centered():
 
 
 def test_build_floor_frame_synthetic_room():
-    from twinfuse.synth import SynthConfig, _room_points
-    room = _room_points(SynthConfig().room_extent_m)
+    from twinfuse.synth import _room_points
+    room = _room_points()
     floor = room[np.abs(room[:, 2]) < 1e-9]
     body = room[room[:, 2] > 1e-9]
     t = build_floor_frame(floor, body, from_frame="fused")

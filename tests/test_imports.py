@@ -3,6 +3,8 @@ in that module, the public API has no solver settings and no name without a
 caller, and each rule written once stays in its one place."""
 
 import ast
+import dataclasses
+import json
 import pathlib
 
 import pytest
@@ -288,3 +290,43 @@ def test_joint_layout_written_once():
     found = {(p.name, name) for p in MODULES
              for name in _layout_references(p.read_text())}
     assert found == {("mocap.py", name) for name in LAYOUT_NAMES}
+
+
+# Every SynthConfig field is set by a caller outside the unit tests: a keyword
+# of a SynthConfig(...) call in CALLER_FILES or a key of a "synth" object in
+# perfbench/workloads.json. A value no caller changes is a constant in synth.
+def _synth_keywords(source: str) -> set[str]:
+    return {k.arg for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Call)
+            and getattr(n.func, "id", getattr(n.func, "attr", None)) == "SynthConfig"
+            for k in n.keywords if k.arg is not None}
+
+
+def _synth_json_keys(obj) -> set[str]:
+    if isinstance(obj, list):
+        return set().union(*map(_synth_json_keys, obj))
+    if not isinstance(obj, dict):
+        return set()
+    keys = set(obj["synth"]) if isinstance(obj.get("synth"), dict) else set()
+    return keys.union(*map(_synth_json_keys, obj.values()))
+
+
+def test_synth_caller_detectors():
+    source = ("from twinfuse import synth\nfrom twinfuse.synth import SynthConfig\n"
+              "SynthConfig(seed=1, **spec)\nsynth.SynthConfig(duration_s=2)\n"
+              "Other(rate_hz=3)\n")
+    assert _synth_keywords(source) == {"seed", "duration_s"}
+    workloads = {"a": {"synth": {"x": 1}, "smoke": {"synth": {"y": 2}}},
+                 "b": [{"synth": {"z": 3}}], "synth_note": {"w": 4}}
+    assert _synth_json_keys(workloads) == {"x", "y", "z"}
+
+
+def test_synth_settings_have_callers():
+    from twinfuse.synth import SynthConfig
+
+    workloads = json.loads((ROOT / "perfbench" / "workloads.json").read_text())
+    set_by_callers = _synth_json_keys(workloads).union(
+        *(_synth_keywords(p.read_text()) for p in CALLER_FILES))
+    uncalled = sorted({f.name for f in dataclasses.fields(SynthConfig)}
+                      - set_by_callers)
+    assert uncalled == []

@@ -190,6 +190,16 @@ def test_skeleton_csv_round_trip():
         assert np.array_equal(a.valid, b.valid)
 
 
+@pytest.mark.parametrize("t_s", [np.nan, np.inf, "0.1", True, None])
+def test_skeleton_frame_rejects_non_finite_time(t_s):
+    # before the check, scene.save wrote a NaN frame that scene.load refused
+    with pytest.raises(ParameterError) as exc_info:
+        Skeleton3DFrame(t_s, np.zeros((N_JOINTS, 3)), np.zeros(N_JOINTS),
+                        np.ones(N_JOINTS, dtype=bool))
+    assert str(exc_info.value) == (f"skeleton frame t_s must be a finite "
+                                   f"number, got {t_s!r}")
+
+
 @pytest.mark.parametrize("row, message", [
     ("0.0,1", "expected 7 columns, got 2"),
     ("0.0,1,0.1,0.2,0.3,0.5,1,9", "expected 7 columns, got 8"),

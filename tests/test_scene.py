@@ -116,6 +116,21 @@ def test_validate_reports_shrunk_time_range():
     assert any("time_range" in v for v in validate(broken))
 
 
+@pytest.mark.parametrize("widen", [True, False], ids=["wider", "none-with-track"])
+def test_validate_requires_the_exact_time_range(tmp_path, widen):
+    # save does not write time_range, so only the exact span survives a
+    # round trip; None with tracks would never clamp in sample_at
+    scene = _scene()
+    lo, hi = scene.time_range
+    broken = TwinScene(scene.reference_frame, scene.static_nodes,
+                       scene.dynamic_nodes, scene.skeleton_nodes,
+                       (lo - 1.0, hi + 1.0) if widen else None)
+    assert validate(broken) == ["time_range is not the span of the track "
+                                "timestamps"]
+    save(scene, tmp_path)
+    assert validate(scene) == [] and scenes_equal(scene, load(tmp_path))
+
+
 # ---------------------------------------------------------------------------
 # sample_at
 

@@ -20,10 +20,6 @@ SHORT = SynthConfig(seed=3, duration_s=0.5)
 
 def test_config_validation():
     with pytest.raises(ParameterError):
-        SynthConfig(marker_count=0)
-    with pytest.raises(ParameterError):
-        SynthConfig(visibility_min=10, visibility_max=5)
-    with pytest.raises(ParameterError):
         SynthConfig(scan_sigma_m=-1.0)
     with pytest.raises(ParameterError):
         SynthConfig(duration_s=0.0)
@@ -34,13 +30,9 @@ def test_config_validation():
 @pytest.mark.parametrize("field, value, want", [
     ("seed", "zero", "an int"),
     ("seed", True, "an int"),
-    ("marker_count", "5", "an int"),
     ("camera_count", 5.0, "an int"),
     ("duration_s", "2", "a number"),
     ("pixel_sigma_px", False, "a number"),
-    ("room_extent_m", (7.0, 5.0), "3 positive numbers"),
-    ("room_extent_m", (7.0, 5.0, 0.0), "3 positive numbers"),
-    ("room_extent_m", (7.0, "5", 3.0), "3 positive numbers"),
     ("include_bystander", 1, "true or false"),
 ])
 def test_config_rejects_wrong_type(field, value, want):
@@ -50,27 +42,30 @@ def test_config_rejects_wrong_type(field, value, want):
 
 
 def test_config_accepts_int_for_float_fields():
-    cfg = SynthConfig(duration_s=2, room_extent_m=[7, 5, 3])
-    assert cfg.duration_s == 2 and tuple(cfg.room_extent_m) == (7, 5, 3)
+    cfg = SynthConfig(duration_s=2, scan_sigma_m=0, skeleton_motion_amp_m=1)
+    assert (cfg.duration_s, cfg.scan_sigma_m, cfg.skeleton_motion_amp_m) == (2, 0, 1)
 
 
 def test_config_json_round_trip():
-    cfg = SynthConfig(seed=9, scan_count=3, skeleton_jitter_m=0.004)
+    cfg = SynthConfig(seed=9, camera_count=3, scan_sigma_m=0.001,
+                      pixel_sigma_px=0.25, duration_s=0.5,
+                      skeleton_motion_amp_m=0.02, skeleton_jitter_m=0.004,
+                      include_bystander=True)
     assert SynthConfig.from_json(cfg.to_json()) == cfg
 
 
 def test_bundle_structure(default_bundle):
     b = default_bundle
     cfg = b.config
-    assert len(b.scans) == cfg.scan_count
+    assert len(b.scans) == synth.SCAN_COUNT
     assert len(b.cameras) == cfg.camera_count
-    assert len(b.markers.positions) == cfg.marker_count
+    assert len(b.markers.positions) == synth.MARKER_COUNT
     for scan in b.scans:
         n = len(scan.markers.positions)
-        assert cfg.visibility_min <= n <= cfg.visibility_max
+        assert synth.VISIBILITY_MIN <= n <= synth.VISIBILITY_MAX
         assert set(scan.markers.positions) <= set(b.markers.positions)
         assert scan.cloud.frame == scan.name
-    n_samples = int(round(cfg.duration_s * cfg.rate_hz)) + 1
+    n_samples = int(round(cfg.duration_s * synth.RATE_HZ)) + 1
     assert len(b.instrument_track_true) == n_samples
     assert len(b.skeleton_true) == n_samples
     assert len(b.keypoint_frames) == n_samples
@@ -96,12 +91,19 @@ def test_different_seeds_differ():
     assert not np.array_equal(a.scans[0].cloud.points, b.scans[0].cloud.points)
 
 
-def test_entity_substreams_stable_under_more_scans():
-    # adding scans must not perturb existing per-scan noise streams
-    a = generate(SynthConfig(seed=5, scan_count=3, duration_s=0.5))
-    b = generate(SynthConfig(seed=5, scan_count=5, duration_s=0.5))
-    for i in range(3):
-        assert np.array_equal(a.scans[i].cloud.points, b.scans[i].cloud.points)
+def test_entity_substreams_stable_under_a_bystander():
+    # adding a person must not perturb the other entities' noise streams
+    a = generate(SynthConfig(seed=5, duration_s=0.5))
+    b = generate(SynthConfig(seed=5, duration_s=0.5, include_bystander=True))
+    for sa, sb in zip(a.scans, b.scans, strict=True):
+        assert _same_bits(sa.cloud.points, sb.cloud.points)
+        assert sa.markers.to_json() == sb.markers.to_json()
+    assert a.markers.to_json() == b.markers.to_json()
+    assert a.marker_pixels == b.marker_pixels
+    for name in ("instrument_track_true", "instrument_track_noisy"):
+        ta, tb = getattr(a, name), getattr(b, name)
+        for field in ("times", "quats", "translations"):
+            assert _same_bits(getattr(ta, field), getattr(tb, field))
 
 
 def test_scan_clouds_match_true_poses(default_bundle):
@@ -146,10 +148,10 @@ def test_marker_pixels_reproject(default_bundle):
 def test_instrument_noise_level(default_bundle):
     b = default_bundle
     d = b.instrument_track_noisy.translations - b.instrument_track_true.translations
-    assert 0 < d.std() < 3 * b.config.tracker_sigma_m
+    assert 0 < d.std() < 3 * synth.TRACKER_SIGMA_M
     angs = [quat_angle_deg(qa, qb) for qa, qb in
             zip(b.instrument_track_noisy.quats, b.instrument_track_true.quats)]
-    assert 0 < max(angs) < 6 * b.config.tracker_rot_sigma_deg
+    assert 0 < max(angs) < 6 * synth.TRACKER_ROT_SIGMA_DEG
 
 
 def test_skeleton_true_valid_and_shaped(default_bundle):
@@ -182,8 +184,8 @@ def _skeleton_at_time(t, root, amp):
 def _per_frame_skeletons(config, cameras):
     """(skeleton_true, keypoint_frames) made one frame, camera and person at
     a time, with one noise draw each: the reference for ``generate``."""
-    n_samples = int(round(config.duration_s * config.rate_hz)) + 1
-    times = np.arange(n_samples) / config.rate_hz
+    n_samples = int(round(config.duration_s * synth.RATE_HZ)) + 1
+    times = np.arange(n_samples) / synth.RATE_HZ
     table = synth.TABLE_CENTER
     surgeon_root = table * np.array([1, 1, 0]) + np.array([0.0, -0.55, 0.0])
     bystander_root = table * np.array([1, 1, 0]) + np.array([-1.2, 1.6, 0.0])
@@ -301,8 +303,8 @@ def test_export_bundle_layout(tmp_path, default_bundle):
     export_bundle(default_bundle, tmp_path)
     cfg = default_bundle.config
     scans = sorted(os.listdir(tmp_path / "scans"))
-    assert len([s for s in scans if s.endswith(".ply")]) == cfg.scan_count
-    assert len([s for s in scans if s.endswith("_markers.json")]) == cfg.scan_count
+    assert len([s for s in scans if s.endswith(".ply")]) == synth.SCAN_COUNT
+    assert len([s for s in scans if s.endswith("_markers.json")]) == synth.SCAN_COUNT
     cams = sorted(os.listdir(tmp_path / "cameras"))
     assert len([c for c in cams if c.endswith("_intrinsics.json")]) == cfg.camera_count
     assert (tmp_path / "reference_markers.json").exists()
