@@ -13,7 +13,7 @@ from .errors import (BehindCameraError, ConvergenceError, DegenerateGeometryErro
                      NoOverlapError, ParameterError, UnknownEntityError,
                      _repeated, finite_number, non_numbers, reading)
 from .geometry import (RigidTransform, _freeze, _least_squares, invert,
-                       matrix_to_quat, quat_to_matrix, transform_from_matrix)
+                       matrix_to_quat, transform_from_matrix)
 
 CONFIDENCE_FLOOR = 0.1  # observations below this weight are discarded
 MIN_RAY_ANGLE_DEG = 0.25  # widest ray pair below this is a degenerate triangulation
@@ -81,10 +81,13 @@ class CameraModel:
     intrinsics: CameraIntrinsics
     world_from_camera: RigidTransform
     cam_from_world: RigidTransform = field(init=False, repr=False, compare=False)
+    cam_from_world_rot: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _camera_id(self.id)
-        _freeze(self, cam_from_world=invert(self.world_from_camera))
+        cam_from_world = invert(self.world_from_camera)
+        _freeze(self, cam_from_world=cam_from_world,
+                cam_from_world_rot=cam_from_world.rotation)
 
     def to_json(self) -> str:
         return json.dumps({"id": self.id, **self.intrinsics.to_dict(),
@@ -131,60 +134,84 @@ def _cameras_by_id(cameras: list[CameraModel], ids) -> list[CameraModel]:
 # ---------------------------------------------------------------------------
 # projection
 
-def _distort(xn: np.ndarray, dist) -> np.ndarray:
-    """Apply Brown-Conrady distortion to normalized coords (N, 2).
+# the rows of (k1, k2, p1, p2, k3) and the factors that make _dist_terms
+_TERM_ROWS = np.array([0, 1, 4, 2, 3, 0, 1, 4, 2, 3, 2, 3])
+_TERM_FACTORS = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 4.0, 6.0, 2.0, 2.0, 6.0, 6.0])
 
-    ``dist`` is one (k1, k2, p1, p2, k3) tuple, or a (5, ...) array whose
-    coefficient rows broadcast against the points.
-    """
-    k1, k2, p1, p2, k3 = dist
-    x, y = xn[..., 0], xn[..., 1]
+
+def _dist_terms(dist, shape: tuple) -> tuple:
+    """The coefficients ``_brown_conrady`` takes for points of ``shape``,
+    formed once per call: k1, k2, k3, p1, p2 and the products 2 k1, 4 k2,
+    6 k3, 2 p1, 2 p2, 6 p1 and 6 p2. ``dist`` is one (k1, k2, p1, p2, k3)
+    tuple, or a (5, ...) array whose coefficient rows broadcast against the
+    points; such rows are spread to ``shape``, since numpy runs a loop over
+    equal shapes several times faster than one over a broadcast row."""
+    if not isinstance(dist, np.ndarray):
+        k1, k2, p1, p2, k3 = dist
+        return (k1, k2, k3, p1, p2,
+                2 * k1, 4 * k2, 6 * k3, 2 * p1, 2 * p2, 6 * p1, 6 * p2)
+    rows = dist[_TERM_ROWS] * _TERM_FACTORS.reshape((12,) + (1,) * (dist.ndim - 1))
+    if rows.shape[1:] != shape:
+        rows = np.broadcast_to(rows.reshape((12,) + (1,) * (len(shape) - dist.ndim + 1)
+                                            + dist.shape[1:]), (12,) + shape).copy()
+    return tuple(rows)
+
+
+def _brown_conrady(x, y, terms, jacobian: bool = True) -> tuple:
+    """The distortion kernel: Brown-Conrady distortion ``(xd, yd)`` of the
+    normalized coords ``(x, y)`` and, with ``jacobian``, the entries
+    ``(a, b, d)`` of its symmetric derivative ``[[a, b], [b, d]]``.
+    ``terms`` is ``_dist_terms(dist, x.shape)``. This is the one place the
+    polynomial and its derivative are written."""
+    k1, k2, k3, p1, p2, k1_2, k2_4, k3_6, p1_2, p2_2, p1_6, p2_6 = terms
     r2 = x * x + y * y
     radial = 1 + k1 * r2 + k2 * r2 ** 2 + k3 * r2 ** 3
-    xd = x * radial + 2 * p1 * x * y + p2 * (r2 + 2 * x * x)
-    yd = y * radial + p1 * (r2 + 2 * y * y) + 2 * p2 * x * y
-    return np.stack([xd, yd], axis=-1)
+    xd = x * radial + p1_2 * x * y + p2 * (r2 + 2 * x * x)
+    yd = y * radial + p1 * (r2 + 2 * y * y) + p2_2 * x * y
+    if not jacobian:
+        return xd, yd
+    radial = 1 + r2 * (k1 + r2 * (k2 + r2 * k3))  # Horner form
+    g = k1_2 + r2 * (k2_4 + k3_6 * r2)  # twice d radial / d r2
+    a = radial + g * x * x + p1_2 * y + p2_6 * x
+    b = g * x * y + p1_2 * x + p2_2 * y
+    d = radial + g * y * y + p1_6 * y + p2_2 * x
+    return xd, yd, a, b, d
 
 
-def _distort_jacobian(xn: np.ndarray, dist) -> np.ndarray:
-    """Derivative (..., 2, 2) of ``_distort`` at normalized coords (..., 2);
-    ``dist`` is as for ``_distort``. It is symmetric."""
-    k1, k2, p1, p2, k3 = dist
-    x, y = xn[..., 0], xn[..., 1]
-    r2 = x * x + y * y
-    radial = 1 + r2 * (k1 + r2 * (k2 + r2 * k3))
-    g = 2 * k1 + r2 * (4 * k2 + 6 * k3 * r2)  # twice d radial / d r2
-    jac = np.empty(x.shape + (2, 2))
-    jac[..., 0, 0] = radial + g * x * x + 2 * p1 * y + 6 * p2 * x
-    jac[..., 0, 1] = jac[..., 1, 0] = g * x * y + 2 * p1 * x + 2 * p2 * y
-    jac[..., 1, 1] = radial + g * y * y + 6 * p1 * y + 2 * p2 * x
-    return jac
+def _distort(xn: np.ndarray, dist) -> np.ndarray:
+    """Apply Brown-Conrady distortion to normalized coords (..., 2); ``dist``
+    is as for ``_dist_terms``."""
+    terms = _dist_terms(dist, xn.shape[:-1])
+    return np.stack(_brown_conrady(xn[..., 0], xn[..., 1], terms, jacobian=False),
+                    axis=-1)
 
 
 def _undistort(xd: np.ndarray, dist) -> np.ndarray:
     """Invert the distortion by at most 30 Newton steps on normalized coords
     (..., 2), starting from the distorted coords. Each point stops once its
     step is below 1e-14, so its result does not depend on the other points."""
-    xn = np.array(xd, dtype=float, copy=True)
-    moving = np.ones(xn.shape[:-1], dtype=bool)
+    xd = np.asarray(xd, dtype=float)
+    terms = _dist_terms(dist, xd.shape[:-1])
+    u, v = xd[..., 0], xd[..., 1]
+    x, y = u, v
+    moving = np.ones(u.shape, dtype=bool)
     for _ in range(30):
-        err = _distort(xn, dist) - xd
-        jac = _distort_jacobian(xn, dist)
-        a, b, d = jac[..., 0, 0], jac[..., 0, 1], jac[..., 1, 1]
-        ex, ey = err[..., 0], err[..., 1]
-        step = np.stack([d * ex - b * ey, a * ey - b * ex], axis=-1) / (a * d - b * b)[..., None]
-        step[~moving] = 0.0
-        xn -= step
-        moving &= np.abs(step).max(axis=-1) >= 1e-14
+        xe, ye, a, b, d = _brown_conrady(x, y, terms)
+        ex, ey = xe - u, ye - v
+        det = a * d - b * b
+        sx = np.where(moving, (d * ex - b * ey) / det, 0.0)
+        sy = np.where(moving, (a * ey - b * ex) / det, 0.0)
+        x, y = x - sx, y - sy
+        moving &= np.maximum(np.abs(sx), np.abs(sy)) >= 1e-14
         if not moving.any():
             break
-    return xn
+    return np.stack([x, y], axis=-1)
 
 
 def _pixels(pc: np.ndarray, focal, center, dist) -> np.ndarray:
     """The projection kernel: camera-frame points (..., 3) in front of the
     camera to pixels (..., 2). ``focal`` and ``center`` broadcast against
-    the pixels; ``dist`` is as for ``_distort``."""
+    the pixels; ``dist`` is as for ``_dist_terms``."""
     return focal * _distort(pc[..., :2] / pc[..., 2:3], dist) + center
 
 
@@ -195,14 +222,21 @@ def _normalized(pixels: np.ndarray, focal, center, dist) -> np.ndarray:
     return _undistort((pixels - center) / focal, dist)
 
 
-def _pixels_jacobian(pc: np.ndarray, focal, dist) -> np.ndarray:
-    """Derivative (..., 2, 3) of ``_pixels`` with respect to the camera-frame
-    points: ``diag(focal) . D . d(x/z, y/z)/d(x, y, z)``, with D the
-    distortion's Jacobian."""
+def _pixels_with_jacobian(pc: np.ndarray, focal, center, dist):
+    """``_pixels`` and its derivative (..., 2, 3) with respect to the
+    camera-frame points, ``diag(focal) . D . d(x/z, y/z)/d(x, y, z)`` with D
+    the distortion's derivative, from one ``_brown_conrady`` call."""
     z = pc[..., 2:3]
     xn = pc[..., :2] / z
-    fd = focal[..., :, None] * _distort_jacobian(xn, dist) / z[..., None]
-    return np.concatenate([fd, -(fd @ xn[..., None])], axis=-1)
+    x, y = xn[..., 0].copy(), xn[..., 1].copy()  # contiguous runs faster
+    xd, yd, a, b, d = _brown_conrady(x, y, _dist_terms(dist, x.shape))
+    jac = np.empty(a.shape + (2, 2))
+    jac[..., 0, 0] = a
+    jac[..., 0, 1] = jac[..., 1, 0] = b
+    jac[..., 1, 1] = d
+    fd = focal[..., :, None] * jac / z[..., None]
+    return (focal * np.stack([xd, yd], axis=-1) + center,
+            np.concatenate([fd, -(fd @ xn[..., None])], axis=-1))
 
 
 def project_points(cam: CameraModel, points_world: np.ndarray) -> np.ndarray:
@@ -318,8 +352,9 @@ def solve_pnp(points, pixels, intr: CameraIntrinsics) -> tuple[RigidTransform, f
         cam_rot = _rotvec_to_matrix(x[0, :3])
         pc = points @ cam_rot.T + x[0, 3:]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            r = (_pixels(pc, intr.focal, intr.center, intr.dist) - pixels).reshape(1, -1)
-            d_pc = _pixels_jacobian(pc, intr.focal, intr.dist)  # (N, 2, 3)
+            uv, d_pc = _pixels_with_jacobian(pc, intr.focal, intr.center,
+                                             intr.dist)  # d_pc: (N, 2, 3)
+            r = (uv - pixels).reshape(1, -1)
         if (pc[:, 2] <= 1e-9).any():
             r[:] = np.nan
         # d pc / d rotvec = -R [X]x J_r(rotvec); d pc / d t = I
@@ -349,7 +384,7 @@ def _camera_arrays(cameras: list[CameraModel]):
     """Stacked arrays of K cameras: camera-from-world rotations (K, 3, 3) and
     translations (K, 3), focal lengths (K, 2), principal points (K, 2) and
     distortion coefficients (5, K)."""
-    rot = np.array([quat_to_matrix(c.cam_from_world.q) for c in cameras])
+    rot = np.array([c.cam_from_world_rot for c in cameras])
     t = np.array([c.cam_from_world.t for c in cameras])
     focal = np.array([c.intrinsics.focal for c in cameras])
     center = np.array([c.intrinsics.center for c in cameras])
@@ -383,9 +418,13 @@ def triangulate_batch(pixels, confidences, cameras: list[CameraModel]
     errors: list = [None] * n_points
 
     # distinct cameras among each point's used slots
-    _, slot_camera = np.unique([c.id for c in cameras], return_inverse=True)
-    seen = used[:, :, None] & (slot_camera[:, None] == np.arange(len(cameras)))
-    n_views = seen.any(axis=1).sum(axis=1)
+    ids = [c.id for c in cameras]
+    if len(set(ids)) == len(ids):
+        n_views = used.sum(axis=1)
+    else:
+        _, slot_camera = np.unique(ids, return_inverse=True)
+        seen = used[:, :, None] & (slot_camera[:, None] == np.arange(len(cameras)))
+        n_views = seen.any(axis=1).sum(axis=1)
     for i in np.flatnonzero(n_views < 2):
         errors[i] = InsufficientViewsError(
             f"need observations from >= 2 cameras, got {n_views[i]}")
@@ -401,7 +440,7 @@ def triangulate_batch(pixels, confidences, cameras: list[CameraModel]
     xn = _normalized(uv, focal, center, dist)
     p = np.concatenate([rot, t[:, :, None]], axis=2)
     a = w[..., None, None] * (xn[..., None] * p[:, 2:3, :] - p[:, :2, :])
-    h = np.linalg.svd(a.reshape(len(sel), -1, 4))[2][:, -1]
+    h = np.linalg.svd(a.reshape(len(sel), -1, 4), full_matrices=False)[2][:, -1]
     finite = np.abs(h[:, 3]) >= 1e-12
     for i in sel[~finite]:
         errors[i] = DegenerateGeometryError("triangulated point at infinity")
@@ -425,14 +464,22 @@ def triangulate_batch(pixels, confidences, cameras: list[CameraModel]
 
     weights = w / w.sum(axis=1, keepdims=True)
 
+    every_slot = used.all()  # then the masks of discarded slots are no-ops
+
     def model(x, rows):  # x: (len(rows), 3) candidate positions
         pc = np.einsum("kij,pj->pki", rot, x) + t
-        u = used[rows, :, None]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            r = np.where(u, _pixels(pc, focal, center, dist) - uv[rows], 0.0)
-            jac = np.where(u[..., None], _pixels_jacobian(pc, focal, dist) @ rot, 0.0)
+            pixels, d_pc = _pixels_with_jacobian(pc, focal, center, dist)
+            r = pixels - uv[rows]
+            jac = d_pc @ rot
+        behind = pc[..., 2] <= 0
+        if not every_slot:
+            u = used[rows]
+            r = np.where(u[..., None], r, 0.0)
+            jac = np.where(u[..., None, None], jac, 0.0)
+            behind &= u
         r = r.reshape(len(x), 2 * len(cameras))
-        r[((pc[..., 2] <= 0) & u[..., 0]).any(axis=1)] = np.nan
+        r[behind.any(axis=1)] = np.nan
         return r, jac.reshape(len(x), 2 * len(cameras), 3)
 
     x, r = _least_squares(model, start, np.repeat(weights, 2, axis=1))

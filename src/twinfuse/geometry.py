@@ -383,16 +383,35 @@ def _least_squares(model, x: np.ndarray, weights: np.ndarray):
         jtj[rows] = jtw @ jac[rows]
         jtr[rows] = (jtw @ r[rows, :, None])[..., 0]
 
-    normal_equations(act)
+    def rows_of(act):
+        """``act`` as an index: while every problem is still trying, a
+        slice, whose views spare the copies an index array makes."""
+        return slice(None) if len(act) == n_problems else act
+
+    normal_equations(rows_of(act))
     eye = np.eye(n)
     while len(act):
-        a, b = jtj[act], jtr[act]
-        h = _solve(a + (lam[act, None] * (np.diagonal(a, axis1=1, axis2=2) + 1e-12))[..., None]
+        at = rows_of(act)
+        a, b = jtj[at], jtr[at]
+        h = _solve(a + (lam[at, None] * (np.diagonal(a, axis1=1, axis2=2) + 1e-12))[..., None]
                    * eye, -b)
-        x_new = x[act] + h
+        x_new = x[at] + h
         r_new, jac_new = model(x_new, act)
-        cost_new = np.einsum("bm,bm->b", weights[act], r_new * r_new)
-        better = cost_new < cost[act]  # False where undefined (NaN)
+        cost_new = np.einsum("bm,bm->b", weights[at], r_new * r_new)
+        better = cost_new < cost[at]  # False where undefined (NaN)
+        if better.all():  # every step accepted: no bookkeeping for rejections
+            drop = cost[at] - cost_new
+            x[at], r[at], jac[at], cost[at] = x_new, r_new, jac_new, cost_new
+            lam[at] = np.maximum(lam[at] / 10, 1e-12)
+            tries[at] = 0
+            steps[at] += 1
+            act = act[(drop >= 1e-10) & (steps[at] < 100)]
+            normal_equations(rows_of(act))
+            continue
+        # linearised drop -(2 h.J^T W r + h.J^T W J h) of each rejected step
+        hr = h[~better]
+        predicted = -(2 * np.einsum("bn,bn->b", hr, b[~better])
+                      + np.einsum("bn,bnk,bk->b", hr, a[~better], hr))
         done = act[better]
         drop = cost[done] - cost_new[better]
         x[done] = x_new[better]
@@ -403,10 +422,6 @@ def _least_squares(model, x: np.ndarray, weights: np.ndarray):
         tries[done] = 0
         steps[done] += 1
         normal_equations(done)
-        # linearised drop -(2 h.J^T W r + h.J^T W J h) of each rejected step
-        hr = h[~better]
-        predicted = -(2 * np.einsum("bn,bn->b", hr, b[~better])
-                      + np.einsum("bn,bnk,bk->b", hr, a[~better], hr))
         failed = act[~better]
         lam[failed] *= 10
         tries[failed] += 1

@@ -18,9 +18,9 @@ import numpy as np
 from .cameras import (CameraModel, _camera_arrays, _camera_id,  # noqa: F401
                       _cameras_by_id, _normalized, triangulate,
                       triangulate_batch, unproject)
-from .errors import (BehindCameraError, EmptySelectionError, ParameterError,
-                     _repeated, csv_rows, csv_text, finite_number, non_numbers,
-                     reading)
+from .errors import (MALFORMED, BehindCameraError, EmptySelectionError,
+                     ParameterError, _repeated, csv_rows, csv_text, finite_number,
+                     non_numbers, reading)
 from .geometry import _freeze
 from .tracking import _window_slices
 
@@ -31,6 +31,7 @@ N_JOINTS = N_BODY + 2 * N_HAND  # 67
 _PARTS = (("body", "body", slice(0, N_BODY)),
           ("hand_left", "hand_l", slice(N_BODY, N_BODY + N_HAND)),
           ("hand_right", "hand_r", slice(N_BODY + N_HAND, N_JOINTS)))
+_PART_SIZES = (N_BODY, N_HAND, N_HAND)
 
 
 def _keypoints_ok(kp: np.ndarray) -> bool:
@@ -51,6 +52,26 @@ def _checked_part(name: str, rows: slice, value) -> np.ndarray:
     if not _keypoints_ok(a):
         raise ParameterError(f"{name} confidences must be in [0, 1]")
     return a
+
+
+def _person_by_parts(parts: list) -> np.ndarray:
+    """A person's (67, 3) keypoints from its JSON parts, each part checked
+    in ``_PARTS`` order, so an error names the first faulty one."""
+    return np.vstack([_checked_part(name, rows, part)
+                      for (name, _, rows), part in zip(_PARTS, parts)])
+
+
+def _person(parts: list) -> np.ndarray:
+    """``_person_by_parts(parts)``, converted and checked as one array; the
+    parts are walked only when that check fails, to name the faulty one."""
+    try:
+        if tuple(map(len, parts)) == _PART_SIZES:
+            a = np.asarray(parts[0] + parts[1] + parts[2], dtype=float)
+            if a.shape == (N_JOINTS, 3) and _keypoints_ok(a):
+                return a
+    except MALFORMED:
+        pass
+    return _person_by_parts(parts)
 
 
 @dataclass(frozen=True)
@@ -90,8 +111,7 @@ class Keypoint2DFrame:
             persons = []
             for p in o["persons"]:
                 parts = [p[key] for _, key, _ in _PARTS]
-                persons.append(np.vstack([_checked_part(name, rows, part) for
-                                          (name, _, rows), part in zip(_PARTS, parts)]))
+                persons.append(_person(parts))
                 if bad := non_numbers([v for rows in parts for row in rows for v in row]):
                     raise ValueError(f"keypoints must be finite numbers, got {bad[0]!r}")
             camera, t_s = o["camera"], float(o["t_s"])
@@ -233,9 +253,7 @@ def triangulate_skeleton(frames: list[Keypoint2DFrame],
             raise ParameterError(f"selected person {idx} of camera {fr.camera_id!r} "
                                  f"is not in 0..{len(fr.keypoints) - 1}")
         persons[fr.camera_id] = fr.keypoints[idx]
-    kp = np.zeros((N_JOINTS, len(persons), 3))
-    for k, person in enumerate(persons.values()):
-        kp[:, k] = person
+    kp = np.reshape(list(persons.values()), (-1, N_JOINTS, 3)).transpose(1, 0, 2)
     positions, residuals, errors = triangulate_batch(
         kp[..., :2], kp[..., 2], _cameras_by_id(cameras, list(persons)))
     return Skeleton3DFrame(t_s, positions, residuals, [e is None for e in errors])

@@ -152,12 +152,22 @@ def sample_at(scene: TwinScene, t: float) -> SceneSnapshot:
     return SceneSnapshot(t, clamped, poses, skeletons)
 
 
+def _name_violation(name) -> str | None:
+    """The violation of a node name that cannot name a file inside the scene
+    directory, where ``save`` writes ``<name>.ply`` and the like."""
+    if isinstance(name, str) and (name in ("", ".", "..")
+                                  or any(c in name for c in "/\\\0")):
+        return (f"node name {name!r} is empty, '.' or '..', or holds a path "
+                f"separator or NUL")
+    return None
+
+
 def validate(scene: TwinScene, base_dir=None) -> list[str]:
     """List of invariant violations; empty iff the scene is consistent.
     Unit quaternions and a dynamic track's time order are the node types'
     own invariants (``RigidTransform`` normalises, ``PoseTrack`` raises)."""
-    violations = []
     names = scene.node_names()
+    violations = [v for v in map(_name_violation, names) if v]
     for n in sorted({n for n in names if names.count(n) > 1}):
         violations.append(f"duplicate node name: {n!r}")
     placed = ([("static", n, "pose", n.pose.to_frame) for n in scene.static_nodes]
@@ -185,7 +195,11 @@ def validate(scene: TwinScene, base_dir=None) -> list[str]:
 
 def save(scene: TwinScene, directory) -> None:
     """Write manifest + assets. In-memory clouds become PLY files (float32);
-    string assets are recorded as opaque relative paths."""
+    string assets are recorded as opaque relative paths. A node name that
+    ``validate`` refuses as a file name raises TwinfuseError before anything
+    is written, also for a scene built without ``assemble``."""
+    if bad := [v for v in map(_name_violation, scene.node_names()) if v]:
+        raise TwinfuseError(bad[0])
     os.makedirs(directory, exist_ok=True)
 
     def entry(node, **fields):
@@ -244,10 +258,24 @@ def load(directory) -> TwinScene:
         if not isinstance(manifest.get(key, []), list):
             raise ManifestError(f"{path}: manifest field {key!r} is not a list")
 
+    def read_name(entry, owner):
+        name = field(entry, "name", owner, str)
+        if violation := _name_violation(name):
+            raise ManifestError(f"{path}: {violation}")
+        return name
+
+    def inside(rel, owner):
+        """``rel`` joined to the directory; absolute or leaving it is refused."""
+        norm = os.path.normpath(rel)
+        if os.path.isabs(rel) or norm == os.pardir or norm.startswith(os.pardir + os.sep):
+            raise ManifestError(f"{path}: {owner} path {rel!r} is outside "
+                                f"the scene directory")
+        return os.path.join(directory, rel)
+
     def read_asset(entry, name):
         asset = field(entry, "asset", f"node {name!r}", str)
+        ply_path = inside(asset, f"node {name!r} asset")
         if entry.get("cloud"):
-            ply_path = os.path.join(directory, asset)
             if not os.path.exists(ply_path):
                 raise ManifestError(f"{path}: node {name!r} references "
                                     f"missing asset {ply_path}")
@@ -255,8 +283,8 @@ def load(directory) -> TwinScene:
         return asset
 
     def read_track(entry, name, kind, parse):
-        track_path = os.path.join(directory,
-                                  field(entry, "track", f"{kind} {name!r}", str))
+        track_path = inside(field(entry, "track", f"{kind} {name!r}", str),
+                            f"{kind} {name!r} track")
         if not os.path.exists(track_path):
             raise ManifestError(f"{path}: {kind} {name!r} references "
                                 f"missing track {track_path}")
@@ -264,7 +292,7 @@ def load(directory) -> TwinScene:
 
     static = []
     for entry in manifest.get("static", []):
-        name = field(entry, "name", "static node", str)
+        name = read_name(entry, "static node")
         obj = field(entry, "pose", f"static node {name!r}", dict)
         try:
             pose = RigidTransform.from_dict(obj, obj.get("from_frame", "src"),
@@ -277,14 +305,14 @@ def load(directory) -> TwinScene:
         static.append(StaticNode(name, read_asset(entry, name), pose))
     dynamic = []
     for entry in manifest.get("dynamic", []):
-        name = field(entry, "name", "dynamic node", str)
+        name = read_name(entry, "dynamic node")
         frame = entry.get("track_frame", ref)
         track = read_track(entry, name, "node",
                            lambda text: PoseTrack.from_csv(text, frame=frame))
         dynamic.append(DynamicNode(name, read_asset(entry, name), track))
     skeletons = []
     for entry in manifest.get("skeletons", []):
-        name = field(entry, "name", "skeleton", str)
+        name = read_name(entry, "skeleton")
         frames = read_track(entry, name, "skeleton", skeleton_track_from_csv)
         skeletons.append(SkeletonNode(name, tuple(frames)))
     try:

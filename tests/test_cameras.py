@@ -1,6 +1,7 @@
 """Camera projection, PnP, triangulation, and track time alignment."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,17 +10,21 @@ from hypothesis import strategies as st
 
 from twinfuse import cameras
 from twinfuse.cameras import (CONFIDENCE_FLOOR, CameraIntrinsics, CameraModel,
-                              PixelObservation, _distort, _distort_jacobian,
-                              _normalized, _undistort, estimate_time_offset,
-                              project, project_points, solve_pnp, triangulate,
-                              triangulate_batch, unproject)
+                              PixelObservation, _brown_conrady, _dist_terms,
+                              _distort, _normalized, _pixels,
+                              _pixels_with_jacobian, _undistort,
+                              estimate_time_offset, project, project_points,
+                              solve_pnp, triangulate, triangulate_batch,
+                              unproject)
 from twinfuse.errors import (BehindCameraError, ConvergenceError,
                              DegenerateGeometryError,
                              InsufficientCorrespondencesError,
                              InsufficientViewsError, NoOverlapError,
                              ParameterError, UnknownEntityError)
 from twinfuse.geometry import RigidTransform
-from twinfuse.synth import _default_intrinsics, project_visible
+from twinfuse.mocap import select_surgeon, triangulate_skeleton
+from twinfuse.synth import (SynthConfig, _default_intrinsics, generate,
+                            project_visible)
 
 from conftest import (assert_jacobian_matches, captured_model, central_jacobian,
                       look_at_camera_pose, quat_angle_deg, random_transform)
@@ -383,13 +388,21 @@ def _random_camera(rng, cam_id="cam0"):
                 intr=_random_intrinsics(rng))
 
 
+def _kernel_jacobian(xn, dist):
+    """The distortion's derivative (..., 2, 2) at ``xn`` (..., 2), from the
+    entries ``_brown_conrady`` returns."""
+    _, _, a, b, d = _brown_conrady(xn[..., 0], xn[..., 1],
+                                   _dist_terms(dist, xn.shape[:-1]))
+    return np.stack([np.stack([a, b], axis=-1), np.stack([b, d], axis=-1)], axis=-2)
+
+
 @given(seeds)
 @settings(max_examples=40, deadline=None)
 def test_distort_jacobian_matches_central_differences(seed):
     rng = np.random.default_rng(seed)
     intr = _random_intrinsics(rng)
     for xn in _image_normalized(rng, intr, 5):
-        jac = _distort_jacobian(xn, intr.dist)
+        jac = _kernel_jacobian(xn, intr.dist)
         numeric = central_jacobian(lambda v: _distort(v, intr.dist), xn, 1e-6)
         assert np.abs(jac - numeric).max() < 1e-8
         assert jac[0, 1] == jac[1, 0]
@@ -409,7 +422,7 @@ def test_undistort_inverts_distort(seed):
     back = _undistort(xd, intr.dist)
     assert np.abs(_distort(back, intr.dist) - xd).max() < 1e-12
     segment = np.linspace(0, 1, 101)[:, None, None] * xn
-    unfolded = (np.linalg.det(_distort_jacobian(segment, intr.dist)) > 0).all(axis=0)
+    unfolded = (np.linalg.det(_kernel_jacobian(segment, intr.dist)) > 0).all(axis=0)
     assert np.abs(back - xn)[unfolded].max(initial=0) < 1e-12
 
 
@@ -450,6 +463,213 @@ def test_pnp_jacobian_matches_central_differences(seed):
     for angle in (1e-3, 1e-13, 0.0):
         rotvec = angle * rng.normal(size=3) / np.sqrt(3)
         assert_jacobian_matches(model, np.concatenate([rotvec, [0.0, 0.0, 3.0]]), 1e-6)
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit references: the distortion, its derivative, the undistortion
+# and the projection derivative as they were written before the one kernel
+# ``_brown_conrady``. The code that replaced them gives the same bits.
+
+def _ref_distort(xn, dist):
+    k1, k2, p1, p2, k3 = dist
+    x, y = xn[..., 0], xn[..., 1]
+    r2 = x * x + y * y
+    radial = 1 + k1 * r2 + k2 * r2 ** 2 + k3 * r2 ** 3
+    xd = x * radial + 2 * p1 * x * y + p2 * (r2 + 2 * x * x)
+    yd = y * radial + p1 * (r2 + 2 * y * y) + 2 * p2 * x * y
+    return np.stack([xd, yd], axis=-1)
+
+
+def _ref_distort_jacobian(xn, dist):
+    k1, k2, p1, p2, k3 = dist
+    x, y = xn[..., 0], xn[..., 1]
+    r2 = x * x + y * y
+    radial = 1 + r2 * (k1 + r2 * (k2 + r2 * k3))
+    g = 2 * k1 + r2 * (4 * k2 + 6 * k3 * r2)
+    jac = np.empty(x.shape + (2, 2))
+    jac[..., 0, 0] = radial + g * x * x + 2 * p1 * y + 6 * p2 * x
+    jac[..., 0, 1] = jac[..., 1, 0] = g * x * y + 2 * p1 * x + 2 * p2 * y
+    jac[..., 1, 1] = radial + g * y * y + 6 * p1 * y + 2 * p2 * x
+    return jac
+
+
+def _ref_undistort(xd, dist):
+    xn = np.array(xd, dtype=float, copy=True)
+    moving = np.ones(xn.shape[:-1], dtype=bool)
+    for _ in range(30):
+        err = _ref_distort(xn, dist) - xd
+        jac = _ref_distort_jacobian(xn, dist)
+        a, b, d = jac[..., 0, 0], jac[..., 0, 1], jac[..., 1, 1]
+        ex, ey = err[..., 0], err[..., 1]
+        step = np.stack([d * ex - b * ey, a * ey - b * ex], axis=-1) / (a * d - b * b)[..., None]
+        step[~moving] = 0.0
+        xn -= step
+        moving &= np.abs(step).max(axis=-1) >= 1e-14
+        if not moving.any():
+            break
+    return xn
+
+
+def _ref_pixels_jacobian(pc, focal, dist):
+    z = pc[..., 2:3]
+    xn = pc[..., :2] / z
+    fd = focal[..., :, None] * _ref_distort_jacobian(xn, dist) / z[..., None]
+    return np.concatenate([fd, -(fd @ xn[..., None])], axis=-1)
+
+
+def _ref_pixels_with_jacobian(pc, focal, center, dist):
+    return (focal * _ref_distort(pc[..., :2] / pc[..., 2:3], dist) + center,
+            _ref_pixels_jacobian(pc, focal, dist))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _with_reference_kernels(call):
+    """``call()`` with the reference code put back under ``cameras``."""
+    with mock.patch.object(cameras, "_undistort", _ref_undistort), \
+            mock.patch.object(cameras, "_pixels_with_jacobian",
+                              _ref_pixels_with_jacobian):
+        return call()
+
+
+def _slot_intrinsics(rng, k):
+    """Focal lengths (k, 2), principal points (k, 2) and distortion rows
+    (5, k) of k random cameras, as ``triangulate_batch`` stacks them."""
+    intrs = [_random_intrinsics(rng) for _ in range(k)]
+    return (np.array([i.focal for i in intrs]), np.array([i.center for i in intrs]),
+            np.array([i.dist for i in intrs]).T)
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_distortion_kernel_matches_reference_bits(seed):
+    rng = np.random.default_rng(seed)
+    intr = _random_intrinsics(rng)
+    xn = _image_normalized(rng, intr, 30)
+    _, _, dist = _slot_intrinsics(rng, 5)
+    slots = rng.uniform(-0.8, 0.8, size=(67, 5, 2))  # against (5, 5) coefficients
+    for points, coefficients in ((xn, intr.dist), (xn[0], intr.dist), (slots, dist)):
+        assert _same_bits(_distort(points, coefficients),
+                          _ref_distort(points, coefficients))
+        assert _same_bits(_kernel_jacobian(points, coefficients),
+                          _ref_distort_jacobian(points, coefficients))
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_undistort_matches_reference_bits(seed):
+    """Batches with per-slot coefficients, a single (2,) pixel as
+    ``unproject`` passes it, points far outside the image, and one whose
+    squared radius overflows, so its steps are NaN."""
+    rng = np.random.default_rng(seed)
+    intr = _random_intrinsics(rng)
+    xd = _distort(_image_normalized(rng, intr, 30), intr.dist)
+    _, _, dist = _slot_intrinsics(rng, 5)
+    slots = rng.uniform(-0.8, 0.8, size=(67, 5, 2))
+    far = np.vstack([xd, rng.uniform(-1e3, 1e3, size=(4, 2)), [[0.0, 0.0]],
+                     [[1e200, -1e200]]])
+    with np.errstate(all="ignore"):
+        for points, coefficients in ((xd, intr.dist), (xd[0], intr.dist),
+                                     (slots, dist), (far, intr.dist)):
+            assert _same_bits(_undistort(points, coefficients),
+                              _ref_undistort(points, coefficients))
+    pixel = intr.focal * xd[0] + intr.center
+    assert _same_bits(_normalized(pixel, intr.focal, intr.center, intr.dist),
+                      _ref_undistort((pixel - intr.center) / intr.focal, intr.dist))
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_pixels_with_jacobian_matches_reference_bits(seed):
+    """Per-slot cameras, with points in front of, on and behind the camera
+    plane, as the LM models evaluate them."""
+    rng = np.random.default_rng(seed)
+    focal, center, dist = _slot_intrinsics(rng, 5)
+    pc = rng.uniform(-1, 1, size=(67, 5, 3)) + [0.0, 0.0, 2.5]
+    pc[3, 1, 2] = -0.4  # behind camera 1
+    pc[4, 2, 2] = 0.0  # on the camera plane
+    with np.errstate(all="ignore"):
+        pixels, jac = _pixels_with_jacobian(pc, focal, center, dist)
+        ref_pixels, ref_jac = _ref_pixels_with_jacobian(pc, focal, center, dist)
+        assert _same_bits(_pixels(pc, focal, center, dist), ref_pixels)
+    assert _same_bits(pixels, ref_pixels) and _same_bits(jac, ref_jac)
+    intr = _random_intrinsics(rng)
+    pc = rng.uniform(-1, 1, size=(10, 3)) + [0.0, 0.0, 3.0]
+    pixels, jac = _pixels_with_jacobian(pc, intr.focal, intr.center, intr.dist)
+    ref_pixels, ref_jac = _ref_pixels_with_jacobian(pc, intr.focal, intr.center,
+                                                    intr.dist)
+    assert _same_bits(pixels, ref_pixels) and _same_bits(jac, ref_jac)
+
+
+def _batch_bits(result):
+    points, residuals, errors = result
+    return points.tobytes(), residuals.tobytes(), [repr(e) for e in errors]
+
+
+@given(seeds, st.booleans())
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_triangulate_batch_matches_reference_kernels(seed, shared_camera):
+    """Every output bit of ``triangulate_batch`` is the same with the
+    reference kernels: a point behind a camera, a camera that sees nothing,
+    and (with ``shared_camera``) one camera filling two slots."""
+    rng = np.random.default_rng(seed)
+    cams = [_random_camera(rng, f"cam{k}") for k in range(4)]
+    opposite = -cams[1].world_from_camera.t  # camera 0 faces camera 1
+    cams[0] = _cam("cam0", position=opposite, intr=_random_intrinsics(rng))
+    if shared_camera:
+        cams[3] = cams[1]  # the np.unique path of the view count
+    points = rng.uniform(-0.3, 0.3, size=(30, 3))
+    pixels = np.stack([project_points(c, points) for c in cams], axis=1)
+    pixels += rng.normal(0, 0.5, size=pixels.shape)
+    conf = rng.uniform(0.0, 1.0, size=(30, 4))
+    conf[:, 2] = 0.0  # camera 2 sees no person
+    # point 0 lies behind camera 0 and in front of camera 1; camera 0's pixel
+    # is its pinhole image all the same, so the DLT start is behind camera 0
+    behind = 1.5 * opposite + points[0]
+    intr = cams[0].intrinsics
+    pixels[0, 0] = _pixels(cams[0].cam_from_world.apply_points(behind[None]),
+                           intr.focal, intr.center, intr.dist)[0]
+    pixels[0, 1] = project(cams[1], behind)
+    conf[0] = [1.0, 1.0, 0.0, 0.0]
+    new = triangulate_batch(pixels, conf, cams)
+    assert "behind a camera" in str(new[2][0])
+    assert _batch_bits(new) == _batch_bits(
+        _with_reference_kernels(lambda: triangulate_batch(pixels, conf, cams)))
+
+
+@given(seeds)
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_pnp_and_unproject_match_reference_kernels(seed):
+    rng = np.random.default_rng(seed)
+    cam = _random_camera(rng)
+    points = rng.uniform(-0.4, 0.4, size=(10, 3))
+    pixels = project_points(cam, points) + rng.normal(0, 0.5, size=(10, 2))
+    pose, mean_px = solve_pnp(points, pixels, cam.intrinsics)
+    ref_pose, ref_mean_px = _with_reference_kernels(
+        lambda: solve_pnp(points, pixels, cam.intrinsics))
+    assert _same_bits(pose.q, ref_pose.q) and _same_bits(pose.t, ref_pose.t)
+    assert mean_px == ref_mean_px
+    lifted = unproject(cam, pixels[0], 2.0)
+    assert _same_bits(lifted, _with_reference_kernels(
+        lambda: unproject(cam, pixels[0], 2.0)))
+
+
+def test_skeleton_matches_reference_kernels():
+    """Selections and skeletons of a bystander capture are bit for bit those
+    of the reference kernels, with every slot used and with one camera in
+    turn left out, as when it sees no person."""
+    bundle = generate(SynthConfig(seed=4, duration_s=0.2, include_bystander=True))
+    for k, per_cam in enumerate(bundle.keypoint_frames):
+        def run():
+            sel = select_surgeon(per_cam, bundle.cameras, bundle.table_center)
+            sel[bundle.cameras[k % len(bundle.cameras)].id] = None
+            out = triangulate_skeleton(per_cam, sel, bundle.cameras)
+            return sel, out.positions.tobytes(), out.residuals_px.tobytes(), \
+                out.valid.tobytes()
+        assert run() == _with_reference_kernels(run)
 
 
 # ---------------------------------------------------------------------------

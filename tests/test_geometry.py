@@ -449,6 +449,123 @@ def test_least_squares_stops_at_optimum_after_one_rejected_try():
     assert np.array_equal(x, np.zeros((1, 3))) and not r.any()
 
 
+def _ref_least_squares(model, x, weights):
+    """``_least_squares`` as it was before its path for all-accepted steps:
+    the bit-for-bit reference of the loop."""
+    x = np.array(x, dtype=float)
+    n_problems, n = x.shape
+    r, jac = model(x, np.arange(n_problems))
+    cost = np.einsum("bm,bm->b", weights, r * r)
+    act = np.flatnonzero(np.isfinite(cost))
+    lam = np.full(n_problems, 1e-3)
+    tries = np.zeros(n_problems, dtype=int)
+    steps = np.zeros(n_problems, dtype=int)
+    jtj = np.zeros((n_problems, n, n))
+    jtr = np.zeros((n_problems, n))
+
+    def normal_equations(rows):
+        jtw = jac[rows].transpose(0, 2, 1) * weights[rows, None, :]
+        jtj[rows] = jtw @ jac[rows]
+        jtr[rows] = (jtw @ r[rows, :, None])[..., 0]
+
+    normal_equations(act)
+    eye = np.eye(n)
+    while len(act):
+        a, b = jtj[act], jtr[act]
+        h = _solve(a + (lam[act, None] * (np.diagonal(a, axis1=1, axis2=2) + 1e-12))[..., None]
+                   * eye, -b)
+        x_new = x[act] + h
+        r_new, jac_new = model(x_new, act)
+        cost_new = np.einsum("bm,bm->b", weights[act], r_new * r_new)
+        better = cost_new < cost[act]
+        done = act[better]
+        drop = cost[done] - cost_new[better]
+        x[done] = x_new[better]
+        r[done] = r_new[better]
+        jac[done] = jac_new[better]
+        cost[done] = cost_new[better]
+        lam[done] = np.maximum(lam[done] / 10, 1e-12)
+        tries[done] = 0
+        steps[done] += 1
+        normal_equations(done)
+        hr = h[~better]
+        predicted = -(2 * np.einsum("bn,bn->b", hr, b[~better])
+                      + np.einsum("bn,bnk,bk->b", hr, a[~better], hr))
+        failed = act[~better]
+        lam[failed] *= 10
+        tries[failed] += 1
+        keep = np.empty(len(act), dtype=bool)
+        keep[better] = (drop >= 1e-10) & (steps[done] < 100)
+        keep[~better] = (predicted >= 1e-10) & (tries[failed] < 12)
+        act = act[keep]
+    return x, r
+
+
+def _lm_case(seed):
+    """Points (8, 60, 3) of sphere problems, starts (8, 3) and weights
+    (8, 60): the far starts take rejected steps, and one start at
+    z = -1 m is undefined under ``_recorded_model``."""
+    rng = np.random.default_rng(seed)
+    pts, _ = _sphere_points(8, rng, noise_m=rng.choice([0.0, 5e-5]))
+    start = pts.mean(axis=1) + rng.normal(0, 10 ** rng.uniform(-4, -1), size=(8, 3))
+    start[rng.integers(8)] = [0.0, 0.0, -1.0]
+    return pts, start, rng.uniform(0.5, 1.5, size=(8, 60))
+
+
+def _recorded_model(pts, calls):
+    """``_sphere_model(pts)``, undefined where a candidate centre has
+    z < -0.5 m; each call's rows and residuals are appended to ``calls``."""
+    sphere = _sphere_model(pts)
+
+    def model(x, rows):
+        r, jac = sphere(x, rows)
+        r[x[:, 2] < -0.5] = np.nan
+        calls.append((np.array(rows), r.copy()))
+        return r, jac
+    return model
+
+
+def _rejections(calls, weights):
+    """The steps that did not lower a problem's cost, from the (rows, r) of
+    every model call in order."""
+    (rows, r), *steps = calls
+    best = np.einsum("bm,bm->b", weights[rows], r * r)
+    rejected = 0
+    for rows, r in steps:
+        cost = np.einsum("bm,bm->b", weights[rows], r * r)
+        rejected += int(np.sum(~(cost < best[rows])))
+        best[rows] = np.minimum(best[rows], cost)
+    return rejected
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_least_squares_matches_reference_bits(seed):
+    """The same x, r and model calls as the reference loop, bit for bit, on
+    batches that mix accepted and rejected steps with an undefined start
+    and candidates where the model is undefined."""
+    pts, start, weights = _lm_case(seed)
+    runs = []
+    for solve in (_least_squares, _ref_least_squares):
+        calls = []
+        x, r = solve(_recorded_model(pts, calls), start, weights)
+        runs.append((x.tobytes(), r.tobytes(),
+                     [(rows.tobytes(), rr.tobytes()) for rows, rr in calls]))
+    assert runs[0] == runs[1]
+
+
+def test_least_squares_reference_cases_take_both_kinds_of_step():
+    """``_lm_case`` draws batches that take rejected steps and batches that
+    accept every step, so the test above runs both paths of the loop."""
+    rejected = []
+    for seed in range(20):
+        pts, start, weights = _lm_case(seed)
+        calls = []
+        _least_squares(_recorded_model(pts, calls), start, weights)
+        rejected.append(_rejections(calls, weights))
+    assert max(rejected) > 0 and min(rejected) == 0
+
+
 # ---------------------------------------------------------------------------
 # plane RANSAC
 

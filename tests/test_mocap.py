@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinfuse.cameras import (CONFIDENCE_FLOOR, CameraIntrinsics, CameraModel,
                               PixelObservation, project, triangulate, unproject)
@@ -13,7 +15,8 @@ from twinfuse.errors import (DegenerateGeometryError, EmptySelectionError,
                              UnknownEntityError)
 from twinfuse.geometry import RigidTransform, invert
 from twinfuse.mocap import (N_BODY, N_HAND, N_JOINTS, Keypoint2DFrame,
-                            Skeleton3DFrame, select_surgeon,
+                            Skeleton3DFrame, _person, _person_by_parts,
+                            select_surgeon,
                             skeleton_track_from_csv, skeleton_track_to_csv,
                             smooth_skeleton, triangulate_skeleton)
 from twinfuse.synth import SynthConfig, generate
@@ -143,6 +146,43 @@ def test_person_detection_rejects_non_numbers():
     with pytest.raises(ParameterError, match="^keypoint frame: could not convert "
                        "string to float: 'x'$"):
         Keypoint2DFrame.from_json(text)
+
+
+# faults that the one-array check of a person must hand to the part walk
+_PERSON_FAULTS = (
+    lambda p, rng: p[rng.integers(3)].pop(),  # a part one row short
+    lambda p, rng: p[2].append(p[1].pop()),  # 25 + 20 + 22 rows: 67 in all
+    lambda p, rng: p[rng.integers(3)][3].pop(),  # a row of two values
+    lambda p, rng: p[rng.integers(3)][2].append(0.5),  # a row of four values
+    lambda p, rng: p[rng.integers(3)].__setitem__(1, [1.0, [2.0], 0.5]),
+    lambda p, rng: p.__setitem__(rng.integers(3), "x" * 21),
+    lambda p, rng: p.__setitem__(rng.integers(3), 5),
+    lambda p, rng: p.__setitem__(rng.integers(3), {"u": 1}),
+)
+_VALUE_FAULTS = (np.nan, np.inf, -np.inf, 1.5, -1e-300, "x", "0.5", True, None,
+                 10 ** 400, [0.5])
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_person_check_matches_part_walk(seed):
+    """The one-array check of a person's three parts returns what the part
+    walk returns, or raises what it raises, on valid and faulty persons."""
+    rng = np.random.default_rng(seed)
+    parts = [rng.uniform(0, 1, (n, 3)).tolist() for n in _PART_ROWS.values()]
+    for _ in range(rng.integers(0, 3)):  # up to two faulty values
+        part = parts[rng.integers(3)]
+        part[rng.integers(len(part))][rng.integers(3)] = \
+            _VALUE_FAULTS[rng.integers(len(_VALUE_FAULTS))]
+    if rng.random() < 0.5:  # and a fault in the layout
+        _PERSON_FAULTS[rng.integers(len(_PERSON_FAULTS))](parts, rng)
+
+    def outcome(check):
+        try:
+            return check(parts).tobytes()
+        except Exception as exc:  # the message is the outcome
+            return type(exc), str(exc)
+    assert outcome(_person) == outcome(_person_by_parts)
 
 
 @pytest.mark.parametrize("camera", [[], {}, None])

@@ -10,8 +10,8 @@ from twinfuse.errors import ManifestError, ParameterError, TwinfuseError
 from twinfuse.geometry import PointCloud, RigidTransform
 from twinfuse.mocap import N_JOINTS, Skeleton3DFrame
 from twinfuse.scene import (DynamicNode, SkeletonNode, StaticNode, TwinScene,
-                            assemble, load, sample_at, save, scenes_equal,
-                            validate)
+                            _time_span, assemble, load, sample_at, save,
+                            scenes_equal, validate)
 from twinfuse.tracking import PoseTrack, smooth_track
 
 from conftest import quat_angle_deg, random_transform
@@ -71,6 +71,46 @@ def test_assemble_rejects_duplicate_names():
     rng = np.random.default_rng(2)
     with pytest.raises(TwinfuseError, match="duplicate"):
         assemble([_static(rng, "x")], [_dynamic(rng, "x")])
+
+
+_BAD_NAMES = ["", ".", "..", "../escaped", "a/b", "a\\b", "a\0b"]
+
+
+def _name_message(name):
+    return (f"node name {name!r} is empty, '.' or '..', or holds a path "
+            f"separator or NUL")
+
+
+@pytest.mark.parametrize("kind", [StaticNode, DynamicNode, SkeletonNode])
+@pytest.mark.parametrize("name", _BAD_NAMES)
+def test_validate_and_assemble_refuse_names_that_are_no_file_name(kind, name):
+    rng = np.random.default_rng(3)
+    make = {StaticNode: _static, DynamicNode: _dynamic, SkeletonNode: _skeleton}
+    nodes = [[make[k](rng, name)] if k is kind else []
+             for k in (StaticNode, DynamicNode, SkeletonNode)]
+    scene = TwinScene(REF, *nodes, _time_span(nodes[1], nodes[2]))
+    assert validate(scene) == [_name_message(name)]
+    with pytest.raises(TwinfuseError) as exc_info:
+        assemble(*nodes)
+    assert str(exc_info.value) == _name_message(name)
+
+
+@pytest.mark.parametrize("name", ["../escaped", ".."])
+def test_save_refuses_names_that_are_no_file_name(tmp_path, name):
+    """A scene built without ``assemble`` writes nothing, inside the
+    directory or beside it."""
+    scene = TwinScene(REF, (_static(np.random.default_rng(5), name),))
+    with pytest.raises(TwinfuseError) as exc_info:
+        save(scene, tmp_path / "scene")
+    assert str(exc_info.value) == _name_message(name)
+    assert os.listdir(tmp_path) == []
+
+
+def test_validate_keeps_plain_and_non_ascii_names():
+    rng = np.random.default_rng(4)
+    scene = assemble([_static(rng, "salle\u00e9"), _static(rng, "room.v2"),
+                      _static(rng, "..room")])
+    assert validate(scene) == []
 
 
 def test_assemble_rejects_frame_mismatch():
@@ -356,6 +396,49 @@ def test_load_rejects_malformed_manifest(tmp_path, mutate, message):
     with pytest.raises(ManifestError) as exc_info:
         load(tmp_path)
     assert str(exc_info.value) == f"{tmp_path / 'scene.json'}: {message}"
+
+
+@pytest.mark.parametrize("kind", ["static", "dynamic", "skeletons"])
+@pytest.mark.parametrize("name", ["..", "../escaped", "a/b", ""])
+def test_load_refuses_names_that_are_no_file_name(tmp_path, kind, name):
+    save(_scene(), tmp_path)
+    _mutate_manifest(tmp_path, lambda m: m[kind][0].update(name=name))
+    with pytest.raises(ManifestError) as exc_info:
+        load(tmp_path)
+    assert str(exc_info.value) == f"{tmp_path / 'scene.json'}: {_name_message(name)}"
+
+
+@pytest.mark.parametrize("kind, key, owner", [
+    ("static", "asset", "node 'room' asset"),
+    ("dynamic", "asset", "node 'drill' asset"),
+    ("dynamic", "track", "node 'drill' track"),
+    ("skeletons", "track", "skeleton 'surgeon' track"),
+])
+@pytest.mark.parametrize("where", ["absolute", "parent"])
+def test_load_refuses_paths_outside_the_scene_directory(tmp_path, kind, key,
+                                                        owner, where):
+    """The file is there, moved beside the scene directory; load refuses it
+    rather than read outside the directory."""
+    directory = tmp_path / "scene"
+    save(_scene(), directory)
+    original = json.loads((directory / "scene.json").read_text())[kind][0][key]
+    os.replace(directory / original, tmp_path / original)
+    rel = str(tmp_path / original) if where == "absolute" else f"sub/../../{original}"
+    _mutate_manifest(directory, lambda m: m[kind][0].update({key: rel}))
+    with pytest.raises(ManifestError) as exc_info:
+        load(directory)
+    assert str(exc_info.value) == (f"{directory / 'scene.json'}: {owner} path "
+                                   f"{rel!r} is outside the scene directory")
+
+
+def test_load_accepts_relative_paths_that_stay_inside(tmp_path):
+    scene = _scene()
+    save(scene, tmp_path)
+    os.makedirs(tmp_path / "meshes")
+    os.replace(tmp_path / "room.ply", tmp_path / "meshes" / "room.ply")
+    _mutate_manifest(tmp_path, lambda m: m["static"][0].update(
+        asset="./meshes/../meshes/room.ply"))
+    assert scenes_equal(load(tmp_path), scene)
 
 
 def test_load_rejects_unordered_skeleton_csv(tmp_path):
