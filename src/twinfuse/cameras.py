@@ -12,7 +12,7 @@ from .errors import (BehindCameraError, ConvergenceError, DegenerateGeometryErro
                      InsufficientCorrespondencesError, InsufficientViewsError,
                      NoOverlapError, ParameterError, UnknownEntityError,
                      _repeated, finite_number, non_numbers, reading)
-from .geometry import (RigidTransform, _freeze, _least_squares, invert,
+from .geometry import (RigidTransform, _freeze, _least_squares, _solve, invert,
                        matrix_to_quat, transform_from_matrix)
 
 CONFIDENCE_FLOOR = 0.1  # observations below this weight are discarded
@@ -307,8 +307,15 @@ def _matrix_to_rotvec(m: np.ndarray) -> np.ndarray:
 
 
 def _dlt_pose(points: np.ndarray, xn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Linear camera pose [R|t] from world points and normalized coords."""
-    X = np.column_stack([points, np.ones(len(points))])  # homogeneous points
+    """Linear camera pose [R|t] from world points centred on their centroid
+    and their normalized coords. The DLT runs on the points scaled by k to a
+    mean distance of sqrt(3) (Hartley, "In defense of the eight-point
+    algorithm", PAMI 1997); its [R|t'] maps back as t = t' / k."""
+    spread = np.linalg.norm(points, axis=1).mean()
+    if not spread > 0:
+        raise DegenerateGeometryError("DLT system is rank-deficient")
+    k = np.sqrt(3) / spread
+    X = np.column_stack([k * points, np.ones(len(points))])  # homogeneous points
     a = np.zeros((len(points), 2, 12))  # the u row and the v row of each point
     a[:, 0, 0:4] = X
     a[:, 1, 4:8] = X
@@ -316,18 +323,21 @@ def _dlt_pose(points: np.ndarray, xn: np.ndarray) -> tuple[np.ndarray, np.ndarra
     _, sv, vt = np.linalg.svd(a.reshape(-1, 12))
     if sv[-2] <= 1e-12 * sv[0]:
         raise DegenerateGeometryError("DLT system is rank-deficient")
+    # the null vector's sign drops out: R takes det +1 and t the same scale
     p = vt[-1].reshape(3, 4)
-    # enforce positive depth for the centroid
-    centroid_h = np.concatenate([points.mean(axis=0), [1.0]])
-    if (p @ centroid_h)[2] < 0:
-        p = -p
     u, s, vt3 = np.linalg.svd(p[:, :3])
     scale = s.mean()
     rot = u @ vt3
     if np.linalg.det(rot) < 0:
         rot = -rot
         scale = -scale
-    t = p[:, 3] / scale
+    t = p[:, 3] / (scale * k)
+    # a start that puts a point behind the camera (pixels no camera explains
+    # well) moves back along its axis until the nearest point lies as deep
+    # as the points' spread, so the LM can start from it
+    nearest = (points @ rot[2]).min() + t[2]
+    if nearest <= 1e-9:
+        t[2] += spread - nearest
     return rot, t
 
 
@@ -345,6 +355,11 @@ def solve_pnp(points, pixels, intr: CameraIntrinsics) -> tuple[RigidTransform, f
         raise InsufficientCorrespondencesError(
             f"PnP needs >= 6 correspondences, got {len(points)}")
 
+    # DLT and LM see the points centred on their centroid mu, so their
+    # conditioning does not depend on how far the world origin lies; the
+    # camera-from-world translation is then t - R mu
+    mu = points.mean(axis=0)
+    points = points - mu
     xn = _normalized(pixels, intr.focal, intr.center, intr.dist)
     rot, t = _dlt_pose(points, xn)
 
@@ -368,8 +383,9 @@ def solve_pnp(points, pixels, intr: CameraIntrinsics) -> tuple[RigidTransform, f
     if np.isnan(r).any():
         raise DegenerateGeometryError("DLT initialization puts points behind camera")
     mean_px = float(np.mean(np.linalg.norm(r.reshape(-1, 2), axis=1)))
+    cam_rot = _rotvec_to_matrix(x[:3])
     world_from_camera = invert(transform_from_matrix(
-        _rotvec_to_matrix(x[:3]), x[3:], from_frame="world", to_frame="camera"))
+        cam_rot, x[3:] - cam_rot @ mu, from_frame="world", to_frame="camera"))
     if mean_px > 0.25 * max(intr.width, intr.height):
         raise ConvergenceError(
             f"PnP refinement did not converge (mean error {mean_px:.1f} px)",
@@ -399,9 +415,11 @@ def triangulate_batch(pixels, confidences, cameras: list[CameraModel]
     ``pixels`` is (P, K, 2) and ``confidences`` (P, K); slot k of every point
     is an observation by ``cameras[k]`` (one camera may fill several slots).
     Observations with confidence below ``CONFIDENCE_FLOOR`` are discarded.
-    Each point gets a confidence-weighted linear (DLT) estimate, all from one
-    stacked SVD, a check on the widest angle between its viewing rays, and a
-    reprojection refinement, all points in one stacked LM solve.
+    Each point gets a confidence-weighted linear (DLT) seed, all from one
+    stacked 3x3 solve of the inhomogeneous DLT's normal equations on
+    first-order rays, a check on the widest angle between its viewing rays,
+    and a reprojection refinement on the full distorted model, all points
+    in one stacked LM solve.
 
     Returns ``(points (P, 3), residual_px (P,), errors)``. ``errors[p]`` is
     None, or the ``InsufficientViewsError`` / ``DegenerateGeometryError``
@@ -436,16 +454,23 @@ def triangulate_batch(pixels, confidences, cameras: list[CameraModel]
     used, w = used[sel], np.where(used[sel], conf[sel], 0.0)
     uv = np.where(used[..., None], uv[sel], center)  # discarded slots: on axis
 
-    # DLT rows w * (x * P[2] - P[0]), w * (y * P[2] - P[1]) with P = [R|t]
-    xn = _normalized(uv, focal, center, dist)
+    # the seed solves the normal equations of the inhomogeneous DLT, rows
+    # w * (x * P[2] - P[0]), w * (y * P[2] - P[1]) with P = [R|t] and the
+    # point (X, 1). Its rays take one fixed-point step of the inverse
+    # distortion, not _normalized's Newton loop: the LM refines the seed on
+    # the full model.
+    xd = (uv - center) / focal
+    xn = 2 * xd - _distort(xd, dist)
     p = np.concatenate([rot, t[:, :, None]], axis=2)
-    a = w[..., None, None] * (xn[..., None] * p[:, 2:3, :] - p[:, :2, :])
-    h = np.linalg.svd(a.reshape(len(sel), -1, 4), full_matrices=False)[2][:, -1]
-    finite = np.abs(h[:, 3]) >= 1e-12
+    a = (w[..., None, None] * (xn[..., None] * p[:, 2:3, :] - p[:, :2, :])
+         ).reshape(len(sel), -1, 4)
+    ata = a.transpose(0, 2, 1) @ a
+    start = _solve(ata[:, :3, :3], -ata[:, :3, 3], singular=np.nan)
+    # the unit vector along (X, 1) has a 4th entry of at least 1e-12
+    finite = np.einsum("pi,pi->p", start, start) < 1e24  # False where NaN
     for i in sel[~finite]:
         errors[i] = DegenerateGeometryError("triangulated point at infinity")
-    sel, used, w, uv, h = sel[finite], used[finite], w[finite], uv[finite], h[finite]
-    start = h[:, :3] / h[:, 3:]
+    sel, used, w, uv, start = sel[finite], used[finite], w[finite], uv[finite], start[finite]
 
     # widest angle between two used viewing rays through each point
     d = start[:, None, :] - np.array([c.world_from_camera.t for c in cameras])

@@ -328,12 +328,13 @@ def fit_plane_pca(points) -> PlaneFrame:
     return PlaneFrame(centroid, np.vstack([x, y, z]))
 
 
-def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stacked ``solve(a[i], b[i])``; a singular system gets a zero step."""
+def _solve(a: np.ndarray, b: np.ndarray, singular: float = 0.0) -> np.ndarray:
+    """Stacked ``solve(a[i], b[i])``; a singular system gets a step whose
+    entries are all ``singular`` (zero: the LM's step, rejected by it)."""
     try:
         return np.linalg.solve(a, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        step = np.zeros_like(b)
+        step = np.full_like(b, singular)
         for i in range(len(a)):
             try:
                 step[i] = np.linalg.solve(a[i], b[i])

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,6 +163,17 @@ def _name_violation(name) -> str | None:
     return None
 
 
+def _unencodable(name: str, file_name: str) -> str | None:
+    """The violation of a file name of node ``name`` that the file system
+    encoding cannot encode, as a non-ASCII name under an ASCII locale."""
+    try:
+        os.fsencode(file_name)
+    except UnicodeEncodeError:
+        return (f"node {name!r}: file name {file_name!r} cannot be encoded in "
+                f"the file system encoding {sys.getfilesystemencoding()!r}")
+    return None
+
+
 def validate(scene: TwinScene, base_dir=None) -> list[str]:
     """List of invariant violations; empty iff the scene is consistent.
     Unit quaternions and a dynamic track's time order are the node types'
@@ -197,17 +209,18 @@ def save(scene: TwinScene, directory) -> None:
     """Write manifest + assets. In-memory clouds become PLY files (float32);
     string assets are recorded as opaque relative paths. A node name that
     ``validate`` refuses as a file name raises TwinfuseError before anything
-    is written, also for a scene built without ``assemble``."""
+    is written, also for a scene built without ``assemble``; one whose file
+    name the file system encoding cannot encode raises ManifestError."""
     if bad := [v for v in map(_name_violation, scene.node_names()) if v]:
         raise TwinfuseError(bad[0])
-    os.makedirs(directory, exist_ok=True)
+    files = []  # (node name, file name, cloud or text) of each file named after a node
 
     def entry(node, **fields):
         """Manifest entry of a static or dynamic node; a cloud asset is
         saved as ``<name>.ply``."""
         cloud = isinstance(node.asset, PointCloud)
         if cloud:
-            save_ply(os.path.join(directory, f"{node.name}.ply"), node.asset)
+            files.append((node.name, f"{node.name}.ply", node.asset))
         return {"name": node.name, "asset": f"{node.name}.ply" if cloud
                 else node.asset, "cloud": cloud, **fields}
 
@@ -220,13 +233,21 @@ def save(scene: TwinScene, directory) -> None:
             "to_frame": node.pose.to_frame}))
     for node in scene.dynamic_nodes:
         rel_track = f"{node.name}_track.csv"
-        write_file(os.path.join(directory, rel_track), node.track.to_csv())
+        files.append((node.name, rel_track, node.track.to_csv()))
         manifest["dynamic"].append(entry(node, track=rel_track,
                                          track_frame=node.track.frame))
     for node in scene.skeleton_nodes:
         rel = f"{node.name}_skeleton.csv"
-        write_file(os.path.join(directory, rel), skeleton_track_to_csv(list(node.frames)))
+        files.append((node.name, rel, skeleton_track_to_csv(list(node.frames))))
         manifest["skeletons"].append({"name": node.name, "track": rel})
+    if bad := [v for name, rel, _ in files if (v := _unencodable(name, rel))]:
+        raise ManifestError(bad[0])
+    os.makedirs(directory, exist_ok=True)
+    for _, rel, content in files:
+        if isinstance(content, PointCloud):
+            save_ply(os.path.join(directory, rel), content)
+        else:
+            write_file(os.path.join(directory, rel), content)
     write_file(os.path.join(directory, MANIFEST_NAME), json.dumps(manifest, indent=2))
 
 
@@ -264,17 +285,20 @@ def load(directory) -> TwinScene:
             raise ManifestError(f"{path}: {violation}")
         return name
 
-    def inside(rel, owner):
-        """``rel`` joined to the directory; absolute or leaving it is refused."""
+    def inside(rel, owner, name):
+        """``rel`` of node ``name`` joined to the directory; absolute, leaving
+        it, or not encodable in the file system encoding is refused."""
         norm = os.path.normpath(rel)
         if os.path.isabs(rel) or norm == os.pardir or norm.startswith(os.pardir + os.sep):
             raise ManifestError(f"{path}: {owner} path {rel!r} is outside "
                                 f"the scene directory")
+        if violation := _unencodable(name, rel):
+            raise ManifestError(f"{path}: {violation}")
         return os.path.join(directory, rel)
 
     def read_asset(entry, name):
         asset = field(entry, "asset", f"node {name!r}", str)
-        ply_path = inside(asset, f"node {name!r} asset")
+        ply_path = inside(asset, f"node {name!r} asset", name)
         if entry.get("cloud"):
             if not os.path.exists(ply_path):
                 raise ManifestError(f"{path}: node {name!r} references "
@@ -284,7 +308,7 @@ def load(directory) -> TwinScene:
 
     def read_track(entry, name, kind, parse):
         track_path = inside(field(entry, "track", f"{kind} {name!r}", str),
-                            f"{kind} {name!r} track")
+                            f"{kind} {name!r} track", name)
         if not os.path.exists(track_path):
             raise ManifestError(f"{path}: {kind} {name!r} references "
                                 f"missing track {track_path}")

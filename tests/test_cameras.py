@@ -1,12 +1,14 @@
 """Camera projection, PnP, triangulation, and track time alignment."""
 
 import json
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import least_squares
 
 from twinfuse import cameras
 from twinfuse.cameras import (CONFIDENCE_FLOOR, CameraIntrinsics, CameraModel,
@@ -21,13 +23,14 @@ from twinfuse.errors import (BehindCameraError, ConvergenceError,
                              InsufficientCorrespondencesError,
                              InsufficientViewsError, NoOverlapError,
                              ParameterError, UnknownEntityError)
-from twinfuse.geometry import RigidTransform
+from twinfuse.geometry import RigidTransform, compose, quat_normalize
 from twinfuse.mocap import select_surgeon, triangulate_skeleton
 from twinfuse.synth import (SynthConfig, _default_intrinsics, generate,
                             project_visible)
 
 from conftest import (assert_jacobian_matches, captured_model, central_jacobian,
-                      look_at_camera_pose, quat_angle_deg, random_transform)
+                      look_at_camera_pose, quat_angle_deg, random_transform,
+                      transforms_close)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -88,7 +91,7 @@ def test_camera_json_round_trip():
 
 
 @given(seeds)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 def test_intrinsics_dict_round_trip_is_exact(seed):
     intr = _random_intrinsics(np.random.default_rng(seed))
     back = CameraIntrinsics.from_dict(json.loads(json.dumps(intr.to_dict())))
@@ -121,7 +124,7 @@ def test_project_behind_camera_raises():
 
 
 @given(seeds)
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 def test_unproject_project_round_trip(seed):
     rng = np.random.default_rng(seed)
     cam = _cam(intr=INTR_DIST)
@@ -254,6 +257,32 @@ def test_pnp_refinement_reduces_error():
     assert mean_px < 2.5
 
 
+def _far_motion(distance_m):
+    """A random rigid motion of the reference frame whose translation is
+    ``distance_m`` long."""
+    rng = np.random.default_rng(1)
+    t = rng.normal(size=3)
+    return RigidTransform(quat_normalize(rng.normal(size=4)),
+                          distance_m * t / np.linalg.norm(t), "reference", "reference")
+
+
+@pytest.mark.parametrize("distance_m", [1e3, 1e4, 1e5])
+def test_pnp_is_equivariant_under_a_far_rigid_motion(distance_m):
+    """Moving the world points moves every recovered camera with them, also
+    when the points end kilometres from the world origin, as in laser-scanner
+    and survey frames."""
+    bundle = generate(SynthConfig(seed=3, duration_s=0.1))
+    motion = _far_motion(distance_m)
+    for cam in bundle.cameras:
+        entries = bundle.marker_pixels[cam.id]
+        points = np.array([bundle.markers.positions[mid] for mid, _, _ in entries])
+        pixels = np.array([[u, v] for _, u, v in entries])
+        pose, _ = solve_pnp(points, pixels, cam.intrinsics)
+        moved, _ = solve_pnp(motion.apply_points(points), pixels, cam.intrinsics)
+        expected = compose(motion, pose.with_frames("camera", "reference"))
+        assert transforms_close(moved, expected, tol_t_m=1e-8, tol_deg=1e-7)
+
+
 # ---------------------------------------------------------------------------
 # triangulation
 
@@ -360,6 +389,132 @@ def test_triangulate_parallel_rays_degenerate():
         triangulate(obs, [c0, c1])
 
 
+def test_triangulate_exactly_parallel_rays_are_degenerate():
+    """Two exactly parallel rays end as a DegenerateGeometryError, limited
+    to their point: along an axis, where the seed's normal equations are
+    exactly singular, and along a general direction, where they are nearly
+    so. A well-posed point in the same batch stays valid."""
+    good = np.array([0.05, -0.05, 1.0])
+    for direction in ([0.0, 0.0, -1.0], [0.3, -0.2, -1.0]):
+        d = np.array(direction) / np.linalg.norm(direction)
+        cams = [_cam("cam0", position=(0.0, 0.0, 3.0), target=(0.0, 0.0, 3.0) + d),
+                _cam("cam1", position=(0.4, 0.0, 3.0), target=(0.4, 0.0, 3.0) + d)]
+        axis = [(c.intrinsics.cx, c.intrinsics.cy) for c in cams]
+        pixels = np.array([axis, [project(c, good) for c in cams]])
+        points, _, errors = triangulate_batch(pixels, np.ones((2, 2)), cams)
+        assert isinstance(errors[0], DegenerateGeometryError)
+        assert errors[1] is None and np.linalg.norm(points[1] - good) < 1e-9
+        with pytest.raises(DegenerateGeometryError):
+            triangulate([PixelObservation(c.id, *uv) for c, uv in zip(cams, axis)], cams)
+
+
+def _counting_lm():
+    """A patch of ``cameras._least_squares`` and the list of the number of
+    problems in each call of its model."""
+    calls = []
+    solve = cameras._least_squares
+
+    def spy(model, x, weights):
+        def counted(x, rows):
+            calls.append(len(rows))
+            return model(x, rows)
+        return solve(counted, x, weights)
+
+    return calls, mock.patch.object(cameras, "_least_squares", spy)
+
+
+def _exact_ray_seed(seeded):
+    """A patch under which ``triangulate_batch`` seeds on ``_undistort``'s
+    Newton inverse: its fixed-point step ``2 x - _distort(x)`` lands on it.
+    Each call appends to ``seeded``, so a seed that skips the step shows."""
+    def distort(x, dist):
+        seeded.append(x.shape)
+        return 2 * x - _undistort(x, dist)
+    return mock.patch.object(cameras, "_distort", distort)
+
+
+@pytest.mark.parametrize("k1", [-0.3, 0.2])
+def test_triangulate_first_order_seed_under_strong_distortion(k1):
+    """The seed's first-order rays under a radial distortion 5-8 times
+    synth's: every valid flag is that of the exact-ray seed, the LM takes no
+    more model calls, and the joints are within 1e-8 m of an independent LM
+    solve run to machine precision from the truth."""
+    bundle = generate(SynthConfig(seed=7, duration_s=0.1))
+    cams = [CameraModel(c.id, replace(c.intrinsics, dist=(k1, 0.1) + c.intrinsics.dist[2:]),
+                        c.world_from_camera) for c in bundle.cameras]
+    rng = np.random.default_rng(0)
+    calls, counted = _counting_lm()
+    exact_calls, exact_counted = _counting_lm()
+    seeded = []
+    for truth, per_cam in zip(bundle.skeleton_true, bundle.keypoint_frames):
+        seen = [project_visible(c, truth.positions) for c in cams]
+        pixels = np.stack([uv for uv, _ in seen], axis=1)
+        pixels += rng.normal(0, 0.5, size=pixels.shape)
+        conf = np.stack([np.where(visible, f.keypoints[0][:, 2], 0.0)
+                         for (_, visible), f in zip(seen, per_cam)], axis=1)
+        with counted:
+            points, _, errors = triangulate_batch(pixels, conf, cams)
+        with exact_counted, _exact_ray_seed(seeded):
+            exact_errors = triangulate_batch(pixels, conf, cams)[2]
+        valid = [e is None for e in errors]
+        assert valid == [e is None for e in exact_errors] and sum(valid) > 50
+        for j in np.flatnonzero(valid)[::4]:  # a quarter keeps the test short
+            used = conf[j] >= CONFIDENCE_FLOOR
+            seeing = [c for c, u in zip(cams, used) if u]
+            w = np.sqrt(conf[j, used])[:, None]
+
+            def residuals(x):
+                uv = np.array([project(c, x) for c in seeing])
+                return (w * (uv - pixels[j, used])).ravel()
+
+            ref = least_squares(residuals, truth.positions[j], method="lm",
+                                xtol=1e-15, ftol=1e-15, gtol=1e-15)
+            assert np.linalg.norm(points[j] - ref.x) < 1e-8
+    assert len(seeded) == len(bundle.keypoint_frames)
+    assert len(calls) <= len(exact_calls)
+
+
+def test_triangulate_first_order_seed_takes_no_more_lm_calls():
+    """On synth captures with a bystander the LM takes no more model calls
+    per frame from the first-order seed than from the exact-ray one."""
+    for seed in (0, 1, 2):
+        bundle = generate(SynthConfig(seed=seed, duration_s=0.5, include_bystander=True))
+        calls, counted = _counting_lm()
+        exact_calls, exact_counted = _counting_lm()
+        seeded = []
+        for per_cam in bundle.keypoint_frames:
+            sel = select_surgeon(per_cam, bundle.cameras, bundle.table_center)
+            with counted:
+                triangulate_skeleton(per_cam, sel, bundle.cameras)
+            with exact_counted, _exact_ray_seed(seeded):
+                triangulate_skeleton(per_cam, sel, bundle.cameras)
+        assert len(seeded) == len(bundle.keypoint_frames)
+        assert len(calls) <= len(exact_calls)
+
+
+def test_triangulate_skeleton_is_equivariant_under_a_far_rigid_motion():
+    """Cameras moved 1,000 km by a rigid motion triangulate every joint at
+    the moved joint. The tolerance comes from the coordinate scale: at
+    distance D the world coordinates round by eps D, so a pixel residual
+    of about 1 px by f eps D / z, and the cost as much; the cost of a
+    shift delta is (f / z)^2 delta^2, so the LM cannot resolve shifts below
+    about sqrt(eps D z / f), with z up to 5 m here."""
+    distance_m = 1e6
+    bundle = generate(SynthConfig(seed=3, duration_s=0.1))
+    motion = _far_motion(distance_m)
+    moved = [CameraModel(c.id, c.intrinsics, compose(motion, c.world_from_camera))
+             for c in bundle.cameras]
+    focal = min(c.intrinsics.fx for c in bundle.cameras)
+    tol_m = np.sqrt(np.finfo(float).eps * distance_m * 5.0 / focal)
+    for per_cam in bundle.keypoint_frames:
+        sel = select_surgeon(per_cam, bundle.cameras, bundle.table_center)
+        near = triangulate_skeleton(per_cam, sel, bundle.cameras)
+        far = triangulate_skeleton(per_cam, sel, moved)
+        assert near.valid.tolist() == far.valid.tolist() and near.valid.sum() > 50
+        err = motion.apply_points(near.positions[near.valid]) - far.positions[far.valid]
+        assert np.abs(err).max() < tol_m
+
+
 # ---------------------------------------------------------------------------
 # analytic Jacobians and Newton undistortion, on random intrinsics whose
 # distortion is up to twice synth's (-0.04, 0.01, 0.0004, -0.0003, 0) in
@@ -397,7 +552,7 @@ def _kernel_jacobian(xn, dist):
 
 
 @given(seeds)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 def test_distort_jacobian_matches_central_differences(seed):
     rng = np.random.default_rng(seed)
     intr = _random_intrinsics(rng)
@@ -409,7 +564,7 @@ def test_distort_jacobian_matches_central_differences(seed):
 
 
 @given(seeds)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 def test_undistort_inverts_distort(seed):
     """``_undistort`` finds a preimage of every distorted point. It is the
     original point wherever the distortion does not fold between that point
@@ -427,7 +582,7 @@ def test_undistort_inverts_distort(seed):
 
 
 @given(seeds)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 def test_undistort_batch_matches_single(seed):
     rng = np.random.default_rng(seed)
     intr = _random_intrinsics(rng)
@@ -438,7 +593,7 @@ def test_undistort_batch_matches_single(seed):
 
 
 @given(seeds)
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 def test_triangulation_jacobian_matches_central_differences(seed):
     rng = np.random.default_rng(seed)
     cams = [_random_camera(rng, f"cam{k}") for k in range(3)]
@@ -450,7 +605,7 @@ def test_triangulation_jacobian_matches_central_differences(seed):
 
 
 @given(seeds)
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 def test_pnp_jacobian_matches_central_differences(seed):
     rng = np.random.default_rng(seed)
     cam = _random_camera(rng)

@@ -890,6 +890,48 @@ def test_scene_prints_a_non_ascii_name_under_an_ascii_locale(tmp_path):
     assert out["utf8"] == "scene OK: frame 'reference', nodes: salle\u00e9, table\n".encode()
 
 
+_SAVE_SALLE = """
+import sys
+import numpy as np
+from twinfuse import scene
+from twinfuse.errors import ManifestError
+from twinfuse.geometry import PointCloud, RigidTransform
+pose = RigidTransform([1.0, 0, 0, 0], [0.0, 0, 0], "room", "reference")
+cloud = PointCloud(np.zeros((3, 3)), frame="reference")
+try:
+    scene.save(scene.assemble([scene.StaticNode("salle\\u00e9", cloud, pose)]), sys.argv[1])
+except ManifestError as exc:
+    print(ascii(str(exc)))
+"""
+
+
+def test_scene_refuses_an_unencodable_node_file_name_under_an_ascii_locale(tmp_path):
+    """A node "salle\u00e9" with a cloud names a file that an ASCII file
+    system encoding cannot encode: there ``load`` and ``save`` raise one
+    ManifestError naming the node, not "missing asset"; under UTF-8 the
+    same scene saves and loads."""
+    d = tmp_path / "scene"
+    utf8 = {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"}
+    runs = {}
+    for name, locale, args in [
+            ("save_utf8", utf8, ["-c", _SAVE_SALLE, str(d)]),
+            ("load_utf8", utf8, ["-m", "twinfuse.cli", "scene", str(d)]),
+            ("load_ascii", ASCII_LOCALE, ["-m", "twinfuse.cli", "scene", str(d)]),
+            ("save_ascii", ASCII_LOCALE, ["-c", _SAVE_SALLE, str(tmp_path / "ascii")])]:
+        env = {**os.environ, **locale, "PYTHONPATH": str(SRC)}
+        run = subprocess.run([sys.executable, *args], env=env, capture_output=True)
+        runs[name] = (run.returncode, run.stdout, run.stderr)
+    refusal = ("node 'salle\u00e9': file name 'salle\u00e9.ply' cannot be encoded "
+               "in the file system encoding 'ascii'")
+    assert runs["save_utf8"] == (0, b"", b"")
+    assert runs["load_utf8"] == (0, "scene OK: frame 'reference', nodes: "
+                                    "salle\u00e9\n".encode(), b"")
+    assert runs["load_ascii"] == (1, b"", f"error: {d / 'scene.json'}: "
+                                          f"{refusal}\n".encode("ascii", "backslashreplace"))
+    assert runs["save_ascii"] == (0, f"{ascii(refusal)}\n".encode(), b"")
+    assert not (tmp_path / "ascii").exists()
+
+
 def test_main_prints_to_a_stream_without_reconfigure(tmp_path, monkeypatch):
     from twinfuse import scene as scene_mod
     d = tmp_path / "scene"

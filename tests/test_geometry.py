@@ -60,7 +60,7 @@ def test_compose_frame_mismatch():
 
 
 @given(seeds)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 def test_compose_associative(seed):
     rng = np.random.default_rng(seed)
     a = random_transform(rng, "f2", "f3")
@@ -84,14 +84,14 @@ def test_invert_translation():
 
 
 @given(seeds)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 def test_invert_involution(seed):
     t = random_transform(np.random.default_rng(seed))
     assert transforms_close(invert(invert(t)), t, 1e-12, 1e-9)
 
 
 @given(seeds)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 def test_pose_dict_round_trip_is_exact(seed):
     rng = np.random.default_rng(seed)
     # normalised once: about a third of such quaternions move in their last
@@ -127,7 +127,7 @@ def test_apply_frame_mismatch():
 
 
 @given(seeds)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 def test_apply_is_isometry(seed):
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(12, 3))
@@ -150,7 +150,7 @@ def test_kabsch_identity_on_equal_sets():
 
 
 @given(seeds)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 def test_kabsch_exact_recovery(seed):
     rng = np.random.default_rng(seed)
     src = rng.normal(size=(10, 3))
@@ -190,7 +190,7 @@ def test_kabsch_optimality():
 
 
 @given(seeds)
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 def test_kabsch_equivariance(seed):
     rng = np.random.default_rng(seed)
     src = rng.normal(size=(9, 3))
