@@ -331,21 +331,17 @@ def _dlt_pose(points: np.ndarray, xn: np.ndarray) -> tuple[np.ndarray, np.ndarra
     if np.linalg.det(rot) < 0:
         rot = -rot
         scale = -scale
-    t = p[:, 3] / (scale * k)
-    # a start that puts a point behind the camera (pixels no camera explains
-    # well) moves back along its axis until the nearest point lies as deep
-    # as the points' spread, so the LM can start from it
-    nearest = (points @ rot[2]).min() + t[2]
-    if nearest <= 1e-9:
-        t[2] += spread - nearest
-    return rot, t
+    return rot, p[:, 3] / (scale * k)
 
 
 def solve_pnp(points, pixels, intr: CameraIntrinsics) -> tuple[RigidTransform, float]:
     """Camera pose from 3D-2D correspondences: DLT init + damped
     least-squares refinement of the pixel reprojection error.
 
-    Returns ``(world_from_camera, mean reprojection error px)``.
+    Returns ``(world_from_camera, mean reprojection error px)``. A DLT start
+    that puts a point behind the camera, or a refinement that ends with a mean
+    error above a quarter of the image size, raises ConvergenceError carrying
+    the pose it reached.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
@@ -354,14 +350,26 @@ def solve_pnp(points, pixels, intr: CameraIntrinsics) -> tuple[RigidTransform, f
     if len(points) < 6:
         raise InsufficientCorrespondencesError(
             f"PnP needs >= 6 correspondences, got {len(points)}")
+    if not np.isfinite(points).all():
+        raise ParameterError("PnP points must be finite")
+    if not np.isfinite(pixels).all():
+        raise ParameterError("PnP pixels must be finite")
 
     # DLT and LM see the points centred on their centroid mu, so their
     # conditioning does not depend on how far the world origin lies; the
     # camera-from-world translation is then t - R mu
     mu = points.mean(axis=0)
     points = points - mu
+
+    def pose(cam_rot, t):
+        return invert(transform_from_matrix(
+            cam_rot, t - cam_rot @ mu, from_frame="world", to_frame="camera"))
+
     xn = _normalized(pixels, intr.focal, intr.center, intr.dist)
     rot, t = _dlt_pose(points, xn)
+    if (points @ rot[2]).min() + t[2] <= 1e-9:  # the LM's model is undefined there
+        raise ConvergenceError("PnP DLT start puts points behind the camera",
+                               last_iterate=pose(rot, t))
 
     def model(x, rows):  # x: (1, 6) rotation vector and translation of the one problem
         cam_rot = _rotvec_to_matrix(x[0, :3])
@@ -380,13 +388,9 @@ def solve_pnp(points, pixels, intr: CameraIntrinsics) -> tuple[RigidTransform, f
     x, r = _least_squares(model, [np.concatenate([_matrix_to_rotvec(rot), t])],
                           np.ones((1, pixels.size)))
     x, r = x[0], r[0]
-    if np.isnan(r).any():
-        raise DegenerateGeometryError("DLT initialization puts points behind camera")
     mean_px = float(np.mean(np.linalg.norm(r.reshape(-1, 2), axis=1)))
-    cam_rot = _rotvec_to_matrix(x[:3])
-    world_from_camera = invert(transform_from_matrix(
-        cam_rot, x[3:] - cam_rot @ mu, from_frame="world", to_frame="camera"))
-    if mean_px > 0.25 * max(intr.width, intr.height):
+    world_from_camera = pose(_rotvec_to_matrix(x[:3]), x[3:])
+    if not mean_px <= 0.25 * max(intr.width, intr.height):  # also NaN or inf
         raise ConvergenceError(
             f"PnP refinement did not converge (mean error {mean_px:.1f} px)",
             last_iterate=world_from_camera)

@@ -213,14 +213,20 @@ def save(scene: TwinScene, directory) -> None:
     name the file system encoding cannot encode raises ManifestError."""
     if bad := [v for v in map(_name_violation, scene.node_names()) if v]:
         raise TwinfuseError(bad[0])
-    files = []  # (node name, file name, cloud or text) of each file named after a node
+    named = [(n.name, f"{n.name}.ply") for n in (*scene.static_nodes, *scene.dynamic_nodes)
+             if isinstance(n.asset, PointCloud)]
+    named += [(n.name, f"{n.name}_track.csv") for n in scene.dynamic_nodes]
+    named += [(n.name, f"{n.name}_skeleton.csv") for n in scene.skeleton_nodes]
+    if bad := [v for name, rel in named if (v := _unencodable(name, rel))]:
+        raise ManifestError(bad[0])
+    os.makedirs(directory, exist_ok=True)
 
     def entry(node, **fields):
         """Manifest entry of a static or dynamic node; a cloud asset is
         saved as ``<name>.ply``."""
         cloud = isinstance(node.asset, PointCloud)
         if cloud:
-            files.append((node.name, f"{node.name}.ply", node.asset))
+            save_ply(os.path.join(directory, f"{node.name}.ply"), node.asset)
         return {"name": node.name, "asset": f"{node.name}.ply" if cloud
                 else node.asset, "cloud": cloud, **fields}
 
@@ -233,21 +239,13 @@ def save(scene: TwinScene, directory) -> None:
             "to_frame": node.pose.to_frame}))
     for node in scene.dynamic_nodes:
         rel_track = f"{node.name}_track.csv"
-        files.append((node.name, rel_track, node.track.to_csv()))
+        write_file(os.path.join(directory, rel_track), node.track.to_csv())
         manifest["dynamic"].append(entry(node, track=rel_track,
                                          track_frame=node.track.frame))
     for node in scene.skeleton_nodes:
         rel = f"{node.name}_skeleton.csv"
-        files.append((node.name, rel, skeleton_track_to_csv(list(node.frames))))
+        write_file(os.path.join(directory, rel), skeleton_track_to_csv(list(node.frames)))
         manifest["skeletons"].append({"name": node.name, "track": rel})
-    if bad := [v for name, rel, _ in files if (v := _unencodable(name, rel))]:
-        raise ManifestError(bad[0])
-    os.makedirs(directory, exist_ok=True)
-    for _, rel, content in files:
-        if isinstance(content, PointCloud):
-            save_ply(os.path.join(directory, rel), content)
-        else:
-            write_file(os.path.join(directory, rel), content)
     write_file(os.path.join(directory, MANIFEST_NAME), json.dumps(manifest, indent=2))
 
 
@@ -285,21 +283,25 @@ def load(directory) -> TwinScene:
             raise ManifestError(f"{path}: {violation}")
         return name
 
-    def inside(rel, owner, name):
-        """``rel`` of node ``name`` joined to the directory; absolute, leaving
-        it, or not encodable in the file system encoding is refused."""
+    def inside(rel, owner):
+        """``rel`` joined to the directory; absolute or leaving it is refused."""
         norm = os.path.normpath(rel)
         if os.path.isabs(rel) or norm == os.pardir or norm.startswith(os.pardir + os.sep):
             raise ManifestError(f"{path}: {owner} path {rel!r} is outside "
                                 f"the scene directory")
+        return os.path.join(directory, rel)
+
+    def encodable(rel, name):
+        """Refuse ``rel``, a file of node ``name`` that ``load`` opens, if the
+        file system encoding cannot encode it."""
         if violation := _unencodable(name, rel):
             raise ManifestError(f"{path}: {violation}")
-        return os.path.join(directory, rel)
 
     def read_asset(entry, name):
         asset = field(entry, "asset", f"node {name!r}", str)
-        ply_path = inside(asset, f"node {name!r} asset", name)
+        ply_path = inside(asset, f"node {name!r} asset")
         if entry.get("cloud"):
+            encodable(asset, name)
             if not os.path.exists(ply_path):
                 raise ManifestError(f"{path}: node {name!r} references "
                                     f"missing asset {ply_path}")
@@ -307,8 +309,9 @@ def load(directory) -> TwinScene:
         return asset
 
     def read_track(entry, name, kind, parse):
-        track_path = inside(field(entry, "track", f"{kind} {name!r}", str),
-                            f"{kind} {name!r} track", name)
+        rel = field(entry, "track", f"{kind} {name!r}", str)
+        track_path = inside(rel, f"{kind} {name!r} track")
+        encodable(rel, name)
         if not os.path.exists(track_path):
             raise ManifestError(f"{path}: {kind} {name!r} references "
                                 f"missing track {track_path}")

@@ -904,12 +904,24 @@ except ManifestError as exc:
     print(ascii(str(exc)))
 """
 
+# a string asset is an opaque path that ``load`` does not open
+_SAVE_LOAD_STRING_ASSET = """
+import sys
+from twinfuse import scene
+from twinfuse.geometry import RigidTransform
+pose = RigidTransform([1.0, 0, 0, 0], [0.0, 0, 0], "room", "reference")
+scene.save(scene.assemble([scene.StaticNode("table", "meshes/tabl\\u00e9.obj", pose)]),
+           sys.argv[1])
+print(ascii(scene.load(sys.argv[1]).static_nodes[0].asset))
+"""
+
 
 def test_scene_refuses_an_unencodable_node_file_name_under_an_ascii_locale(tmp_path):
     """A node "salle\u00e9" with a cloud names a file that an ASCII file
     system encoding cannot encode: there ``load`` and ``save`` raise one
     ManifestError naming the node, not "missing asset"; under UTF-8 the
-    same scene saves and loads."""
+    same scene saves and loads. A non-ASCII string asset, which names no
+    file that ``load`` opens, saves and loads under both."""
     d = tmp_path / "scene"
     utf8 = {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"}
     runs = {}
@@ -917,7 +929,9 @@ def test_scene_refuses_an_unencodable_node_file_name_under_an_ascii_locale(tmp_p
             ("save_utf8", utf8, ["-c", _SAVE_SALLE, str(d)]),
             ("load_utf8", utf8, ["-m", "twinfuse.cli", "scene", str(d)]),
             ("load_ascii", ASCII_LOCALE, ["-m", "twinfuse.cli", "scene", str(d)]),
-            ("save_ascii", ASCII_LOCALE, ["-c", _SAVE_SALLE, str(tmp_path / "ascii")])]:
+            ("save_ascii", ASCII_LOCALE, ["-c", _SAVE_SALLE, str(tmp_path / "ascii")]),
+            ("string_asset_ascii", ASCII_LOCALE,
+             ["-c", _SAVE_LOAD_STRING_ASSET, str(tmp_path / "string")])]:
         env = {**os.environ, **locale, "PYTHONPATH": str(SRC)}
         run = subprocess.run([sys.executable, *args], env=env, capture_output=True)
         runs[name] = (run.returncode, run.stdout, run.stderr)
@@ -930,6 +944,7 @@ def test_scene_refuses_an_unencodable_node_file_name_under_an_ascii_locale(tmp_p
                                           f"{refusal}\n".encode("ascii", "backslashreplace"))
     assert runs["save_ascii"] == (0, f"{ascii(refusal)}\n".encode(), b"")
     assert not (tmp_path / "ascii").exists()
+    assert runs["string_asset_ascii"] == (0, b"'meshes/tabl\\xe9.obj'\n", b"")
 
 
 def test_main_prints_to_a_stream_without_reconfigure(tmp_path, monkeypatch):
