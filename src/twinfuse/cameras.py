@@ -563,12 +563,17 @@ def estimate_time_offset(times_a, positions_a, times_b,
     Grid search (step = half the finer sample interval) minimizing the mean
     absolute difference of linearly resampled speed profiles. Motionless
     tracks are ambiguous and yield offset 0 with the flag set; times that are
-    not strictly increasing raise ParameterError.
+    not strictly increasing, non-finite times or positions, and a track
+    without one position per time raise ParameterError.
     """
     ta = np.asarray(times_a, dtype=float)
     tb = np.asarray(times_b, dtype=float)
     pa = np.asarray(positions_a, dtype=float).reshape(-1, 3)
     pb = np.asarray(positions_b, dtype=float).reshape(-1, 3)
+    if len(ta) != len(pa) or len(tb) != len(pb):
+        raise ParameterError("each track needs one position per time")
+    if not all(np.isfinite(v).all() for v in (ta, pa, tb, pb)):
+        raise ParameterError("track times and positions must be finite")
     if len(ta) < 3 or len(tb) < 3:
         raise ParameterError("tracks too short for offset estimation")
     if not ((np.diff(ta) > 0).all() and (np.diff(tb) > 0).all()):

@@ -19,7 +19,7 @@ from .cameras import CameraIntrinsics, CameraModel, _camera_id, solve_pnp
 from .errors import (EmptySelectionError, ParameterError, TwinfuseError,
                      _repeated, non_numbers, parse_file, reading, write_file)
 from .fusion import MarkerSet, ScanRecord
-from .geometry import PointCloud
+from .geometry import PointCloud, RigidTransform
 from .metrics import render_reprojection_table
 from .ply import load_ply, save_ply
 from .tracking import PoseTrack, smooth_track
@@ -264,7 +264,7 @@ def cmd_pipeline(args) -> int:
                                               report.reference_name)
         t_mm, r_deg = synth.pose_error(row.transform, truth)
         print(f"  {row.name}: pose error {t_mm:.2f} mm / {r_deg:.3f} deg")
-    final, floor_t = fusion.finalize_reference(fused)
+    final, _ = fusion.finalize_reference(fused)
 
     print()
     per_camera = {}
@@ -289,7 +289,9 @@ def cmd_pipeline(args) -> int:
     print(f"skeleton: median joint error {np.median(errs):.2f} mm "
           f"over {len(errs)} joint samples")
 
-    room = scene.StaticNode("room", final, floor_t.with_frames("room", "reference"))
+    # final is already in the reference (floor) frame: its pose is the identity
+    room = scene.StaticNode("room", final,
+                            RigidTransform([1, 0, 0, 0], [0, 0, 0], "room", "reference"))
     # one point at the body origin stands in for the instrument's shape
     shape = PointCloud(np.zeros((1, 3)), frame="body")
     drill = scene.DynamicNode("instrument", shape, bundle.instrument_track_noisy)

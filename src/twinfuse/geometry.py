@@ -376,59 +376,39 @@ def _least_squares(model, x: np.ndarray, weights: np.ndarray):
     lam = np.full(n_problems, 1e-3)
     tries = np.zeros(n_problems, dtype=int)
     steps = np.zeros(n_problems, dtype=int)
-    jtj = np.zeros((n_problems, n, n))
-    jtr = np.zeros((n_problems, n))
-
-    def normal_equations(rows):
-        jtw = jac[rows].transpose(0, 2, 1) * weights[rows, None, :]
-        jtj[rows] = jtw @ jac[rows]
-        jtr[rows] = (jtw @ r[rows, :, None])[..., 0]
-
-    def rows_of(act):
-        """``act`` as an index: while every problem is still trying, a
-        slice, whose views spare the copies an index array makes."""
-        return slice(None) if len(act) == n_problems else act
-
-    normal_equations(rows_of(act))
     eye = np.eye(n)
     while len(act):
-        at = rows_of(act)
-        a, b = jtj[at], jtr[at]
+        # while every problem is still trying, a slice, whose views spare
+        # the copies an index array makes
+        at = slice(None) if len(act) == n_problems else act
+        jtw = jac[at].transpose(0, 2, 1) * weights[at, None, :]
+        a, b = jtw @ jac[at], (jtw @ r[at, :, None])[..., 0]
         h = _solve(a + (lam[at, None] * (np.diagonal(a, axis1=1, axis2=2) + 1e-12))[..., None]
                    * eye, -b)
         x_new = x[at] + h
         r_new, jac_new = model(x_new, act)
         cost_new = np.einsum("bm,bm->b", weights[at], r_new * r_new)
         better = cost_new < cost[at]  # False where undefined (NaN)
-        if better.all():  # every step accepted: no bookkeeping for rejections
-            drop = cost[at] - cost_new
-            x[at], r[at], jac[at], cost[at] = x_new, r_new, jac_new, cost_new
-            lam[at] = np.maximum(lam[at] / 10, 1e-12)
-            tries[at] = 0
-            steps[at] += 1
-            act = act[(drop >= 1e-10) & (steps[at] < 100)]
-            normal_equations(rows_of(act))
-            continue
-        # linearised drop -(2 h.J^T W r + h.J^T W J h) of each rejected step
-        hr = h[~better]
-        predicted = -(2 * np.einsum("bn,bn->b", hr, b[~better])
-                      + np.einsum("bn,bnk,bk->b", hr, a[~better], hr))
-        done = act[better]
-        drop = cost[done] - cost_new[better]
-        x[done] = x_new[better]
-        r[done] = r_new[better]
-        jac[done] = jac_new[better]
-        cost[done] = cost_new[better]
+        keep = np.empty(len(act), dtype=bool)
+        done, new = at, slice(None)  # the accepted problems, and their rows of the try
+        if not better.all():
+            worse = ~better
+            hr = h[worse]
+            # linearised drop -(2 h.J^T W r + h.J^T W J h) of each rejected step
+            predicted = -(2 * np.einsum("bn,bn->b", hr, b[worse])
+                          + np.einsum("bn,bnk,bk->b", hr, a[worse], hr))
+            failed = act[worse]
+            lam[failed] *= 10
+            tries[failed] += 1
+            keep[worse] = (predicted >= 1e-10) & (tries[failed] < 12)  # False for NaN
+            done, new = act[better], better
+        drop = cost[done] - cost_new[new]
+        x[done], r[done] = x_new[new], r_new[new]
+        jac[done], cost[done] = jac_new[new], cost_new[new]
         lam[done] = np.maximum(lam[done] / 10, 1e-12)
         tries[done] = 0
         steps[done] += 1
-        normal_equations(done)
-        failed = act[~better]
-        lam[failed] *= 10
-        tries[failed] += 1
-        keep = np.empty(len(act), dtype=bool)
         keep[better] = (drop >= 1e-10) & (steps[done] < 100)
-        keep[~better] = (predicted >= 1e-10) & (tries[failed] < 12)  # False for NaN
         act = act[keep]
     return x, r
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AmbiguityError, CorrespondenceError,
+from .errors import (AmbiguityError, CorrespondenceError, DegenerateGeometryError,
                      InsufficientCorrespondencesError, NoOverlapError,
                      ParameterError, csv_rows, csv_text, non_numbers,
                      positive_number, reading)
@@ -126,7 +126,8 @@ def fit_sphere_fixed_radius(points, radius_m: float) -> tuple[np.ndarray, float]
 
     Minimizes sum(|p - c| - r)^2 with the shared Levenberg-Marquardt loop
     (``geometry._least_squares``) from the centroid; hemisphere-only sampling
-    is the expected use case.
+    is the expected use case. The residuals are undefined at a centre on a
+    point, and a centroid on a point raises DegenerateGeometryError.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(pts) < 4:
@@ -142,9 +143,14 @@ def fit_sphere_fixed_radius(points, radius_m: float) -> tuple[np.ndarray, float]
     def model(x, rows):  # x: (1, 3) candidate centre of the one problem
         d = pts - x[0]
         dist = np.linalg.norm(d, axis=1)
+        if not dist.all():  # a point at the centre: undefined, without a warning
+            dist = np.full_like(dist, np.nan)
         return ((dist - radius_m) * 1000.0)[None], (-1000.0 * d / dist[:, None])[None]
 
     c, r = _least_squares(model, pts.mean(axis=0)[None], np.ones((1, len(pts))))
+    if np.isnan(r).any():
+        raise DegenerateGeometryError(
+            "a sphere fit point lies on the centroid, where the fit starts")
     return c[0], float(np.sqrt(np.mean(r ** 2))) / 1000.0
 
 

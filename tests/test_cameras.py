@@ -1,6 +1,7 @@
 """Camera projection, PnP, triangulation, and track time alignment."""
 
 import json
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -924,6 +925,30 @@ def test_offset_refuses_unordered_times(disorder, track):
     ta, tb = (bad, t) if track == "a" else (t, bad)
     with pytest.raises(ParameterError, match="timestamps must be strictly increasing"):
         estimate_time_offset(ta, _wiggle_track(t), tb, _wiggle_track(t))
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("nan position", "must be finite"), ("inf position", "must be finite"),
+    ("nan time", "must be finite"), ("inf time", "must be finite"),
+    ("one position short", "one position per time")])
+@pytest.mark.parametrize("track", ["a", "b"])
+def test_offset_refuses_bad_input_before_any_arithmetic(fault, message, track):
+    """A NaN position on otherwise identical tracks used to give a confident
+    offset of -7.4 s, an infinite one a RuntimeWarning, a short track numpy's
+    ValueError."""
+    t = np.arange(0, 10, 1 / 30)
+    bad_t, bad_p = t.copy(), _wiggle_track(t)
+    if fault == "one position short":
+        bad_p = bad_p[:-1]
+    elif fault.endswith("position"):
+        bad_p[100, 1] = float(fault.split()[0])
+    else:
+        bad_t[-1] = float(fault.split()[0])
+    args = (bad_t, bad_p, t, _wiggle_track(t))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ParameterError, match=message):
+            estimate_time_offset(*(args if track == "a" else args[2:] + args[:2]))
 
 
 def test_offset_disjoint_tracks():

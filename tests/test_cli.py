@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinfuse import synth
+from twinfuse import scene, synth
 from twinfuse.cli import main
 from twinfuse.fusion import MarkerSet
 from twinfuse.geometry import PointCloud
+from twinfuse.metrics import chamfer
 from twinfuse.ply import load_ply, save_ply
 from twinfuse.tracking import PoseTrack
 
@@ -1044,6 +1045,16 @@ def test_pipeline_writes_a_valid_deterministic_scene(tmp_path, capsys):
     assert sorted(str(p) for p in _tree_bytes(outs[0])) == [
         "instrument.ply", "instrument_track.csv", "room.ply", "scene.json",
         "surgeon_skeleton.csv"]
+
+
+def test_pipeline_room_pose_maps_its_asset_to_the_reference_frame(tmp_path):
+    """A node's asset is in its own frame and its pose maps that frame to the
+    reference frame, so the room with its pose applied is the true room."""
+    assert main(["pipeline", "--duration", "0.1", "--out", str(tmp_path)]) == 0
+    room, = scene.load(tmp_path).static_nodes
+    placed = PointCloud(room.pose.apply_points(room.asset.points))
+    truth = synth.generate(synth.SynthConfig(seed=0, duration_s=0.1)).room_cloud
+    assert chamfer(placed, truth, max_dist_m=10.0)[0] < 10.0
 
 
 # ---------------------------------------------------------------------------

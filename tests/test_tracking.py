@@ -3,6 +3,7 @@
 import itertools
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
 from twinfuse import tracking
-from twinfuse.errors import (AmbiguityError, CorrespondenceError,
+from twinfuse.errors import (AmbiguityError, CorrespondenceError, DegenerateGeometryError,
                              InsufficientCorrespondencesError, NoOverlapError,
                              ParameterError, positive_number)
-from twinfuse.geometry import PointCloud, RigidTransform, invert, kabsch
+from twinfuse.geometry import PointCloud, RigidTransform, compose, invert, kabsch
 from twinfuse.tracking import (MAX_CANDIDATES, MarkerArrayGeometry, PoseTrack,
                                _consistent_permutations,
                                fit_sphere_fixed_radius, icp,
@@ -22,7 +23,8 @@ from twinfuse.tracking import (MAX_CANDIDATES, MarkerArrayGeometry, PoseTrack,
 from twinfuse.geometry import quat_normalize
 from twinfuse.synth import SynthConfig, generate, pose_error
 
-from conftest import assert_jacobian_matches, captured_model, quat_angle_deg, random_transform
+from conftest import (assert_jacobian_matches, captured_model, quat_angle_deg, random_transform,
+                      transforms_close)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -136,6 +138,55 @@ def test_sphere_fit_parameter_checks():
         fit_sphere_fixed_radius(pts, RADIUS)
 
 
+@pytest.mark.parametrize("pts", [
+    np.tile([0.1, -0.05, 0.3], (4, 1)),
+    RADIUS * np.vstack([np.zeros(3), np.eye(3)[:2], -np.eye(3)[:2]])],
+    ids=["four identical points", "a point at the centroid"])
+def test_sphere_fit_refuses_a_start_on_a_point(pts):
+    """The residuals are undefined at a centre on a point: a fit that starts
+    there raises, where it used to warn and return a made-up centre."""
+    assert (pts == pts.mean(axis=0)).all(axis=1).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DegenerateGeometryError):
+            fit_sphere_fixed_radius(pts, RADIUS)
+
+
+def _far_motion(rng, distance_m, frame):
+    """A random rotation and a translation of length ``distance_m``."""
+    t = rng.normal(size=3)
+    return RigidTransform(quat_normalize(rng.normal(size=4)),
+                          distance_m * t / np.linalg.norm(t), frame, frame)
+
+
+# Each fit stops within about 4e-10 m of its optimum (see the sphere fit's
+# residual units), so two fits of one point set agree to 1e-9 m.
+@pytest.mark.parametrize("distance_m", [1.0, 1e3, 1e5])
+@given(seeds)
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_sphere_fit_is_equivariant_under_a_rigid_motion(distance_m, seed):
+    rng = np.random.default_rng(seed)
+    pts = _hemisphere_points(rng.uniform(-0.2, 0.2, size=3), RADIUS, rng,
+                             n=40, noise=5e-5)
+    motion = _far_motion(rng, distance_m, "reference")
+    c, rms = fit_sphere_fixed_radius(pts, RADIUS)
+    moved, moved_rms = fit_sphere_fixed_radius(motion.apply_points(pts), RADIUS)
+    assert np.linalg.norm(moved - motion.apply_points(c)) < 1e-9
+    assert abs(moved_rms - rms) < 1e-9
+
+
+@given(seeds)
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_sphere_fit_does_not_depend_on_point_order(seed):
+    rng = np.random.default_rng(seed)
+    pts = _hemisphere_points(rng.uniform(-0.2, 0.2, size=3), RADIUS, rng,
+                             n=40, noise=5e-5)
+    c, rms = fit_sphere_fixed_radius(pts, RADIUS)
+    shuffled, shuffled_rms = fit_sphere_fixed_radius(rng.permutation(pts), RADIUS)
+    assert np.linalg.norm(shuffled - c) < 1e-9
+    assert abs(shuffled_rms - rms) < 1e-9
+
+
 # ---------------------------------------------------------------------------
 # marker-array registration
 
@@ -147,6 +198,35 @@ def test_array_registration_exact():
     assert rmse < 1e-9
     assert np.linalg.norm(t.t - truth.t) < 1e-9
     assert quat_angle_deg(t.q, truth.q) < 1e-7
+
+
+def _noisy_array_centres(rng):
+    truth = random_transform(rng, "array", "model", t_scale=0.3)
+    return truth.apply_points(ARRAY.markers) + rng.normal(0, 5e-5, size=ARRAY.markers.shape)
+
+
+@pytest.mark.parametrize("distance_m", [1.0, 1e3, 1e5])
+@given(seeds)
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_array_registration_is_equivariant_under_a_rigid_motion(distance_m, seed):
+    rng = np.random.default_rng(seed)
+    centers = _noisy_array_centres(rng)
+    motion = _far_motion(rng, distance_m, "model")
+    t, rmse = register_marker_array(centers, ARRAY)
+    moved, moved_rmse = register_marker_array(motion.apply_points(centers), ARRAY)
+    assert transforms_close(moved, compose(motion, t), tol_t_m=1e-9, tol_deg=1e-7)
+    assert abs(moved_rmse - rmse) < 1e-6  # mm
+
+
+@given(seeds)
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_array_registration_does_not_depend_on_centre_order(seed):
+    rng = np.random.default_rng(seed)
+    centers = _noisy_array_centres(rng)
+    t, rmse = register_marker_array(centers, ARRAY)
+    shuffled, shuffled_rmse = register_marker_array(rng.permutation(centers), ARRAY)
+    assert transforms_close(shuffled, t, tol_t_m=1e-12, tol_deg=1e-9)
+    assert abs(shuffled_rmse - rmse) < 1e-9  # mm
 
 
 def test_array_registration_shuffled_centers():
