@@ -12,8 +12,8 @@ from .errors import (BehindCameraError, ConvergenceError, DegenerateGeometryErro
                      InsufficientCorrespondencesError, InsufficientViewsError,
                      NoOverlapError, ParameterError, UnknownEntityError,
                      _repeated, finite_number, non_numbers, reading)
-from .geometry import (RigidTransform, _freeze, _least_squares, _solve, invert,
-                       matrix_to_quat, transform_from_matrix)
+from .geometry import (RigidTransform, _as_points, _freeze, _least_squares, _solve,
+                       invert, matrix_to_quat, transform_from_matrix)
 
 CONFIDENCE_FLOOR = 0.1  # observations below this weight are discarded
 MIN_RAY_ANGLE_DEG = 0.25  # widest ray pair below this is a degenerate triangulation
@@ -241,8 +241,7 @@ def _pixels_with_jacobian(pc: np.ndarray, focal, center, dist):
 
 def project_points(cam: CameraModel, points_world: np.ndarray) -> np.ndarray:
     """Project world points (N, 3) to pixels (N, 2)."""
-    points_world = np.asarray(points_world, dtype=float).reshape(-1, 3)
-    pc = cam.cam_from_world.apply_points(points_world)
+    pc = cam.cam_from_world.apply_points(_as_points(points_world))
     if np.any(pc[:, 2] <= 0):
         raise BehindCameraError("point(s) with non-positive depth")
     intr = cam.intrinsics
@@ -251,7 +250,7 @@ def project_points(cam: CameraModel, points_world: np.ndarray) -> np.ndarray:
 
 def project(cam: CameraModel, point_world) -> np.ndarray:
     """Project one world point to a pixel (u, v)."""
-    return project_points(cam, np.asarray(point_world, dtype=float).reshape(1, 3))[0]
+    return project_points(cam, [point_world])[0]
 
 
 def unproject(cam: CameraModel, pixel, depth_m: float) -> np.ndarray:
@@ -343,17 +342,13 @@ def solve_pnp(points, pixels, intr: CameraIntrinsics) -> tuple[RigidTransform, f
     error above a quarter of the image size, raises ConvergenceError carrying
     the pose it reached.
     """
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
-    pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
+    points = _as_points(points, "PnP points")
+    pixels = _as_points(pixels, "PnP pixels", 2)
     if len(points) != len(pixels):
         raise InsufficientCorrespondencesError("points/pixels length mismatch")
     if len(points) < 6:
         raise InsufficientCorrespondencesError(
             f"PnP needs >= 6 correspondences, got {len(points)}")
-    if not np.isfinite(points).all():
-        raise ParameterError("PnP points must be finite")
-    if not np.isfinite(pixels).all():
-        raise ParameterError("PnP pixels must be finite")
 
     # DLT and LM see the points centred on their centroid mu, so their
     # conditioning does not depend on how far the world origin lies; the
@@ -568,12 +563,12 @@ def estimate_time_offset(times_a, positions_a, times_b,
     """
     ta = np.asarray(times_a, dtype=float)
     tb = np.asarray(times_b, dtype=float)
-    pa = np.asarray(positions_a, dtype=float).reshape(-1, 3)
-    pb = np.asarray(positions_b, dtype=float).reshape(-1, 3)
+    pa = _as_points(positions_a, "track positions")
+    pb = _as_points(positions_b, "track positions")
     if len(ta) != len(pa) or len(tb) != len(pb):
         raise ParameterError("each track needs one position per time")
-    if not all(np.isfinite(v).all() for v in (ta, pa, tb, pb)):
-        raise ParameterError("track times and positions must be finite")
+    if not (np.isfinite(ta).all() and np.isfinite(tb).all()):
+        raise ParameterError("track times must be finite")
     if len(ta) < 3 or len(tb) < 3:
         raise ParameterError("tracks too short for offset estimation")
     if not ((np.diff(ta) > 0).all() and (np.diff(tb) > 0).all()):

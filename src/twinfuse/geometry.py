@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (DegenerateGeometryError, FrameMismatchError,
-                     InsufficientCorrespondencesError, non_numbers)
+                     InsufficientCorrespondencesError, ParameterError, non_numbers)
 
 RANSAC_CONFIDENCE = 0.99999
 RANSAC_THRESHOLD_M = 0.01
@@ -125,14 +125,18 @@ def rotation_angle_deg(qa: np.ndarray, qb: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # value types
 
-def _as_points(points) -> np.ndarray:
+def _as_points(points, what: str = "points", width: int = 3) -> np.ndarray:
+    """The one rule for an (N, width) array of points, pixels or quaternions:
+    a float (N, width) array, where one (width,) row is (1, width) and an
+    empty input (0, width). Any other shape, and any non-finite value, raises
+    ParameterError naming ``what``; nothing else is reshaped."""
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(1, 3)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"expected (N, 3) points, got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("points contain NaN/Inf")
+    if pts.ndim == 1 and len(pts) in (0, width):
+        pts = pts.reshape(-1, width)
+    if pts.ndim != 2 or pts.shape[1] != width:
+        raise ParameterError(f"{what} must be an (N, {width}) array, got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ParameterError(f"{what} must be finite")
     return pts
 
 
@@ -230,13 +234,13 @@ class PointCloud:
     frame: str = "world"
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        pts = pts.reshape(0, 3) if pts.size == 0 else _as_points(pts)
+        pts = _as_points(self.points, "cloud points")
         cols = self.colors
         if cols is not None:
-            cols = np.asarray(cols, dtype=np.uint8).reshape(-1, 3)
-            if len(cols) != len(pts):
-                raise ValueError("colors length must match points length")
+            cols = np.asarray(cols, dtype=np.uint8)
+            if cols.shape != pts.shape:
+                raise ParameterError(f"colors must have the points' shape {pts.shape}, "
+                                     f"got {cols.shape}")
         _freeze(self, points=pts, colors=cols)
 
     def __len__(self) -> int:
@@ -251,28 +255,14 @@ def apply(t: RigidTransform, cloud: PointCloud) -> PointCloud:
     return PointCloud(t.apply_points(cloud.points), colors=cloud.colors, frame=t.to_frame)
 
 
-@dataclass(frozen=True)
-class PlaneFrame:
-    """Orthonormal right-handed frame attached to a fitted plane.
-
-    ``axes`` rows are the x, y (in-plane) and z (normal) directions.
-    """
-
-    origin: np.ndarray
-    axes: np.ndarray
-
-    def __post_init__(self):
-        origin = np.asarray(self.origin, dtype=float).reshape(3)
-        axes = np.asarray(self.axes, dtype=float).reshape(3, 3)
-        if not np.allclose(axes @ axes.T, np.eye(3), atol=1e-8):
-            raise ValueError("axes not orthonormal")
-        if np.linalg.det(axes) < 0:
-            raise ValueError("axes not right-handed")
-        _freeze(self, origin=origin, axes=axes)
-
-
 # ---------------------------------------------------------------------------
 # fitting
+
+def _collinear(centred: np.ndarray) -> bool:
+    """Whether centred (N, 3) points lie on one line, to rounding."""
+    sv = np.linalg.svd(centred, compute_uv=False)
+    return sv[1] <= max(1e-12, 1e-9 * sv[0])
+
 
 def kabsch(src, dst, from_frame: str = "src", to_frame: str = "dst") -> RigidTransform:
     """Least-squares rigid alignment of corresponding point sets.
@@ -291,9 +281,7 @@ def kabsch(src, dst, from_frame: str = "src", to_frame: str = "dst") -> RigidTra
     cs = src.mean(axis=0)
     cd = dst.mean(axis=0)
     a = src - cs
-    # collinearity check on the source configuration
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv[1] <= max(1e-12, 1e-9 * sv[0]):
+    if _collinear(a):
         raise DegenerateGeometryError("source points are (near-)collinear")
     h = a.T @ (dst - cd)
     u, _, vt = np.linalg.svd(h)
@@ -304,9 +292,10 @@ def kabsch(src, dst, from_frame: str = "src", to_frame: str = "dst") -> RigidTra
     return transform_from_matrix(rot, t, from_frame=from_frame, to_frame=to_frame)
 
 
-def fit_plane_pca(points) -> PlaneFrame:
-    """PCA plane fit: origin at the centroid, x/y along the first two
-    principal directions (descending variance), z the plane normal."""
+def fit_plane_pca(points) -> tuple[np.ndarray, np.ndarray]:
+    """PCA plane fit: ``(origin, axes)``, the origin at the centroid and the
+    rows of ``axes`` an orthonormal right-handed frame, x/y along the first
+    two principal directions (descending variance), z the plane normal."""
     pts = _as_points(points)
     if len(pts) < 3:
         raise DegenerateGeometryError("plane fit needs at least 3 points")
@@ -325,7 +314,7 @@ def fit_plane_pca(points) -> PlaneFrame:
     z /= np.linalg.norm(z)
     # re-orthogonalize y for numerical cleanliness
     y = np.cross(z, x)
-    return PlaneFrame(centroid, np.vstack([x, y, z]))
+    return centroid, np.vstack([x, y, z])
 
 
 def _solve(a: np.ndarray, b: np.ndarray, singular: float = 0.0) -> np.ndarray:
@@ -423,11 +412,10 @@ def build_floor_frame(floor_points, body_points=None,
     projection of the body centroid direction. Without body points, z and x
     fall back to positive alignment with the input +z / +x axes.
     """
-    plane = fit_plane_pca(floor_points)
-    x, y, z = plane.axes
+    origin, (x, _, z) = fit_plane_pca(floor_points)
     if body_points is not None and len(body_points):
         body_c = _as_points(body_points).mean(axis=0)
-        up_hint = body_c - plane.origin
+        up_hint = body_c - origin
         if np.dot(z, up_hint) < 0:
             z = -z
         horiz = up_hint - np.dot(up_hint, z) * z
@@ -444,7 +432,7 @@ def build_floor_frame(floor_points, body_points=None,
     y = np.cross(z, x)
     axes = np.vstack([x, y, z])
     rot = axes  # rows map world coords into the floor frame
-    t = -rot @ plane.origin
+    t = -rot @ origin
     return transform_from_matrix(rot, t, from_frame=from_frame, to_frame=to_frame)
 
 
@@ -530,8 +518,8 @@ def ransac_plane_inliers(points) -> np.ndarray:
     # refit on the consensus set; a tilted sample plane clips the true plane
     # asymmetrically, so iterate the least-squares refit to convergence
     for _ in range(5):
-        plane = fit_plane_pca(pts[best_mask])
-        inliers(plane.origin, plane.axes[2], mask)
+        origin, axes = fit_plane_pca(pts[best_mask])
+        inliers(origin, axes[2], mask)
         if np.array_equal(mask, best_mask):
             break
         best_mask, mask = mask, best_mask

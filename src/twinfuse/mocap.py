@@ -21,7 +21,7 @@ from .cameras import (CameraModel, _camera_arrays, _camera_id,  # noqa: F401
 from .errors import (MALFORMED, BehindCameraError, EmptySelectionError,
                      ParameterError, _repeated, csv_rows, csv_text, finite_number,
                      non_numbers, reading)
-from .geometry import _freeze
+from .geometry import _as_points, _freeze
 from .tracking import _window_slices
 
 N_BODY = 25
@@ -212,7 +212,7 @@ def select_surgeon(frames: list[Keypoint2DFrame], cameras: list[CameraModel],
     w = kp[..., 2]
     mean_px = (kp[..., :2] * w[..., None]).sum(axis=1) / w.sum(axis=1)[:, None]
     rot, t, focal, center, dist = _camera_arrays(frame_cameras)
-    table = (rot @ np.asarray(table_center, dtype=float).reshape(3) + t)[slot]
+    table = (rot @ _as_points([table_center], "table center")[0] + t)[slot]
     if np.any(table[:, 2] <= 0):
         raise BehindCameraError("table center is behind a camera")
     xn = _normalized(mean_px, focal[slot], center[slot], dist[:, slot])

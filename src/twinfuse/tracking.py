@@ -12,8 +12,8 @@ from .errors import (AmbiguityError, CorrespondenceError, DegenerateGeometryErro
                      InsufficientCorrespondencesError, NoOverlapError,
                      ParameterError, csv_rows, csv_text, non_numbers,
                      positive_number, reading)
-from .geometry import (PointCloud, RigidTransform, _freeze, _least_squares,
-                       compose, kabsch)
+from .geometry import (PointCloud, RigidTransform, _as_points, _collinear, _freeze,
+                       _least_squares, compose, kabsch)
 from .metrics import _kd_tree, _rms_mm
 
 DEFAULT_MARKER_RADIUS_M = 0.0015  # 3 mm hemisphere diameter
@@ -41,13 +41,9 @@ class MarkerArrayGeometry:
     radius_m: float = DEFAULT_MARKER_RADIUS_M
 
     def __post_init__(self):
-        m = np.asarray(self.markers, dtype=float)
-        if m.ndim != 2 or m.shape[1] != 3:
-            raise ParameterError(f"markers must be an (N, 3) array, got shape {m.shape}")
+        m = _as_points(self.markers, "markers")
         if len(m) < 3:
             raise ParameterError("marker array needs at least 3 markers")
-        if not np.isfinite(m).all():
-            raise ParameterError("marker coordinates must be finite")
         r = positive_number(self.radius_m, "marker radius")
         d = np.linalg.norm(m[:, None] - m[None, :], axis=2)
         np.fill_diagonal(d, np.inf)
@@ -83,14 +79,14 @@ class PoseTrack:
     translations: np.ndarray  # (N, 3) meters
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float).reshape(-1)
-        q = np.asarray(self.quats, dtype=float).reshape(-1, 4)
-        tr = np.asarray(self.translations, dtype=float).reshape(-1, 3)
-        if not (len(t) == len(q) == len(tr)):
-            raise ParameterError("track arrays have mismatched lengths")
-        for name, arr in (("times", t), ("quaternions", q), ("translations", tr)):
-            if not np.isfinite(arr).all():
-                raise ParameterError(f"track {name} must be finite")
+        t = np.asarray(self.times, dtype=float)
+        q = _as_points(self.quats, "track quaternions", 4)
+        tr = _as_points(self.translations, "track translations")
+        if t.ndim != 1 or not (len(t) == len(q) == len(tr)):
+            raise ParameterError(f"track arrays have mismatched shapes: times {t.shape}, "
+                                 f"quaternions {q.shape}, translations {tr.shape}")
+        if not np.isfinite(t).all():
+            raise ParameterError("track times must be finite")
         if len(t) > 1 and np.any(np.diff(t) <= 0):
             raise ParameterError("timestamps must be strictly increasing")
         norms = np.linalg.norm(q, axis=1)
@@ -127,14 +123,15 @@ def fit_sphere_fixed_radius(points, radius_m: float) -> tuple[np.ndarray, float]
     Minimizes sum(|p - c| - r)^2 with the shared Levenberg-Marquardt loop
     (``geometry._least_squares``) from the centroid; hemisphere-only sampling
     is the expected use case. The residuals are undefined at a centre on a
-    point, and a centroid on a point raises DegenerateGeometryError.
+    point: points on one line, or a centroid on a point, raise
+    DegenerateGeometryError.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    pts = _as_points(points, "sphere fit points")
     if len(pts) < 4:
         raise ParameterError("sphere fit needs at least 4 points")
-    if not np.isfinite(pts).all():
-        raise ParameterError("sphere fit points must be finite")
     radius_m = positive_number(radius_m, "marker radius")
+    if _collinear(pts - pts.mean(axis=0)):
+        raise DegenerateGeometryError("sphere fit points are (near-)collinear")
 
     # Residuals in millimetres: the loop stops at an absolute cost drop of
     # 1e-10, sized for pixel residuals of order 1. In metres the cost of a
@@ -209,7 +206,7 @@ def register_marker_array(scan_centers, array: MarkerArrayGeometry
                           ) -> tuple[RigidTransform, float]:
     """Match scanned sphere centers to the array geometry by pairwise-distance
     signature and align. Returns (model_from_array, marker RMSE mm)."""
-    centers = np.asarray(scan_centers, dtype=float).reshape(-1, 3)
+    centers = _as_points(scan_centers, "scan centers")
     if len(centers) != len(array.markers):
         raise InsufficientCorrespondencesError(
             f"{len(centers)} scan centers vs {len(array.markers)} array markers")

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinfuse.errors import (DegenerateGeometryError, FrameMismatchError,
-                             InsufficientCorrespondencesError)
+                             InsufficientCorrespondencesError, ParameterError)
 from twinfuse.geometry import (RANSAC_MAX_DRAWS, RANSAC_SEED,
-                               RANSAC_THRESHOLD_M, PlaneFrame, PointCloud,
+                               RANSAC_THRESHOLD_M, PointCloud,
                                RigidTransform, _FLAT_ROWS, _least_squares,
                                _ransac_draws_needed, _sign_key, _solve,
                                _subtract_rows, apply, build_floor_frame,
@@ -222,34 +222,33 @@ def _plane_grid(nx=9, ny=5, sx=4.0, sy=1.0):
 
 
 def test_fit_plane_pca_flat():
-    plane = fit_plane_pca(_plane_grid())
-    assert abs(abs(plane.axes[2, 2]) - 1.0) < 1e-9
-    assert abs(plane.origin[2]) < 1e-12
+    origin, axes = fit_plane_pca(_plane_grid())
+    assert abs(abs(axes[2, 2]) - 1.0) < 1e-9
+    assert abs(origin[2]) < 1e-12
 
 
 def test_fit_plane_pca_rotated_normal():
     rng = np.random.default_rng(3)
     t = random_transform(rng)
     pts = t.apply_points(_plane_grid())
-    plane = fit_plane_pca(pts)
+    _, axes = fit_plane_pca(pts)
     expected = t.rotation @ np.array([0.0, 0.0, 1.0])
-    assert min(np.linalg.norm(plane.axes[2] - expected),
-               np.linalg.norm(plane.axes[2] + expected)) < 1e-6
+    assert min(np.linalg.norm(axes[2] - expected),
+               np.linalg.norm(axes[2] + expected)) < 1e-6
 
 
 def test_fit_plane_pca_eigenvalue_ordering():
-    plane = fit_plane_pca(_plane_grid(sx=4.0, sy=1.0))
-    assert abs(abs(plane.axes[0, 0]) - 1.0) < 1e-9  # x along the 4 m side
+    _, axes = fit_plane_pca(_plane_grid(sx=4.0, sy=1.0))
+    assert abs(abs(axes[0, 0]) - 1.0) < 1e-9  # x along the 4 m side
 
 
 def test_fit_plane_pca_axes_orthonormal_right_handed():
     rng = np.random.default_rng(11)
     pts = random_transform(rng).apply_points(_plane_grid())
-    plane = fit_plane_pca(pts + rng.normal(0, 1e-4, size=pts.shape))
-    assert np.allclose(plane.axes @ plane.axes.T, np.eye(3), atol=1e-9)
-    assert np.linalg.det(plane.axes) > 0
-    assert np.allclose(np.cross(plane.axes[0], plane.axes[1]), plane.axes[2],
-                       atol=1e-9)
+    _, axes = fit_plane_pca(pts + rng.normal(0, 1e-4, size=pts.shape))
+    assert np.allclose(axes @ axes.T, np.eye(3), atol=1e-9)
+    assert np.linalg.det(axes) > 0
+    assert np.allclose(np.cross(axes[0], axes[1]), axes[2], atol=1e-9)
 
 
 def test_fit_plane_pca_degenerate():
@@ -257,13 +256,6 @@ def test_fit_plane_pca_degenerate():
         fit_plane_pca([[0, 0, 0], [1, 0, 0]])
     with pytest.raises(DegenerateGeometryError):
         fit_plane_pca([[float(i), 0, 0] for i in range(10)])
-
-
-def test_plane_frame_rejects_bad_axes():
-    with pytest.raises(ValueError):
-        PlaneFrame(np.zeros(3), np.array([[1, 0, 0], [1, 0, 0], [0, 0, 1.0]]))
-    with pytest.raises(ValueError):  # left-handed
-        PlaneFrame(np.zeros(3), np.array([[1, 0, 0], [0, 1, 0], [0, 0, -1.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -597,8 +589,8 @@ def _ransac_reference(pts):
             best_count = count
             best_mask = mask
     for _ in range(5):
-        plane = fit_plane_pca(pts[best_mask])
-        mask = np.abs((pts - plane.origin) @ plane.axes[2]) <= RANSAC_THRESHOLD_M
+        origin, axes = fit_plane_pca(pts[best_mask])
+        mask = np.abs((pts - origin) @ axes[2]) <= RANSAC_THRESHOLD_M
         if np.array_equal(mask, best_mask):
             break
         best_mask = mask
@@ -717,8 +709,6 @@ def _value_types():
         "PointCloud": ([rng.normal(size=(5, 3)),
                         rng.integers(0, 255, (5, 3), dtype=np.uint8)],
                        lambda p, c: fields(PointCloud(p, c), "points", "colors")),
-        "PlaneFrame": ([rng.normal(size=3), np.eye(3)],
-                       lambda o, a: fields(PlaneFrame(o, a), "origin", "axes")),
         "MarkerSet": ([rng.normal(size=3)],
                       lambda p: [MarkerSet("scan", {"M01": p}).positions["M01"]]),
         "MarkerArrayGeometry": ([0.05 * np.eye(3)],
@@ -749,12 +739,81 @@ def test_value_types_own_their_arrays(name):
 
 
 def test_point_cloud_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         PointCloud([[0, 0, np.inf]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         PointCloud([[0, 0, 0]], colors=[[1, 2, 3], [4, 5, 6]])
     empty = PointCloud([])
     assert len(empty) == 0 and empty.points.shape == (0, 3)
+
+
+def _point_array_callers():
+    """For each caller of the point-array rule ``geometry._as_points``: a
+    valid (N, width) array, N even, and a call of the caller on an array in
+    its place that returns on the valid one."""
+    from twinfuse.cameras import (CameraIntrinsics, CameraModel,
+                                  estimate_time_offset, project_points, solve_pnp)
+    from twinfuse.tracking import (MarkerArrayGeometry, PoseTrack,
+                                   fit_sphere_fixed_radius, register_marker_array)
+
+    rng = np.random.default_rng(8)
+    points = rng.normal(size=(4, 3))
+    cam = CameraModel("cam0", CameraIntrinsics(fx=900.0, fy=900.0, cx=640.0, cy=360.0,
+                                               width=1280, height=720),
+                      RigidTransform([1.0, 0, 0, 0], np.zeros(3), "camera:cam0", "world"))
+    in_view = rng.uniform([-0.5, -0.3, 2.0], [0.5, 0.3, 3.0], (8, 3))
+    pixels = project_points(cam, in_view)
+    times = np.arange(0, 10, 1 / 30)
+    motion = np.column_stack([np.sin(1.3 * times), np.cos(2.1 * times), np.sin(0.7 * times)])
+    markers = np.array([[0, 0, 0], [0.11, 0, 0], [0.03, 0.085, 0], [0.06, 0.03, 0.07]])
+    array = MarkerArrayGeometry(markers)
+    directions = rng.normal(size=(20, 3))
+    directions[:, 2] = np.abs(directions[:, 2])
+    sphere = 0.0015 * directions / np.linalg.norm(directions, axis=1, keepdims=True)
+    quats = np.array([quat_normalize(q) for q in rng.normal(size=(4, 4))])
+    return {
+        "PointCloud": (points, PointCloud),
+        "kabsch src": (points, lambda a: kabsch(a, points)),
+        "kabsch dst": (points, lambda a: kabsch(points, a)),
+        "fit_plane_pca": (points, fit_plane_pca),
+        "build_floor_frame floor": (points, build_floor_frame),
+        "build_floor_frame body": (points, lambda a: build_floor_frame(points, a)),
+        "ransac_plane_inliers": (points, ransac_plane_inliers),
+        "project_points": (in_view, lambda a: project_points(cam, a)),
+        "solve_pnp points": (in_view, lambda a: solve_pnp(a, pixels, cam.intrinsics)),
+        "solve_pnp pixels": (pixels, lambda a: solve_pnp(in_view, a, cam.intrinsics)),
+        "estimate_time_offset": (motion, lambda a: estimate_time_offset(times, a, times,
+                                                                        motion)),
+        "MarkerArrayGeometry": (markers, MarkerArrayGeometry),
+        "fit_sphere_fixed_radius": (sphere, lambda a: fit_sphere_fixed_radius(a, 0.0015)),
+        "register_marker_array": (markers, lambda a: register_marker_array(a, array)),
+        "PoseTrack quats": (quats, lambda a: PoseTrack("reference", np.arange(4.0), a,
+                                                       points)),
+        "PoseTrack translations": (points, lambda a: PoseTrack("reference", np.arange(4.0),
+                                                               quats, a)),
+    }
+
+
+@pytest.mark.parametrize("fault", ["wrong width", "wrong shape", "nan"])
+@pytest.mark.parametrize("caller", sorted(_point_array_callers()))
+def test_point_arrays_refuse_bad_shapes_and_values(caller, fault):
+    """A point, pixel or quaternion array of the wrong width, of the right
+    size in a wrong shape (e.g. (2, 6) for 4 points), or holding a NaN is a
+    ParameterError of the one rule, never a result: callers that reshaped
+    with ``reshape(-1, k)`` used to read (2, 6) as 4 points, and some
+    returned NaN or raised numpy's ValueError."""
+    valid, call = _point_array_callers()[caller]
+    call(valid)
+    width = valid.shape[1]
+    if fault == "wrong width":
+        bad, message = np.hstack([valid, valid[:, :1]]), rf"must be an \(N, {width}\) array"
+    elif fault == "wrong shape":
+        bad, message = valid.reshape(2, -1), rf"must be an \(N, {width}\) array"
+    else:
+        bad, message = valid.copy(), "must be finite"
+        bad[1, 0] = np.nan
+    with pytest.raises(ParameterError, match=message):
+        call(bad)
 
 
 def test_quat_normalize_unit_output():

@@ -310,6 +310,21 @@ def test_select_unknown_camera_id():
         select_surgeon(frames, cams[1:], TABLE)
 
 
+@pytest.mark.parametrize("table", [[np.nan, 0.0, 1.0], [0.0, 1.0], np.tile(TABLE, (2, 1))],
+                         ids=["nan", "two-coordinates", "two-centres"])
+def test_select_refuses_a_bad_table_center(table):
+    """With a bystander in every camera: a NaN centre made every gap NaN, and
+    argmin picked the bystander, person 0, without an error."""
+    cams = _cameras()
+    rng = np.random.default_rng(0)
+    near = _skeleton_points(rng, TABLE)
+    far = _skeleton_points(rng, TABLE + [1.8, 1.2, 0.0])
+    persons = {c.id: [_person_from_points(c, far),
+                      _person_from_points(c, near)] for c in cams}
+    with pytest.raises(ParameterError, match="table center"):
+        select_surgeon(_frames(cams, persons), cams, table)
+
+
 def _select_reference(frames, cameras, table_center):
     """The per-person ``unproject`` loop that select_surgeon replaced."""
     by_id = {c.id: c for c in cameras}

@@ -152,6 +152,18 @@ def test_sphere_fit_refuses_a_start_on_a_point(pts):
             fit_sphere_fixed_radius(pts, RADIUS)
 
 
+def test_sphere_fit_refuses_points_without_spread():
+    """Copies of one point whose float centroid misses the point by rounding,
+    and points on one line, hold no sphere: the fit used to return a
+    confident made-up centre for them."""
+    for seed in range(200):
+        p = np.random.default_rng(seed).uniform(-1, 1, 3)
+        with pytest.raises(DegenerateGeometryError, match="collinear"):
+            fit_sphere_fixed_radius(np.tile(p, (5, 1)), RADIUS)
+    with pytest.raises(DegenerateGeometryError, match="collinear"):
+        fit_sphere_fixed_radius(np.vstack([np.zeros((3, 3)), [0.001, 0, 0]]), RADIUS)
+
+
 def _far_motion(rng, distance_m, frame):
     """A random rotation and a translation of length ``distance_m``."""
     t = rng.normal(size=3)
@@ -436,7 +448,7 @@ def test_array_geometry_validation():
     (ARRAY.markers, True, "marker radius must be a finite positive number"),
     (ARRAY.markers, "x", "marker radius must be a finite positive number"),
     (np.where(np.eye(4, 3, dtype=bool), np.nan, ARRAY.markers), RADIUS,
-     "marker coordinates must be finite"),
+     "markers must be finite"),
     (np.arange(12.0).reshape(6, 2) * 0.05, RADIUS, r"markers must be an \(N, 3\) array"),
 ], ids=["nan-radius", "bool-radius", "str-radius", "nan-coordinate", "two-coordinates"])
 def test_array_geometry_rejects_bad_values(markers, radius_m, message):
