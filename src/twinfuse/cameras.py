@@ -4,6 +4,7 @@ temporal-offset estimation between tracks."""
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,7 +13,7 @@ from .errors import (BehindCameraError, ConvergenceError, DegenerateGeometryErro
                      InsufficientCorrespondencesError, InsufficientViewsError,
                      NoOverlapError, ParameterError, UnknownEntityError,
                      _repeated, finite_number, non_numbers, reading)
-from .geometry import (RigidTransform, _as_points, _freeze, _least_squares, _solve,
+from .geometry import (RigidTransform, _as_array, _freeze, _least_squares, _solve,
                        invert, matrix_to_quat, transform_from_matrix)
 
 CONFIDENCE_FLOOR = 0.1  # observations below this weight are discarded
@@ -112,10 +113,11 @@ class PixelObservation:
     confidence: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 <= self.confidence <= 1.0):
+        for name in ("u", "v", "confidence"):
+            if not finite_number(value := getattr(self, name), numbers.Real):
+                raise ParameterError(f"{name} must be a finite number, got {value!r}")
+        if not 0.0 <= self.confidence <= 1.0:
             raise ParameterError("confidence must be in [0, 1]")
-        if not (np.isfinite(self.u) and np.isfinite(self.v)):
-            raise ParameterError("pixel coordinates must be finite")
 
 
 def _cameras_by_id(cameras: list[CameraModel], ids) -> list[CameraModel]:
@@ -241,7 +243,7 @@ def _pixels_with_jacobian(pc: np.ndarray, focal, center, dist):
 
 def project_points(cam: CameraModel, points_world: np.ndarray) -> np.ndarray:
     """Project world points (N, 3) to pixels (N, 2)."""
-    pc = cam.cam_from_world.apply_points(_as_points(points_world))
+    pc = cam.cam_from_world.apply_points(_as_array(points_world, "points", (None, 3)))
     if np.any(pc[:, 2] <= 0):
         raise BehindCameraError("point(s) with non-positive depth")
     intr = cam.intrinsics
@@ -254,12 +256,13 @@ def project(cam: CameraModel, point_world) -> np.ndarray:
 
 
 def unproject(cam: CameraModel, pixel, depth_m: float) -> np.ndarray:
-    """Lift a pixel to the world point at the given camera-frame depth."""
+    """Lift a pixel (u, v) to the world point at a finite camera-frame depth."""
+    if not finite_number(depth_m, numbers.Real):
+        raise ParameterError(f"depth must be a finite number, got {depth_m!r}")
     if depth_m <= 0:
         raise BehindCameraError("depth must be positive")
     intr = cam.intrinsics
-    xn = _normalized(np.asarray(pixel, dtype=float), intr.focal, intr.center,
-                     intr.dist)
+    xn = _normalized(_as_array(pixel, "pixel", (2,)), intr.focal, intr.center, intr.dist)
     pc = np.array([xn[0] * depth_m, xn[1] * depth_m, depth_m])
     return cam.world_from_camera.apply_points(pc.reshape(1, 3))[0]
 
@@ -342,8 +345,8 @@ def solve_pnp(points, pixels, intr: CameraIntrinsics) -> tuple[RigidTransform, f
     error above a quarter of the image size, raises ConvergenceError carrying
     the pose it reached.
     """
-    points = _as_points(points, "PnP points")
-    pixels = _as_points(pixels, "PnP pixels", 2)
+    points = _as_array(points, "PnP points", (None, 3))
+    pixels = _as_array(pixels, "PnP pixels", (None, 2))
     if len(points) != len(pixels):
         raise InsufficientCorrespondencesError("points/pixels length mismatch")
     if len(points) < 6:
@@ -411,8 +414,9 @@ def triangulate_batch(pixels, confidences, cameras: list[CameraModel]
                       ) -> tuple[np.ndarray, np.ndarray, list]:
     """Triangulate P points at once, each seen through the same K camera slots.
 
-    ``pixels`` is (P, K, 2) and ``confidences`` (P, K); slot k of every point
-    is an observation by ``cameras[k]`` (one camera may fill several slots).
+    ``pixels`` is (P, K, 2) and ``confidences`` (P, K), all finite; slot k of
+    every point is an observation by ``cameras[k]`` (one camera may fill
+    several slots).
     Observations with confidence below ``CONFIDENCE_FLOOR`` are discarded.
     Each point gets a confidence-weighted linear (DLT) seed, all from one
     stacked 3x3 solve of the inhomogeneous DLT's normal equations on
@@ -425,9 +429,8 @@ def triangulate_batch(pixels, confidences, cameras: list[CameraModel]
     that ``triangulate`` raises for point p, whose rows are then zero.
     ``residual_px`` is the confidence-weighted mean reprojection error.
     """
-    conf = np.asarray(confidences, dtype=float)
-    conf = conf.reshape(len(conf), len(cameras))
-    uv = np.asarray(pixels, dtype=float).reshape(conf.shape + (2,))
+    uv = _as_array(pixels, "triangulation pixels", (None, len(cameras), 2))
+    conf = _as_array(confidences, "triangulation confidences", uv.shape[:2])
     used = conf >= CONFIDENCE_FLOOR
     n_points = len(conf)
     points = np.zeros((n_points, 3))
@@ -528,7 +531,8 @@ def triangulate(observations: list[PixelObservation],
     """
     used = [o for o in observations if o.confidence >= CONFIDENCE_FLOOR]
     points, residual_px, errors = triangulate_batch(
-        [[(o.u, o.v) for o in used]], [[o.confidence for o in used]],
+        np.reshape([(o.u, o.v) for o in used], (1, len(used), 2)),
+        np.reshape([o.confidence for o in used], (1, len(used))),
         _cameras_by_id(cameras, [o.camera_id for o in used]))
     if errors[0] is not None:
         raise errors[0]
@@ -561,14 +565,12 @@ def estimate_time_offset(times_a, positions_a, times_b,
     not strictly increasing, non-finite times or positions, and a track
     without one position per time raise ParameterError.
     """
-    ta = np.asarray(times_a, dtype=float)
-    tb = np.asarray(times_b, dtype=float)
-    pa = _as_points(positions_a, "track positions")
-    pb = _as_points(positions_b, "track positions")
+    ta = _as_array(times_a, "track times", (None,))
+    tb = _as_array(times_b, "track times", (None,))
+    pa = _as_array(positions_a, "track positions", (None, 3))
+    pb = _as_array(positions_b, "track positions", (None, 3))
     if len(ta) != len(pa) or len(tb) != len(pb):
         raise ParameterError("each track needs one position per time")
-    if not (np.isfinite(ta).all() and np.isfinite(tb).all()):
-        raise ParameterError("track times must be finite")
     if len(ta) < 3 or len(tb) < 3:
         raise ParameterError("tracks too short for offset estimation")
     if not ((np.diff(ta) > 0).all() and (np.diff(tb) > 0).all()):

@@ -8,20 +8,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (MALFORMED, DegenerateGeometryError,
+from .errors import (DegenerateGeometryError,
                      InsufficientCorrespondencesError, ParameterError,
                      TwinfuseError, _repeated, non_numbers, positive_number,
                      reading)
-from .geometry import (PointCloud, RigidTransform, _freeze, apply,
+from .geometry import (PointCloud, RigidTransform, _as_array, _freeze, apply,
                        build_floor_frame, kabsch, ransac_plane_inliers)
 from .metrics import _kd_tree, _mean_table, _nn_distances, _rms_mm, chamfer
 
 CHAMFER_CUTOFF_M = 0.1  # fuse_scans' per-scan Chamfer distance cutoff
 OUTLIER_K = 16
 OUTLIER_STD_RATIO = 2.0
-
-
-_BAD_POSITION = "marker {!r} position must be 3 finite numbers, got {!r}"
 
 
 def _unique_marker_ids(ids) -> None:
@@ -41,16 +38,8 @@ class MarkerSet:
 
     def __post_init__(self):
         _unique_marker_ids(self.positions)
-        pos = {}
-        for mid, p in self.positions.items():
-            try:
-                arr = np.asarray(p, dtype=float).reshape(3)
-            except MALFORMED:
-                arr = np.full(3, np.nan)
-            if not np.all(np.isfinite(arr)):
-                raise ParameterError(_BAD_POSITION.format(mid, p))
-            pos[str(mid)] = arr
-        _freeze(self, positions=pos)
+        _freeze(self, positions={str(mid): _as_array(p, f"marker {mid!r} position", (3,))
+                                 for mid, p in self.positions.items()})
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -72,8 +61,9 @@ class MarkerSet:
             _unique_marker_ids(mid for mid, _ in markers)
             positions = dict(markers)
         for mid, p in positions.items():
-            if not isinstance(p, list) or non_numbers(p):
-                raise ParameterError(_BAD_POSITION.format(mid, p))
+            if not isinstance(p, list) or len(p) != 3 or non_numbers(p):
+                raise ParameterError(f"marker {mid!r} position must be 3 finite "
+                                     f"numbers, got {p!r}")
         return cls(frame, positions)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (DegenerateGeometryError, FrameMismatchError,
+from .errors import (MALFORMED, DegenerateGeometryError, FrameMismatchError,
                      InsufficientCorrespondencesError, ParameterError, non_numbers)
 
 RANSAC_CONFIDENCE = 0.99999
@@ -125,19 +125,32 @@ def rotation_angle_deg(qa: np.ndarray, qb: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # value types
 
-def _as_points(points, what: str = "points", width: int = 3) -> np.ndarray:
-    """The one rule for an (N, width) array of points, pixels or quaternions:
-    a float (N, width) array, where one (width,) row is (1, width) and an
-    empty input (0, width). Any other shape, and any non-finite value, raises
-    ParameterError naming ``what``; nothing else is reshaped."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1 and len(pts) in (0, width):
-        pts = pts.reshape(-1, width)
-    if pts.ndim != 2 or pts.shape[1] != width:
-        raise ParameterError(f"{what} must be an (N, {width}) array, got shape {pts.shape}")
-    if not np.isfinite(pts).all():
+def _shaped(value, what: str, shape: tuple, dtype=float) -> np.ndarray:
+    """The shape half of the array rule: ``value`` as an array of ``dtype``
+    and exactly ``shape``, where a None entry takes any length. Only a
+    (None, width) shape reads one (width,) row as (1, width) and an empty
+    input as (0, width); nothing else is reshaped. A value that does not
+    convert, and any other shape, raise ParameterError naming ``what``."""
+    try:
+        a = np.asarray(value, dtype=dtype)
+    except MALFORMED as exc:
+        raise ParameterError(f"{what}: {exc}") from None
+    if len(shape) == 2 and shape[0] is None and a.ndim == 1 and len(a) in (0, shape[1]):
+        a = a[None] if len(a) else np.empty((0, shape[1]), dtype)
+    if a.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, a.shape)):
+        dims = str(tuple("N" if n is None else n for n in shape)).replace("'", "")
+        raise ParameterError(f"{what} must be {'an' if shape[0] is None else 'a'} "
+                             f"{dims} array, got shape {a.shape}")
+    return a
+
+
+def _as_array(value, what: str, shape: tuple) -> np.ndarray:
+    """The one array rule: ``_shaped(value, what, shape)``, a float array,
+    with every value finite, or ParameterError naming ``what``."""
+    a = _shaped(value, what, shape)
+    if not np.isfinite(a).all():
         raise ParameterError(f"{what} must be finite")
-    return pts
+    return a
 
 
 def _freeze(obj, **fields) -> None:
@@ -165,10 +178,12 @@ class RigidTransform:
     to_frame: str = "dst"
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=float).reshape(4)
+        q, t = np.asarray(self.q, dtype=float), np.asarray(self.t, dtype=float)
+        for name, a, n in (("q", q, 4), ("t", t, 3)):
+            if a.shape != (n,):
+                raise ValueError(f"{name} must have shape ({n},), got {a.shape}")
         if not abs(q @ q - 1.0) < 1e-15:  # unit to rounding is kept as given
             q = quat_normalize(q)
-        t = np.asarray(self.t, dtype=float).reshape(3)
         if not np.all(np.isfinite(t)):
             raise ValueError("non-finite translation")
         _freeze(self, q=q, t=t)
@@ -234,7 +249,7 @@ class PointCloud:
     frame: str = "world"
 
     def __post_init__(self):
-        pts = _as_points(self.points, "cloud points")
+        pts = _as_array(self.points, "cloud points", (None, 3))
         cols = self.colors
         if cols is not None:
             cols = np.asarray(cols, dtype=np.uint8)
@@ -270,8 +285,8 @@ def kabsch(src, dst, from_frame: str = "src", to_frame: str = "dst") -> RigidTra
     Returns the proper rigid transform T minimizing sum |T(src_i) - dst_i|^2.
     Reflections are excluded via the SVD determinant correction.
     """
-    src = _as_points(src)
-    dst = _as_points(dst)
+    src = _as_array(src, "points", (None, 3))
+    dst = _as_array(dst, "points", (None, 3))
     if src.shape != dst.shape:
         raise InsufficientCorrespondencesError(
             f"src/dst length mismatch: {len(src)} vs {len(dst)}")
@@ -296,7 +311,7 @@ def fit_plane_pca(points) -> tuple[np.ndarray, np.ndarray]:
     """PCA plane fit: ``(origin, axes)``, the origin at the centroid and the
     rows of ``axes`` an orthonormal right-handed frame, x/y along the first
     two principal directions (descending variance), z the plane normal."""
-    pts = _as_points(points)
+    pts = _as_array(points, "points", (None, 3))
     if len(pts) < 3:
         raise DegenerateGeometryError("plane fit needs at least 3 points")
     centroid = pts.mean(axis=0)
@@ -414,7 +429,7 @@ def build_floor_frame(floor_points, body_points=None,
     """
     origin, (x, _, z) = fit_plane_pca(floor_points)
     if body_points is not None and len(body_points):
-        body_c = _as_points(body_points).mean(axis=0)
+        body_c = _as_array(body_points, "points", (None, 3)).mean(axis=0)
         up_hint = body_c - origin
         if np.dot(z, up_hint) < 0:
             z = -z
@@ -481,7 +496,7 @@ def ransac_plane_inliers(points) -> np.ndarray:
     sample stream is fixed by RANSAC_SEED, so the result is the best of a
     prefix of the RANSAC_MAX_DRAWS draws.
     """
-    pts = _as_points(points)
+    pts = _as_array(points, "points", (None, 3))
     n = len(pts)
     if n < 3:
         raise DegenerateGeometryError("plane RANSAC needs at least 3 points")

@@ -21,7 +21,7 @@ from .cameras import (CameraModel, _camera_arrays, _camera_id,  # noqa: F401
 from .errors import (MALFORMED, BehindCameraError, EmptySelectionError,
                      ParameterError, _repeated, csv_rows, csv_text, finite_number,
                      non_numbers, reading)
-from .geometry import _as_points, _freeze
+from .geometry import _as_array, _freeze, _shaped
 from .tracking import _window_slices
 
 N_BODY = 25
@@ -34,22 +34,17 @@ _PARTS = (("body", "body", slice(0, N_BODY)),
 _PART_SIZES = (N_BODY, N_HAND, N_HAND)
 
 
-def _keypoints_ok(kp: np.ndarray) -> bool:
-    """Rows (u, v, confidence) all finite, with confidences in [0, 1]."""
+def _confidences_ok(kp: np.ndarray) -> bool:
+    """Confidences of rows (u, v, confidence) all in [0, 1]."""
     conf = kp[..., 2]
-    return bool(np.isfinite(kp).all() and (conf >= 0).all() and (conf <= 1).all())
+    return bool((conf >= 0).all() and (conf <= 1).all())
 
 
 def _checked_part(name: str, rows: slice, value) -> np.ndarray:
     """One part of a person's keypoints as an (n, 3) float array, or its
-    first error: the conversion, then the shape, then the values."""
-    a = np.asarray(value, dtype=float)
-    n = rows.stop - rows.start
-    if a.shape != (n, 3):
-        raise ParameterError(f"{name} must have shape ({n}, 3), got {a.shape}")
-    if not np.isfinite(a).all():
-        raise ParameterError(f"{name} keypoints must be finite")
-    if not _keypoints_ok(a):
+    first error: the array rule, then the confidences."""
+    a = _as_array(value, f"{name} keypoints", (rows.stop - rows.start, 3))
+    if not _confidences_ok(a):
         raise ParameterError(f"{name} confidences must be in [0, 1]")
     return a
 
@@ -66,10 +61,10 @@ def _person(parts: list) -> np.ndarray:
     parts are walked only when that check fails, to name the faulty one."""
     try:
         if tuple(map(len, parts)) == _PART_SIZES:
-            a = np.asarray(parts[0] + parts[1] + parts[2], dtype=float)
-            if a.shape == (N_JOINTS, 3) and _keypoints_ok(a):
+            a = _as_array(parts[0] + parts[1] + parts[2], "keypoints", (N_JOINTS, 3))
+            if _confidences_ok(a):
                 return a
-    except MALFORMED:
+    except (ParameterError, *MALFORMED):
         pass
     return _person_by_parts(parts)
 
@@ -88,12 +83,9 @@ class Keypoint2DFrame:
         if not finite_number(self.t_s, numbers.Real):
             raise ParameterError(f"keypoint frame t_s must be a finite number, "
                                  f"got {self.t_s!r}")
-        kp = np.asarray(self.keypoints, dtype=float)
-        if kp.ndim != 3 or kp.shape[1:] != (N_JOINTS, 3):
-            raise ParameterError(f"keypoints must have shape (persons, {N_JOINTS}, 3), "
-                                 f"got {kp.shape}")
-        if not _keypoints_ok(kp):
-            raise ParameterError("keypoints must be finite, with confidences in [0, 1]")
+        kp = _as_array(self.keypoints, "keypoints", (None, N_JOINTS, 3))
+        if not _confidences_ok(kp):
+            raise ParameterError("keypoint confidences must be in [0, 1]")
         _freeze(self, keypoints=kp)
 
     def to_json(self) -> str:
@@ -122,7 +114,8 @@ class Keypoint2DFrame:
 
 @dataclass(frozen=True)
 class Skeleton3DFrame:
-    """Triangulated 67-joint skeleton at one timestamp."""
+    """Triangulated 67-joint skeleton at one timestamp. A valid joint's
+    position and residual must be finite; an invalid joint's are free."""
 
     t_s: float
     positions: np.ndarray   # (67, 3) meters, undefined where invalid
@@ -133,9 +126,11 @@ class Skeleton3DFrame:
         if not finite_number(self.t_s, numbers.Real):
             raise ParameterError(f"skeleton frame t_s must be a finite number, "
                                  f"got {self.t_s!r}")
-        pos = np.asarray(self.positions, dtype=float).reshape(N_JOINTS, 3)
-        res = np.asarray(self.residuals_px, dtype=float).reshape(N_JOINTS)
-        val = np.asarray(self.valid, dtype=bool).reshape(N_JOINTS)
+        pos = _shaped(self.positions, "skeleton positions", (N_JOINTS, 3))
+        res = _shaped(self.residuals_px, "skeleton residuals", (N_JOINTS,))
+        val = _shaped(self.valid, "skeleton valid flags", (N_JOINTS,), bool)
+        _as_array(pos[val], "skeleton positions of valid joints", (None, 3))
+        _as_array(res[val], "skeleton residuals of valid joints", (None,))
         _freeze(self, positions=pos, residuals_px=res, valid=val)
 
 
@@ -212,7 +207,7 @@ def select_surgeon(frames: list[Keypoint2DFrame], cameras: list[CameraModel],
     w = kp[..., 2]
     mean_px = (kp[..., :2] * w[..., None]).sum(axis=1) / w.sum(axis=1)[:, None]
     rot, t, focal, center, dist = _camera_arrays(frame_cameras)
-    table = (rot @ _as_points([table_center], "table center")[0] + t)[slot]
+    table = (rot @ _as_array(table_center, "table center", (3,)) + t)[slot]
     if np.any(table[:, 2] <= 0):
         raise BehindCameraError("table center is behind a camera")
     xn = _normalized(mean_px, focal[slot], center[slot], dist[:, slot])

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (MALFORMED, ManifestError, ParameterError, TwinfuseError,
-                     parse_file, write_file)
+                     finite_number, parse_file, write_file)
 from .geometry import PointCloud, RigidTransform, _freeze, quat_slerp
 from .mocap import Skeleton3DFrame, skeleton_track_from_csv, skeleton_track_to_csv
 from .ply import load_ply, save_ply
@@ -132,9 +133,11 @@ def _interp_skeleton(frames, t: float) -> Skeleton3DFrame:
 def sample_at(scene: TwinScene, t: float) -> SceneSnapshot:
     """Scene state at time t: static poses unchanged, dynamic poses
     lerp/slerp-interpolated, exact samples returned at exact timestamps.
-    Times outside the range are clamped (flagged); NaN raises ParameterError."""
-    if np.isnan(t):
-        raise ParameterError("sample time must not be NaN")
+    Times outside the range, infinite ones too, are clamped (flagged); NaN
+    and a value that is not a number raise ParameterError."""
+    if not (finite_number(t, numbers.Real) or t in (-np.inf, np.inf)):
+        raise ParameterError("sample time must not be NaN" if t != t
+                             else f"sample time must be a number, got {t!r}")
     clamped = False
     if scene.time_range is not None:
         lo, hi = scene.time_range

@@ -4,15 +4,16 @@ hemispheres, marker-array registration, point-to-point ICP, pose smoothing."""
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (AmbiguityError, CorrespondenceError, DegenerateGeometryError,
                      InsufficientCorrespondencesError, NoOverlapError,
-                     ParameterError, csv_rows, csv_text, non_numbers,
+                     ParameterError, csv_rows, csv_text, finite_number, non_numbers,
                      positive_number, reading)
-from .geometry import (PointCloud, RigidTransform, _as_points, _collinear, _freeze,
+from .geometry import (PointCloud, RigidTransform, _as_array, _collinear, _freeze,
                        _least_squares, compose, kabsch)
 from .metrics import _kd_tree, _rms_mm
 
@@ -41,7 +42,7 @@ class MarkerArrayGeometry:
     radius_m: float = DEFAULT_MARKER_RADIUS_M
 
     def __post_init__(self):
-        m = _as_points(self.markers, "markers")
+        m = _as_array(self.markers, "markers", (None, 3))
         if len(m) < 3:
             raise ParameterError("marker array needs at least 3 markers")
         r = positive_number(self.radius_m, "marker radius")
@@ -79,14 +80,12 @@ class PoseTrack:
     translations: np.ndarray  # (N, 3) meters
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        q = _as_points(self.quats, "track quaternions", 4)
-        tr = _as_points(self.translations, "track translations")
-        if t.ndim != 1 or not (len(t) == len(q) == len(tr)):
+        t = _as_array(self.times, "track times", (None,))
+        q = _as_array(self.quats, "track quaternions", (None, 4))
+        tr = _as_array(self.translations, "track translations", (None, 3))
+        if not len(t) == len(q) == len(tr):
             raise ParameterError(f"track arrays have mismatched shapes: times {t.shape}, "
                                  f"quaternions {q.shape}, translations {tr.shape}")
-        if not np.isfinite(t).all():
-            raise ParameterError("track times must be finite")
         if len(t) > 1 and np.any(np.diff(t) <= 0):
             raise ParameterError("timestamps must be strictly increasing")
         norms = np.linalg.norm(q, axis=1)
@@ -126,7 +125,7 @@ def fit_sphere_fixed_radius(points, radius_m: float) -> tuple[np.ndarray, float]
     point: points on one line, or a centroid on a point, raise
     DegenerateGeometryError.
     """
-    pts = _as_points(points, "sphere fit points")
+    pts = _as_array(points, "sphere fit points", (None, 3))
     if len(pts) < 4:
         raise ParameterError("sphere fit needs at least 4 points")
     radius_m = positive_number(radius_m, "marker radius")
@@ -206,7 +205,7 @@ def register_marker_array(scan_centers, array: MarkerArrayGeometry
                           ) -> tuple[RigidTransform, float]:
     """Match scanned sphere centers to the array geometry by pairwise-distance
     signature and align. Returns (model_from_array, marker RMSE mm)."""
-    centers = _as_points(scan_centers, "scan centers")
+    centers = _as_array(scan_centers, "scan centers", (None, 3))
     if len(centers) != len(array.markers):
         raise InsufficientCorrespondencesError(
             f"{len(centers)} scan centers vs {len(array.markers)} array markers")
@@ -284,7 +283,7 @@ def _window_slices(n: int, window: int) -> list[tuple[slice, slice]]:
     """Centred moving window of odd size over n samples, truncated at the
     ends: for each offset d from -window // 2 to window // 2, the slice of
     centre samples that have a sample d away, and the slice of those samples."""
-    if window < 1 or window % 2 == 0:
+    if not finite_number(window, numbers.Integral) or window < 1 or window % 2 == 0:
         raise ParameterError("window must be an odd integer >= 1")
     half = window // 2
     return [(slice(max(0, -d), min(n, n - d)), slice(max(0, d), min(n, n + d)))

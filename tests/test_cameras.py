@@ -79,6 +79,11 @@ def test_observation_validation():
         PixelObservation("cam0", 1.0, 2.0, confidence=1.5)
     with pytest.raises(ParameterError):
         PixelObservation("cam0", np.nan, 2.0)
+    # a string used to raise numpy's TypeError
+    for args, name in ((("1.0", 2.0), "u"), ((1.0, "2.0"), "v"),
+                       ((1.0, 2.0, "1"), "confidence"), ((1.0, 2.0, True), "confidence")):
+        with pytest.raises(ParameterError, match=f"^{name} must be a finite number, got"):
+            PixelObservation("cam0", *args)
 
 
 def test_camera_json_round_trip():
@@ -147,6 +152,10 @@ def test_unproject_depth_consistency():
 def test_unproject_invalid_depth():
     with pytest.raises(BehindCameraError):
         unproject(_cam(), (640.0, 360.0), 0.0)
+    # a NaN depth used to give a NaN point, an infinite one a RuntimeWarning too
+    for depth in (np.nan, np.inf, -np.inf, "2.0"):
+        with pytest.raises(ParameterError, match="^depth must be a finite number, got"):
+            unproject(_cam(), (640.0, 360.0), depth)
 
 
 def test_distortion_changes_off_center_pixels():

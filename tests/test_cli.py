@@ -401,8 +401,8 @@ def _with_pose(key, value):
                  "camera model 'world_from_camera': cannot normalize "
                  "zero/non-finite quaternion", id="zero-quat"),
     pytest.param(_with_pose("t_m", [0.5, 0]),
-                 "camera model 'world_from_camera': cannot reshape array of "
-                 "size 2 into shape (3,)", id="short-translation"),
+                 "camera model 'world_from_camera': t must have shape (3,), "
+                 "got (2,)", id="short-translation"),
     pytest.param(lambda cal: cal.update(id=[]),
                  "camera id must be a string, got []", id="id-list"),
 ])
@@ -451,11 +451,13 @@ def test_mocap_keypoint_missing_key(bundle_dir, tmp_path, capsys):
 
 @pytest.mark.parametrize("corrupt, message", [
     pytest.param(lambda fr: fr.update(persons=5),
-                 "'int' object is not iterable", id="persons-number"),
+                 "keypoint frame: 'int' object is not iterable", id="persons-number"),
     pytest.param(lambda fr: fr.update(t_s="a"),
-                 "could not convert string to float: 'a'", id="t_s-string"),
+                 "keypoint frame: could not convert string to float: 'a'",
+                 id="t_s-string"),
     pytest.param(lambda fr: fr["persons"][0].update(body="x"),
-                 "could not convert string to float: 'x'", id="body-string"),
+                 "body keypoints: could not convert string to float: 'x'",
+                 id="body-string"),
 ])
 def test_mocap_keypoint_wrong_type(bundle_dir, tmp_path, capsys, corrupt,
                                    message):
@@ -470,7 +472,7 @@ def test_mocap_keypoint_wrong_type(bundle_dir, tmp_path, capsys, corrupt,
                "--cameras-dir", str(cams), "--table-center", "0.5,0,0.9",
                "--out", str(tmp_path / "skeleton.csv")])
     assert rc == 1
-    assert capsys.readouterr().err == f"error: {bad}: keypoint frame: {message}\n"
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
 
 def test_mocap_malformed_calibration_json(bundle_dir, tmp_path, capsys):
@@ -1143,7 +1145,7 @@ TEXT, FLAGS = ["1", "2", "3"], [True, False, False, False]
     ("frame_00000_cam1.json", _set("t_s"),
      "keypoint frame: int too large to convert to float"),
     ("frame_00000_cam1.json", _set("persons", 0, "body", 0, 0),
-     "keypoint frame: int too large to convert to float"),
+     "body keypoints: int too large to convert to float"),
     ("cam1_intrinsics.json", _set("fx"), "fx must be a finite number, got 1"),
     ("cam1_calibration.json", _set("world_from_camera", "t_m", 0),
      "camera model 'world_from_camera': int too large to convert to float"),

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -679,6 +680,12 @@ def test_rigid_transform_keeps_a_unit_quaternion_and_normalises_others():
     for bad in ([0, 0, 0, 0], [np.nan, 0, 0, 1], [np.inf, 0, 0, 0]):
         with pytest.raises(ValueError):
             RigidTransform(bad, np.zeros(3))
+    # a (1, 3) t or a (2, 2) q used to be reshaped in silence
+    for q, t, message in (([1.0, 0, 0, 0], np.zeros((1, 3)), "t must have shape (3,), got (1, 3)"),
+                          (np.eye(2), np.zeros(3), "q must have shape (4,), got (2, 2)"),
+                          ([1.0, 0, 0], np.zeros(3), "q must have shape (4,), got (3,)")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RigidTransform(q, t)
 
 
 def test_copies_keep_pose_bit_for_bit():
@@ -748,21 +755,28 @@ def test_point_cloud_validation():
 
 
 def _point_array_callers():
-    """For each caller of the point-array rule ``geometry._as_points``: a
-    valid (N, width) array, N even, and a call of the caller on an array in
-    its place that returns on the valid one."""
+    """For each caller of the array rule ``geometry._as_array``: a valid
+    array, the shape the rule takes it in (None for any length), and a call
+    of the caller on an array in its place that returns on the valid one."""
     from twinfuse.cameras import (CameraIntrinsics, CameraModel,
-                                  estimate_time_offset, project_points, solve_pnp)
+                                  estimate_time_offset, project_points, solve_pnp,
+                                  triangulate_batch, unproject)
+    from twinfuse.fusion import MarkerSet
+    from twinfuse.mocap import (N_BODY, N_HAND, N_JOINTS, Keypoint2DFrame,
+                                Skeleton3DFrame, select_surgeon)
     from twinfuse.tracking import (MarkerArrayGeometry, PoseTrack,
                                    fit_sphere_fixed_radius, register_marker_array)
 
     rng = np.random.default_rng(8)
     points = rng.normal(size=(4, 3))
-    cam = CameraModel("cam0", CameraIntrinsics(fx=900.0, fy=900.0, cx=640.0, cy=360.0,
-                                               width=1280, height=720),
-                      RigidTransform([1.0, 0, 0, 0], np.zeros(3), "camera:cam0", "world"))
+    intr = CameraIntrinsics(fx=900.0, fy=900.0, cx=640.0, cy=360.0, width=1280, height=720)
+    cams = [CameraModel(f"cam{k}", intr, RigidTransform([1.0, 0, 0, 0], [x, 0, 0],
+                                                        f"camera:cam{k}", "world"))
+            for k, x in enumerate([0.0, -0.5, 0.5])]
+    cam = cams[0]
     in_view = rng.uniform([-0.5, -0.3, 2.0], [0.5, 0.3, 3.0], (8, 3))
     pixels = project_points(cam, in_view)
+    uv = np.stack([project_points(c, in_view[:4]) for c in cams], axis=1)  # (4, 3, 2)
     times = np.arange(0, 10, 1 / 30)
     motion = np.column_stack([np.sin(1.3 * times), np.cos(2.1 * times), np.sin(0.7 * times)])
     markers = np.array([[0, 0, 0], [0.11, 0, 0], [0.03, 0.085, 0], [0.06, 0.03, 0.07]])
@@ -771,47 +785,85 @@ def _point_array_callers():
     directions[:, 2] = np.abs(directions[:, 2])
     sphere = 0.0015 * directions / np.linalg.norm(directions, axis=1, keepdims=True)
     quats = np.array([quat_normalize(q) for q in rng.normal(size=(4, 4))])
+    keypoints = rng.uniform(0, 1, (2, N_JOINTS, 3))
+    hand = rng.uniform(0, 1, (N_HAND, 3)).tolist()
+    person = np.zeros((1, N_JOINTS, 3))
+    person[0, :, :] = [640.0, 360.0, 1.0]
+
+    def from_json(body):
+        return Keypoint2DFrame.from_json(json.dumps({
+            "camera": "cam0", "t_s": 0.5,
+            "persons": [{"body": body.tolist(), "hand_l": hand, "hand_r": hand}]}))
+
     return {
-        "PointCloud": (points, PointCloud),
-        "kabsch src": (points, lambda a: kabsch(a, points)),
-        "kabsch dst": (points, lambda a: kabsch(points, a)),
-        "fit_plane_pca": (points, fit_plane_pca),
-        "build_floor_frame floor": (points, build_floor_frame),
-        "build_floor_frame body": (points, lambda a: build_floor_frame(points, a)),
-        "ransac_plane_inliers": (points, ransac_plane_inliers),
-        "project_points": (in_view, lambda a: project_points(cam, a)),
-        "solve_pnp points": (in_view, lambda a: solve_pnp(a, pixels, cam.intrinsics)),
-        "solve_pnp pixels": (pixels, lambda a: solve_pnp(in_view, a, cam.intrinsics)),
-        "estimate_time_offset": (motion, lambda a: estimate_time_offset(times, a, times,
-                                                                        motion)),
-        "MarkerArrayGeometry": (markers, MarkerArrayGeometry),
-        "fit_sphere_fixed_radius": (sphere, lambda a: fit_sphere_fixed_radius(a, 0.0015)),
-        "register_marker_array": (markers, lambda a: register_marker_array(a, array)),
-        "PoseTrack quats": (quats, lambda a: PoseTrack("reference", np.arange(4.0), a,
-                                                       points)),
-        "PoseTrack translations": (points, lambda a: PoseTrack("reference", np.arange(4.0),
-                                                               quats, a)),
+        "PointCloud": (points, (None, 3), PointCloud),
+        "kabsch src": (points, (None, 3), lambda a: kabsch(a, points)),
+        "kabsch dst": (points, (None, 3), lambda a: kabsch(points, a)),
+        "fit_plane_pca": (points, (None, 3), fit_plane_pca),
+        "build_floor_frame floor": (points, (None, 3), build_floor_frame),
+        "build_floor_frame body": (points, (None, 3), lambda a: build_floor_frame(points, a)),
+        "ransac_plane_inliers": (points, (None, 3), ransac_plane_inliers),
+        "project_points": (in_view, (None, 3), lambda a: project_points(cam, a)),
+        "solve_pnp points": (in_view, (None, 3), lambda a: solve_pnp(a, pixels, intr)),
+        "solve_pnp pixels": (pixels, (None, 2), lambda a: solve_pnp(in_view, a, intr)),
+        "estimate_time_offset": (motion, (None, 3),
+                                 lambda a: estimate_time_offset(times, a, times, motion)),
+        "estimate_time_offset times": (times, (None,), lambda a: estimate_time_offset(
+            a, motion, times, motion)),
+        "MarkerArrayGeometry": (markers, (None, 3), MarkerArrayGeometry),
+        "fit_sphere_fixed_radius": (sphere, (None, 3),
+                                    lambda a: fit_sphere_fixed_radius(a, 0.0015)),
+        "register_marker_array": (markers, (None, 3),
+                                  lambda a: register_marker_array(a, array)),
+        "PoseTrack quats": (quats, (None, 4),
+                            lambda a: PoseTrack("reference", np.arange(4.0), a, points)),
+        "PoseTrack translations": (points, (None, 3), lambda a: PoseTrack(
+            "reference", np.arange(4.0), quats, a)),
+        "PoseTrack times": (np.arange(4.0), (None,),
+                            lambda a: PoseTrack("reference", a, quats, points)),
+        "triangulate_batch pixels": (uv, (None, 3, 2), lambda a: triangulate_batch(
+            a, np.ones((4, 3)), cams)),
+        "triangulate_batch confidences": (np.ones((4, 3)), (4, 3),
+                                          lambda a: triangulate_batch(uv, a, cams)),
+        "unproject": (pixels[0], (2,), lambda a: unproject(cam, a, 2.0)),
+        "MarkerSet": (markers[1], (3,), lambda a: MarkerSet("ref", {"M01": a})),
+        "Keypoint2DFrame": (keypoints, (None, N_JOINTS, 3),
+                            lambda a: Keypoint2DFrame("cam0", 0.5, a)),
+        "Keypoint2DFrame.from_json body": (keypoints[0, :N_BODY], (N_BODY, 3), from_json),
+        "Skeleton3DFrame positions": (points[[0] * N_JOINTS], (N_JOINTS, 3),
+                                      lambda a: Skeleton3DFrame(0.5, a, np.zeros(N_JOINTS),
+                                                                np.ones(N_JOINTS, bool))),
+        "Skeleton3DFrame residuals": (np.ones(N_JOINTS), (N_JOINTS,),
+                                      lambda a: Skeleton3DFrame(0.5, np.zeros((N_JOINTS, 3)),
+                                                                a, np.ones(N_JOINTS, bool))),
+        "select_surgeon table center": (np.array([0.0, 0.0, 2.0]), (3,), lambda a: select_surgeon(
+            [Keypoint2DFrame("cam0", 0.0, person)], [cam], a)),
     }
 
 
 @pytest.mark.parametrize("fault", ["wrong width", "wrong shape", "nan"])
 @pytest.mark.parametrize("caller", sorted(_point_array_callers()))
 def test_point_arrays_refuse_bad_shapes_and_values(caller, fault):
-    """A point, pixel or quaternion array of the wrong width, of the right
-    size in a wrong shape (e.g. (2, 6) for 4 points), or holding a NaN is a
+    """An array of the wrong last dimension, of the right size in a wrong
+    shape (e.g. (2, 6) for 4 points, or transposed), or holding a NaN is a
     ParameterError of the one rule, never a result: callers that reshaped
     with ``reshape(-1, k)`` used to read (2, 6) as 4 points, and some
     returned NaN or raised numpy's ValueError."""
-    valid, call = _point_array_callers()[caller]
+    valid, shape, call = _point_array_callers()[caller]
     call(valid)
-    width = valid.shape[1]
-    if fault == "wrong width":
-        bad, message = np.hstack([valid, valid[:, :1]]), rf"must be an \(N, {width}\) array"
+    dims = str(tuple("N" if n is None else n for n in shape)).replace("'", "")
+    message = re.escape(f"must be {'an' if shape[0] is None else 'a'} {dims} array")
+    if fault == "wrong width":  # one more column; a column where any length goes
+        bad = (valid[:, None] if shape[-1] is None
+               else np.concatenate([valid, valid[..., :1]], axis=-1))
     elif fault == "wrong shape":
-        bad, message = valid.reshape(2, -1), rf"must be an \(N, {width}\) array"
+        if len(shape) == 2 and shape[0] is None:
+            bad = valid.reshape(2, -1)
+        else:  # a row of one vector, or the last axis first
+            bad = valid[None] if valid.ndim == 1 else np.moveaxis(valid, -1, 0)
     else:
         bad, message = valid.copy(), "must be finite"
-        bad[1, 0] = np.nan
+        bad[(1,) + (0,) * (bad.ndim - 1)] = np.nan
     with pytest.raises(ParameterError, match=message):
         call(bad)
 

@@ -187,6 +187,25 @@ def test_frozen_fields_set_in_one_helper():
     assert found == {("geometry.py", "_freeze")}
 
 
+# The array rule ("an array of this shape, every value finite") is written
+# once, in geometry._as_array: every value type and solver checks the arrays
+# it takes there. RigidTransform keeps its own check, since the file readers
+# expect its ValueError. The other calls of np.isfinite test a file's values
+# (ply.load_ply, cli._point) or a value a function computed: a norm, a cost,
+# a ray angle and voxel keys.
+NP_ISFINITE = {("cameras.py", "triangulate_batch"), ("cli.py", "_point"),
+               ("fusion.py", "voxel_downsample"), ("geometry.py", "RigidTransform"),
+               ("geometry.py", "_as_array"), ("geometry.py", "_least_squares"),
+               ("geometry.py", "quat_normalize"), ("ply.py", "load_ply")}
+
+
+def test_array_rule_written_once():
+    found = {(p.name, name) for p in MODULES for name in _callers(
+        p.read_text(), lambda f: isinstance(f, ast.Attribute) and f.attr == "isfinite"
+        and getattr(f.value, "id", None) == "np")}
+    assert found == NP_ISFINITE
+
+
 # The text file rules (UTF-8, "\n" line ends) are written once, in
 # errors.parse_file and errors.write_file; ply.py opens its binary files. No
 # other code opens a file.

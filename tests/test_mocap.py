@@ -68,14 +68,16 @@ def _frames(cams, persons_by_cam, t_s=0.0):
 def test_person_detection_shape_checks():
     for shape in ((N_JOINTS, 3), (1, 10, 3), (2, N_JOINTS, 2)):
         with pytest.raises(ParameterError, match=re.escape(
-                f"keypoints must have shape (persons, 67, 3), got {shape}")):
+                f"keypoints must be an (N, 67, 3) array, got shape {shape}")):
             Keypoint2DFrame("cam0", 0.0, np.zeros(shape))
-    for row, col, value in ((0, 2, 2.0), (30, 2, -0.1), (3, 0, np.nan),
-                            (60, 1, np.inf)):
+    for row, col, value, message in (
+            (0, 2, 2.0, "keypoint confidences must be in [0, 1]"),
+            (30, 2, -0.1, "keypoint confidences must be in [0, 1]"),
+            (3, 0, np.nan, "keypoints must be finite"),
+            (60, 1, np.inf, "keypoints must be finite")):
         kp = np.zeros((2, N_JOINTS, 3))
         kp[1, row, col] = value
-        with pytest.raises(ParameterError, match=r"^keypoints must be finite, "
-                           r"with confidences in \[0, 1\]$"):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             Keypoint2DFrame("cam0", 0.0, kp)
     empty = Keypoint2DFrame("cam0", 0.0, np.zeros((0, N_JOINTS, 3)))
     assert empty.keypoints.shape == (0, N_JOINTS, 3)
@@ -114,7 +116,7 @@ def _keypoint_json(parts):
 
 def _shape(name):
     n = _PART_ROWS[name]
-    return f"{name} must have shape ({n}, 3), got ({n - 1}, 3)"
+    return f"{name} keypoints must be a ({n}, 3) array, got shape ({n - 1}, 3)"
 
 
 @pytest.mark.parametrize("faults, message", [
@@ -143,7 +145,7 @@ def test_person_detection_first_error(faults, message):
 
 def test_person_detection_rejects_non_numbers():
     text = _keypoint_json(_faulty_parts({"hand_left": "not-numbers"}))
-    with pytest.raises(ParameterError, match="^keypoint frame: could not convert "
+    with pytest.raises(ParameterError, match="^hand_left keypoints: could not convert "
                        "string to float: 'x'$"):
         Keypoint2DFrame.from_json(text)
 
@@ -269,6 +271,22 @@ def test_skeleton_csv_invalid_joint_is_undefined():
     (frame,) = skeleton_track_from_csv(text)
     assert frame.valid[:2].tolist() == [True, False]
     assert np.isnan(frame.positions[1]).all()
+    # the frame keeps an invalid joint's values as given, a valid joint's
+    # only finite, and its flags only as one per joint
+    Skeleton3DFrame(0.0, frame.positions, frame.residuals_px, frame.valid)
+    valid = frame.valid.copy()
+    valid[1] = True
+    for positions, residuals, message in (
+            (frame.positions, frame.residuals_px, "skeleton positions of valid joints"),
+            (np.nan_to_num(frame.positions), frame.residuals_px,
+             "skeleton residuals of valid joints")):
+        with pytest.raises(ParameterError, match=f"^{message} must be finite$"):
+            Skeleton3DFrame(0.0, positions, residuals, valid)
+    with pytest.raises(ParameterError, match=re.escape(
+            "skeleton valid flags must be a (67,) array, got shape (1, 67)")):
+        Skeleton3DFrame(0.0, frame.positions, frame.residuals_px, frame.valid[None])
+    with pytest.raises(ParameterError, match="^skeleton positions: could not convert"):
+        Skeleton3DFrame(0.0, "x", frame.residuals_px, frame.valid)
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,10 @@ def test_sample_refuses_nan_time():
     scene = _scene()
     with pytest.raises(ParameterError, match="sample time must not be NaN"):
         sample_at(scene, float("nan"))
+    # a string used to raise numpy's TypeError
+    for t in ("1.0", None, True):
+        with pytest.raises(ParameterError, match=f"^sample time must be a number, got {t!r}$"):
+            sample_at(scene, t)
     lo, hi = scene.time_range
     assert sample_at(scene, np.inf).t_s == hi and sample_at(scene, -np.inf).t_s == lo
 
@@ -376,7 +380,7 @@ def _set_quat(q):
     (_set_quat([float("nan"), 0, 0, 0]),
      "static node 'room' pose: cannot normalize zero/non-finite quaternion"),
     (_set_quat([1, 0, 0]),
-     "static node 'room' pose: cannot reshape array of size 3 into shape (4,)"),
+     "static node 'room' pose: q must have shape (4,), got (3,)"),
     (lambda m: m.update(static=5), "manifest field 'static' is not a list"),
     (lambda m: m.update(skeletons={}),
      "manifest field 'skeletons' is not a list"),

@@ -655,6 +655,11 @@ def test_smooth_invalid_window():
         smooth_track(track, 2)
     with pytest.raises(ParameterError):
         smooth_track(track, 0)
+    # 2.5 used to raise a raw TypeError, and True to run as window 1
+    for window in (2.5, 3.0, True, "3", None):
+        with pytest.raises(ParameterError, match="^window must be an odd integer >= 1$"):
+            smooth_track(track, window)
+    assert len(smooth_track(track, np.int64(3))) == 1
 
 
 def test_smooth_output_quats_unit():
