@@ -12,7 +12,7 @@ import numpy as np
 from .errors import (BehindCameraError, ConvergenceError, DegenerateGeometryError,
                      InsufficientCorrespondencesError, InsufficientViewsError,
                      NoOverlapError, ParameterError, UnknownEntityError,
-                     _repeated, finite_number, non_numbers, reading)
+                     _repeated, finite_number, reading)
 from .geometry import (RigidTransform, _as_array, _freeze, _least_squares, _solve,
                        invert, matrix_to_quat, transform_from_matrix)
 
@@ -54,11 +54,8 @@ class CameraIntrinsics:
             raise ParameterError("focal lengths must be positive")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ParameterError("principal point must lie inside the image")
-        dist = tuple(self.dist) if isinstance(self.dist, (tuple, list)) else ()
-        if len(dist) != 5 or non_numbers(dist):
-            raise ParameterError(f"distortion must be 5 finite numbers, "
-                                 f"got {self.dist!r}")
-        _freeze(self, dist=tuple(map(float, dist)),
+        dist = _as_array(self.dist, "distortion", (5,))
+        _freeze(self, dist=tuple(dist.tolist()),
                 focal=np.array((self.fx, self.fy), dtype=float),
                 center=np.array((self.cx, self.cy), dtype=float))
 
@@ -101,7 +98,10 @@ class CameraModel:
         intr = CameraIntrinsics.from_dict(o)
         with reading("camera model", "camera model 'world_from_camera': {exc}"):
             cam_id, wfc = o["id"], o["world_from_camera"]
-            pose = RigidTransform.from_dict(wfc, f"camera:{cam_id}", "reference")
+            try:
+                pose = RigidTransform.from_dict(wfc, f"camera:{cam_id}", "reference")
+            except ParameterError as exc:
+                raise ParameterError(f"camera model 'world_from_camera': {exc}") from None
         return cls(cam_id, intr, pose)
 
 

@@ -17,9 +17,9 @@ import numpy as np
 from . import fusion, metrics, mocap, scene, synth
 from .cameras import CameraIntrinsics, CameraModel, _camera_id, solve_pnp
 from .errors import (EmptySelectionError, ParameterError, TwinfuseError,
-                     _repeated, non_numbers, parse_file, reading, write_file)
+                     _repeated, parse_file, reading, write_file)
 from .fusion import MarkerSet, ScanRecord
-from .geometry import PointCloud, RigidTransform
+from .geometry import PointCloud, RigidTransform, _as_array
 from .metrics import render_reprojection_table
 from .ply import load_ply, save_ply
 from .tracking import PoseTrack, smooth_track
@@ -89,11 +89,8 @@ def _marker_pixels(text: str) -> list[tuple[str, float, float]]:
     repeated = _repeated(mid for mid, _ in pixels)
     if repeated is not None:
         raise ParameterError(f"marker pixels: two pixel objects with id {repeated!r}")
-    for mid, uv in pixels:
-        if not isinstance(uv, list) or len(uv) != 2 or non_numbers(uv):
-            raise ParameterError(f"marker pixels: 'uv' of {mid!r} must be two "
-                                 f"finite numbers, got {uv!r}")
-    return [(mid, u, v) for mid, (u, v) in pixels]
+    return [(mid, *_as_array(uv, f"marker pixels: 'uv' of {mid!r}", (2,)))
+            for mid, uv in pixels]
 
 
 def _register_camera(cam_id: str, intr: CameraIntrinsics, marker_pixels,

@@ -169,9 +169,9 @@ def finite_number(value, kinds=(int, float)) -> bool:
 
 def non_numbers(values) -> list:
     """The items of the list or tuple ``values`` that ``finite_number``
-    refuses, in order; readers refuse "1.5" and true with it, which numpy
-    converts. Ints and floats cost no Python call per item: one type test
-    per distinct type and one ``math.fsum`` pass."""
+    refuses, in order; the array rule refuses "1.5" and true with it, which
+    numpy converts. Ints and floats cost no Python call per item: one type
+    test per distinct type and one ``math.fsum`` pass."""
     try:
         if set(map(type, values)) <= {int, float} and math.isfinite(math.fsum(values)):
             return []

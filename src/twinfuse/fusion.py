@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import (DegenerateGeometryError,
                      InsufficientCorrespondencesError, ParameterError,
-                     TwinfuseError, _repeated, non_numbers, positive_number,
+                     TwinfuseError, _repeated, positive_number,
                      reading)
 from .geometry import (PointCloud, RigidTransform, _as_array, _freeze, apply,
                        build_floor_frame, kabsch, ransac_plane_inliers)
@@ -59,12 +59,7 @@ class MarkerSet:
             frame = obj["frame"]
             markers = [(m["id"], m["position_m"]) for m in obj["markers"]]
             _unique_marker_ids(mid for mid, _ in markers)
-            positions = dict(markers)
-        for mid, p in positions.items():
-            if not isinstance(p, list) or len(p) != 3 or non_numbers(p):
-                raise ParameterError(f"marker {mid!r} position must be 3 finite "
-                                     f"numbers, got {p!r}")
-        return cls(frame, positions)
+        return cls(frame, dict(markers))
 
 
 @dataclass(frozen=True)

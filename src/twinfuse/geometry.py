@@ -10,6 +10,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,7 +31,7 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     n = np.linalg.norm(q)
     if n == 0.0 or not np.isfinite(n):
-        raise ValueError("cannot normalize zero/non-finite quaternion")
+        raise ParameterError("cannot normalize zero/non-finite quaternion")
     return q / n
 
 
@@ -144,9 +145,28 @@ def _shaped(value, what: str, shape: tuple, dtype=float) -> np.ndarray:
     return a
 
 
+def _scalars(value) -> list:
+    """The items of the nested lists and tuples ``value``, in order; an
+    ndarray row is left out, as numpy has typed it already."""
+    items = []
+    for v in value:
+        if isinstance(v, (list, tuple)):
+            items += _scalars(v)
+        elif not isinstance(v, np.ndarray):
+            items.append(v)
+    return items
+
+
 def _as_array(value, what: str, shape: tuple) -> np.ndarray:
     """The one array rule: ``_shaped(value, what, shape)``, a float array,
-    with every value finite, or ParameterError naming ``what``."""
+    with every value finite, or ParameterError naming ``what``. The items of
+    a list or tuple must be real numbers: a bool, a string or None, which
+    numpy converts, is refused as ``errors.finite_number`` refuses it."""
+    if isinstance(value, (list, tuple)):
+        bad = [v for v in non_numbers(_scalars(value))
+               if isinstance(v, bool) or not isinstance(v, numbers.Real)]
+        if bad:
+            raise ParameterError(f"{what} must be finite numbers, got {bad[0]!r}")
     a = _shaped(value, what, shape)
     if not np.isfinite(a).all():
         raise ParameterError(f"{what} must be finite")
@@ -178,14 +198,9 @@ class RigidTransform:
     to_frame: str = "dst"
 
     def __post_init__(self):
-        q, t = np.asarray(self.q, dtype=float), np.asarray(self.t, dtype=float)
-        for name, a, n in (("q", q, 4), ("t", t, 3)):
-            if a.shape != (n,):
-                raise ValueError(f"{name} must have shape ({n},), got {a.shape}")
+        q, t = _as_array(self.q, "q", (4,)), _as_array(self.t, "t", (3,))
         if not abs(q @ q - 1.0) < 1e-15:  # unit to rounding is kept as given
             q = quat_normalize(q)
-        if not np.all(np.isfinite(t)):
-            raise ValueError("non-finite translation")
         _freeze(self, q=q, t=t)
 
     @property
@@ -207,14 +222,10 @@ class RigidTransform:
     @classmethod
     def from_dict(cls, o, from_frame: str, to_frame: str) -> "RigidTransform":
         """Pose from the object ``to_dict`` writes, exactly. A missing key
-        raises KeyError, and a malformed value one of ``errors.MALFORMED``,
-        for the caller to name in its own error: a value that does not
-        convert, then an item that ``errors.non_numbers`` refuses."""
-        pose = cls(o["q_wxyz"], o["t_m"], from_frame, to_frame)
-        for key in ("q_wxyz", "t_m"):
-            if non_numbers(o[key]):
-                raise ValueError(f"{key} must be finite numbers, got {o[key]!r}")
-        return pose
+        raises KeyError, and a malformed value ParameterError naming its
+        key, for the caller to name the record in its own error."""
+        return cls(_as_array(o["q_wxyz"], "q_wxyz", (4,)),
+                   _as_array(o["t_m"], "t_m", (3,)), from_frame, to_frame)
 
 
 def transform_from_matrix(rot: np.ndarray, t: np.ndarray,
@@ -242,7 +253,8 @@ def invert(t: RigidTransform) -> RigidTransform:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Ordered 3D points in meters, with optional uint8 RGB colors."""
+    """Ordered 3D points in meters, with optional RGB colors: whole numbers
+    in [0, 255], held as uint8."""
 
     points: np.ndarray
     colors: np.ndarray | None = None
@@ -252,10 +264,10 @@ class PointCloud:
         pts = _as_array(self.points, "cloud points", (None, 3))
         cols = self.colors
         if cols is not None:
-            cols = np.asarray(cols, dtype=np.uint8)
-            if cols.shape != pts.shape:
-                raise ParameterError(f"colors must have the points' shape {pts.shape}, "
-                                     f"got {cols.shape}")
+            c = _as_array(cols, "cloud colors", pts.shape)
+            if not ((c >= 0) & (c <= 255) & (np.floor(c) == c)).all():
+                raise ParameterError("cloud colors must be whole numbers in [0, 255]")
+            cols = c.astype(np.uint8)
         _freeze(self, points=pts, colors=cols)
 
     def __len__(self) -> int:

@@ -100,12 +100,7 @@ class Keypoint2DFrame:
     def from_json(cls, text: str) -> "Keypoint2DFrame":
         o = json.loads(text)
         with reading("keypoint frame"):
-            persons = []
-            for p in o["persons"]:
-                parts = [p[key] for _, key, _ in _PARTS]
-                persons.append(_person(parts))
-                if bad := non_numbers([v for rows in parts for row in rows for v in row]):
-                    raise ValueError(f"keypoints must be finite numbers, got {bad[0]!r}")
+            persons = [_person([p[key] for _, key, _ in _PARTS]) for p in o["persons"]]
             camera, t_s = o["camera"], float(o["t_s"])
             if not finite_number(o["t_s"]):  # "1.5" or true: the check names it
                 t_s = o["t_s"]

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ManifestError
+from .errors import ManifestError, ParameterError
 from .geometry import PointCloud
 
 
@@ -37,8 +37,8 @@ def save_ply(path, cloud: PointCloud) -> None:
 def load_ply(path, frame: str = "world") -> PointCloud:
     """Cloud of the PLY file ``path`` in ``frame``. The first element must be
     ``vertex``, each of its properties declared once, with x, y, z and
-    optional red, green, blue colors that are whole numbers in [0, 255];
-    later elements are not read. A malformed file raises ManifestError
+    optional red, green, blue colors; later elements are not read. A
+    malformed file, and values that PointCloud refuses, raise ManifestError
     naming it."""
     with open(path, "rb") as f:
         data = f.read()
@@ -115,21 +115,14 @@ def load_ply(path, frame: str = "world") -> PointCloud:
         except ValueError as exc:
             raise ManifestError(f"{path}: ASCII body: {exc}") from None
         rec = {name: arr[i::ncol] for i, (_, name) in enumerate(props)}
-    # a signalling NaN raises the invalid flag in casts and compares; the
-    # checks below reject it, so numpy need not warn about it first
+    # a signalling NaN raises the invalid flag in casts and compares;
+    # PointCloud refuses it, so numpy need not warn about it first
     with np.errstate(invalid="ignore"):
-        pts = np.column_stack([np.asarray(rec["x"], dtype=float),
-                               np.asarray(rec["y"], dtype=float),
-                               np.asarray(rec["z"], dtype=float)])
-        if not np.isfinite(pts).all():
-            raise ManifestError(f"{path}: vertex coordinates must be finite")
-        colors = None
-        if has_color:
-            colors = np.column_stack([np.asarray(rec["red"]), np.asarray(rec["green"]),
-                                      np.asarray(rec["blue"])])
-            if not np.all((colors >= 0) & (colors <= 255)
-                          & (np.floor(colors) == colors)):
-                raise ManifestError(f"{path}: vertex colors must be whole numbers "
-                                    f"in [0, 255]")
-            colors = colors.astype(np.uint8)
-    return PointCloud(pts, colors=colors, frame=frame)
+        pts = np.column_stack([np.asarray(rec[axis], dtype=float) for axis in "xyz"])
+        colors = (np.column_stack([np.asarray(rec[c], dtype=float)
+                                   for c in ("red", "green", "blue")])
+                  if has_color else None)
+        try:
+            return PointCloud(pts, colors=colors, frame=frame)
+        except ParameterError as exc:
+            raise ManifestError(f"{path}: {exc}") from None

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (MALFORMED, ManifestError, ParameterError, TwinfuseError,
-                     finite_number, parse_file, write_file)
+from .errors import (ManifestError, ParameterError, TwinfuseError, parse_file,
+                     write_file)
 from .geometry import PointCloud, RigidTransform, _freeze, quat_slerp
 from .mocap import Skeleton3DFrame, skeleton_track_from_csv, skeleton_track_to_csv
 from .ply import load_ply, save_ply
@@ -135,9 +135,10 @@ def sample_at(scene: TwinScene, t: float) -> SceneSnapshot:
     lerp/slerp-interpolated, exact samples returned at exact timestamps.
     Times outside the range, infinite ones too, are clamped (flagged); NaN
     and a value that is not a number raise ParameterError."""
-    if not (finite_number(t, numbers.Real) or t in (-np.inf, np.inf)):
-        raise ParameterError("sample time must not be NaN" if t != t
-                             else f"sample time must be a number, got {t!r}")
+    if isinstance(t, bool) or not isinstance(t, numbers.Real):
+        raise ParameterError(f"sample time must be a number, got {t!r}")
+    if t != t:
+        raise ParameterError("sample time must not be NaN")
     clamped = False
     if scene.time_range is not None:
         lo, hi = scene.time_range
@@ -275,7 +276,12 @@ def load(directory) -> TwinScene:
                                 f"{expected.__name__}")
         return obj[key]
 
-    ref = field(manifest, "reference_frame", "manifest")
+    def optional(obj, key, owner, expected, default):
+        """``field(obj, key, owner, expected)``, or ``default`` if the
+        object ``obj`` lacks ``key``."""
+        return field(obj, key, owner, expected) if key in obj else default
+
+    ref = field(manifest, "reference_frame", "manifest", str)
     for key in ("static", "dynamic", "skeletons"):
         if not isinstance(manifest.get(key, []), list):
             raise ManifestError(f"{path}: manifest field {key!r} is not a list")
@@ -303,7 +309,7 @@ def load(directory) -> TwinScene:
     def read_asset(entry, name):
         asset = field(entry, "asset", f"node {name!r}", str)
         ply_path = inside(asset, f"node {name!r} asset")
-        if entry.get("cloud"):
+        if optional(entry, "cloud", f"node {name!r}", bool, False):
             encodable(asset, name)
             if not os.path.exists(ply_path):
                 raise ManifestError(f"{path}: node {name!r} references "
@@ -323,20 +329,21 @@ def load(directory) -> TwinScene:
     static = []
     for entry in manifest.get("static", []):
         name = read_name(entry, "static node")
+        owner = f"static node {name!r} pose"
         obj = field(entry, "pose", f"static node {name!r}", dict)
         try:
-            pose = RigidTransform.from_dict(obj, obj.get("from_frame", "src"),
-                                            obj.get("to_frame", "dst"))
+            pose = RigidTransform.from_dict(obj, optional(obj, "from_frame", owner, str, "src"),
+                                            optional(obj, "to_frame", owner, str, "dst"))
         except KeyError as exc:
             raise ManifestError(f"{path}: static node {name!r} "
                                 f"missing field {exc}")
-        except MALFORMED as exc:
-            raise ManifestError(f"{path}: static node {name!r} pose: {exc}")
+        except ParameterError as exc:
+            raise ManifestError(f"{path}: {owner}: {exc}")
         static.append(StaticNode(name, read_asset(entry, name), pose))
     dynamic = []
     for entry in manifest.get("dynamic", []):
         name = read_name(entry, "dynamic node")
-        frame = entry.get("track_frame", ref)
+        frame = optional(entry, "track_frame", f"node {name!r}", str, ref)
         track = read_track(entry, name, "node",
                            lambda text: PoseTrack.from_csv(text, frame=frame))
         dynamic.append(DynamicNode(name, read_asset(entry, name), track))

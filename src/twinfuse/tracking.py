@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import (AmbiguityError, CorrespondenceError, DegenerateGeometryError,
                      InsufficientCorrespondencesError, NoOverlapError,
-                     ParameterError, csv_rows, csv_text, finite_number, non_numbers,
+                     ParameterError, csv_rows, csv_text, finite_number,
                      positive_number, reading)
 from .geometry import (PointCloud, RigidTransform, _as_array, _collinear, _freeze,
                        _least_squares, compose, kabsch)
@@ -63,11 +63,7 @@ class MarkerArrayGeometry:
     def from_json(cls, text: str) -> "MarkerArrayGeometry":
         o = json.loads(text)
         with reading("marker array"):
-            positions = [m["position_m"] for m in o["markers"]]
-            geometry = cls(np.array(positions), radius_m=o["radius_m"])
-            if bad := non_numbers([v for p in positions for v in p]):
-                raise ValueError(f"marker positions must be finite numbers, got {bad[0]!r}")
-        return geometry
+            return cls([m["position_m"] for m in o["markers"]], radius_m=o["radius_m"])
 
 
 @dataclass(frozen=True)

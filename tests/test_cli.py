@@ -176,7 +176,7 @@ def _missing(key, what):
     pytest.param(lambda o: _with_value(o, "fx", "900"),
                  "fx must be a finite number, got '900'", id="fx-string"),
     pytest.param(lambda o: _with_value(o, "dist", 5),
-                 "distortion must be 5 finite numbers, got 5", id="dist-number"),
+                 "distortion must be a (5,) array, got shape ()", id="dist-number"),
     pytest.param(lambda o: [o], "camera intrinsics is not a JSON object",
                  id="not-object"),
     pytest.param(lambda o: {**o, "id": 1}, "camera id must be a string, got 1",
@@ -234,11 +234,10 @@ def test_register_cameras_marker_pixels_missing_key(bundle_dir, tmp_path,
     *(_missing(key, "marker set")
       for key in ("frame", "markers", "id", "position_m")),
     pytest.param(lambda o: _with_value(o, "position_m", [1.0, 2.0]),
-                 "marker 'M01' position must be 3 finite numbers, "
-                 "got [1.0, 2.0]", id="position_m-length"),
+                 "marker 'M01' position must be a (3,) array, got shape (2,)",
+                 id="position_m-length"),
     pytest.param(lambda o: _with_value(o, "position_m", [1.0, float("nan"), 0]),
-                 "marker 'M01' position must be 3 finite numbers, "
-                 "got [1.0, nan, 0]", id="position_m-nan"),
+                 "marker 'M01' position must be finite", id="position_m-nan"),
     pytest.param(lambda o: _with_value(o, "markers", {"id": "M01"}),
                  "marker set is not an object with a list of marker objects "
                  "under 'markers'",
@@ -401,8 +400,8 @@ def _with_pose(key, value):
                  "camera model 'world_from_camera': cannot normalize "
                  "zero/non-finite quaternion", id="zero-quat"),
     pytest.param(_with_pose("t_m", [0.5, 0]),
-                 "camera model 'world_from_camera': t must have shape (3,), "
-                 "got (2,)", id="short-translation"),
+                 "camera model 'world_from_camera': t_m must be a (3,) array, "
+                 "got shape (2,)", id="short-translation"),
     pytest.param(lambda cal: cal.update(id=[]),
                  "camera id must be a string, got []", id="id-list"),
 ])
@@ -649,7 +648,7 @@ def test_metrics_signalling_nan_is_one_error_line(tmp_path, capsys):
         warnings.simplefilter("error")
         rc = main(["metrics", "--cloud-a", str(path), "--cloud-b", str(path)])
     assert rc == 1
-    assert capsys.readouterr().err == (f"error: {path}: vertex coordinates "
+    assert capsys.readouterr().err == (f"error: {path}: cloud points "
                                        f"must be finite\n")
 
 
@@ -845,7 +844,7 @@ def test_non_finite_ply_is_one_error_line(bundle_dir, tmp_path, capsys, case):
     argv, bad = case(bundle_dir, tmp_path)
     assert main(argv) == 1
     assert capsys.readouterr().err == (
-        f"error: {bad}: vertex coordinates must be finite\n")
+        f"error: {bad}: cloud points must be finite\n")
 
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -1141,42 +1140,39 @@ TEXT, FLAGS = ["1", "2", "3"], [True, False, False, False]
 
 @pytest.mark.parametrize("name, edit, message", [
     ("reference_markers.json", _set("markers", 0, "position_m", 0),
-     "marker 'M01' position must be 3 finite numbers, got [1"),
+     "marker 'M01' position: int too large to convert to float"),
     ("frame_00000_cam1.json", _set("t_s"),
      "keypoint frame: int too large to convert to float"),
     ("frame_00000_cam1.json", _set("persons", 0, "body", 0, 0),
      "body keypoints: int too large to convert to float"),
     ("cam1_intrinsics.json", _set("fx"), "fx must be a finite number, got 1"),
     ("cam1_calibration.json", _set("world_from_camera", "t_m", 0),
-     "camera model 'world_from_camera': int too large to convert to float"),
+     "camera model 'world_from_camera': t_m: int too large to convert to float"),
     ("config.json", _set("duration_s"), "duration_s must be a number, got 1"),
     ("cam1_marker_pixels.json", _set("pixels", 0, "uv", 1),
      "marker pixels: 'uv' of 'M"),
     ("scene.json", _set("static", 0, "pose", "t_m", 2),
-     "static node 'room' pose: int too large to convert to float"),
+     "static node 'room' pose: t_m: int too large to convert to float"),
     ("reference_markers.json", _set("markers", 0, "position_m", value=TEXT),
-     "marker 'M01' position must be 3 finite numbers, got ['1', '2', '3']"),
+     "marker 'M01' position must be finite numbers, got '1'"),
     ("reference_markers.json", _set("markers", 0, "position_m", value=FLAGS[:3]),
-     "marker 'M01' position must be 3 finite numbers, got [True, False, False]"),
+     "marker 'M01' position must be finite numbers, got True"),
     ("frame_00000_cam1.json", _set("t_s", value="1.5"),
      "keypoint frame t_s must be a finite number, got '1.5'"),
     ("frame_00000_cam1.json", _set("t_s", value=True),
      "keypoint frame t_s must be a finite number, got True"),
     ("frame_00000_cam1.json", _set("persons", 0, "body", 0, 0, value="640"),
-     "keypoint frame: keypoints must be finite numbers, got '640'"),
+     "body keypoints must be finite numbers, got '640'"),
     ("frame_00000_cam1.json", _set("persons", 0, "hand_r", 0, 2, value=True),
-     "keypoint frame: keypoints must be finite numbers, got True"),
+     "hand_right keypoints must be finite numbers, got True"),
     ("cam1_calibration.json", _set("world_from_camera", "t_m", value=TEXT),
-     "camera model 'world_from_camera': t_m must be finite numbers, "
-     "got ['1', '2', '3']"),
+     "camera model 'world_from_camera': t_m must be finite numbers, got '1'"),
     ("cam1_calibration.json", _set("world_from_camera", "q_wxyz", value=FLAGS),
-     "camera model 'world_from_camera': q_wxyz must be finite numbers, "
-     "got [True, False, False, False]"),
+     "camera model 'world_from_camera': q_wxyz must be finite numbers, got True"),
     ("scene.json", _set("static", 0, "pose", "t_m", value=TEXT),
-     "static node 'room' pose: t_m must be finite numbers, got ['1', '2', '3']"),
+     "static node 'room' pose: t_m must be finite numbers, got '1'"),
     ("scene.json", _set("static", 0, "pose", "q_wxyz", value=FLAGS),
-     "static node 'room' pose: q_wxyz must be finite numbers, "
-     "got [True, False, False, False]"),
+     "static node 'room' pose: q_wxyz must be finite numbers, got True"),
 ], ids=["marker-set", "keypoint-time", "keypoint", "intrinsics", "calibration",
         "synth-config", "marker-pixels", "scene-static-pose",
         "marker-set-string", "marker-set-bool", "keypoint-time-string",

@@ -664,9 +664,9 @@ def test_rigid_transform_normalizes_quaternion():
 
 
 def test_rigid_transform_rejects_nonfinite():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError, match="^t must be finite$"):
         RigidTransform([1, 0, 0, 0], [np.nan, 0, 0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError, match="^cannot normalize zero/non-finite quaternion$"):
         RigidTransform([0, 0, 0, 0], np.zeros(3))
 
 
@@ -678,13 +678,13 @@ def test_rigid_transform_keeps_a_unit_quaternion_and_normalises_others():
         p = 3.0 * q
         assert np.array_equal(RigidTransform(p, np.zeros(3)).q, quat_normalize(p))
     for bad in ([0, 0, 0, 0], [np.nan, 0, 0, 1], [np.inf, 0, 0, 0]):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             RigidTransform(bad, np.zeros(3))
     # a (1, 3) t or a (2, 2) q used to be reshaped in silence
-    for q, t, message in (([1.0, 0, 0, 0], np.zeros((1, 3)), "t must have shape (3,), got (1, 3)"),
-                          (np.eye(2), np.zeros(3), "q must have shape (4,), got (2, 2)"),
-                          ([1.0, 0, 0], np.zeros(3), "q must have shape (4,), got (3,)")):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    for q, t, message in (([1.0, 0, 0, 0], np.zeros((1, 3)), "t must be a (3,) array, got shape (1, 3)"),
+                          (np.eye(2), np.zeros(3), "q must be a (4,) array, got shape (2, 2)"),
+                          ([1.0, 0, 0], np.zeros(3), "q must be a (4,) array, got shape (3,)")):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             RigidTransform(q, t)
 
 
@@ -797,6 +797,11 @@ def _point_array_callers():
 
     return {
         "PointCloud": (points, (None, 3), PointCloud),
+        "PointCloud colors": (np.full((4, 3), 7.0), (4, 3), lambda a: PointCloud(points, a)),
+        "RigidTransform q": (quats[0], (4,), lambda a: RigidTransform(a, points[0])),
+        "RigidTransform t": (points[0], (3,), lambda a: RigidTransform(quats[0], a)),
+        "CameraIntrinsics dist": (np.zeros(5), (5,), lambda a: CameraIntrinsics(
+            fx=900.0, fy=900.0, cx=640.0, cy=360.0, width=1280, height=720, dist=a)),
         "kabsch src": (points, (None, 3), lambda a: kabsch(a, points)),
         "kabsch dst": (points, (None, 3), lambda a: kabsch(points, a)),
         "fit_plane_pca": (points, (None, 3), fit_plane_pca),
@@ -866,6 +871,76 @@ def test_point_arrays_refuse_bad_shapes_and_values(caller, fault):
         bad[(1,) + (0,) * (bad.ndim - 1)] = np.nan
     with pytest.raises(ParameterError, match=message):
         call(bad)
+
+
+def _with_first_item(array: np.ndarray, item) -> list:
+    """``array`` as nested lists, its first number replaced by ``item``."""
+    nested = array.tolist()
+    row = nested
+    while isinstance(row[0], list):
+        row = row[0]
+    row[0] = item
+    return nested
+
+
+def _numpy_scalars(nested):
+    """Nested lists of numbers as nested lists of numpy scalars: np.int64 for
+    a whole number, np.float64 for any other."""
+    if isinstance(nested, list):
+        return [_numpy_scalars(v) for v in nested]
+    return np.int64(nested) if float(nested).is_integer() else np.float64(nested)
+
+
+# Skeleton3DFrame takes an invalid joint's NaN and its bool flags through
+# the shape half of the rule; the file path of Keypoint2DFrame is pinned by
+# the CLI tests.
+_ITEM_CALLERS = sorted(name for name in _point_array_callers() if not name.startswith(
+    ("Skeleton3DFrame", "Keypoint2DFrame.from_json")))
+
+
+@pytest.mark.parametrize("item", ["1", True, np.bool_(True), None],
+                         ids=["string", "bool", "numpy-bool", "None"])
+@pytest.mark.parametrize("caller", _ITEM_CALLERS)
+def test_array_items_must_be_real_numbers(caller, item):
+    """A list item that numpy converts to a float but that is no number is a
+    ParameterError naming the array, as the NaN of the same caller is: the
+    rule used to read "1" and True as 1.0."""
+    valid, _, call = _point_array_callers()[caller]
+    nan = _with_first_item(valid, float("nan"))
+    with pytest.raises(ParameterError, match=" must be finite$") as exc_info:
+        call(nan)
+    what = str(exc_info.value).removesuffix(" must be finite")
+    message = f"{what} must be finite numbers, got {item!r}"
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        call(_with_first_item(valid, item))
+
+
+@pytest.mark.parametrize("caller", _ITEM_CALLERS)
+def test_array_items_may_be_numpy_scalars_and_rows(caller):
+    valid, _, call = _point_array_callers()[caller]
+    call(_numpy_scalars(valid.tolist()))
+    call(list(valid))
+
+
+@pytest.mark.parametrize("value", [300, -1, 2.5, np.nan])
+def test_point_cloud_refuses_colors_that_are_no_byte(value):
+    """Colors used to be cast to uint8: 300 wrapped to 44 and NaN became 0
+    with a RuntimeWarning from a float array, and a list raised numpy's
+    OverflowError."""
+    colors = np.full((2, 3), 7.0)
+    colors[1, 2] = value
+    message = ("cloud colors must be finite" if np.isnan(value)
+               else "cloud colors must be whole numbers in [0, 255]")
+    for given in (colors, colors.tolist()):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            PointCloud(np.zeros((2, 3)), given)
+
+
+def test_point_cloud_keeps_uint8_colors():
+    colors = np.random.default_rng(9).integers(0, 256, (50, 3), dtype=np.uint8)
+    for given in (colors, colors.astype(float), colors.tolist()):
+        held = PointCloud(np.zeros((50, 3)), given).colors
+        assert held.dtype == np.uint8 and np.array_equal(held, colors)
 
 
 def test_quat_normalize_unit_output():

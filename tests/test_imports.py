@@ -189,14 +189,12 @@ def test_frozen_fields_set_in_one_helper():
 
 # The array rule ("an array of this shape, every value finite") is written
 # once, in geometry._as_array: every value type and solver checks the arrays
-# it takes there. RigidTransform keeps its own check, since the file readers
-# expect its ValueError. The other calls of np.isfinite test a file's values
-# (ply.load_ply, cli._point) or a value a function computed: a norm, a cost,
-# a ray angle and voxel keys.
+# it takes there, RigidTransform and the PLY reader too. The other calls of
+# np.isfinite test a command-line value (cli._point) or a value a function
+# computed: a norm, a cost, a ray angle and voxel keys.
 NP_ISFINITE = {("cameras.py", "triangulate_batch"), ("cli.py", "_point"),
-               ("fusion.py", "voxel_downsample"), ("geometry.py", "RigidTransform"),
-               ("geometry.py", "_as_array"), ("geometry.py", "_least_squares"),
-               ("geometry.py", "quat_normalize"), ("ply.py", "load_ply")}
+               ("fusion.py", "voxel_downsample"), ("geometry.py", "_as_array"),
+               ("geometry.py", "_least_squares"), ("geometry.py", "quat_normalize")}
 
 
 def test_array_rule_written_once():
@@ -204,6 +202,29 @@ def test_array_rule_written_once():
         p.read_text(), lambda f: isinstance(f, ast.Attribute) and f.attr == "isfinite"
         and getattr(f.value, "id", None) == "np")}
     assert found == NP_ISFINITE
+
+
+# A list of numbers is checked item by item once, in geometry._as_array, for
+# every array a value type or solver takes from a file or a caller; the
+# skeleton CSV reader checks a valid joint's four numbers, which a row holds
+# beside its joint id and flag. No other code calls errors.non_numbers.
+def _non_numbers_callers(source: str) -> list[str]:
+    return _callers(source, lambda f: getattr(f, "id", getattr(f, "attr", None))
+                    == "non_numbers")
+
+
+def test_non_numbers_caller_detector():
+    source = ("from .errors import non_numbers\nfrom . import errors\n"
+              "def f(v):\n    return non_numbers(v)\n"
+              "class C:\n    bad = errors.non_numbers([1, 'a'])\n"
+              "check = non_numbers\n")
+    assert _non_numbers_callers(source) == ["f", "C"]
+
+
+def test_number_lists_checked_in_one_place():
+    found = {(p.name, name) for p in MODULES
+             for name in _non_numbers_callers(p.read_text())}
+    assert found == {("geometry.py", "_as_array"), ("mocap.py", "skeleton_track_from_csv")}
 
 
 # The text file rules (UTF-8, "\n" line ends) are written once, in

@@ -175,15 +175,15 @@ def test_load_rejects_non_finite_coordinates(tmp_path, value, fmt):
                          b"end_header\n" + pts.astype("<f4").tobytes())
     with pytest.raises(ManifestError) as exc_info:
         load_ply(path)
-    assert str(exc_info.value) == f"{path}: vertex coordinates must be finite"
+    assert str(exc_info.value) == f"{path}: cloud points must be finite"
 
 
 _SIGNALLING_NAN = np.array([0x7F800001], dtype="<u4").view("<f4")[0]
 
 
 @pytest.mark.parametrize("column, message", [
-    (1, "vertex coordinates must be finite"),
-    (4, "vertex colors must be whole numbers in [0, 255]"),
+    (1, "cloud points must be finite"),
+    (4, "cloud colors must be finite"),
 ], ids=["coordinate", "color"])
 def test_load_rejects_signalling_nan_without_a_warning(tmp_path, column, message):
     # a binary float32 signalling NaN raises the FPU invalid flag when cast
@@ -258,13 +258,16 @@ def test_load_ignores_elements_after_vertex(tmp_path, fmt):
     assert np.array_equal(load_ply(path).points, cloud.points)
 
 
-@pytest.mark.parametrize("value", ["300", "-5", "2.7", "nan"])
-def test_load_rejects_ascii_colors_out_of_range_or_fractional(tmp_path, value):
+@pytest.mark.parametrize("value, message", [
+    *(pytest.param(v, "cloud colors must be whole numbers in [0, 255]", id=v)
+      for v in ("300", "-5", "2.7")),
+    pytest.param("nan", "cloud colors must be finite", id="nan"),
+])
+def test_load_rejects_ascii_colors_out_of_range_or_fractional(tmp_path, value, message):
     path = tmp_path / "cloud.ply"
     path.write_text("ply\nformat ascii 1.0\nelement vertex 1\n" + _XYZ
                     + "property uchar red\nproperty uchar green\n"
                     f"property uchar blue\nend_header\n1 2 3 0 {value} 255\n")
     with pytest.raises(ManifestError) as exc_info:
         load_ply(path)
-    assert str(exc_info.value) == (
-        f"{path}: vertex colors must be whole numbers in [0, 255]")
+    assert str(exc_info.value) == f"{path}: {message}"

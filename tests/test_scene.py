@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -229,9 +230,11 @@ def test_sample_refuses_nan_time():
     scene = _scene()
     with pytest.raises(ParameterError, match="sample time must not be NaN"):
         sample_at(scene, float("nan"))
-    # a string used to raise numpy's TypeError
-    for t in ("1.0", None, True):
-        with pytest.raises(ParameterError, match=f"^sample time must be a number, got {t!r}$"):
+    # a string used to raise numpy's TypeError, and an array of times
+    # numpy's "truth value of an array is ambiguous"
+    for t in ("1.0", None, True, np.array(1.0), np.array([1.0, 2.0])):
+        message = f"sample time must be a number, got {t!r}"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             sample_at(scene, t)
     lo, hi = scene.time_range
     assert sample_at(scene, np.inf).t_s == hi and sample_at(scene, -np.inf).t_s == lo
@@ -378,9 +381,9 @@ def _set_quat(q):
     (_set_quat([0, 0, 0, 0]),
      "static node 'room' pose: cannot normalize zero/non-finite quaternion"),
     (_set_quat([float("nan"), 0, 0, 0]),
-     "static node 'room' pose: cannot normalize zero/non-finite quaternion"),
+     "static node 'room' pose: q_wxyz must be finite"),
     (_set_quat([1, 0, 0]),
-     "static node 'room' pose: q must have shape (4,), got (3,)"),
+     "static node 'room' pose: q_wxyz must be a (4,) array, got shape (3,)"),
     (lambda m: m.update(static=5), "manifest field 'static' is not a list"),
     (lambda m: m.update(skeletons={}),
      "manifest field 'skeletons' is not a list"),
@@ -390,10 +393,27 @@ def _set_quat(q):
      "skeleton 'surgeon' field 'track' is not a str"),
     (lambda m: m["static"][0].update(name=5),
      "static node field 'name' is not a str"),
+    # a 0 flag used to load room.ply as an opaque path string, and a "no"
+    # flag to read an opaque mesh as a PLY file, which failed as missing
+    (lambda m: m["static"][0].update(cloud=0),
+     "node 'room' field 'cloud' is not a bool"),
+    (lambda m: m["dynamic"][0].update(asset="meshes/drill.obj", cloud="no"),
+     "node 'drill' field 'cloud' is not a bool"),
+    # a frame that is no string used to be loaded as given
+    (lambda m: m.update(reference_frame=5),
+     "manifest field 'reference_frame' is not a str"),
+    (lambda m: m["dynamic"][0].update(track_frame=["reference"]),
+     "node 'drill' field 'track_frame' is not a str"),
+    (lambda m: m["static"][0]["pose"].update(from_frame=5),
+     "static node 'room' pose field 'from_frame' is not a str"),
+    (lambda m: m["static"][0]["pose"].update(to_frame=None),
+     "static node 'room' pose field 'to_frame' is not a str"),
 ], ids=["no-reference-frame", "node-no-name", "node-no-asset",
         "node-no-track", "skeleton-no-track", "zero-quat", "nan-quat",
         "short-quat", "static-not-list", "skeletons-not-list",
-        "asset-not-string", "track-not-string", "name-not-string"])
+        "asset-not-string", "track-not-string", "name-not-string",
+        "cloud-number", "cloud-string", "reference-frame-number",
+        "track-frame-list", "from-frame-number", "to-frame-null"])
 def test_load_rejects_malformed_manifest(tmp_path, mutate, message):
     save(_scene(), tmp_path)
     _mutate_manifest(tmp_path, mutate)
